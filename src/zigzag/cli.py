@@ -29,7 +29,6 @@ from .corpus import CorpusError, augment_corpus, generate_synthetic, load_corpus
 from .encoding import EncodingError, default_length
 from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_corpus_fragments
-from .nn.kernels import KernelError
 from .nn.model import ModelError, load_model, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
 from .training import TrainConfig, TrainingError, save_trace, train_original, train_zigzag
@@ -350,7 +349,6 @@ def main(argv=None) -> int:
         CorpusError,
         EncodingError,
         EvaluationError,
-        KernelError,
         ModelError,
         TrainingError,
         TransformError,

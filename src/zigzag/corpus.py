@@ -27,16 +27,12 @@ from typing import Iterable, Optional
 
 from .lang import interpret, parse, pretty_print
 from .lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
-from .lang.nodes import Program, flagged_lines
+from .lang.nodes import Program, flagged_lines, walk_statements
 from .seeds import derive_rng, derive_seed
 from .transforms import InapplicableTransform, apply_transform
 
 CORPUS_VERSION = 1
 SELF_CHECK_FUEL = 6000
-
-# input domain the generator guarantees bounded runtimes for
-INPUT_LOW = -3
-INPUT_HIGH = 12
 
 
 class CorpusError(Exception):
@@ -64,15 +60,9 @@ def function_labels(program: Program) -> dict[str, int]:
     """1 for functions containing a flagged statement, else 0."""
     out: dict[str, int] = {}
     for fn in program.functions:
-        flagged = any(st.vuln for st in _walk(fn.body))
+        flagged = any(st.vuln for st in walk_statements(fn.body))
         out[fn.name] = 1 if flagged else 0
     return out
-
-
-def _walk(stmts):
-    from .lang.nodes import walk_statements
-
-    return walk_statements(stmts)
 
 
 def assign_split(pid: str, train_fraction: float = 0.8) -> str:
@@ -565,25 +555,51 @@ def save_corpus(path: str | Path, programs: Iterable[CorpusProgram]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
+    """The JSON objects on the non-blank lines of a file.
+
+    Bytes that are not UTF-8, and a line that is not a JSON object (a
+    truncated one, say), raise `error` naming the file and the line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+    records = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise error(f"{path}:{number}: not valid JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise error(f"{path}:{number}: not a JSON object")
+        records.append(rec)
+    return records
+
+
 def load_corpus(path: str | Path) -> list[CorpusProgram]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
-    if not lines:
+    records = read_json_lines(path, CorpusError)
+    if not records:
         raise CorpusError(f"{path}: empty corpus file")
-    header = json.loads(lines[0])
+    header = records[0]
     if header.get("version") != CORPUS_VERSION or header.get("kind") != "program-corpus":
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
     out: list[CorpusProgram] = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        item = CorpusProgram(
-            id=rec["id"],
-            source=rec["source"],
-            split=rec["split"],
-            labels={k: int(v) for k, v in rec["labels"].items()},
-            witness_inputs=rec.get("witness_inputs"),
-            provenance=rec.get("provenance", {}),
-        )
+    for rec in records[1:]:
+        try:
+            item = CorpusProgram(
+                id=rec["id"],
+                source=rec["source"],
+                split=rec["split"],
+                labels={k: int(v) for k, v in rec["labels"].items()},
+                witness_inputs=rec.get("witness_inputs"),
+                provenance=rec.get("provenance", {}),
+            )
+        except KeyError as exc:
+            raise CorpusError(f"{path}: record missing key {exc}") from None
         # integrity: stored labels must match the flags in the source
         if function_labels(item.program()) != item.labels:
             raise CorpusError(f"{item.id}: labels do not match source flags")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram
+from .corpus import CorpusProgram, read_json_lines
 from .encoding import encode_fragments
 from .fragments import extract_fragments
 from .nn.model import DetectorModel, model_fingerprint
@@ -180,30 +180,30 @@ class EvalReport:
 
 
 def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        lines = [l for l in fh.read().splitlines() if l.strip()]
-    if not lines:
+    records = read_json_lines(path, EvaluationError)
+    if not records:
         raise EvaluationError(f"{path}: empty report")
-    header = json.loads(lines[0])
+    header = records[0]
     if header.get("kind") != "eval-report":
         raise EvaluationError(f"{path}: not an evaluation report")
-    rows = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        rows.append(
+    try:
+        rows = [
             EvalRow(
                 name=rec["row"],
                 programs=rec["programs"],
                 functions=rec["functions"],
                 confusion=Confusion(rec["tp"], rec["fn"], rec["fp"], rec["tn"]),
             )
+            for rec in records[1:]
+        ]
+        return EvalReport(
+            granularity=header["granularity"],
+            rows=rows,
+            corpus_digest=header["corpus_digest"],
+            model_digest=header["model_digest"],
         )
-    return EvalReport(
-        granularity=header["granularity"],
-        rows=rows,
-        corpus_digest=header["corpus_digest"],
-        model_digest=header["model_digest"],
-    )
+    except KeyError as exc:
+        raise EvaluationError(f"{path}: record missing key {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from .lang.nodes import (
     ArrayAssign,
     ArrayDecl,
     Assign,
-    CallStmt,
     FunctionDef,
     Index,
-    Return,
+    SimpleStmt,
     Stmt,
     VarDecl,
     expr_names,
@@ -39,8 +38,6 @@ from .lang.printer import format_function, format_statements
 FUNCTION_GRANULARITY = "function"
 SLICE_GRANULARITY = "slice"
 GRANULARITIES = (FUNCTION_GRANULARITY, SLICE_GRANULARITY)
-
-_SIMPLE = (VarDecl, ArrayDecl, Assign, ArrayAssign, Return, CallStmt)
 
 
 class FragmentError(Exception):
@@ -86,7 +83,7 @@ def _indexes_array(st: Stmt) -> bool:
 
 def slice_statements(fn: FunctionDef) -> list[list[Stmt]]:
     """One backward slice per array-indexing simple statement."""
-    simple = [st for st in walk_statements(fn.body) if isinstance(st, _SIMPLE)]
+    simple = [st for st in walk_statements(fn.body) if isinstance(st, SimpleStmt)]
     defs: dict[str, list[Stmt]] = {}
     for st in simple:
         for name in _defined_names(st):

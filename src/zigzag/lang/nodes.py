@@ -262,14 +262,6 @@ def flagged_lines(program: Program) -> set[int]:
     return {st.line_id for st in walk_program(program) if st.vuln}
 
 
-def functions_with_flags(program: Program) -> set[str]:
-    out = set()
-    for fn in program.functions:
-        if any(st.vuln for st in walk_statements(fn.body)):
-            out.add(fn.name)
-    return out
-
-
 # --------------------------------------------------------------------------
 # structural signatures
 
@@ -331,7 +323,3 @@ def program_signature(program: Program, with_flags: bool = True) -> tuple:
         (f.name, tuple(f.params), tuple(stmt_signature(s, with_flags) for s in f.body))
         for f in program.functions
     )
-
-
-def structurally_equal(a: Program, b: Program, with_flags: bool = True) -> bool:
-    return program_signature(a, with_flags) == program_signature(b, with_flags)

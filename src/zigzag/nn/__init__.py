@@ -1,11 +1,11 @@
-"""Tiny feedforward/recurrent detector built on numpy with numba-
-accelerated hot kernels (token pooling and the recurrent encoder).
+"""Tiny feedforward/recurrent detector built on numpy.
 
-The package is split by concern: kernels.py holds the dual-backend
-compute, model.py the parameter container and serialization, losses.py
-the training objectives, optim.py the update rules.
+The package is split by concern: kernels.py holds the hot compute
+(token pooling, the recurrent encoder, the embedding-gradient
+scatter), model.py the parameter container and serialization,
+losses.py the training objectives, optim.py the update rules.
 """
-from .kernels import KernelError, active_backend, set_backend
+from .kernels import active_backend
 from .losses import EPS, bce_loss, discrepancy_loss
 from .model import DetectorModel, init_params, load_model, model_fingerprint, save_model
 from .optim import Adam, Sgd, TrainingDiverged
@@ -14,7 +14,6 @@ __all__ = [
     "Adam",
     "DetectorModel",
     "EPS",
-    "KernelError",
     "Sgd",
     "TrainingDiverged",
     "active_backend",
@@ -24,5 +23,4 @@ __all__ = [
     "load_model",
     "model_fingerprint",
     "save_model",
-    "set_backend",
 ]

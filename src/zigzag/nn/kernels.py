@@ -1,74 +1,24 @@
-"""Hot compute kernels with two interchangeable backends.
-
-The backend is picked once from the ZZ_BACKEND environment variable
-("numba" or "numpy"); unset means numba when importable, else numpy.
-Each backend is deterministic run to run; across backends results agree
-to float round-off (different summation order), not byte for byte.
+"""Hot compute kernels: token pooling, the recurrent encoder, and the
+embedding-gradient scatter, in numpy.  Results are deterministic run to
+run.
 
 Token id 0 is padding and never contributes to pooling or recurrence.
 The kernels do not check that ids lie in [0, emb rows): numpy would
-raise a bare IndexError or read a negative id from the end of emb, and
-numba reads out of bounds.  The range is checked once at the model
-boundary (features_forward), which raises ModelError.
+raise a bare IndexError or read a negative id from the end of emb.  The
+range is checked once at the model boundary (features_forward), which
+raises ModelError.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - mirror always has numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-class KernelError(Exception):
-    pass
-
-
-_BACKEND: str | None = None
 
 
 def active_backend() -> str:
-    global _BACKEND
-    if _BACKEND is None:
-        choice = os.environ.get("ZZ_BACKEND", "").strip().lower()
-        if choice == "":
-            _BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-        elif choice in ("numba", "numpy"):
-            if choice == "numba" and not _HAVE_NUMBA:
-                raise KernelError("ZZ_BACKEND=numba but numba is not importable")
-            _BACKEND = choice
-        else:
-            raise KernelError(f"ZZ_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    return _BACKEND
+    """Name of the compute backend, for environment records."""
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    global _BACKEND
-    name = name.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise KernelError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise KernelError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-# --------------------------------------------------------------------------
-# numpy reference implementations
-
-def _np_embed_mean_forward(emb, X):
+def embed_mean_forward(emb: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mask = X != 0
     counts = mask.sum(axis=1)
     denom = np.maximum(counts, 1).astype(np.float64)
@@ -77,16 +27,9 @@ def _np_embed_mean_forward(emb, X):
     return pooled, denom
 
 
-def _np_embed_mean_backward(dpooled, X, denom, vocab_size):
-    demb = np.zeros((vocab_size, dpooled.shape[1]), dtype=np.float64)
-    mask = X != 0
-    rows = X[mask]
-    contrib = np.repeat(dpooled / denom[:, None], mask.sum(axis=1), axis=0)
-    np.add.at(demb, rows, contrib)
-    return demb
-
-
-def _np_rnn_forward(emb, X, wx, wh, b):
+def rnn_forward(
+    emb: np.ndarray, X: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     B, L = X.shape
     H = wh.shape[0]
     hs = np.zeros((B, L + 1, H), dtype=np.float64)
@@ -102,7 +45,14 @@ def _np_rnn_forward(emb, X, wx, wh, b):
     return hs, E
 
 
-def _np_rnn_backward(dh_last, hs, E, X, wx, wh):
+def rnn_backward(
+    dh_last: np.ndarray,
+    hs: np.ndarray,
+    E: np.ndarray,
+    X: np.ndarray,
+    wx: np.ndarray,
+    wh: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     B, L = X.shape
     mask = (X != 0).astype(np.float64)
     dwx = np.zeros_like(wx)
@@ -123,164 +73,8 @@ def _np_rnn_backward(dh_last, hs, E, X, wx, wh):
     return dE, dwx, dwh, db
 
 
-def _np_scatter_embedding(dE, X, vocab_size):
+def scatter_embedding(dE: np.ndarray, X: np.ndarray, vocab_size: int) -> np.ndarray:
     demb = np.zeros((vocab_size, dE.shape[2]), dtype=np.float64)
     mask = X != 0
     np.add.at(demb, X[mask], dE[mask])
     return demb
-
-
-# --------------------------------------------------------------------------
-# numba implementations (explicit loops, same math)
-
-@njit(cache=True)
-def _nb_embed_mean_forward(emb, X):
-    B, L = X.shape
-    D = emb.shape[1]
-    pooled = np.zeros((B, D), dtype=np.float64)
-    denom = np.ones(B, dtype=np.float64)
-    for i in range(B):
-        c = 0
-        for t in range(L):
-            tok = X[i, t]
-            if tok != 0:
-                c += 1
-                for d in range(D):
-                    pooled[i, d] += emb[tok, d]
-        if c > 0:
-            denom[i] = c
-            for d in range(D):
-                pooled[i, d] /= c
-    return pooled, denom
-
-
-@njit(cache=True)
-def _nb_embed_mean_backward(dpooled, X, denom, vocab_size):
-    B, L = X.shape
-    D = dpooled.shape[1]
-    demb = np.zeros((vocab_size, D), dtype=np.float64)
-    for i in range(B):
-        for t in range(L):
-            tok = X[i, t]
-            if tok != 0:
-                for d in range(D):
-                    demb[tok, d] += dpooled[i, d] / denom[i]
-    return demb
-
-
-@njit(cache=True)
-def _nb_rnn_forward(emb, X, wx, wh, b):
-    B, L = X.shape
-    D = emb.shape[1]
-    H = wh.shape[0]
-    hs = np.zeros((B, L + 1, H), dtype=np.float64)
-    E = np.zeros((B, L, D), dtype=np.float64)
-    for i in range(B):
-        for t in range(L):
-            tok = X[i, t]
-            for d in range(D):
-                E[i, t, d] = emb[tok, d]
-    for i in range(B):
-        for t in range(L):
-            if X[i, t] != 0:
-                for h in range(H):
-                    acc = b[h]
-                    for d in range(D):
-                        acc += E[i, t, d] * wx[d, h]
-                    for g in range(H):
-                        acc += hs[i, t, g] * wh[g, h]
-                    hs[i, t + 1, h] = np.tanh(acc)
-            else:
-                for h in range(H):
-                    hs[i, t + 1, h] = hs[i, t, h]
-    return hs, E
-
-
-@njit(cache=True)
-def _nb_rnn_backward(dh_last, hs, E, X, wx, wh):
-    B, L = X.shape
-    D = wx.shape[0]
-    H = wh.shape[0]
-    dwx = np.zeros((D, H), dtype=np.float64)
-    dwh = np.zeros((H, H), dtype=np.float64)
-    db = np.zeros(H, dtype=np.float64)
-    dE = np.zeros((B, L, D), dtype=np.float64)
-    for i in range(B):
-        dh = dh_last[i].copy()
-        for t in range(L - 1, -1, -1):
-            if X[i, t] != 0:
-                for h in range(H):
-                    new = hs[i, t + 1, h]
-                    dpre = dh[h] * (1.0 - new * new)
-                    db[h] += dpre
-                    for d in range(D):
-                        dwx[d, h] += E[i, t, d] * dpre
-                        dE[i, t, d] += dpre * wx[d, h]
-                    for g in range(H):
-                        dwh[g, h] += hs[i, t, g] * dpre
-                dh_new = np.zeros(H, dtype=np.float64)
-                for g in range(H):
-                    acc = 0.0
-                    for h in range(H):
-                        new = hs[i, t + 1, h]
-                        acc += dh[h] * (1.0 - new * new) * wh[g, h]
-                    dh_new[g] = acc
-                dh = dh_new
-    return dE, dwx, dwh, db
-
-
-@njit(cache=True)
-def _nb_scatter_embedding(dE, X, vocab_size):
-    B, L, D = dE.shape
-    demb = np.zeros((vocab_size, D), dtype=np.float64)
-    for i in range(B):
-        for t in range(L):
-            tok = X[i, t]
-            if tok != 0:
-                for d in range(D):
-                    demb[tok, d] += dE[i, t, d]
-    return demb
-
-
-# --------------------------------------------------------------------------
-# dispatch
-
-def embed_mean_forward(emb: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if active_backend() == "numba":
-        return _nb_embed_mean_forward(emb, X)
-    return _np_embed_mean_forward(emb, X)
-
-
-def embed_mean_backward(
-    dpooled: np.ndarray, X: np.ndarray, denom: np.ndarray, vocab_size: int
-) -> np.ndarray:
-    if active_backend() == "numba":
-        return _nb_embed_mean_backward(dpooled, X, denom, vocab_size)
-    return _np_embed_mean_backward(dpooled, X, denom, vocab_size)
-
-
-def rnn_forward(
-    emb: np.ndarray, X: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if active_backend() == "numba":
-        return _nb_rnn_forward(emb, X, wx, wh, b)
-    return _np_rnn_forward(emb, X, wx, wh, b)
-
-
-def rnn_backward(
-    dh_last: np.ndarray,
-    hs: np.ndarray,
-    E: np.ndarray,
-    X: np.ndarray,
-    wx: np.ndarray,
-    wh: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if active_backend() == "numba":
-        return _nb_rnn_backward(dh_last, hs, E, X, wx, wh)
-    return _np_rnn_backward(dh_last, hs, E, X, wx, wh)
-
-
-def scatter_embedding(dE: np.ndarray, X: np.ndarray, vocab_size: int) -> np.ndarray:
-    if active_backend() == "numba":
-        return _nb_scatter_embedding(dE, X, vocab_size)
-    return _np_scatter_embedding(dE, X, vocab_size)

@@ -22,13 +22,7 @@ import hashlib
 import numpy as np
 
 from ..seeds import derive_rng
-from .kernels import (
-    embed_mean_backward,
-    embed_mean_forward,
-    rnn_backward,
-    rnn_forward,
-    scatter_embedding,
-)
+from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
 
 MAGIC = b"ZZM1"
 FORMAT_VERSION = 1
@@ -156,7 +150,10 @@ def features_backward(params: dict, config: dict, cache: dict, dF: np.ndarray) -
     grads = {"f_w": cache["enc"].T @ dpre, "f_b": dpre.sum(axis=0)}
     denc = dpre @ params["f_w"].T
     if config["encoder"] == "mean":
-        grads["emb"] = embed_mean_backward(denc, X, cache["denom"], vocab_size)
+        # every unpadded token of a row gets that row's pooled gradient / count
+        per_row = (denc / cache["denom"][:, None])[:, None, :]
+        dE = np.broadcast_to(per_row, X.shape + (denc.shape[1],))
+        grads["emb"] = scatter_embedding(dE, X, vocab_size)
     else:
         dE, dwx, dwh, db = rnn_backward(denc, cache["hs"], cache["E"], X, params["r_wx"], params["r_wh"])
         grads["r_wx"] = dwx
@@ -249,25 +246,35 @@ def load_model(path: str | Path) -> DetectorModel:
     if raw[:4] != MAGIC:
         raise ModelError(f"{path}: not a model file")
     size = int.from_bytes(raw[4:12], "little")
-    header = json.loads(raw[12 : 12 + size].decode("utf-8"))
-    if header.get("format") != FORMAT_VERSION:
-        raise ModelError(f"{path}: unsupported format {header.get('format')}")
-    config = header["config"]
+    if len(raw) < 12 + size:
+        raise ModelError(f"{path}: file ends inside the {size}-byte header")
+    try:
+        header = json.loads(raw[12 : 12 + size].decode("utf-8"))
+        version = header.get("format")
+        config = header["config"]
+        tensors = header["tensors"]
+        vocab = {k: int(v) for k, v in header["vocab"].items()}
+    except (ValueError, KeyError, AttributeError) as exc:
+        raise ModelError(f"{path}: malformed header ({exc!r})") from None
+    if version != FORMAT_VERSION:
+        raise ModelError(f"{path}: unsupported format {version}")
     missing = [k for k in _REQUIRED_KEYS if k not in config]
     if missing:
         raise ModelError(f"{path}: config missing keys {missing}")
     params: dict[str, np.ndarray] = {}
     offset = 12 + size
-    for spec in header["tensors"]:
+    for spec in tensors:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
+        if offset + nbytes > len(raw):
+            raise ModelError(f"{path}: file ends inside tensor {spec['name']!r} of shape {shape}")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
         params[spec["name"]] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise ModelError(f"{path}: trailing bytes after tensors")
-    return DetectorModel(config=config, vocab={k: int(v) for k, v in header["vocab"].items()}, params=params)
+    return DetectorModel(config=config, vocab=vocab, params=params)
 
 
 def model_fingerprint(model: DetectorModel) -> str:

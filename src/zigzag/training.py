@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .encoding import build_vocab, encode_fragments
+from .evaluation import confusion_from, f1_score
 from .fragments import Fragment
 from .nn.losses import bce_loss, discrepancy_loss
 from .nn.model import (
@@ -216,16 +217,9 @@ class _Trainer:
         if self.val is None:
             return None
         Xv, yv = self.val
-        F, _ = features_forward(self.params, self.mc, Xv)
-        p1, _ = head_forward(self.params, "c1", F)
-        p2, _ = head_forward(self.params, "c2", F)
-        p = (p1 + p2) / 2.0 if self.mc["fusion"] == "mean" else p1
-        pred = binary_prediction(p, self.tc.delta)
-        tp = int(np.sum((pred == 1) & (yv == 1)))
-        fp = int(np.sum((pred == 1) & (yv == 0)))
-        fn = int(np.sum((pred == 0) & (yv == 1)))
-        denom = 2 * tp + fp + fn
-        return (2 * tp / denom) if denom else 0.0
+        pred = DetectorModel(self.mc, self.vocab, self.params).predict(Xv)
+        f1 = f1_score(confusion_from(yv.tolist(), pred.tolist()))
+        return 0.0 if f1 is None else float(f1)
 
     def record(self, rnd: int, phase: str, epoch: int, L_c: float, L_h: float, disc: float, gamma: float) -> None:
         self.trace.append(

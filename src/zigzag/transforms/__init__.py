@@ -50,17 +50,6 @@ _PASSES = {
 
 ALL_KINDS = tuple(sorted(_PASSES))
 
-KIND_LABELS = {
-    "ct1": "encode-strings",
-    "ct2": "randomize-arguments",
-    "ct3": "flatten-control-flow",
-    "ct4": "merge-simple",
-    "ct5": "merge-flatten",
-    "ct6": "split-top-level",
-    "ct7": "split-block",
-    "ct8": "split-recursive",
-}
-
 # named transform sets used for training-side augmentation
 CT_SETS: dict[str, tuple[str, ...]] = {
     "md0": (),
@@ -157,7 +146,6 @@ __all__ = [
     "CT_SETS",
     "ENTRY_NAME",
     "GENERATED_PREFIX",
-    "KIND_LABELS",
     "InapplicableTransform",
     "LineMap",
     "TransformError",

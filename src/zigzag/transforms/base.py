@@ -201,12 +201,6 @@ def map_stmt_exprs(st: Stmt, f: Callable[[Expr], Expr]) -> None:
         st.call = f(st.call)  # type: ignore[assignment]
 
 
-def rewrite_expressions(program: Program, f: Callable[[Expr], Expr]) -> None:
-    for fn in program.functions:
-        for st in walk_statements(fn.body):
-            map_stmt_exprs(st, f)
-
-
 def mentioned_names(stmts: Iterable[Stmt]) -> set[str]:
     """Names used by statements: expression reads plus assignment targets.
 

@@ -11,12 +11,12 @@ from zigzag.lang import (
     pretty_print,
     tokenize,
 )
+from zigzag.corpus import function_labels
 from zigzag.lang.nodes import (
     Assign,
     For,
     If,
     flagged_lines,
-    functions_with_flags,
     program_signature,
     walk_program,
 )
@@ -75,7 +75,7 @@ def test_line_ids_unique_and_monotone(demo_program) -> None:
 
 def test_vuln_marker_attaches_to_statement(demo_program) -> None:
     assert flagged_lines(demo_program) == {6}
-    assert functions_with_flags(demo_program) == {"scale_rows"}
+    assert {name for name, flag in function_labels(demo_program).items() if flag} == {"scale_rows"}
 
 
 def test_vuln_marker_on_compound_statement() -> None:
