@@ -25,7 +25,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusError, augment_corpus, generate_synthetic, load_corpus, save_corpus
+from .corpus import (
+    CorpusError,
+    augment_corpus,
+    generate_synthetic,
+    load_corpus,
+    save_corpus,
+    split_variants,
+)
 from .encoding import EncodingError, default_length
 from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_corpus_fragments
@@ -112,18 +119,6 @@ def _write_resolved(primary_output, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _split_corpus(programs):
-    """A corpus file holds originals and variants side by side; variant ids
-    carry a ::kind suffix."""
-    originals = [p for p in programs if "::" not in p.id]
-    buckets: dict[str, list] = {}
-    for p in programs:
-        if "::" in p.id:
-            kind = p.id.rsplit("::", 1)[1]
-            buckets.setdefault(kind, []).append(p)
-    return originals, buckets
-
-
 # ---- subcommands -------------------------------------------------------------
 
 
@@ -207,7 +202,7 @@ def cmd_train(args) -> None:
     tc, mc, granularity = _train_configs(args, config, seed)
 
     corpus = load_corpus(args.data)
-    originals, buckets = _split_corpus(corpus)
+    originals, buckets = split_variants(corpus)
     variants = [p for bucket in buckets.values() for p in bucket]
     clean = [f for f in extract_corpus_fragments(originals, granularity) if f.split == "train"]
     varied = [f for f in extract_corpus_fragments(variants, granularity) if f.split == "train"]
@@ -253,7 +248,7 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     model = load_model(args.model)
     corpus = load_corpus(args.corpus)
-    originals, buckets = _split_corpus(corpus)
+    originals, buckets = split_variants(corpus)
     if not originals:
         raise CorpusError(f"{args.corpus} holds no untransformed programs")
     report = evaluate_detector(model, originals, buckets)

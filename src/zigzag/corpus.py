@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .lang import interpret, parse, pretty_print
+from .lang import MiniLangError, interpret, parse, pretty_print
 from .lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
 from .lang.nodes import Program, flagged_lines, walk_statements
 from .seeds import derive_rng, derive_seed
@@ -488,11 +488,15 @@ def generate_synthetic(count: int, vulnerable_fraction: float = 0.4, seed: int =
 # --------------------------------------------------------------------------
 # transformed variants
 
-def transform_variant(item: CorpusProgram, kind: str, seed: int) -> Optional[CorpusProgram]:
-    """One transformed copy of a corpus program, or None if inapplicable."""
+def transform_variant(item: CorpusProgram, program: Program, kind: str, seed: int) -> Optional[CorpusProgram]:
+    """One transformed copy of a corpus program, or None if inapplicable.
+
+    `program` is `item`'s parsed source; transforms never mutate their
+    input, so one parse serves every kind.
+    """
     stage_seed = derive_seed(seed, "variant", item.id, kind)
     try:
-        out, _ = apply_transform(item.program(), kind, stage_seed)
+        out, _ = apply_transform(program, kind, stage_seed)
     except InapplicableTransform:
         return None
     source = pretty_print(out)
@@ -507,32 +511,34 @@ def transform_variant(item: CorpusProgram, kind: str, seed: int) -> Optional[Cor
 
 
 def augment_corpus(programs: Iterable[CorpusProgram], kinds: Iterable[str], seed: int) -> list[CorpusProgram]:
-    """Originals plus one variant per (program, kind); empty kinds is a no-op."""
+    """Originals plus one variant per (program, kind), kind-major; empty
+    kinds is a no-op.  Variants are built from originals only."""
     out = list(programs)
+    originals = [(item, item.program()) for item in out if "::" not in item.id]
     for kind in kinds:
-        for item in list(out):
-            if "::" in item.id:
-                continue  # variants are built from originals only
-            variant = transform_variant(item, kind, seed)
+        for item, program in originals:
+            variant = transform_variant(item, program, kind, seed)
             if variant is not None:
                 out.append(variant)
     return out
 
 
-def build_attack_targets(
-    programs: Iterable[CorpusProgram], kinds: Iterable[str], seed: int
-) -> dict[str, list[CorpusProgram]]:
-    """Per-kind transformed copies used to probe a trained detector."""
-    targets: dict[str, list[CorpusProgram]] = {}
-    base = list(programs)
-    for kind in kinds:
-        bucket = []
-        for item in base:
-            variant = transform_variant(item, kind, seed)
-            if variant is not None:
-                bucket.append(variant)
-        targets[kind] = bucket
-    return targets
+def split_variants(
+    programs: Iterable[CorpusProgram],
+) -> tuple[list[CorpusProgram], dict[str, list[CorpusProgram]]]:
+    """Originals, and variants bucketed by kind.
+
+    A corpus file holds originals and variants side by side; variant ids
+    carry a ::kind suffix.
+    """
+    originals: list[CorpusProgram] = []
+    buckets: dict[str, list[CorpusProgram]] = {}
+    for p in programs:
+        if "::" in p.id:
+            buckets.setdefault(p.id.rsplit("::", 1)[1], []).append(p)
+        else:
+            originals.append(p)
+    return originals, buckets
 
 
 # --------------------------------------------------------------------------
@@ -600,8 +606,12 @@ def load_corpus(path: str | Path) -> list[CorpusProgram]:
             )
         except KeyError as exc:
             raise CorpusError(f"{path}: record missing key {exc}") from None
+        try:
+            program = item.program()
+        except MiniLangError as exc:
+            raise CorpusError(f"{path}: record {item.id!r}: source does not parse: {exc}") from None
         # integrity: stored labels must match the flags in the source
-        if function_labels(item.program()) != item.labels:
+        if function_labels(program) != item.labels:
             raise CorpusError(f"{item.id}: labels do not match source flags")
         out.append(item)
     if len(out) != header.get("count"):

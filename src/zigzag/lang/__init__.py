@@ -1,8 +1,6 @@
 """Mini-language front end: parse, validate, print, tokenize, interpret."""
 from __future__ import annotations
 
-from typing import Union
-
 from . import nodes
 from .errors import (
     MiniLangError,
@@ -30,18 +28,14 @@ from .parser import parse, validate_program
 from .printer import pretty_print
 
 
-def tokenize(source_or_ast: Union[str, Program]) -> list[Token]:
-    """Token stream of a program or source text, vuln markers excluded.
+def tokenize(source: str) -> list[Token]:
+    """Token stream of source text, vuln markers excluded.
 
     Tokens carry a .category in {keyword, identifier, literal, operator,
     punctuation}.  Joining token texts with canonical spacing re-parses
     to a program structurally equal to the input (LineIds are fresh and
     vuln flags are dropped with the markers).
     """
-    if isinstance(source_or_ast, Program):
-        source = pretty_print(source_or_ast)
-    else:
-        source = source_or_ast
     tokens, _ = lex(source)
     return [t for t in tokens if t.kind != "eof"]
 

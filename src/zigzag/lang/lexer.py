@@ -1,23 +1,58 @@
 """Tokenizer for the mini language.
 
+One compiled regular expression, with a named group per token kind, is
+scanned over the source from left to right.  Lines and columns count
+characters from 1; a token's column is its offset from the start of its
+line, so a tab is one column.
+
+Character set: whitespace is space, tab, carriage return and newline.
+Identifiers are ASCII letters, ASCII digits and ``_``, not starting
+with a digit; integer literals are ASCII digits.  String literals and
+comments may hold any character but a newline.  Any other character
+outside a string or a comment (a non-ASCII letter or digit included)
+is a syntax error.
+
 Comments run from ``//`` to end of line.  The comment ``//@vuln`` is a
 line marker, not a token: the lexer records the physical lines that
 carry it so the parser can flag the statement starting on that line.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SyntaxErrorML
 from .nodes import KEYWORDS
 
-# longest-match first
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR_OPS = "+-*/%<>="
-_PUNCT = "(){}[],;"
-
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-_UNESCAPES = {"\n": "\\n", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
+_UNESCAPES = {value: "\\" + name for name, value in _ESCAPES.items()}
+
+# a string literal up to its closing quote; a literal that fails to
+# close is diagnosed from where this match ends
+_STRING_PREFIX = r'"(?:[^"\\\n]|\\[nt"\\])*'
+# alternatives are tried in order: a comment before the `/` operator,
+# two-character operators before their one-character prefixes
+_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*"),
+    ("int", r"[0-9]+"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("str", _STRING_PREFIX + '"'),
+    ("op", r"[=!<>]=|&&|\|\||[-+*/%<>=]"),
+    ("punct", r"[(){}\[\],;]"),
+    ("other", r"."),
+)))
+_STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
+_ESCAPE = re.compile(r"\\(.)")
+
+_CATEGORIES = {
+    "keyword": "keyword",
+    "ident": "identifier",
+    "int": "literal",
+    "str": "literal",
+    "op": "operator",
+    "punct": "punctuation",
+}
 
 
 @dataclass(slots=True)
@@ -30,129 +65,55 @@ class Token:
     @property
     def category(self) -> str:
         """Public token category used by fragment tokenization."""
-        return {
-            "keyword": "keyword",
-            "ident": "identifier",
-            "int": "literal",
-            "str": "literal",
-            "op": "operator",
-            "punct": "punctuation",
-        }[self.kind]
+        return _CATEGORIES[self.kind]
 
 
 def escape_string(value: str) -> str:
     return "".join(_UNESCAPES.get(ch, ch) for ch in value)
 
 
-class Lexer:
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self.vuln_lines: set[int] = set()
-
-    def error(self, message: str) -> SyntaxErrorML:
-        return SyntaxErrorML(message, self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def run(self) -> list[Token]:
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if src.startswith("//", self.pos):
-                end = src.find("\n", self.pos)
-                if end == -1:
-                    end = len(src)
-                comment = src[self.pos : end]
-                if comment[2:].strip() == "@vuln":
-                    self.vuln_lines.add(self.line)
-                self._advance(end - self.pos)
-                continue
-            if ch.isdigit():
-                self._int()
-                continue
-            if ch.isalpha() or ch == "_":
-                self._ident()
-                continue
-            if ch == '"':
-                self._string()
-                continue
-            two = src[self.pos : self.pos + 2]
-            if two in _TWO_CHAR_OPS:
-                self._emit("op", two)
-                continue
-            if ch in _ONE_CHAR_OPS:
-                if ch in "&|":
-                    raise self.error(f"stray {ch!r}")
-                self._emit("op", ch)
-                continue
-            if ch in _PUNCT:
-                self._emit("punct", ch)
-                continue
-            raise self.error(f"unexpected character {ch!r}")
-        self.tokens.append(Token("eof", "", self.line, self.col))
-        return self.tokens
-
-    def _emit(self, kind: str, text: str) -> None:
-        self.tokens.append(Token(kind, text, self.line, self.col))
-        self._advance(len(text))
-
-    def _int(self) -> None:
-        start = self.pos
-        line, col = self.line, self.col
-        while self.pos < len(self.source) and self.source[self.pos].isdigit():
-            self._advance()
-        self.tokens.append(Token("int", self.source[start : self.pos], line, col))
-
-    def _ident(self) -> None:
-        start = self.pos
-        line, col = self.line, self.col
-        src = self.source
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self._advance()
-        text = src[start : self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        self.tokens.append(Token(kind, text, line, col))
-
-    def _string(self) -> None:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        out: list[str] = []
-        src = self.source
-        while True:
-            if self.pos >= len(src) or src[self.pos] == "\n":
-                raise SyntaxErrorML("unterminated string literal", line, col)
-            ch = src[self.pos]
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                if self.pos >= len(src) or src[self.pos] not in _ESCAPES:
-                    raise self.error("bad escape sequence")
-                out.append(_ESCAPES[src[self.pos]])
-                self._advance()
-                continue
-            out.append(ch)
-            self._advance()
-        # text holds the decoded value; the printer re-escapes
-        self.tokens.append(Token("str", "".join(out), line, col))
+def _string_error(source: str, start: int, line: int, line_start: int) -> SyntaxErrorML:
+    """The error for a string literal opening at `start` that does not close."""
+    end = _STRING_PREFIX_RE.match(source, start).end()
+    if end < len(source) and source[end] == "\\":
+        return SyntaxErrorML("bad escape sequence", line, end + 1 - line_start + 1)
+    return SyntaxErrorML("unterminated string literal", line, start - line_start + 1)
 
 
 def lex(source: str) -> tuple[list[Token], set[int]]:
-    lx = Lexer(source)
-    tokens = lx.run()
-    return tokens, lx.vuln_lines
+    """Tokens ending with an `eof` token, and the lines holding `//@vuln`.
+
+    A string token's text is the decoded value; the printer re-escapes it.
+    """
+    tokens: list[Token] = []
+    vuln_lines: set[int] = set()
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if kind == "space":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        col = start - line_start + 1
+        if kind == "word":
+            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, line, col))
+        elif kind == "str":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+            tokens.append(Token("str", value, line, col))
+        elif kind == "comment":
+            if text[2:].strip() == "@vuln":
+                vuln_lines.add(line)
+        elif kind == "other":
+            if text == '"':
+                raise _string_error(source, start, line, line_start)
+            raise SyntaxErrorML(f"unexpected character {text!r}", line, col)
+        else:
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens, vuln_lines

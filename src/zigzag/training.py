@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import read_json_lines
 from .encoding import build_vocab, encode_fragments
 from .evaluation import confusion_from, f1_score
 from .fragments import Fragment
@@ -116,10 +117,11 @@ def save_trace(path: str | Path, trace: Sequence[TrainRecord]) -> None:
 
 def load_trace(path: str | Path) -> list[TrainRecord]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(TrainRecord(**json.loads(line)))
+    for number, rec in enumerate(read_json_lines(path, TrainingError), 1):
+        try:
+            out.append(TrainRecord(**rec))
+        except TypeError as exc:  # a missing or unknown key
+            raise TrainingError(f"{path}: trace record {number}: {exc}") from None
     return out
 
 
@@ -394,8 +396,8 @@ def train_zigzag(
     head_key_set = set(head_keys("c1")) | set(head_keys("c2"))
     feature_key_set = set(feature_keys(mc))
 
-    prev_disc = trainer.discrepancy_on(Xv)
-    prev_loss = trainer.clean_loss()
+    # the last record was measured with the current parameters
+    prev_disc, prev_loss = trainer.trace[-1].mean_disc, trainer.trace[-1].L_c
     rounds_run = 0
     stopped_early = False
     for rnd in range(1, tc.beta + 1):
@@ -429,8 +431,7 @@ def train_zigzag(
                 raise TrainingError(f"feature phase moved frozen head tensor {k!r}")
 
         rounds_run = rnd
-        disc = trainer.discrepancy_on(Xv)
-        loss = trainer.clean_loss()
+        disc, loss = trainer.trace[-1].mean_disc, trainer.trace[-1].L_c
         if abs(prev_disc - disc) <= tc.tau_disc and abs(prev_loss - loss) <= tc.tau_loss:
             stopped_early = rnd < tc.beta
             break

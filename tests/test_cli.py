@@ -63,3 +63,20 @@ def test_truncated_input_file_exits_3_with_one_line_error(case, tmp_path, demo_s
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("func main( {", "expected 'ident', found '{' (line 1, col 12)"),
+        ("func main() {\n    output(2²);\n}\n", "unexpected character '²' (line 2, col 13)"),
+    ],
+    ids=["syntax-error", "non-ascii-digit"],
+)
+def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    item = CorpusProgram(id="p7", source=source, split="test", labels={"main": 0}, witness_inputs=None)
+    save_corpus(path, [item])
+    assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: record 'p7': source does not parse: {where}\n"

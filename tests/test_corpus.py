@@ -8,11 +8,11 @@ from zigzag.corpus import (
     CorpusProgram,
     assign_split,
     augment_corpus,
-    build_attack_targets,
     function_labels,
     generate_synthetic,
     load_corpus,
     save_corpus,
+    split_variants,
     transform_variant,
 )
 from zigzag.lang import interpret, parse
@@ -136,10 +136,16 @@ def test_augment_never_stacks_variants():
 
 def test_attack_targets_keyed_by_kind():
     corpus = generate_synthetic(6, 0.5, seed=11)
-    targets = build_attack_targets(corpus, ("ct3", "ct6"), seed=1)
-    assert set(targets) == {"ct3", "ct6"}
-    for kind, bucket in targets.items():
-        assert all(p.id.endswith(f"::{kind}") for p in bucket)
+    kinds = ("ct3", "ct6")
+    aug = augment_corpus(corpus, kinds, seed=1)
+    ids = [p.id for p in corpus]
+    # kind-major: every variant of one kind comes before the next kind's
+    assert [p.id for p in aug] == ids + [f"{i}::{k}" for k in kinds for i in ids]
+    originals, targets = split_variants(aug)
+    assert originals == corpus
+    assert {k: [p.id for p in b] for k, b in targets.items()} == {
+        k: [f"{i}::{k}" for i in ids] for k in kinds
+    }
 
 
 def test_inapplicable_variant_returns_none():
@@ -147,7 +153,7 @@ def test_inapplicable_variant_returns_none():
     item = CorpusProgram(
         id="x", source=src, split="test", labels={"main": 0}, witness_inputs=None
     )
-    assert transform_variant(item, "ct1", 0) is None
+    assert transform_variant(item, item.program(), "ct1", 0) is None
 
 
 def test_generation_rejects_bad_arguments():

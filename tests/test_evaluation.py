@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zigzag.corpus import build_attack_targets, generate_synthetic
+from zigzag.corpus import augment_corpus, generate_synthetic, split_variants
 from zigzag.evaluation import (
     Confusion,
     EvalReport,
@@ -35,9 +35,7 @@ KINDS = ("ct2", "ct3")
 
 @pytest.fixture(scope="module")
 def eval_corpus():
-    corpus = generate_synthetic(16, seed=2)
-    targets = build_attack_targets(corpus, KINDS, seed=9)
-    return corpus, targets
+    return split_variants(augment_corpus(generate_synthetic(16, seed=2), KINDS, seed=9))
 
 
 def stub_model(granularity="function") -> DetectorModel:

@@ -1,7 +1,10 @@
 """Front-end tests: lexer, parser, printer, tokenize, static validation."""
 from __future__ import annotations
 
+import pathlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zigzag.lang import (
     SyntaxErrorML,
@@ -11,6 +14,7 @@ from zigzag.lang import (
     pretty_print,
     tokenize,
 )
+from zigzag.lang.lexer import lex
 from zigzag.corpus import function_labels
 from zigzag.lang.nodes import (
     Assign,
@@ -153,9 +157,9 @@ def test_tokenize_excludes_vuln_markers(demo_source) -> None:
     assert all("@vuln" not in t.text for t in tokenize(demo_source))
 
 
-def test_tokenize_of_ast_matches_text(demo_program) -> None:
-    via_ast = [(t.category, t.text) for t in tokenize(demo_program)]
-    via_text = [(t.category, t.text) for t in tokenize(pretty_print(demo_program))]
+def test_tokenize_of_ast_matches_text(demo_source, demo_program) -> None:
+    via_ast = [(t.category, t.text) for t in tokenize(pretty_print(demo_program))]
+    via_text = [(t.category, t.text) for t in tokenize(demo_source)]
     assert via_ast == via_text
     # token count of the fixture, pinned
     assert len(via_ast) == 124
@@ -164,3 +168,61 @@ def test_tokenize_of_ast_matches_text(demo_program) -> None:
 def test_string_escapes_round_trip() -> None:
     p = parse('func main() { output("a\\"b\\\\c\\nd"); }')
     assert program_signature(parse(pretty_print(p))) == program_signature(p)
+
+
+# ---- lexer -------------------------------------------------------------------
+
+
+def test_lex_golden_stream(demo_source) -> None:
+    """Every token of the fixture with its position, and the marker line."""
+    tokens, vuln_lines = lex(demo_source)
+    golden = (pathlib.Path(__file__).parent / "fixtures" / "scale_rows.tokens").read_text().splitlines()
+    assert [f"{t.line} {t.col} {t.kind} {t.text}".rstrip() for t in tokens] == golden
+    assert vuln_lines == {5}
+
+
+def test_lex_decodes_string_escapes() -> None:
+    tokens, _ = lex('x = "a\\"b\\\\c\\nd\\t";')
+    assert [(t.kind, t.text, t.col) for t in tokens[2:4]] == [("str", 'a"b\\c\nd\t', 5), ("punct", ";", 19)]
+
+
+def test_lex_vuln_marker_tolerates_spacing_but_not_extra_text() -> None:
+    _, vuln_lines = lex("a = 1; //  @vuln \nb = 2; //@vuln!\n//@vuln")
+    assert vuln_lines == {1, 3}
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        ('output("abc);\n', "unterminated string literal", 1, 8),
+        ('func f() {\n    output("abc);\n}', "unterminated string literal", 2, 12),
+        ('x = "a\\qb";', "bad escape sequence", 1, 8),
+        ('x = "a\\\ny";', "bad escape sequence", 1, 8),
+        ('x = "a\\', "bad escape sequence", 1, 8),
+        ("if (a & b) {", "unexpected character '&'", 1, 7),
+        ("a = b | c;", "unexpected character '|'", 1, 7),
+        ("var café = 1;", "unexpected character 'é'", 1, 8),
+        ("x = 2²;", "unexpected character '²'", 1, 6),
+    ],
+    ids=[
+        "unterminated", "unterminated-line-2", "bad-escape", "escaped-newline",
+        "escape-at-end", "lone-ampersand", "lone-bar", "non-ascii-identifier",
+        "non-ascii-digit",
+    ],
+)
+def test_lex_error_message_and_position(source, message, line, col) -> None:
+    with pytest.raises(SyntaxErrorML) as exc:
+        lex(source)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.one_of(st.text(), st.text(alphabet='"\\/@vuln \t\r\n&|!=<>+-*%(){}[],;_aZ09')))
+def test_lex_returns_tokens_or_raises_syntax_error(text) -> None:
+    try:
+        tokens, _ = lex(text)
+    except SyntaxErrorML:
+        return
+    assert tokens[-1].kind == "eof"
+    positions = [(t.line, t.col) for t in tokens]
+    assert positions == sorted(set(positions))

@@ -1,6 +1,7 @@
 """Tests for the two training schemes and their phase contracts."""
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict
 
@@ -25,6 +26,7 @@ from zigzag.nn.model import (
 from zigzag.seeds import derive_rng
 from zigzag.training import (
     TrainConfig,
+    TrainRecord,
     TrainingError,
     _Trainer,
     binary_prediction,
@@ -344,3 +346,31 @@ def test_trace_round_trip(tmp_path, pools):
     save_trace(path, out.trace)
     loaded = load_trace(path)
     assert [asdict(r) for r in loaded] == [asdict(r) for r in out.trace]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("truncated-line", ":2: not valid JSON"),
+        ("missing-key", ": trace record 2: "),
+        ("unknown-key", ": trace record 2: "),
+    ],
+)
+def test_damaged_trace_raises_training_error(damage, message, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    record = TrainRecord(0, "joint", 0, 0.5, 0.0, 0.1, 0.0, None)
+    save_trace(path, [record, record])
+    first, second = path.read_text().splitlines()
+    rec = json.loads(second)
+    if damage == "truncated-line":
+        second = second[:-10]
+    elif damage == "missing-key":
+        del rec["L_c"]
+        second = json.dumps(rec)
+    else:
+        rec["L_x"] = 1.0
+        second = json.dumps(rec)
+    path.write_text(first + "\n" + second + "\n")
+    with pytest.raises(TrainingError) as exc:
+        load_trace(path)
+    assert str(exc.value).startswith(f"{path}{message}")

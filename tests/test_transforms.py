@@ -6,11 +6,13 @@ LineMap, print/parse cleanly, and be byte-deterministic per seed.
 """
 import pytest
 
+from zigzag.corpus import generate_synthetic
 from zigzag.lang import interpret, parse, pretty_print
 from zigzag.lang.nodes import (
     For,
     collect_line_ids,
     flagged_lines,
+    program_signature,
     walk_program,
 )
 from zigzag.transforms import (
@@ -392,11 +394,26 @@ def test_identity_line_map_matches_program_ids(demo_program):
     assert identity_line_map(demo_program) == {i: {i} for i in ids}
 
 
-def test_transform_does_not_mutate_input(demo_program):
-    before = pretty_print(demo_program)
-    for kind in ALL_KINDS:
-        try:
-            apply_transform(demo_program, kind, 0)
-        except InapplicableTransform:
-            continue
-        assert pretty_print(demo_program) == before, kind
+def _what_a_pass_reads(program):
+    return (
+        program_signature(program),
+        [(st.line_id, st.vuln, st.origin) for st in walk_program(program)],
+    )
+
+
+def test_transform_does_not_mutate_input(demo_source):
+    """augment_corpus runs every kind on one parse of each original: a pass
+    must leave its input's signature, LineIds, flags and origins as parsed,
+    and give the same output as on a fresh parse."""
+    sources = [src for src, _ in CASES] + [demo_source]
+    sources += [p.source for p in generate_synthetic(6, 0.5, seed=3)]
+    for src in sources:
+        shared = parse(src)
+        for kind in ALL_KINDS:
+            try:
+                out, lmap = apply_transform(shared, kind, 5)
+            except InapplicableTransform:
+                continue
+            assert _what_a_pass_reads(shared) == _what_a_pass_reads(parse(src)), kind
+            fresh_out, fresh_lmap = apply_transform(parse(src), kind, 5)
+            assert (pretty_print(out), lmap) == (pretty_print(fresh_out), fresh_lmap), kind
