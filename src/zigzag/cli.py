@@ -25,17 +25,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    CorpusError,
-    augment_corpus,
-    generate_synthetic,
-    load_corpus,
-    save_corpus,
-    split_variants,
-)
+from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus, save_corpus
 from .encoding import EncodingError, default_length
-from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
-from .fragments import GRANULARITIES, extract_corpus_fragments
+from .evaluation import ORIGINAL_ROW, EvaluationError, compare_reports, evaluate_detector, load_report
+from .fragments import GRANULARITIES, extract_fragments
 from .nn.model import ModelError, load_model, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
 from .training import TrainConfig, TrainingError, save_trace, train_original, train_zigzag
@@ -159,12 +152,11 @@ def cmd_transform(args) -> None:
         kinds = resolve_kinds(selector)
     except TransformError as exc:
         raise UsageError(str(exc))
-    corpus = load_corpus(args.input)
-    augmented = augment_corpus(corpus, kinds, seed)
+    augmented = augment_corpus(read_corpus(args.input), kinds, seed)
     if args.variants_only:
-        augmented = [p for p in augmented if "::" in p.id]
+        augmented = [p for p in augmented if p.kind is not None]
     save_corpus(args.out, augmented)
-    variants = sum(1 for p in augmented if "::" in p.id)
+    variants = sum(1 for p in augmented if p.kind is not None)
     _write_resolved(args.out, {
         "command": "transform",
         "input": str(args.input),
@@ -201,14 +193,20 @@ def cmd_train(args) -> None:
     seed = _resolve_seed(args, config)
     tc, mc, granularity = _train_configs(args, config, seed)
 
-    corpus = load_corpus(args.data)
-    originals, buckets = split_variants(corpus)
-    variants = [p for bucket in buckets.values() for p in bucket]
-    clean = [f for f in extract_corpus_fragments(originals, granularity) if f.split == "train"]
-    varied = [f for f in extract_corpus_fragments(variants, granularity) if f.split == "train"]
+    # originals' fragments, then variants' grouped by kind in first-seen order
+    buckets: dict = {None: []}
+    for item, program in read_corpus(args.data):
+        bucket = buckets.setdefault(item.kind, [])
+        if item.split == "train":
+            bucket.extend(extract_fragments(item, granularity, program))
+    clean = buckets.pop(None)
+    varied = [f for bucket in buckets.values() for f in bucket]
     val_fragments = None
     if args.val_data:
-        val_fragments = extract_corpus_fragments(load_corpus(args.val_data), granularity)
+        val_fragments = [
+            f for item, program in read_corpus(args.val_data)
+            for f in extract_fragments(item, granularity, program)
+        ]
 
     if args.mode == "original":
         if varied:
@@ -247,11 +245,9 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     model = load_model(args.model)
-    corpus = load_corpus(args.corpus)
-    originals, buckets = split_variants(corpus)
-    if not originals:
+    report = evaluate_detector(model, read_corpus(args.corpus))
+    if not report.row(ORIGINAL_ROW).programs:
         raise CorpusError(f"{args.corpus} holds no untransformed programs")
-    report = evaluate_detector(model, originals, buckets)
     report.save(args.out)
     _write_resolved(args.out, {
         "command": "eval",

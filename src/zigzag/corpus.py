@@ -23,7 +23,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .lang import MiniLangError, interpret, parse, pretty_print
 from .lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
@@ -50,6 +50,12 @@ class CorpusProgram:
 
     def program(self) -> Program:
         return parse(self.source)
+
+    @property
+    def kind(self) -> Optional[str]:
+        """The transform kind of a variant (its id ends in ::kind); None
+        for an original."""
+        return self.id.rsplit("::", 1)[1] if "::" in self.id else None
 
     @property
     def vulnerable(self) -> bool:
@@ -510,35 +516,19 @@ def transform_variant(item: CorpusProgram, program: Program, kind: str, seed: in
     )
 
 
-def augment_corpus(programs: Iterable[CorpusProgram], kinds: Iterable[str], seed: int) -> list[CorpusProgram]:
+def augment_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], kinds: Iterable[str], seed: int) -> list[CorpusProgram]:
     """Originals plus one variant per (program, kind), kind-major; empty
-    kinds is a no-op.  Variants are built from originals only."""
-    out = list(programs)
-    originals = [(item, item.program()) for item in out if "::" not in item.id]
+    kinds is a no-op.  `pairs` holds each program with its parse, as
+    `read_corpus` yields them; variants are built from originals only."""
+    pairs = list(pairs)
+    out = [item for item, _ in pairs]
+    originals = [(item, program) for item, program in pairs if item.kind is None]
     for kind in kinds:
         for item, program in originals:
             variant = transform_variant(item, program, kind, seed)
             if variant is not None:
                 out.append(variant)
     return out
-
-
-def split_variants(
-    programs: Iterable[CorpusProgram],
-) -> tuple[list[CorpusProgram], dict[str, list[CorpusProgram]]]:
-    """Originals, and variants bucketed by kind.
-
-    A corpus file holds originals and variants side by side; variant ids
-    carry a ::kind suffix.
-    """
-    originals: list[CorpusProgram] = []
-    buckets: dict[str, list[CorpusProgram]] = {}
-    for p in programs:
-        if "::" in p.id:
-            buckets.setdefault(p.id.rsplit("::", 1)[1], []).append(p)
-        else:
-            originals.append(p)
-    return originals, buckets
 
 
 # --------------------------------------------------------------------------
@@ -586,34 +576,49 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
     return records
 
 
-def load_corpus(path: str | Path) -> list[CorpusProgram]:
+def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
+    """Each record of a corpus file with the parse that checked it.
+
+    A record must have string id, source and split, integer labels that
+    match the flags in its source, and a source that parses; anything
+    else raises CorpusError naming the file and the record.  Each parse
+    is yielded once and kept nowhere, so a caller that drops it holds
+    one program's tree at a time.
+    """
     records = read_json_lines(path, CorpusError)
     if not records:
         raise CorpusError(f"{path}: empty corpus file")
     header = records[0]
     if header.get("version") != CORPUS_VERSION or header.get("kind") != "program-corpus":
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
-    out: list[CorpusProgram] = []
     for rec in records[1:]:
         try:
             item = CorpusProgram(
                 id=rec["id"],
                 source=rec["source"],
                 split=rec["split"],
-                labels={k: int(v) for k, v in rec["labels"].items()},
+                labels=rec["labels"],
                 witness_inputs=rec.get("witness_inputs"),
                 provenance=rec.get("provenance", {}),
             )
         except KeyError as exc:
             raise CorpusError(f"{path}: record missing key {exc}") from None
+        where = f"{path}: record {item.id!r}"
+        for name in ("id", "source", "split"):
+            if not isinstance(getattr(item, name), str):
+                raise CorpusError(f"{where}: {name!r} is not a string")
+        if not isinstance(item.labels, dict) or not all(type(v) is int for v in item.labels.values()):
+            raise CorpusError(f"{where}: 'labels' is not an object of integers")
         try:
             program = item.program()
         except MiniLangError as exc:
-            raise CorpusError(f"{path}: record {item.id!r}: source does not parse: {exc}") from None
-        # integrity: stored labels must match the flags in the source
+            raise CorpusError(f"{where}: source does not parse: {exc}") from None
         if function_labels(program) != item.labels:
             raise CorpusError(f"{item.id}: labels do not match source flags")
-        out.append(item)
-    if len(out) != header.get("count"):
-        raise CorpusError(f"{path}: header count {header.get('count')} != {len(out)} records")
-    return out
+        yield item, program
+    if len(records) - 1 != header.get("count"):
+        raise CorpusError(f"{path}: header count {header.get('count')} != {len(records) - 1} records")
+
+
+def load_corpus(path: str | Path) -> list[CorpusProgram]:
+    return [item for item, _ in read_corpus(path)]

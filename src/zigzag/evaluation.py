@@ -1,8 +1,10 @@
 """Detector evaluation: exact-rational metrics and per-transform rows.
 
-Counts are aggregated at function level.  A slice-granularity model
-votes per slice and a function is predicted positive when any of its
-slices is; functions without slices are predicted negative.  Metrics
+Programs are bucketed by transform kind, and each bucket's fragments
+are encoded together and scored in one forward pass.  Counts are
+aggregated at function level: a function is predicted positive when
+any of its fragments (its one function fragment, or any of its slices)
+is, and functions without slices are predicted negative.  Metrics
 are computed as Fractions so reports are exact; a metric whose
 denominator is zero is undefined and rendered "n/a", except F1 which is
 exactly 0 whenever there are no true positives but positives exist
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .corpus import CorpusProgram, read_json_lines
 from .encoding import encode_fragments
-from .fragments import extract_fragments
+from .fragments import Fragment, extract_fragments
+from .lang.nodes import Program
 from .nn.model import DetectorModel, model_fingerprint
 
 ORIGINAL_ROW = "n/a"
@@ -209,33 +210,20 @@ def load_report(path) -> EvalReport:
 # --------------------------------------------------------------------------
 # running a detector over program buckets
 
-def predict_program_functions(model: DetectorModel, item: CorpusProgram) -> dict[str, int]:
-    """Function-level predictions; slice votes aggregate by any-positive."""
-    granularity = model.config["granularity"]
-    frags = extract_fragments(item, granularity)
-    names = list(item.labels)
-    verdict = {name: 0 for name in names}
-    if frags:
-        X, _ = encode_fragments(frags, model.vocab, model.config["length"])
-        preds = model.predict(X)
-        for frag, pred in zip(frags, preds):
-            if pred:
-                verdict[frag.function] = 1
-    return verdict
-
-
-def _bucket_confusion(model: DetectorModel, bucket: Iterable[CorpusProgram]) -> tuple[Confusion, int, int]:
-    conf = Confusion()
-    programs = 0
-    functions = 0
-    for item in bucket:
-        predictions = predict_program_functions(model, item)
-        y_true = [item.labels[name] for name in item.labels]
-        y_pred = [predictions[name] for name in item.labels]
-        conf = conf + confusion_from(y_true, y_pred)
-        programs += 1
-        functions += len(y_true)
-    return conf, programs, functions
+def _bucket_row(model: DetectorModel, name: str, bucket: list[tuple[CorpusProgram, list[Fragment]]]) -> EvalRow:
+    """Score every fragment of a bucket in one forward pass, then count
+    per function."""
+    fragments = [frag for _, frags in bucket for frag in frags]
+    X, _ = encode_fragments(fragments, model.vocab, model.config["length"])
+    preds = iter(model.predict(X))
+    y_true: list[int] = []
+    y_pred: list[int] = []
+    for item, frags in bucket:
+        flagged = {frag.function for frag in frags if next(preds)}
+        for function, label in item.labels.items():
+            y_true.append(label)
+            y_pred.append(int(function in flagged))
+    return EvalRow(name, len(bucket), len(y_true), confusion_from(y_true, y_pred))
 
 
 def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequence[CorpusProgram]]) -> str:
@@ -246,32 +234,30 @@ def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequenc
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def evaluate_detector(
-    model: DetectorModel,
-    originals: Sequence[CorpusProgram],
-    targets: dict[str, Sequence[CorpusProgram]],
-) -> EvalReport:
+def evaluate_detector(model: DetectorModel, pairs: Iterable[tuple[CorpusProgram, Program]]) -> EvalReport:
     """One row per bucket: untransformed programs, each transform kind,
-    and the union of all transformed buckets."""
-    rows = []
-    conf, n_prog, n_fn = _bucket_confusion(model, originals)
-    rows.append(EvalRow(ORIGINAL_ROW, n_prog, n_fn, conf))
-    total = Confusion()
-    total_prog = 0
-    total_fn = 0
-    for kind in sorted(targets):
-        conf, n_prog, n_fn = _bucket_confusion(model, targets[kind])
-        rows.append(EvalRow(kind, n_prog, n_fn, conf))
-        total = total + conf
-        total_prog += n_prog
-        total_fn += n_fn
-    rows.append(EvalRow(TOTAL_ROW, total_prog, total_fn, total))
-    return EvalReport(
-        granularity=model.config["granularity"],
-        rows=rows,
-        corpus_digest=corpus_digest(originals, targets),
-        model_digest=model_fingerprint(model),
+    and the union of all transformed buckets.
+
+    `pairs` holds each program with its parse, as `read_corpus` yields
+    them; a parse is dropped once its fragments are cut.
+    """
+    granularity = model.config["granularity"]
+    buckets: dict[Optional[str], list[tuple[CorpusProgram, list[Fragment]]]] = {None: []}
+    for item, program in pairs:
+        fragments = extract_fragments(item, granularity, program)
+        buckets.setdefault(item.kind, []).append((item, fragments))
+    originals = buckets.pop(None)
+    kinds = [_bucket_row(model, kind, buckets[kind]) for kind in sorted(buckets)]
+    total = EvalRow(
+        TOTAL_ROW,
+        sum(r.programs for r in kinds),
+        sum(r.functions for r in kinds),
+        sum((r.confusion for r in kinds), Confusion()),
     )
+    rows = [_bucket_row(model, ORIGINAL_ROW, originals), *kinds, total]
+    targets = {kind: [item for item, _ in bucket] for kind, bucket in buckets.items()}
+    digest = corpus_digest([item for item, _ in originals], targets)
+    return EvalReport(granularity, rows, digest, model_fingerprint(model))
 
 
 # --------------------------------------------------------------------------

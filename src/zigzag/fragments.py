@@ -16,7 +16,7 @@ anything on test data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Optional
 
 from .corpus import CorpusProgram
 from .lang.nodes import (
@@ -25,6 +25,7 @@ from .lang.nodes import (
     Assign,
     FunctionDef,
     Index,
+    Program,
     SimpleStmt,
     Stmt,
     VarDecl,
@@ -112,10 +113,13 @@ def slice_statements(fn: FunctionDef) -> list[list[Stmt]]:
     return slices
 
 
-def extract_fragments(item: CorpusProgram, granularity: str) -> list[Fragment]:
+def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[Program] = None) -> list[Fragment]:
+    """`item`'s fragments, cut from `program` (its parse) when given;
+    otherwise the source is parsed here."""
     if granularity not in GRANULARITIES:
         raise FragmentError(f"unknown granularity {granularity!r}")
-    program = item.program()
+    if program is None:
+        program = item.program()
     out: list[Fragment] = []
     if granularity == FUNCTION_GRANULARITY:
         for fn in program.functions:
@@ -146,13 +150,4 @@ def extract_fragments(item: CorpusProgram, granularity: str) -> list[Fragment]:
                     split=item.split,
                 )
             )
-    return out
-
-
-def extract_corpus_fragments(
-    programs: Iterable[CorpusProgram], granularity: str
-) -> list[Fragment]:
-    out: list[Fragment] = []
-    for item in programs:
-        out.extend(extract_fragments(item, granularity))
     return out

@@ -252,29 +252,37 @@ def load_model(path: str | Path) -> DetectorModel:
         header = json.loads(raw[12 : 12 + size].decode("utf-8"))
         version = header.get("format")
         config = header["config"]
-        tensors = header["tensors"]
+        layout = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
         vocab = {k: int(v) for k, v in header["vocab"].items()}
-    except (ValueError, KeyError, AttributeError) as exc:
+    except (ValueError, KeyError, AttributeError, TypeError) as exc:
         raise ModelError(f"{path}: malformed header ({exc!r})") from None
     if version != FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format {version}")
     missing = [k for k in _REQUIRED_KEYS if k not in config]
     if missing:
         raise ModelError(f"{path}: config missing keys {missing}")
-    params: dict[str, np.ndarray] = {}
+    model = DetectorModel(config=config, vocab=vocab, params={})
+    try:
+        make_config(**config)
+        expected = init_params(config, model.vocab_size, 0)
+    except (ModelError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: bad model config ({exc})") from None
+    # the tensors the config and vocabulary call for, in the order saved
+    want = [(name, expected[name].shape) for name in sorted(expected)]
+    if layout != want:
+        raise ModelError(f"{path}: tensors {layout} do not fit the config and vocabulary, which call for {want}")
     offset = 12 + size
-    for spec in tensors:
-        shape = tuple(spec["shape"])
+    for name, shape in layout:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(raw):
-            raise ModelError(f"{path}: file ends inside tensor {spec['name']!r} of shape {shape}")
+            raise ModelError(f"{path}: file ends inside tensor {name!r} of shape {shape}")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        params[spec["name"]] = arr.astype(np.float64)
+        model.params[name] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise ModelError(f"{path}: trailing bytes after tensors")
-    return DetectorModel(config=config, vocab=vocab, params=params)
+    return model
 
 
 def model_fingerprint(model: DetectorModel) -> str:

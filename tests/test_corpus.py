@@ -11,11 +11,11 @@ from zigzag.corpus import (
     function_labels,
     generate_synthetic,
     load_corpus,
+    read_corpus,
     save_corpus,
-    split_variants,
     transform_variant,
 )
-from zigzag.lang import interpret, parse
+from zigzag.lang import interpret, parse, pretty_print
 from zigzag.lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
 from zigzag.lang.nodes import flagged_lines
 from zigzag.lang.interp import count_input_reads
@@ -92,6 +92,26 @@ def test_corpus_round_trip(tmp_path):
         )
 
 
+def test_read_corpus_yields_each_record_with_its_parse(tmp_path):
+    corpus = augment_corpus([(p, p.program()) for p in generate_synthetic(6, 0.5, seed=7)], ("ct2",), 0)
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, corpus)
+    pairs = list(read_corpus(path))
+    assert [item for item, _ in pairs] == corpus == load_corpus(path)
+    for item, program in pairs:
+        assert pretty_print(program) == pretty_print(parse(item.source))
+        assert function_labels(program) == item.labels
+
+
+def test_read_corpus_checks_the_header_count_after_the_last_record(tmp_path):
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, generate_synthetic(3, 0.5, seed=8))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(CorpusError, match="header count 3 != 2 records"):
+        list(read_corpus(path))
+
+
 def test_load_rejects_tampered_labels(tmp_path):
     corpus = generate_synthetic(3, 0.5, seed=8)
     path = tmp_path / "c.jsonl"
@@ -115,9 +135,9 @@ def test_load_rejects_foreign_files(tmp_path):
 
 def test_augment_adds_variants_with_inherited_metadata():
     corpus = generate_synthetic(8, 0.5, seed=9)
-    aug = augment_corpus(corpus, ("ct2",), seed=0)
-    originals = [p for p in aug if "::" not in p.id]
-    variants = [p for p in aug if "::" in p.id]
+    aug = augment_corpus([(p, p.program()) for p in corpus], ("ct2",), seed=0)
+    originals = [p for p in aug if p.kind is None]
+    variants = [p for p in aug if p.kind is not None]
     assert len(originals) == 8 and len(variants) == 8
     by_id = {p.id: p for p in corpus}
     for v in variants:
@@ -129,23 +149,22 @@ def test_augment_adds_variants_with_inherited_metadata():
 
 def test_augment_never_stacks_variants():
     corpus = generate_synthetic(4, 0.5, seed=10)
-    aug = augment_corpus(corpus, ("ct2", "ct7"), seed=0)
+    aug = augment_corpus([(p, p.program()) for p in corpus], ("ct2", "ct7"), seed=0)
     assert all(p.id.count("::") <= 1 for p in aug)
     assert len(aug) == 4 + 4 + 4
+    again = augment_corpus([(p, p.program()) for p in aug], ("ct3",), seed=0)
+    assert [p.id for p in again] == [p.id for p in aug] + [f"{p.id}::ct3" for p in corpus]
 
 
 def test_attack_targets_keyed_by_kind():
     corpus = generate_synthetic(6, 0.5, seed=11)
     kinds = ("ct3", "ct6")
-    aug = augment_corpus(corpus, kinds, seed=1)
+    aug = augment_corpus([(p, p.program()) for p in corpus], kinds, seed=1)
     ids = [p.id for p in corpus]
     # kind-major: every variant of one kind comes before the next kind's
     assert [p.id for p in aug] == ids + [f"{i}::{k}" for k in kinds for i in ids]
-    originals, targets = split_variants(aug)
-    assert originals == corpus
-    assert {k: [p.id for p in b] for k, b in targets.items()} == {
-        k: [f"{i}::{k}" for i in ids] for k in kinds
-    }
+    assert aug[: len(corpus)] == corpus
+    assert [p.kind for p in aug] == [None] * len(ids) + [k for k in kinds for _ in ids]
 
 
 def test_inapplicable_variant_returns_none():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zigzag.corpus import augment_corpus, generate_synthetic, split_variants
+from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.evaluation import (
     Confusion,
     EvalReport,
@@ -24,18 +24,28 @@ from zigzag.evaluation import (
     format_metric,
     load_report,
     precision,
-    predict_program_functions,
     recall,
 )
-from zigzag.fragments import extract_fragments
+from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.fragments import GRANULARITIES, extract_fragments
 from zigzag.nn.model import DetectorModel, init_params, make_config
 
 KINDS = ("ct2", "ct3")
 
 
 @pytest.fixture(scope="module")
-def eval_corpus():
-    return split_variants(augment_corpus(generate_synthetic(16, seed=2), KINDS, seed=9))
+def eval_pairs():
+    """Originals and their variants, each with its parse."""
+    originals = [(p, p.program()) for p in generate_synthetic(16, seed=2)]
+    return [(p, p.program()) for p in augment_corpus(originals, KINDS, seed=9)]
+
+
+@pytest.fixture(scope="module")
+def eval_corpus(eval_pairs):
+    """Originals, and variants by kind."""
+    items = [item for item, _ in eval_pairs]
+    originals = [p for p in items if p.kind is None]
+    return originals, {k: [p for p in items if p.kind == k] for k in KINDS}
 
 
 def stub_model(granularity="function") -> DetectorModel:
@@ -98,44 +108,84 @@ def test_format_metric_special_cases():
     assert format_metric(Fraction(1, 1)) == "1"
 
 
-# ---- program-level prediction -------------------------------------------------
+# ---- function-level prediction ------------------------------------------------
 
 
-def test_any_positive_rule_covers_every_function(monkeypatch, eval_corpus):
-    corpus, _ = eval_corpus
+def test_any_positive_rule_covers_every_function(monkeypatch, eval_pairs):
     monkeypatch.setattr(DetectorModel, "predict", all_ones)
-    model = stub_model()
-    item = corpus[0]
-    verdict = predict_program_functions(model, item)
-    assert set(verdict) == set(item.labels)
-    assert all(v == 1 for v in verdict.values())
+    item, program = eval_pairs[0]
+    report = evaluate_detector(stub_model(), [(item, program)])
+    flagged = sum(item.labels.values())
+    assert report.row(ORIGINAL_ROW).functions == len(item.labels)
+    assert report.row(ORIGINAL_ROW).confusion == Confusion(tp=flagged, fp=len(item.labels) - flagged)
 
 
-def test_functions_without_fragments_stay_negative(monkeypatch, eval_corpus):
-    corpus, _ = eval_corpus
+def test_functions_without_fragments_stay_negative(monkeypatch, eval_pairs):
     monkeypatch.setattr(DetectorModel, "predict", all_ones)
-    model = stub_model(granularity="slice")
-    sliceless = 0
-    for item in corpus:
+    originals = [(item, program) for item, program in eval_pairs if item.kind is None]
+    y_true, y_pred = [], []
+    for item, _ in originals:
         covered = {f.function for f in extract_fragments(item, "slice")}
-        missing = set(item.labels) - covered
-        verdict = predict_program_functions(model, item)
-        for name in missing:
-            sliceless += 1
-            assert verdict[name] == 0
-        for name in covered:
-            assert verdict[name] == 1
-    assert sliceless > 0  # the corpus must exercise the no-fragment path
+        for name, label in item.labels.items():
+            y_true.append(label)
+            y_pred.append(int(name in covered))
+    assert 0 in y_pred  # the corpus must exercise the no-fragment path
+    report = evaluate_detector(stub_model(granularity="slice"), originals)
+    assert report.row(ORIGINAL_ROW).confusion == confusion_from(y_true, y_pred)
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_one_forward_pass_per_bucket_matches_per_program_prediction(granularity, eval_pairs):
+    items = [item for item, _ in eval_pairs]
+    train = [
+        f for item in items if item.kind is None and item.split == "train"
+        for f in extract_fragments(item, granularity)
+    ]
+    config = make_config(emb_dim=4, feature_dim=6, head_hidden=5, granularity=granularity, length=32)
+    vocab = build_vocab(train)
+    model = DetectorModel(config, vocab, init_params(config, max(vocab.values()) + 1, 3))
+    # threshold halfway between two middle probabilities: about half the
+    # fragments come out positive, none sits on the threshold
+    every = [f for item in items for f in extract_fragments(item, granularity)]
+    p = np.unique(model.fused_proba(encode_fragments(every, vocab, 32)[0]))
+    model.config["delta"] = float(p[len(p) // 2 - 1] + p[len(p) // 2]) / 2
+
+    def reference_row(name, bucket):
+        y_true, y_pred = [], []
+        for item in bucket:
+            frags = extract_fragments(item, granularity)
+            preds = model.predict(encode_fragments(frags, vocab, 32)[0]) if frags else []
+            flagged = {f.function for f, pred in zip(frags, preds) if pred}
+            y_true += list(item.labels.values())
+            y_pred += [int(name in flagged) for name in item.labels]
+        return EvalRow(name, len(bucket), len(y_true), confusion_from(y_true, y_pred))
+
+    calls = []
+    predict = DetectorModel.predict
+
+    def counted(self, X):
+        calls.append(len(X))
+        return predict(self, X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DetectorModel, "predict", counted)
+        report = evaluate_detector(model, eval_pairs)
+    assert len(calls) == 1 + len(KINDS)
+    expected = [reference_row(ORIGINAL_ROW, [p for p in items if p.kind is None])]
+    expected += [reference_row(k, [p for p in items if p.kind == k]) for k in KINDS]
+    assert report.rows[:-1] == expected
+    positives = sum(r.confusion.tp + r.confusion.fp for r in expected)
+    assert 0 < positives < sum(r.functions for r in expected)
 
 
 # ---- report construction ------------------------------------------------------
 
 
-def test_report_rows_and_totals(monkeypatch, eval_corpus):
+def test_report_rows_and_totals(monkeypatch, eval_pairs, eval_corpus):
     corpus, targets = eval_corpus
     monkeypatch.setattr(DetectorModel, "predict", all_ones)
     model = stub_model()
-    report = evaluate_detector(model, corpus, targets)
+    report = evaluate_detector(model, eval_pairs)
     assert [r.name for r in report.rows] == [ORIGINAL_ROW, *sorted(KINDS), TOTAL_ROW]
     base = report.row(ORIGINAL_ROW)
     assert base.programs == len(corpus)
@@ -153,20 +203,19 @@ def test_report_rows_and_totals(monkeypatch, eval_corpus):
     assert len(report.model_digest) == 64
 
 
-def test_report_text_rendering(monkeypatch, eval_corpus):
-    corpus, targets = eval_corpus
+def test_report_text_rendering(monkeypatch, eval_pairs):
     monkeypatch.setattr(DetectorModel, "predict", all_zeros)
-    report = evaluate_detector(stub_model(), corpus, targets)
+    report = evaluate_detector(stub_model(), eval_pairs)
     text = report.to_text()
     assert ORIGINAL_ROW in text and TOTAL_ROW in text
     # all-zeros predictor never flags anything: fpr 0, f1 0
     assert " 0 " in text or "\t0" in text or "0\n" in text
 
 
-def test_report_round_trip(tmp_path, monkeypatch, eval_corpus):
-    corpus, targets = eval_corpus
+def test_report_round_trip(tmp_path, monkeypatch, eval_pairs, eval_corpus):
     monkeypatch.setattr(DetectorModel, "predict", all_ones)
-    report = evaluate_detector(stub_model(), corpus, targets)
+    report = evaluate_detector(stub_model(), eval_pairs)
+    assert report.corpus_digest == corpus_digest(*eval_corpus)
     path = tmp_path / "report.jsonl"
     report.save(path)
     loaded = load_report(path)

@@ -15,7 +15,7 @@ from zigzag.encoding import (
 from zigzag.fragments import (
     Fragment,
     FragmentError,
-    extract_corpus_fragments,
+    GRANULARITIES,
     extract_fragments,
     slice_statements,
 )
@@ -146,7 +146,7 @@ def test_unguarded_lookup_slice_is_bare():
 
 def test_function_fragments_carry_labels_and_split():
     corpus = generate_synthetic(10, 0.5, seed=22)
-    frags = extract_corpus_fragments(corpus, "function")
+    frags = [f for item in corpus for f in extract_fragments(item, "function")]
     by_prog = {}
     for f in frags:
         by_prog.setdefault(f.program_id, []).append(f)
@@ -160,11 +160,18 @@ def test_function_fragments_carry_labels_and_split():
 
 def test_slice_fragments_flag_vulnerable_programs():
     corpus = generate_synthetic(10, 0.5, seed=23)
-    frags = extract_corpus_fragments(corpus, "slice")
+    frags = [f for item in corpus for f in extract_fragments(item, "slice")]
     for item in corpus:
         mine = [f for f in frags if f.program_id == item.id]
         assert mine, "every program has at least one array-indexing statement"
         assert any(f.label for f in mine) == item.vulnerable
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_fragments_of_a_given_parse_equal_those_of_the_source(granularity):
+    for item in generate_synthetic(8, 0.5, seed=25):
+        program = item.program()
+        assert extract_fragments(item, granularity, program) == extract_fragments(item, granularity)
 
 
 def test_fragment_text_round_trips_without_markers_in_tokens():
@@ -227,7 +234,9 @@ def test_encode_pads_truncates_and_maps_unknowns():
 
 def test_encode_fragments_shapes():
     corpus = generate_synthetic(6, 0.5, seed=24)
-    frags = [f for f in extract_corpus_fragments(corpus, "function") if f.split == "train"]
+    frags = [
+        f for item in corpus for f in extract_fragments(item, "function") if f.split == "train"
+    ]
     vocab = build_vocab(frags)
     X, y = encode_fragments(frags, vocab, 128)
     assert X.shape == (len(frags), 128) and X.dtype == np.int32

@@ -23,6 +23,7 @@ from zigzag.nn.optim import Adam, Sgd, TrainingDiverged
 from zigzag.seeds import derive_rng
 
 VOCAB = 12
+TINY_VOCAB = {f"t{i}": i for i in range(2, VOCAB)}  # ids 2..11, one per emb row past PAD/UNK
 BATCH = 3
 LENGTH = 7
 
@@ -229,7 +230,7 @@ def test_first_head_fusion_ignores_second_head(monkeypatch):
 
 def test_save_load_round_trip(tmp_path):
     config, params, X, _ = tiny_setup("mean")
-    model = DetectorModel(config=config, vocab={"func": 2, "VAR_0": 3}, params=params)
+    model = DetectorModel(config=config, vocab=TINY_VOCAB, params=params)
     path = tmp_path / "model.zzm"
     save_model(model, path)
     loaded = load_model(path)
@@ -252,11 +253,11 @@ def test_load_rejects_foreign_bytes(tmp_path):
 
 def test_load_rejects_trailing_garbage(tmp_path):
     config, params, _, _ = tiny_setup("mean")
-    model = DetectorModel(config=config, vocab={"t": 2}, params=params)
+    model = DetectorModel(config=config, vocab=TINY_VOCAB, params=params)
     path = tmp_path / "model.zzm"
     save_model(model, path)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="trailing bytes"):
         load_model(path)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
-from zigzag.fragments import extract_corpus_fragments
+from zigzag.fragments import extract_fragments
 from zigzag.nn.kernels import embed_mean_forward, rnn_forward
 from zigzag.nn.model import (
     DetectorModel,
@@ -44,11 +44,11 @@ TRACE_FIELDS = {"round", "phase", "epoch", "L_c", "L_h", "mean_disc", "gamma", "
 @pytest.fixture(scope="module")
 def pools():
     corpus = generate_synthetic(40, seed=3)
-    train_items = [c for c in corpus if c.split == "train"]
-    variants = [c for c in augment_corpus(train_items, ("ct2", "ct7"), seed=5) if "::" in c.id]
-    clean = extract_corpus_fragments(train_items, "function")
-    varied = extract_corpus_fragments(variants, "function")
-    val = extract_corpus_fragments([c for c in corpus if c.split == "test"], "function")
+    train_pairs = [(c, c.program()) for c in corpus if c.split == "train"]
+    augmented = augment_corpus(train_pairs, ("ct2", "ct7"), seed=5)
+    clean = [f for item, program in train_pairs for f in extract_fragments(item, "function", program)]
+    varied = [f for item in augmented if item.kind for f in extract_fragments(item, "function")]
+    val = [f for c in corpus if c.split == "test" for f in extract_fragments(c, "function")]
     for frag in val:
         frag.split = "train"  # only so the vocab guard accepts them as inputs elsewhere
     return clean, varied, val
