@@ -23,7 +23,15 @@ Two entry points:
   loss by more than the tolerances.
 
 Each epoch appends a trace record; traces serialize to JSONL for
-inspection and for the phase-dynamics checks.
+inspection and for the phase-dynamics checks.  A record holds, after its
+epoch, L_c (summed head CE on X), L_h (mean |c1 - c2| on X'') and
+mean_disc (the same on X').  Its passes:
+
+    warm-up record - one forward pass over X (and X' for zigzag);
+    classifier record - none: the phase's features are frozen, so the one
+        pass per round over X, X' and X'' that its epochs train on also
+        serves every record of the phase, which runs the heads only;
+    feature record - one forward pass each over X, X' and X''.
 """
 from __future__ import annotations
 
@@ -201,16 +209,21 @@ class _Trainer:
 
     # ---- measurement helpers -------------------------------------------
 
-    def clean_loss(self) -> float:
-        F, _ = features_forward(self.params, self.mc, self.Xc)
-        p1, _ = head_forward(self.params, "c1", F)
-        p2, _ = head_forward(self.params, "c2", F)
+    def features(self, X: np.ndarray) -> np.ndarray:
+        """F of X under the current feature stack; the forward cache is
+        dropped at once, so no full-pool cache outlives the call."""
+        return features_forward(self.params, self.mc, X)[0]
+
+    def clean_loss(self, F_clean: np.ndarray) -> float:
+        """Summed CE of both heads on the clean set, given its features."""
+        p1, _ = head_forward(self.params, "c1", F_clean)
+        p2, _ = head_forward(self.params, "c2", F_clean)
         return bce_loss(p1, self.yc)[0] + bce_loss(p2, self.yc)[0]
 
-    def discrepancy_on(self, X: np.ndarray) -> float:
-        if len(X) == 0:
+    def discrepancy_on(self, F: np.ndarray) -> float:
+        """Mean |c1 - c2| over the rows of the features F; 0 when empty."""
+        if len(F) == 0:
             return 0.0
-        F, _ = features_forward(self.params, self.mc, X)
         p1, _ = head_forward(self.params, "c1", F)
         p2, _ = head_forward(self.params, "c2", F)
         return discrepancy_loss(p1, p2)[0]
@@ -257,16 +270,10 @@ class _Trainer:
             fg = features_backward(self.params, self.mc, fc, dF1 + dF2)
             self.opt.step(self.params, {**g1, **g2, **fg})
 
-    def classifier_epoch(self, Xh: np.ndarray, rnd: int, epoch: int) -> None:
-        """Heads only; features are frozen so fragment features are static."""
-        F_clean, _ = features_forward(self.params, self.mc, self.Xc)
-        F_hard, _ = (
-            features_forward(self.params, self.mc, Xh)
-            if len(Xh)
-            else (np.zeros((0, self.mc["feature_dim"])), None)
-        )
+    def classifier_epoch(self, F_clean: np.ndarray, F_hard: np.ndarray, rnd: int, epoch: int) -> None:
+        """Heads only, on the frozen features of the clean and hard sets."""
         clean_batches = self._batches(len(self.Xc), "classifier", rnd, epoch)
-        hard_order = derive_rng(self.tc.seed, "hard", rnd, epoch).permutation(len(Xh))
+        hard_order = derive_rng(self.tc.seed, "hard", rnd, epoch).permutation(len(F_hard))
         hard_chunks = np.array_split(hard_order, len(clean_batches))
         for batch, hard in zip(clean_batches, hard_chunks):
             grads: dict[str, np.ndarray] = {}
@@ -288,6 +295,20 @@ class _Trainer:
                 for k, v in (*hg1.items(), *hg2.items()):
                     grads[k] = grads.get(k, 0.0) + v
             self.opt.step(self.params, grads)
+
+    def classifier_phase(self, Xv: np.ndarray, Xh: np.ndarray, rnd: int, gamma: float) -> None:
+        """e2 classifier epochs and their records on one forward pass each
+        over X', X and X'' (the features stay frozen through the phase).
+
+        X'' is forwarded itself, not cut from the features of X', so its
+        rows get the features a pass over X'' alone gives.  The features
+        go out of scope when the phase ends.
+        """
+        F_var, F_clean, F_hard = (self.features(X) for X in (Xv, self.Xc, Xh))
+        for epoch in range(self.tc.e2):
+            self.classifier_epoch(F_clean, F_hard, rnd, epoch)
+            L_h = self.discrepancy_on(F_hard)
+            self.record(rnd, "classifier", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
 
     def feature_epoch(self, Xv: np.ndarray, rnd: int, epoch: int) -> None:
         """Feature stack only; head parameters are never updated."""
@@ -344,7 +365,7 @@ def train_original(
     prev = None
     for epoch in range(tc.e1):
         trainer.joint_epoch(0, "joint", epoch)
-        L_c = trainer.clean_loss()
+        L_c = trainer.clean_loss(trainer.features(Xc))
         trainer.record(0, "joint", epoch, L_c, 0.0, 0.0, 0.0)
         if prev is not None and abs(prev - L_c) <= tc.tau_loss:
             break
@@ -386,8 +407,8 @@ def train_zigzag(
     prev = None
     for epoch in range(tc.e1):
         trainer.joint_epoch(0, "joint", epoch)
-        L_c = trainer.clean_loss()
-        trainer.record(0, "joint", epoch, L_c, 0.0, trainer.discrepancy_on(Xv), 0.0)
+        L_c = trainer.clean_loss(trainer.features(Xc))
+        trainer.record(0, "joint", epoch, L_c, 0.0, trainer.discrepancy_on(trainer.features(Xv)), 0.0)
         if prev is not None and abs(prev - L_c) <= tc.tau_loss:
             break
         prev = L_c
@@ -413,10 +434,7 @@ def train_zigzag(
         gamma = float(mask.sum()) / len(Xv)
 
         frozen_features = {k: trainer.params[k].copy() for k in feature_key_set}
-        for epoch in range(tc.e2):
-            trainer.classifier_epoch(Xh, rnd, epoch)
-            L_h = trainer.discrepancy_on(Xh)
-            trainer.record(rnd, "classifier", epoch, trainer.clean_loss(), L_h, trainer.discrepancy_on(Xv), gamma)
+        trainer.classifier_phase(Xv, Xh, rnd, gamma)
         for k in feature_key_set:
             if not np.array_equal(frozen_features[k], trainer.params[k]):
                 raise TrainingError(f"classifier phase moved frozen feature tensor {k!r}")
@@ -424,8 +442,10 @@ def train_zigzag(
         frozen_heads = {k: trainer.params[k].copy() for k in head_key_set}
         for epoch in range(tc.e3):
             trainer.feature_epoch(Xv, rnd, epoch)
-            L_h = trainer.discrepancy_on(Xh)
-            trainer.record(rnd, "feature", epoch, trainer.clean_loss(), L_h, trainer.discrepancy_on(Xv), gamma)
+            # each set's features are dropped once measured
+            L_h = trainer.discrepancy_on(trainer.features(Xh))
+            L_c = trainer.clean_loss(trainer.features(Xc))
+            trainer.record(rnd, "feature", epoch, L_c, L_h, trainer.discrepancy_on(trainer.features(Xv)), gamma)
         for k in head_key_set:
             if not np.array_equal(frozen_heads[k], trainer.params[k]):
                 raise TrainingError(f"feature phase moved frozen head tensor {k!r}")

@@ -8,10 +8,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import extract_fragments
 from zigzag.nn.kernels import embed_mean_forward, rnn_forward
+from zigzag.nn.losses import bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
     ModelError,
@@ -164,7 +166,7 @@ def test_classifier_epoch_keeps_features_frozen(pools):
     trainer, Xv, _ = make_trainer(pools)
     before = {k: trainer.params[k].tobytes() for k in feature_keys(trainer.mc)}
     heads_before = {k: trainer.params[k].tobytes() for k in (*head_keys("c1"), *head_keys("c2"))}
-    trainer.classifier_epoch(Xv[:16], 1, 0)
+    trainer.classifier_epoch(trainer.features(trainer.Xc), trainer.features(Xv[:16]), 1, 0)
     for k, raw in before.items():
         assert trainer.params[k].tobytes() == raw
     assert any(trainer.params[k].tobytes() != raw for k, raw in heads_before.items())
@@ -172,11 +174,15 @@ def test_classifier_epoch_keeps_features_frozen(pools):
 
 def test_classifier_epoch_accepts_empty_hard_set(pools):
     trainer, Xv, _ = make_trainer(pools)
-    empty = Xv[:0]
+    empty = trainer.features(Xv[:0])
+    assert empty.shape == (0, trainer.mc["feature_dim"])
     before = {k: trainer.params[k].tobytes() for k in feature_keys(trainer.mc)}
-    trainer.classifier_epoch(empty, 1, 0)
+    heads_before = {k: trainer.params[k].tobytes() for k in (*head_keys("c1"), *head_keys("c2"))}
+    trainer.classifier_epoch(trainer.features(trainer.Xc), empty, 1, 0)
     for k, raw in before.items():
         assert trainer.params[k].tobytes() == raw
+    # the clean CE still trains the heads
+    assert any(trainer.params[k].tobytes() != raw for k, raw in heads_before.items())
 
 
 def test_feature_epoch_keeps_heads_frozen(pools):
@@ -232,6 +238,62 @@ def test_zigzag_trace_schema_and_dynamics(pools):
             assert epochs == list(range(cap))
         gammas = {rec.gamma for rec in out.trace if rec.round == rnd}
         assert len(gammas) == 1
+
+
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encoder, monkeypatch):
+    clean, varied, _ = pools
+    events: list = []  # rows given to features_forward, and each record as a marker
+
+    def counting_forward(params, config, X):
+        events.append(len(X))
+        return features_forward(params, config, X)
+
+    def marking_record(self, rnd, phase, epoch, *values):
+        events.append((rnd, phase))
+        record(self, rnd, phase, epoch, *values)
+
+    record = _Trainer.record
+    monkeypatch.setattr(zigzag.training, "features_forward", counting_forward)
+    monkeypatch.setattr(_Trainer, "record", marking_record)
+    tc = quick_config(e1=2, beta=2, e2=3, e3=2, tau_disc=0.0, tau_loss=0.0)
+    out = train_zigzag(clean, varied, model_config={"encoder": encoder}, train_config=tc)
+    assert out.rounds_run == 2
+    n_c, n_v = len(clean), len(varied)
+
+    # rows forwarded before each record, keyed by the record's (round, phase)
+    per_record, rows = [], 0
+    for event in events:
+        if isinstance(event, tuple):
+            per_record.append((event, rows))
+            rows = 0
+        else:
+            rows += event
+    assert rows == 0
+    # each warm-up epoch trains on X and is measured on X and X'
+    assert [rows for (rnd, _), rows in per_record if rnd == 0] == [2 * n_c + n_v] * tc.e1
+    for rnd in (1, 2):
+        n_h = round(next(rec.gamma for rec in out.trace if rec.round == rnd) * n_v)
+        got = [rows for (r, _), rows in per_record if r == rnd]
+        # mining X', then one pass each over X, X' and X'' for the whole
+        # classifier phase; its later epochs and records forward nothing
+        assert got[: tc.e2] == [n_v + n_c + n_v + n_h] + [0] * (tc.e2 - 1)
+        # each feature epoch trains on X' and is measured on X, X' and X''
+        assert got[tc.e2 :] == [n_v + n_c + n_v + n_h] * tc.e3
+
+
+def test_final_trace_record_equals_the_returned_model_on_x_and_x_prime(pools):
+    clean, varied, _ = pools
+    out = train_zigzag(clean, varied, train_config=quick_config())
+    model = out.model
+    Xc, yc = encode_fragments(clean, model.vocab, model.config["length"])
+    Xv, _ = encode_fragments(varied, model.vocab, model.config["length"])
+    p1, p2 = model.predict_proba(Xc)
+    q1, q2 = model.predict_proba(Xv)
+    last = out.trace[-1]
+    assert last.phase == "feature"
+    assert last.L_c == bce_loss(p1, yc)[0] + bce_loss(p2, yc)[0]
+    assert last.mean_disc == discrepancy_loss(q1, q2)[0]
 
 
 def test_zigzag_without_validation_records_none(pools):
