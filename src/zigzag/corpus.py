@@ -580,7 +580,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     """Each record of a corpus file with the parse that checked it.
 
     A record must have string id, source and split, integer labels that
-    match the flags in its source, and a source that parses; anything
+    match the flags in its source, witness_inputs null or a list of
+    integers, a provenance object, and a source that parses; anything
     else raises CorpusError naming the file and the record.  Each parse
     is yielded once and kept nowhere, so a caller that drops it holds
     one program's tree at a time.
@@ -609,6 +610,11 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
                 raise CorpusError(f"{where}: {name!r} is not a string")
         if not isinstance(item.labels, dict) or not all(type(v) is int for v in item.labels.values()):
             raise CorpusError(f"{where}: 'labels' is not an object of integers")
+        witness = item.witness_inputs
+        if witness is not None and not (isinstance(witness, list) and all(type(v) is int for v in witness)):
+            raise CorpusError(f"{where}: 'witness_inputs' is neither null nor a list of integers")
+        if not isinstance(item.provenance, dict):
+            raise CorpusError(f"{where}: 'provenance' is not an object")
         try:
             program = item.program()
         except MiniLangError as exc:

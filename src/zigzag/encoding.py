@@ -54,7 +54,7 @@ def normalize_tokens(text: str) -> list[str]:
     return out
 
 
-def build_vocab(fragments: Iterable[Fragment], max_size: int | None = None) -> dict[str, int]:
+def build_vocab(fragments: Iterable[Fragment]) -> dict[str, int]:
     """Token -> id (ids start at 2), most frequent first, ties lexicographic."""
     counts: Counter[str] = Counter()
     for frag in fragments:
@@ -62,8 +62,6 @@ def build_vocab(fragments: Iterable[Fragment], max_size: int | None = None) -> d
             raise EncodingError(f"vocabulary fed non-training fragment {frag.id}")
         counts.update(normalize_tokens(frag.text))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_size is not None:
-        ordered = ordered[:max_size]
     return {tok: i + 2 for i, (tok, _) in enumerate(ordered)}
 
 

@@ -1,9 +1,10 @@
 """Tiny feedforward/recurrent detector built on numpy.
 
 The package is split by concern: kernels.py holds the hot compute
-(token pooling, the recurrent encoder, the embedding-gradient
-scatter), model.py the parameter container and serialization,
-losses.py the training objectives, optim.py the update rules.
+(count-matrix mean pooling, the recurrent encoder and its
+embedding-gradient scatter), model.py the parameter container and
+serialization, losses.py the training objectives, optim.py the update
+rules.
 """
 from .kernels import active_backend
 from .losses import EPS, bce_loss, discrepancy_loss

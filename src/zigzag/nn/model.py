@@ -2,7 +2,10 @@
 
 The feature stack embeds token ids, pools them (masked mean, or a
 masked tanh recurrence when config["encoder"] is "rnn"), and applies a
-tanh affine layer.  Each head is a small tanh MLP ending in a sigmoid.
+tanh affine layer.  The mean is a matmul with the batch's token-count
+matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
+only the RNN scatters per-token gradients into the embedding.  Each head
+is a small tanh MLP ending in a sigmoid.
 Everything is float64 and functional: forward passes return caches,
 backward passes return gradient dicts keyed like the parameter dict, so
 freezing a subsystem means not asking for its gradients.
@@ -125,13 +128,14 @@ def features_forward(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndar
     X holds (N, L) token ids encoded with the model's own vocabulary, so
     every id lies in [0, emb rows).  This is the one entry point to the
     embedding kernels for training, mining and prediction; an id outside
-    that range raises ModelError here, before any kernel reads it.
+    that range raises ModelError here, before any kernel reads it (the
+    count matrix of the mean encoder would count an id >= emb rows in the
+    next row's columns).
     """
     _check_token_ids(X, params["emb"].shape[0])
     if config["encoder"] == "mean":
-        pooled, denom = embed_mean_forward(params["emb"], X)
-        enc = pooled
-        cache: dict = {"X": X, "denom": denom}
+        enc, C, denom = embed_mean_forward(params["emb"], X)
+        cache: dict = {"C": C, "denom": denom}
     else:
         hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
         enc = hs[:, -1, :]
@@ -144,22 +148,19 @@ def features_forward(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndar
 
 def features_backward(params: dict, config: dict, cache: dict, dF: np.ndarray) -> dict[str, np.ndarray]:
     F = cache["F"]
-    X = cache["X"]
-    vocab_size = params["emb"].shape[0]
     dpre = dF * (1.0 - F * F)
     grads = {"f_w": cache["enc"].T @ dpre, "f_b": dpre.sum(axis=0)}
     denc = dpre @ params["f_w"].T
     if config["encoder"] == "mean":
         # every unpadded token of a row gets that row's pooled gradient / count
-        per_row = (denc / cache["denom"][:, None])[:, None, :]
-        dE = np.broadcast_to(per_row, X.shape + (denc.shape[1],))
-        grads["emb"] = scatter_embedding(dE, X, vocab_size)
+        grads["emb"] = cache["C"].T @ (denc / cache["denom"][:, None])
     else:
+        X = cache["X"]
         dE, dwx, dwh, db = rnn_backward(denc, cache["hs"], cache["E"], X, params["r_wx"], params["r_wh"])
         grads["r_wx"] = dwx
         grads["r_wh"] = dwh
         grads["r_b"] = db
-        grads["emb"] = scatter_embedding(dE, X, vocab_size)
+        grads["emb"] = scatter_embedding(dE, X, params["emb"].shape[0])
     return grads
 
 

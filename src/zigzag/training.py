@@ -60,7 +60,7 @@ from .nn.model import (
     init_params,
     make_config,
 )
-from .nn.optim import Adam, Sgd
+from .nn.optim import Adam, Sgd, TrainingDiverged
 from .seeds import derive_rng
 
 log = logging.getLogger(__name__)
@@ -141,7 +141,7 @@ def _require_train_split(fragments: Sequence[Fragment], what: str) -> None:
 
 def _require_finite(value: float, what: str) -> float:
     if not math.isfinite(value):
-        raise TrainingError(f"training diverged: non-finite {what}")
+        raise TrainingDiverged(f"non-finite {what}")
     return value
 
 

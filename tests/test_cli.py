@@ -76,6 +76,28 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
     assert main([str(a) for a in bad]) == 2
 
 
+@pytest.mark.parametrize(
+    "lr, what",
+    # 1e308 overflows the clean loss that the trace records; inf makes
+    # the first Adam step non-finite
+    [("1e308", "non-finite L_c"), ("inf", "non-finite parameter")],
+    ids=["lr-1e308", "lr-inf"],
+)
+def test_diverging_training_exits_4_with_one_line_message(lr, what, tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["gen", "--count", "10", "--seed", "1", "--out-train", str(train), "--out-test", str(test)]) == 0
+    config = tmp_path / "diverge.cfg"
+    config.write_text(f"e1 = 3\nlr = {lr}\n")
+    capsys.readouterr()
+    argv = ["train", "--mode", "original", "--data", str(train), "--config", str(config),
+            "--out-model", str(tmp_path / "m.zzm"), "--out-trace", str(tmp_path / "t.jsonl")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"training diverged: {what}") and err.count("\n") == 1
+    assert not (tmp_path / "m.zzm").exists()
+
+
 def _header_end(raw: bytes) -> int:
     return 12 + int.from_bytes(raw[4:12], "little")
 
@@ -179,8 +201,16 @@ def test_model_tensors_that_do_not_fit_the_config_exit_3(case, tmp_path, demo_so
         ("labels", {"main": "x"}, "'labels' is not an object of integers"),
         ("labels", {"main": None}, "'labels' is not an object of integers"),
         ("id", 7, "'id' is not a string"),
+        ("witness_inputs", 5, "'witness_inputs' is neither null nor a list of integers"),
+        ("witness_inputs", [3, "4"], "'witness_inputs' is neither null nor a list of integers"),
+        ("witness_inputs", [True], "'witness_inputs' is neither null nor a list of integers"),
+        ("provenance", [], "'provenance' is not an object"),
+        ("provenance", "base", "'provenance' is not an object"),
     ],
-    ids=["labels-list", "source-int", "label-string", "label-null", "id-int"],
+    ids=[
+        "labels-list", "source-int", "label-string", "label-null", "id-int",
+        "witness-int", "witness-string-entry", "witness-bool-entry", "provenance-list", "provenance-string",
+    ],
 )
 def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what, tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
@@ -189,6 +219,6 @@ def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what
         witness_inputs=None,
     )
     save_corpus(path, [dataclasses.replace(item, **{field: value})])
-    assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
+    assert main(["transform", str(path), "--ct", "all", "--out", str(tmp_path / "aug.jsonl")]) == 3
     record = value if field == "id" else "p7"
     assert capsys.readouterr().err == f"error: {path}: record {record!r}: {what}\n"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zigzag.nn
+from zigzag.nn.kernels import embed_mean_forward
 from zigzag.nn.losses import EPS, bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
@@ -128,6 +129,49 @@ def test_features_forward_accepts_exactly_ids_below_emb_rows(encoder):
         X[1, 0] = bad
         with pytest.raises(ModelError, match=f"token id {bad} "):
             features_forward(params, config, X)
+
+
+# ---- count-matrix mean pooling ------------------------------------------------
+
+
+def gather_mean_reference(emb: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Masked mean by gathering each token's row and summing over the length."""
+    mask = X != 0
+    denom = np.maximum(mask.sum(axis=1), 1).astype(np.float64)
+    return (emb[X] * mask[:, :, None]).sum(axis=1) / denom[:, None]
+
+
+# (rows N, length L, vocab rows V, emb_dim D); the fixed shapes cover an
+# empty batch, length 0, one vocab row, emb_dim 1 and a full-length batch
+POOL_SHAPES = [(0, 7, 5, 3), (0, 0, 4, 2), (4, 0, 5, 3), (3, 5, 1, 4), (6, 9, 8, 1), (32, 128, 60, 16)]
+POOL_SHAPES += [
+    tuple(int(v) for v in derive_rng(trial, "pool-shape").integers((1, 1, 1, 1), (50, 140, 300, 20)))
+    for trial in range(12)
+]
+
+
+@pytest.mark.parametrize("shape", POOL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_count_matrix_pooling_matches_gather_and_sum(shape):
+    N, L, V, D = shape
+    rng = derive_rng(N * 7 + L, "pool-data", V, D)
+    emb = rng.uniform(-1.0, 1.0, size=(V, D))
+    emb[0] = rng.uniform(-1.0, 1.0, size=D)  # a nonzero padding row must still be masked
+    X = rng.integers(0, V, size=(N, L)).astype(np.int32)
+    X[rng.uniform(size=(N, L)) < 0.3] = 0
+    if N:
+        X[0] = 0  # an all-padding row
+    pooled, C, denom = embed_mean_forward(emb, X)
+    assert pooled.shape == (N, D)
+    # C counts each row's unpadded ids exactly; n is the unpadded length, at least 1
+    for i in range(N):
+        expected = np.bincount(X[i][X[i] != 0], minlength=V)
+        assert C[i].tolist() == expected.tolist()
+    assert denom.tolist() == np.maximum((X != 0).sum(axis=1), 1).tolist()
+    if N:
+        assert pooled[0].tolist() == [0.0] * D
+    # only the summation order differs: a few ulps of the largest |emb|
+    scale = np.abs(emb).max()
+    assert np.abs(pooled - gather_mean_reference(emb, X)).max(initial=0.0) <= 1e-12 * scale
 
 
 # ---- backend -----------------------------------------------------------------

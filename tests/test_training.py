@@ -140,7 +140,7 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
     # ids in range: F is exactly the kernel's encoding through the tanh layer
     F, _ = features_forward(model.params, mc, X)
     if encoder == "mean":
-        enc, _ = embed_mean_forward(model.params["emb"], X)
+        enc, _, _ = embed_mean_forward(model.params["emb"], X)
     else:
         hs, _ = rnn_forward(
             model.params["emb"], X, model.params["r_wx"], model.params["r_wh"], model.params["r_b"]
