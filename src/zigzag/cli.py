@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -29,7 +30,7 @@ from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus
 from .encoding import EncodingError, default_length
 from .evaluation import ORIGINAL_ROW, EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
-from .nn.model import ModelError, load_model, model_fingerprint, save_model
+from .nn.model import ModelError, load_model, make_config, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
 from .training import TrainConfig, TrainingError, save_trace, train_original, train_zigzag
 from .transforms import TransformError, resolve_kinds
@@ -41,13 +42,10 @@ _INT_KEYS = {
     "emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length",
 }
 _FLOAT_KEYS = {"vuln", "delta", "lr", "tau_disc", "tau_loss"}
-_STR_KEYS = {"ct", "mode", "granularity", "encoder", "optimizer", "mine_with"}
+_STR_KEYS = {"ct", "mode", "granularity", "encoder"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
-_TRAIN_KEYS = (
-    "delta", "beta", "e1", "e2", "e3", "batch_size", "lr",
-    "tau_disc", "tau_loss", "optimizer", "mine_with",
-)
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
 _MODEL_KEYS = ("encoder", "emb_dim", "feature_dim", "head_hidden", "rnn_hidden")
 
 
@@ -172,19 +170,17 @@ def cmd_transform(args) -> None:
 
 
 def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, str]:
-    overrides = {k: config[k] for k in _TRAIN_KEYS if k in config}
-    tc = TrainConfig(seed=seed, **overrides)
-    try:
-        tc.validate()
-    except TrainingError as exc:
-        raise UsageError(str(exc))
+    tc = TrainConfig(seed=seed, **{k: config[k] for k in _TRAIN_KEYS if k in config})
     granularity = _pick(args, config, "granularity", "function")
-    if granularity not in GRANULARITIES:
-        raise UsageError(f"unknown granularity {granularity!r}")
     mc = {k: config[k] for k in _MODEL_KEYS if k in config}
     mc["granularity"] = granularity
     mc["length"] = config.get("length", default_length(granularity))
     mc["delta"] = tc.delta
+    try:
+        tc.validate()
+        make_config(**mc)
+    except (TrainingError, ModelError) as exc:
+        raise UsageError(str(exc))
     return tc, mc, granularity
 
 
@@ -229,10 +225,7 @@ def cmd_train(args) -> None:
         "out_model": str(args.out_model),
         "out_trace": str(args.out_trace),
         "seed": seed,
-        "train_config": {k: getattr(tc, k) for k in (
-            "delta", "beta", "e1", "e2", "e3", "batch_size", "lr",
-            "tau_disc", "tau_loss", "optimizer", "mine_with", "seed",
-        )},
+        "train_config": dataclasses.asdict(tc),
         "model_config": outcome.model.config,
         "clean_fragments": len(clean),
         "variant_fragments": len(varied),

@@ -180,7 +180,12 @@ class EvalReport:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+_COUNT_KEYS = ("programs", "functions", "tp", "fn", "fp", "tn")
+
+
 def load_report(path) -> EvalReport:
+    """A saved report; every row needs a string name and integer counts,
+    else EvaluationError names the file and the row."""
     records = read_json_lines(path, EvaluationError)
     if not records:
         raise EvaluationError(f"{path}: empty report")
@@ -188,15 +193,17 @@ def load_report(path) -> EvalReport:
     if header.get("kind") != "eval-report":
         raise EvaluationError(f"{path}: not an evaluation report")
     try:
-        rows = [
-            EvalRow(
-                name=rec["row"],
-                programs=rec["programs"],
-                functions=rec["functions"],
-                confusion=Confusion(rec["tp"], rec["fn"], rec["fp"], rec["tn"]),
-            )
-            for rec in records[1:]
-        ]
+        rows = []
+        for rec in records[1:]:
+            name = rec["row"]
+            if not isinstance(name, str):
+                raise EvaluationError(f"{path}: row {name!r}: 'row' is not a string")
+            counts = [rec[k] for k in _COUNT_KEYS]
+            for key, value in zip(_COUNT_KEYS, counts):
+                if type(value) is not int:
+                    raise EvaluationError(f"{path}: row {name!r}: {key!r} is not an integer")
+            programs, functions, *confusion = counts
+            rows.append(EvalRow(name, programs, functions, Confusion(*confusion)))
         return EvalReport(
             granularity=header["granularity"],
             rows=rows,

@@ -17,6 +17,7 @@ order) so that equal models produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import hashlib
 
 import numpy as np
 
+from ..fragments import GRANULARITIES
 from ..seeds import derive_rng
 from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
 
@@ -59,6 +61,13 @@ def make_config(**overrides) -> dict:
         raise ModelError(f"unknown encoder {config['encoder']!r}")
     if config["fusion"] not in ("c1", "mean"):
         raise ModelError(f"unknown fusion {config['fusion']!r}")
+    if config["granularity"] not in GRANULARITIES:
+        raise ModelError(f"unknown granularity {config['granularity']!r}")
+    for key in ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length"):
+        if type(config[key]) is not int or config[key] < 1:
+            raise ModelError(f"{key} must be an integer >= 1, got {config[key]!r}")
+    if not isinstance(config["delta"], float) or not 0.0 < config["delta"] < 1.0:
+        raise ModelError(f"delta must be a float in (0, 1), got {config['delta']!r}")
     return config
 
 
@@ -72,33 +81,35 @@ def head_keys(head: str) -> list[str]:
     return [f"{head}_w1", f"{head}_b1", f"{head}_w2", f"{head}_b2"]
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=shape)
-
-
-def init_params(config: dict, vocab_size: int, seed: int) -> dict[str, np.ndarray]:
+def param_shapes(config: dict, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor the config and vocabulary call for."""
     D = config["emb_dim"]
     Fd = config["feature_dim"]
     Hh = config["head_hidden"]
-    enc_out = config["rnn_hidden"] if config["encoder"] == "rnn" else D
-
-    params: dict[str, np.ndarray] = {}
-    emb = derive_rng(seed, "init", "emb").uniform(-0.1, 0.1, size=(vocab_size, D))
-    emb[0] = 0.0  # padding row, never reached by masked kernels
-    params["emb"] = emb
+    shapes = {"emb": (vocab_size, D)}
+    enc_out = D
     if config["encoder"] == "rnn":
-        H = config["rnn_hidden"]
-        params["r_wx"] = _glorot(derive_rng(seed, "init", "r_wx"), D, H, (D, H))
-        params["r_wh"] = _glorot(derive_rng(seed, "init", "r_wh"), H, H, (H, H))
-        params["r_b"] = np.zeros(H, dtype=np.float64)
-    params["f_w"] = _glorot(derive_rng(seed, "init", "f_w"), enc_out, Fd, (enc_out, Fd))
-    params["f_b"] = np.zeros(Fd, dtype=np.float64)
+        H = enc_out = config["rnn_hidden"]
+        shapes.update(r_wx=(D, H), r_wh=(H, H), r_b=(H,))
+    shapes.update(f_w=(enc_out, Fd), f_b=(Fd,))
     for head in ("c1", "c2"):
-        params[f"{head}_w1"] = _glorot(derive_rng(seed, "init", f"{head}_w1"), Fd, Hh, (Fd, Hh))
-        params[f"{head}_b1"] = np.zeros(Hh, dtype=np.float64)
-        params[f"{head}_w2"] = _glorot(derive_rng(seed, "init", f"{head}_w2"), Hh, 1, (Hh, 1))
-        params[f"{head}_b2"] = np.zeros(1, dtype=np.float64)
+        shapes.update({f"{head}_w1": (Fd, Hh), f"{head}_b1": (Hh,), f"{head}_w2": (Hh, 1), f"{head}_b2": (1,)})
+    return shapes
+
+
+def init_params(config: dict, vocab_size: int, seed: int) -> dict[str, np.ndarray]:
+    """The embedding uniform in +-0.1, matrices Glorot-uniform over their
+    (fan_in, fan_out) shape, biases zero."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config, vocab_size).items():
+        if name == "emb":
+            params[name] = derive_rng(seed, "init", name).uniform(-0.1, 0.1, size=shape)
+            params[name][0] = 0.0  # padding row, never reached by masked kernels
+        elif len(shape) == 2:
+            lim = np.sqrt(6.0 / sum(shape))
+            params[name] = derive_rng(seed, "init", name).uniform(-lim, lim, size=shape)
+        else:
+            params[name] = np.zeros(shape, dtype=np.float64)
     return params
 
 
@@ -252,9 +263,9 @@ def load_model(path: str | Path) -> DetectorModel:
     try:
         header = json.loads(raw[12 : 12 + size].decode("utf-8"))
         version = header.get("format")
-        config = header["config"]
+        config = dict(header["config"])
         layout = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
-        vocab = {k: int(v) for k, v in header["vocab"].items()}
+        vocab = dict(header["vocab"])
     except (ValueError, KeyError, AttributeError, TypeError) as exc:
         raise ModelError(f"{path}: malformed header ({exc!r})") from None
     if version != FORMAT_VERSION:
@@ -262,20 +273,22 @@ def load_model(path: str | Path) -> DetectorModel:
     missing = [k for k in _REQUIRED_KEYS if k not in config]
     if missing:
         raise ModelError(f"{path}: config missing keys {missing}")
+    # build_vocab's ids; checked before the embedding's row count is read from them
+    if sorted(v for v in vocab.values() if type(v) is int) != list(range(2, len(vocab) + 2)):
+        raise ModelError(f"{path}: vocabulary ids are not the integers 2..{len(vocab) + 1}")
     model = DetectorModel(config=config, vocab=vocab, params={})
     try:
         make_config(**config)
-        expected = init_params(config, model.vocab_size, 0)
-    except (ModelError, TypeError, ValueError) as exc:
+    except (ModelError, TypeError) as exc:
         raise ModelError(f"{path}: bad model config ({exc})") from None
-    # the tensors the config and vocabulary call for, in the order saved
-    want = [(name, expected[name].shape) for name in sorted(expected)]
+    # the tensors the config and vocabulary call for, in the order saved;
+    # nothing is allocated until the file is known to hold them
+    want = sorted(param_shapes(config, model.vocab_size).items())
     if layout != want:
         raise ModelError(f"{path}: tensors {layout} do not fit the config and vocabulary, which call for {want}")
     offset = 12 + size
     for name, shape in layout:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise ModelError(f"{path}: file ends inside tensor {name!r} of shape {shape}")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)

@@ -1,9 +1,9 @@
-"""Parameter update rules over named tensor dicts.
+"""The Adam update rule over named tensor dicts.
 
-Both optimizers update only the keys present in the gradient dict, so a
-training phase freezes parameters simply by not computing their
-gradients.  Non-finite gradients or parameters abort the run instead of
-silently corrupting the model.
+Adam updates only the keys present in the gradient dict, so a training
+phase freezes parameters simply by not computing their gradients.
+Non-finite gradients or parameters abort the run instead of silently
+corrupting the model.
 """
 from __future__ import annotations
 
@@ -17,17 +17,6 @@ class TrainingDiverged(Exception):
 def _check_finite(name: str, arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise TrainingDiverged(f"non-finite {what} in {name!r}")
-
-
-class Sgd:
-    def __init__(self, lr: float) -> None:
-        self.lr = float(lr)
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            _check_finite(name, g, "gradient")
-            params[name] -= self.lr * g
-            _check_finite(name, params[name], "parameter")
 
 
 class Adam:

@@ -1,19 +1,21 @@
 """Training schemes for the detector.
 
-Two entry points:
+Two entry points share one trainer: one setup, one joint warm-up, one
+Adam optimizer.
 
 * train_original: one feature stack and two heads fit jointly by summed
   cross entropy on whatever fragments it is given.  Adversarial
   (augmented) training is the same call on an augmented fragment pool.
+  It is the warm-up alone, with an empty variant pool X'.
 
-* train_zigzag: decoupled robust training.  After a joint warm-up on
-  the clean set X, it alternates two phases for up to beta rounds,
-  re-mining the hard set X'' from the variant pool X' at the start of
-  every round:
+* train_zigzag: decoupled robust training.  After the joint warm-up on
+  the clean set X, it alternates two phases for up to beta rounds:
 
-    classifier phase - features frozen bit for bit; heads minimize
-        L_c(X) - L_h(X''), i.e. stay right on clean data while driving
-        their disagreement up on hard examples;
+    classifier phase - features frozen bit for bit; the phase's pass
+        over X' also mines the hard set X'' under the parameters at the
+        start of the round; the heads then minimize L_c(X) - L_h(X''),
+        i.e. stay right on clean data while driving their disagreement
+        up on hard examples;
     feature phase - heads frozen bit for bit; the feature stack
         minimizes mean |c1 - c2| over all of X'.
 
@@ -22,23 +24,28 @@ Two entry points:
   when a round changes neither the mean discrepancy on X' nor the clean
   loss by more than the tolerances.
 
+Training runs with numpy float overflow raised: an overflow, or a
+non-finite loss, gradient or parameter, ends the run with
+TrainingDiverged.
+
 Each epoch appends a trace record; traces serialize to JSONL for
 inspection and for the phase-dynamics checks.  A record holds, after its
 epoch, L_c (summed head CE on X), L_h (mean |c1 - c2| on X'') and
-mean_disc (the same on X').  Its passes:
+mean_disc (the same on X'; 0 when X' is empty).  Its passes:
 
-    warm-up record - one forward pass over X (and X' for zigzag);
+    warm-up record - one forward pass each over X and X';
     classifier record - none: the phase's features are frozen, so the one
-        pass per round over X, X' and X'' that its epochs train on also
-        serves every record of the phase, which runs the heads only;
+        pass per round over X', X and X'' that mines X'' and that its
+        epochs train on also serves every record of the phase, which runs
+        the heads only;
     feature record - one forward pass each over X, X' and X''.
 """
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,10 +67,8 @@ from .nn.model import (
     init_params,
     make_config,
 )
-from .nn.optim import Adam, Sgd, TrainingDiverged
+from .nn.optim import Adam, TrainingDiverged
 from .seeds import derive_rng
-
-log = logging.getLogger(__name__)
 
 
 class TrainingError(Exception):
@@ -82,14 +87,8 @@ class TrainConfig:
     seed: int = 0
     tau_disc: float = 1e-3
     tau_loss: float = 1e-3
-    optimizer: str = "adam"
-    mine_with: str = "current"  # "current" or "pretrained" feature stack
 
     def validate(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
-        if self.mine_with not in ("current", "pretrained"):
-            raise TrainingError(f"mine_with must be 'current' or 'pretrained'")
         if not 0.0 < self.delta < 1.0:
             raise TrainingError("delta must be in (0, 1)")
         for name in ("beta", "e1", "e2", "e3", "batch_size"):
@@ -145,6 +144,16 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+@contextmanager
+def _frozen(params: dict[str, np.ndarray], keys: Sequence[str], what: str):
+    """Raise TrainingError if the block changes any of the given tensors."""
+    before = {k: params[k].copy() for k in keys}
+    yield
+    for k, value in before.items():
+        if not np.array_equal(value, params[k]):
+            raise TrainingError(f"{what} moved frozen tensor {k!r}")
+
+
 def binary_prediction(p: np.ndarray, delta: float) -> np.ndarray:
     """Strictly greater than the threshold; p == delta is negative."""
     return (p > delta).astype(np.int64)
@@ -157,54 +166,37 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
     return wrong1 | wrong2
 
 
-def mine_hard_examples(
-    params: dict,
-    model_config: dict,
-    X: np.ndarray,
-    y: np.ndarray,
-    delta: float,
-    feature_params: dict | None = None,
-) -> np.ndarray:
-    """Boolean mask over X': either head's thresholded prediction is wrong.
-
-    X is encoded with the model's own vocabulary (ids in [0, emb rows));
-    an id outside that range raises ModelError from features_forward.
-    feature_params optionally substitutes a different (e.g. pretrained)
-    feature stack while the heads stay current.
-    """
-    merged = dict(params)
-    if feature_params is not None:
-        merged.update(feature_params)
-    F, _ = features_forward(merged, model_config, X)
-    p1, _ = head_forward(params, "c1", F)
-    p2, _ = head_forward(params, "c2", F)
-    return hard_mask(p1, p2, y, delta)
-
-
 class _Trainer:
+    """One run: the encoded sets X, X' and the validation set, the
+    parameters and one Adam, whose per-tensor moment history carries
+    across phase switches and damps the discrepancy tug-of-war."""
+
     def __init__(
         self,
-        model_config: dict,
-        train_config: TrainConfig,
-        vocab: dict[str, int],
-        Xc: np.ndarray,
-        yc: np.ndarray,
-        val: Optional[tuple[np.ndarray, np.ndarray]],
+        clean_fragments: Sequence[Fragment],
+        variant_fragments: Sequence[Fragment],
+        model_config: dict | None,
+        train_config: TrainConfig | None,
+        val_fragments: Optional[Sequence[Fragment]],
+        fusion: str,
     ) -> None:
-        self.mc = model_config
-        self.tc = train_config
-        self.vocab = vocab
-        self.Xc = Xc
-        self.yc = yc
-        self.val = val
-        vocab_size = max(vocab.values(), default=1) + 1
-        self.params = init_params(model_config, vocab_size, train_config.seed)
-        # one optimizer for the whole run: its per-tensor moment history
-        # carries across phase switches and damps the discrepancy tug-of-war
-        if train_config.optimizer == "adam":
-            self.opt = Adam(train_config.lr)
-        else:
-            self.opt = Sgd(train_config.lr)
+        tc = train_config or TrainConfig()
+        tc.validate()
+        if not clean_fragments:
+            raise TrainingError("training set is empty")
+        _require_train_split(clean_fragments, "training set")
+        _require_train_split(variant_fragments, "variant pool")
+        if {f.label for f in clean_fragments} != {0, 1}:
+            raise TrainingError("training set must contain both classes")
+        self.tc = tc
+        self.mc = make_config(**{"fusion": fusion, "delta": tc.delta, **(model_config or {})})
+        self.vocab = vocab = build_vocab([*clean_fragments, *variant_fragments])
+        length = self.mc["length"]
+        self.Xc, self.yc = encode_fragments(clean_fragments, vocab, length)
+        self.Xv, self.yv = encode_fragments(variant_fragments, vocab, length)
+        self.val = encode_fragments(val_fragments, vocab, length) if val_fragments else None
+        self.params = init_params(self.mc, max(vocab.values(), default=1) + 1, tc.seed)
+        self.opt = Adam(tc.lr)
         self.trace: list[TrainRecord] = []
 
     # ---- measurement helpers -------------------------------------------
@@ -257,8 +249,8 @@ class _Trainer:
         count = max(1, math.ceil(n / self.tc.batch_size))
         return [chunk for chunk in np.array_split(order, count) if len(chunk)]
 
-    def joint_epoch(self, rnd: int, phase: str, epoch: int) -> None:
-        for batch in self._batches(len(self.Xc), phase, rnd, epoch):
+    def joint_epoch(self, epoch: int) -> None:
+        for batch in self._batches(len(self.Xc), "joint", 0, epoch):
             Xb, yb = self.Xc[batch], self.yc[batch]
             F, fc = features_forward(self.params, self.mc, Xb)
             p1, h1 = head_forward(self.params, "c1", F)
@@ -269,6 +261,17 @@ class _Trainer:
             g2, dF2 = head_backward(self.params, "c2", h2, dp2)
             fg = features_backward(self.params, self.mc, fc, dF1 + dF2)
             self.opt.step(self.params, {**g1, **g2, **fg})
+
+    def warm_up(self) -> None:
+        """Joint CE on X for up to e1 epochs, until L_c moves by at most tau_loss."""
+        prev = None
+        for epoch in range(self.tc.e1):
+            self.joint_epoch(epoch)
+            L_c = self.clean_loss(self.features(self.Xc))
+            self.record(0, "joint", epoch, L_c, 0.0, self.discrepancy_on(self.features(self.Xv)), 0.0)
+            if prev is not None and abs(prev - L_c) <= self.tc.tau_loss:
+                break
+            prev = L_c
 
     def classifier_epoch(self, F_clean: np.ndarray, F_hard: np.ndarray, rnd: int, epoch: int) -> None:
         """Heads only, on the frozen features of the clean and hard sets."""
@@ -296,26 +299,33 @@ class _Trainer:
                     grads[k] = grads.get(k, 0.0) + v
             self.opt.step(self.params, grads)
 
-    def classifier_phase(self, Xv: np.ndarray, Xh: np.ndarray, rnd: int, gamma: float) -> None:
-        """e2 classifier epochs and their records on one forward pass each
-        over X', X and X'' (the features stay frozen through the phase).
+    def classifier_phase(self, rnd: int) -> tuple[np.ndarray, float]:
+        """Mine X'' and run the e2 classifier epochs and their records, on
+        one forward pass each over X', X and X'' (the features stay frozen
+        through the phase); returns X'' and its share gamma of X'.
 
         X'' is forwarded itself, not cut from the features of X', so its
         rows get the features a pass over X'' alone gives.  The features
         go out of scope when the phase ends.
         """
-        F_var, F_clean, F_hard = (self.features(X) for X in (Xv, self.Xc, Xh))
+        F_var = self.features(self.Xv)
+        p1, _ = head_forward(self.params, "c1", F_var)
+        p2, _ = head_forward(self.params, "c2", F_var)
+        mask = hard_mask(p1, p2, self.yv, self.tc.delta)
+        Xh = self.Xv[mask]
+        gamma = float(mask.sum()) / len(self.Xv)
+        F_clean, F_hard = self.features(self.Xc), self.features(Xh)
         for epoch in range(self.tc.e2):
             self.classifier_epoch(F_clean, F_hard, rnd, epoch)
             L_h = self.discrepancy_on(F_hard)
             self.record(rnd, "classifier", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
+        return Xh, gamma
 
-    def feature_epoch(self, Xv: np.ndarray, rnd: int, epoch: int) -> None:
-        """Feature stack only; head parameters are never updated."""
+    def feature_epoch(self, rnd: int, epoch: int) -> None:
+        """Feature stack only, on X'; head parameters are never updated."""
         fkeys = set(feature_keys(self.mc))
-        for batch in self._batches(len(Xv), "feature", rnd, epoch):
-            Xb = Xv[batch]
-            F, fc = features_forward(self.params, self.mc, Xb)
+        for batch in self._batches(len(self.Xv), "feature", rnd, epoch):
+            F, fc = features_forward(self.params, self.mc, self.Xv[batch])
             p1, h1 = head_forward(self.params, "c1", F)
             p2, h2 = head_forward(self.params, "c2", F)
             _, dp1, dp2 = discrepancy_loss(p1, p2)
@@ -324,25 +334,42 @@ class _Trainer:
             fg = features_backward(self.params, self.mc, fc, dF1 + dF2)
             self.opt.step(self.params, {k: v for k, v in fg.items() if k in fkeys})
 
+    def feature_phase(self, Xh: np.ndarray, rnd: int, gamma: float) -> None:
+        for epoch in range(self.tc.e3):
+            self.feature_epoch(rnd, epoch)
+            # each set's features are dropped once measured
+            L_h = self.discrepancy_on(self.features(Xh))
+            L_c = self.clean_loss(self.features(self.Xc))
+            self.record(rnd, "feature", epoch, L_c, L_h, self.discrepancy_on(self.features(self.Xv)), gamma)
 
-def _prepare(
-    fragments: Sequence[Fragment],
-    model_config: dict | None,
-    what: str,
-) -> tuple[dict, Sequence[Fragment]]:
-    if not fragments:
-        raise TrainingError(f"{what} is empty")
-    _require_train_split(fragments, what)
-    config = make_config(**(model_config or {}))
-    return config, fragments
+    def run(self, rounds: int) -> TrainOutcome:
+        """The warm-up, then up to `rounds` zigzag rounds."""
+        try:
+            with np.errstate(over="raise"):
+                self.warm_up()
+                rounds_run, stopped_early = self.zigzag_rounds(rounds)
+        except FloatingPointError as exc:
+            # a saturated model (tanh at +-1 on huge weights) keeps its
+            # losses and gradients finite; the overflow on the way is the sign
+            raise TrainingDiverged(str(exc)) from None
+        model = DetectorModel(config=self.mc, vocab=self.vocab, params=self.params)
+        return TrainOutcome(model=model, trace=self.trace, rounds_run=rounds_run, stopped_early=stopped_early)
 
-
-def _encode_val(
-    val_fragments: Optional[Sequence[Fragment]], vocab: dict[str, int], length: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    if not val_fragments:
-        return None
-    return encode_fragments(val_fragments, vocab, length)
+    def zigzag_rounds(self, rounds: int) -> tuple[int, bool]:
+        """Rounds run and whether the stop rule ended them before `rounds`."""
+        head_key_list = [*head_keys("c1"), *head_keys("c2")]
+        # the last record was measured with the current parameters
+        prev_disc, prev_loss = self.trace[-1].mean_disc, self.trace[-1].L_c
+        for rnd in range(1, rounds + 1):
+            with _frozen(self.params, feature_keys(self.mc), "classifier phase"):
+                Xh, gamma = self.classifier_phase(rnd)
+            with _frozen(self.params, head_key_list, "feature phase"):
+                self.feature_phase(Xh, rnd, gamma)
+            disc, loss = self.trace[-1].mean_disc, self.trace[-1].L_c
+            if abs(prev_disc - disc) <= self.tc.tau_disc and abs(prev_loss - loss) <= self.tc.tau_loss:
+                return rnd, rnd < rounds
+            prev_disc, prev_loss = disc, loss
+        return rounds, False
 
 
 def train_original(
@@ -352,26 +379,7 @@ def train_original(
     val_fragments: Optional[Sequence[Fragment]] = None,
 ) -> TrainOutcome:
     """Joint CE fit of features and both heads on the given fragments."""
-    tc = train_config or TrainConfig()
-    tc.validate()
-    mc, fragments = _prepare(fragments, model_config, "training set")
-    labels = {f.label for f in fragments}
-    if labels != {0, 1}:
-        raise TrainingError("training set must contain both classes")
-    vocab = build_vocab(fragments)
-    Xc, yc = encode_fragments(fragments, vocab, mc["length"])
-    trainer = _Trainer(mc, tc, vocab, Xc, yc, _encode_val(val_fragments, vocab, mc["length"]))
-
-    prev = None
-    for epoch in range(tc.e1):
-        trainer.joint_epoch(0, "joint", epoch)
-        L_c = trainer.clean_loss(trainer.features(Xc))
-        trainer.record(0, "joint", epoch, L_c, 0.0, 0.0, 0.0)
-        if prev is not None and abs(prev - L_c) <= tc.tau_loss:
-            break
-        prev = L_c
-    model = DetectorModel(config=mc, vocab=vocab, params=trainer.params)
-    return TrainOutcome(model=model, trace=trainer.trace, rounds_run=0, stopped_early=False)
+    return _Trainer(fragments, [], model_config, train_config, val_fragments, fusion="c1").run(0)
 
 
 def train_zigzag(
@@ -382,80 +390,10 @@ def train_zigzag(
     val_fragments: Optional[Sequence[Fragment]] = None,
 ) -> TrainOutcome:
     """Decoupled robust training; see the module docstring for the loop."""
-    tc = train_config or TrainConfig()
-    tc.validate()
     if not variant_fragments:
         raise TrainingError(
             "variant pool is empty; without transformed programs there is "
             "nothing to harden against - use train_original instead"
         )
-    overrides = dict(model_config or {})
-    overrides.setdefault("fusion", "mean")
-    overrides.setdefault("delta", tc.delta)
-    mc, clean_fragments = _prepare(clean_fragments, overrides, "clean set")
-    _require_train_split(variant_fragments, "variant pool")
-    labels = {f.label for f in clean_fragments}
-    if labels != {0, 1}:
-        raise TrainingError("clean set must contain both classes")
-
-    vocab = build_vocab(list(clean_fragments) + list(variant_fragments))
-    Xc, yc = encode_fragments(clean_fragments, vocab, mc["length"])
-    Xv, yv = encode_fragments(variant_fragments, vocab, mc["length"])
-    trainer = _Trainer(mc, tc, vocab, Xc, yc, _encode_val(val_fragments, vocab, mc["length"]))
-
-    # warm-up: joint CE on the clean set
-    prev = None
-    for epoch in range(tc.e1):
-        trainer.joint_epoch(0, "joint", epoch)
-        L_c = trainer.clean_loss(trainer.features(Xc))
-        trainer.record(0, "joint", epoch, L_c, 0.0, trainer.discrepancy_on(trainer.features(Xv)), 0.0)
-        if prev is not None and abs(prev - L_c) <= tc.tau_loss:
-            break
-        prev = L_c
-
-    pretrained_features = {k: trainer.params[k].copy() for k in feature_keys(mc)}
-    head_key_set = set(head_keys("c1")) | set(head_keys("c2"))
-    feature_key_set = set(feature_keys(mc))
-
-    # the last record was measured with the current parameters
-    prev_disc, prev_loss = trainer.trace[-1].mean_disc, trainer.trace[-1].L_c
-    rounds_run = 0
-    stopped_early = False
-    for rnd in range(1, tc.beta + 1):
-        mask = mine_hard_examples(
-            trainer.params,
-            mc,
-            Xv,
-            yv,
-            tc.delta,
-            feature_params=pretrained_features if tc.mine_with == "pretrained" else None,
-        )
-        Xh = Xv[mask]
-        gamma = float(mask.sum()) / len(Xv)
-
-        frozen_features = {k: trainer.params[k].copy() for k in feature_key_set}
-        trainer.classifier_phase(Xv, Xh, rnd, gamma)
-        for k in feature_key_set:
-            if not np.array_equal(frozen_features[k], trainer.params[k]):
-                raise TrainingError(f"classifier phase moved frozen feature tensor {k!r}")
-
-        frozen_heads = {k: trainer.params[k].copy() for k in head_key_set}
-        for epoch in range(tc.e3):
-            trainer.feature_epoch(Xv, rnd, epoch)
-            # each set's features are dropped once measured
-            L_h = trainer.discrepancy_on(trainer.features(Xh))
-            L_c = trainer.clean_loss(trainer.features(Xc))
-            trainer.record(rnd, "feature", epoch, L_c, L_h, trainer.discrepancy_on(trainer.features(Xv)), gamma)
-        for k in head_key_set:
-            if not np.array_equal(frozen_heads[k], trainer.params[k]):
-                raise TrainingError(f"feature phase moved frozen head tensor {k!r}")
-
-        rounds_run = rnd
-        disc, loss = trainer.trace[-1].mean_disc, trainer.trace[-1].L_c
-        if abs(prev_disc - disc) <= tc.tau_disc and abs(prev_loss - loss) <= tc.tau_loss:
-            stopped_early = rnd < tc.beta
-            break
-        prev_disc, prev_loss = disc, loss
-
-    model = DetectorModel(config=mc, vocab=vocab, params=trainer.params)
-    return TrainOutcome(model=model, trace=trainer.trace, rounds_run=rounds_run, stopped_early=stopped_early)
+    trainer = _Trainer(clean_fragments, variant_fragments, model_config, train_config, val_fragments, fusion="mean")
+    return trainer.run(trainer.tc.beta)

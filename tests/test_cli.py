@@ -78,10 +78,11 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
 
 @pytest.mark.parametrize(
     "lr, what",
-    # 1e308 overflows the clean loss that the trace records; inf makes
-    # the first Adam step non-finite
-    [("1e308", "non-finite L_c"), ("inf", "non-finite parameter")],
-    ids=["lr-1e308", "lr-inf"],
+    # 1e300 saturates tanh, so every loss and gradient stays finite and
+    # only the overflow on the way shows; 1e308 overflows before its
+    # clean loss turns non-finite; inf makes the first Adam step non-finite
+    [("1e300", "overflow encountered in "), ("1e308", "overflow encountered in "), ("inf", "non-finite parameter")],
+    ids=["lr-1e300", "lr-1e308", "lr-inf"],
 )
 def test_diverging_training_exits_4_with_one_line_message(lr, what, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
@@ -178,6 +179,70 @@ TENSOR_EDITS = {
     "wrong-f_w-shape": lambda params: params.update(f_w=np.zeros((5, 6))),
     "too-few-emb-rows": lambda params: params.update(emb=params["emb"][:2]),
 }
+
+
+# model header edits -> the header itself is invalid; none allocates a tensor
+HEADER_EDITS = {
+    "granularity-line": (lambda m: m.config.update(granularity="line"), "unknown granularity 'line'"),
+    "delta-string": (lambda m: m.config.update(delta="x"), "delta must be a float in (0, 1), got 'x'"),
+    "length-negative": (lambda m: m.config.update(length=-5), "length must be an integer >= 1, got -5"),
+    "length-string": (lambda m: m.config.update(length="7"), "length must be an integer >= 1, got '7'"),
+    "vocab-id-huge": (lambda m: m.vocab.update(func=10**15), "vocabulary ids are not the integers 2..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
+    eval_argv, _ = _write_inputs(tmp_path, demo_source)
+    path = tmp_path / "model.zzm"
+    model = load_model(path)
+    edit, what = HEADER_EDITS[case]
+    edit(model)
+    save_model(model, path)
+    assert main(eval_argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert what in err
+
+
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("length = -5", "length must be an integer >= 1, got -5"),
+        ("length = 0", "length must be an integer >= 1, got 0"),
+        ("granularity = line", "unknown granularity 'line'"),
+        ("optimizer = sgd", "unknown config key 'optimizer'"),
+        ("mine_with = current", "unknown config key 'mine_with'"),
+    ],
+    ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with"],
+)
+def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["gen", "--count", "10", "--seed", "1", "--out-train", str(train), "--out-test", str(test)]) == 0
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"e1 = 1\n{line}\n")
+    capsys.readouterr()
+    argv = ["train", "--mode", "original", "--data", str(train), "--config", str(config),
+            "--out-model", str(tmp_path / "m.zzm"), "--out-trace", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and what in err and err.count("\n") == 1
+    assert not (tmp_path / "m.zzm").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [("tp", "3", "row 'Total': 'tp' is not an integer"), ("row", 5, "row 5: 'row' is not a string")],
+    ids=["tp-string", "row-int"],
+)
+def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, tmp_path, demo_source, capsys):
+    _, compare_argv = _write_inputs(tmp_path, demo_source)
+    path = tmp_path / "report.jsonl"
+    header, row = (json.loads(line) for line in path.read_text().splitlines())
+    row[field] = value
+    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    assert main(compare_argv) == 3
+    assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
 
 @pytest.mark.parametrize("case", sorted(TENSOR_EDITS))

@@ -34,7 +34,6 @@ from zigzag.training import (
     binary_prediction,
     hard_mask,
     load_trace,
-    mine_hard_examples,
     save_trace,
     train_original,
     train_zigzag,
@@ -97,20 +96,32 @@ def test_hard_mask_matches_bruteforce():
         assert hard_mask(p1, p2, y, delta).tolist() == expected
 
 
-def test_mine_hard_examples_agrees_with_manual_forward(pools):
+def test_each_round_mines_the_hard_set_from_x_prime_at_the_round_start(pools, monkeypatch):
     clean, varied, _ = pools
-    out = train_original(clean, train_config=quick_config(e1=3))
-    # X' is encoded with the model's own vocabulary, as evaluation does:
-    # tokens only the variants contain become UNK
-    X, y = encode_fragments(varied, out.model.vocab, out.model.config["length"])
-    params = out.model.params
-    mask = mine_hard_examples(params, out.model.config, X, y, 0.4)
-    F, _ = features_forward(params, out.model.config, X)
-    p1, _ = head_forward(params, "c1", F)
-    p2, _ = head_forward(params, "c2", F)
-    assert np.array_equal(mask, hard_mask(p1, p2, y, 0.4))
+    rounds = []  # (parameters at the start of the round, trainer, X'', gamma)
+
+    def spying_phase(self, rnd):
+        start = {k: v.copy() for k, v in self.params.items()}
+        Xh, gamma = classifier_phase(self, rnd)
+        rounds.append((start, self, Xh, gamma))
+        return Xh, gamma
+
+    classifier_phase = _Trainer.classifier_phase
+    monkeypatch.setattr(_Trainer, "classifier_phase", spying_phase)
+    tc = quick_config(e1=3, beta=2, tau_disc=0.0, tau_loss=0.0)
+    out = train_zigzag(clean, varied, train_config=tc)
+    assert out.rounds_run == len(rounds) == 2
+    masks = []
+    for params, trainer, Xh, gamma in rounds:
+        F, _ = features_forward(params, trainer.mc, trainer.Xv)
+        p1, _ = head_forward(params, "c1", F)
+        p2, _ = head_forward(params, "c2", F)
+        mask = hard_mask(p1, p2, trainer.yv, tc.delta)
+        assert np.array_equal(Xh, trainer.Xv[mask])
+        assert gamma == mask.sum() / len(mask)
+        masks.append(mask)
     # neither all-hard nor all-easy, so the agreement is not vacuous
-    assert mask.any() and not mask.all()
+    assert any(mask.any() and not mask.all() for mask in masks)
 
 
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])
@@ -121,16 +132,12 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
     model = DetectorModel(config=mc, vocab=own, params=init_params(mc, max(own.values()) + 1, 7))
     rows = model.params["emb"].shape[0]
     # ids from a clean+variant vocabulary given to a model sized for clean only
-    X_foreign, y = encode_fragments(varied, build_vocab(clean + varied), mc["length"])
+    X_foreign, _ = encode_fragments(varied, build_vocab(clean + varied), mc["length"])
     assert X_foreign.max() >= rows
     X, _ = encode_fragments(varied, own, mc["length"])
     X_negative = X.copy()
     X_negative[0, 0] = -1
-    entry_points = (
-        lambda X: features_forward(model.params, mc, X),
-        lambda X: mine_hard_examples(model.params, mc, X, y, 0.4),
-        model.predict,
-    )
+    entry_points = (lambda X: features_forward(model.params, mc, X), model.predict)
     for call in entry_points:
         with pytest.raises(ModelError, match=f"token id {X_foreign.max()} .* {rows} rows"):
             call(X_foreign)
@@ -152,29 +159,24 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
 # ---- phase freezing ---------------------------------------------------------
 
 
-def make_trainer(pools, **cfg):
+def make_trainer(pools, **cfg) -> _Trainer:
     clean, varied, _ = pools
-    vocab = build_vocab(clean + varied)
-    mc = make_config()
-    Xc, yc = encode_fragments(clean, vocab, mc["length"])
-    trainer = _Trainer(mc, quick_config(**cfg), vocab, Xc, yc, None)
-    Xv, yv = encode_fragments(varied, vocab, mc["length"])
-    return trainer, Xv, yv
+    return _Trainer(clean, varied, None, quick_config(**cfg), None, fusion="mean")
 
 
 def test_classifier_epoch_keeps_features_frozen(pools):
-    trainer, Xv, _ = make_trainer(pools)
+    trainer = make_trainer(pools)
     before = {k: trainer.params[k].tobytes() for k in feature_keys(trainer.mc)}
     heads_before = {k: trainer.params[k].tobytes() for k in (*head_keys("c1"), *head_keys("c2"))}
-    trainer.classifier_epoch(trainer.features(trainer.Xc), trainer.features(Xv[:16]), 1, 0)
+    trainer.classifier_epoch(trainer.features(trainer.Xc), trainer.features(trainer.Xv[:16]), 1, 0)
     for k, raw in before.items():
         assert trainer.params[k].tobytes() == raw
     assert any(trainer.params[k].tobytes() != raw for k, raw in heads_before.items())
 
 
 def test_classifier_epoch_accepts_empty_hard_set(pools):
-    trainer, Xv, _ = make_trainer(pools)
-    empty = trainer.features(Xv[:0])
+    trainer = make_trainer(pools)
+    empty = trainer.features(trainer.Xv[:0])
     assert empty.shape == (0, trainer.mc["feature_dim"])
     before = {k: trainer.params[k].tobytes() for k in feature_keys(trainer.mc)}
     heads_before = {k: trainer.params[k].tobytes() for k in (*head_keys("c1"), *head_keys("c2"))}
@@ -186,10 +188,10 @@ def test_classifier_epoch_accepts_empty_hard_set(pools):
 
 
 def test_feature_epoch_keeps_heads_frozen(pools):
-    trainer, Xv, _ = make_trainer(pools)
+    trainer = make_trainer(pools)
     before = {k: trainer.params[k].tobytes() for k in (*head_keys("c1"), *head_keys("c2"))}
     features_before = {k: trainer.params[k].tobytes() for k in feature_keys(trainer.mc)}
-    trainer.feature_epoch(Xv, 1, 0)
+    trainer.feature_epoch(1, 0)
     for k, raw in before.items():
         assert trainer.params[k].tobytes() == raw
     assert any(trainer.params[k].tobytes() != raw for k, raw in features_before.items())
@@ -275,9 +277,9 @@ def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encode
     for rnd in (1, 2):
         n_h = round(next(rec.gamma for rec in out.trace if rec.round == rnd) * n_v)
         got = [rows for (r, _), rows in per_record if r == rnd]
-        # mining X', then one pass each over X, X' and X'' for the whole
-        # classifier phase; its later epochs and records forward nothing
-        assert got[: tc.e2] == [n_v + n_c + n_v + n_h] + [0] * (tc.e2 - 1)
+        # one pass each over X' (which also mines X''), X and X'' for the
+        # whole classifier phase; its later epochs and records forward nothing
+        assert got[: tc.e2] == [n_v + n_c + n_h] + [0] * (tc.e2 - 1)
         # each feature epoch trains on X' and is measured on X, X' and X''
         assert got[tc.e2 :] == [n_v + n_c + n_v + n_h] * tc.e3
 
@@ -337,12 +339,6 @@ def test_zigzag_runs_all_rounds_with_tight_tolerances(pools):
     assert not out.stopped_early
 
 
-def test_mining_with_pretrained_features_is_supported(pools):
-    clean, varied, _ = pools
-    out = train_zigzag(clean, varied, train_config=quick_config(beta=1, mine_with="pretrained"))
-    assert out.rounds_run == 1
-
-
 # ---- determinism ------------------------------------------------------------
 
 
@@ -394,7 +390,7 @@ def test_rejects_non_training_fragments(pools):
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(optimizer="rmsprop"), dict(mine_with="frozen"), dict(delta=0.0), dict(e2=0), dict(beta=0)],
+    [dict(delta=0.0), dict(e2=0), dict(beta=0), dict(e1=0), dict(batch_size=0)],
 )
 def test_config_validation_rejects(overrides):
     with pytest.raises(TrainingError):
