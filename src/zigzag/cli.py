@@ -10,8 +10,8 @@ Subcommands wire the library into reproducible batch runs:
 
 Every run writes a resolved-config JSON next to its primary output so
 any artifact can be regenerated from the file sitting beside it.  The
-seed resolution order is: ZZ_SEED environment variable, then --seed,
-then a config-file `seed` entry, then 0.
+seed resolution order is: --seed, then a config-file `seed` entry,
+then 0.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 """
@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -78,12 +77,6 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    env = os.environ.get("ZZ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"ZZ_SEED must be an integer, got {env!r}")
     if getattr(args, "seed", None) is not None:
         return args.seed
     if "seed" in config:
@@ -175,7 +168,6 @@ def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, st
     mc = {k: config[k] for k in _MODEL_KEYS if k in config}
     mc["granularity"] = granularity
     mc["length"] = config.get("length", default_length(granularity))
-    mc["delta"] = tc.delta
     try:
         tc.validate()
         make_config(**mc)

@@ -8,7 +8,8 @@ UnknownEntryError for a missing entry function).
 Step accounting: one step per simple-statement execution, per loop
 iteration check, and per function call; if/else dispatch is free.  A
 program that exhausts its fuel reports steps_used == fuel.  Exceeding
-the configured call-depth budget is also reported as fuel-exhausted.
+the configured call-depth budget, or Python's own stack, is also
+reported as fuel-exhausted.
 
 Runtime error kinds: out-of-bounds, division-by-zero, input-exhausted,
 and the defensive type-error (well-formed generators never produce it).
@@ -307,7 +308,7 @@ class Interpreter:
             return ExecResult(self.outputs, COMPLETED, steps_used=self.steps)
         except _Trap as tr:
             return ExecResult(self.outputs, RUNTIME_ERROR, tr.kind, tr.line, self.steps)
-        except _Fuel:
+        except (_Fuel, RecursionError):
             return ExecResult(self.outputs, FUEL_EXHAUSTED, steps_used=self.fuel)
 
 

@@ -1,4 +1,5 @@
-"""AST node types for the mini language.
+"""AST node types for the mini language, and the one place that knows
+their shape.
 
 Programs are lists of functions; function bodies are statement lists.
 Every statement carries a LineId (a unique integer assigned in source
@@ -7,11 +8,17 @@ order, not a physical line number) and a vuln flag set by a trailing
 by code transformations to record which input statement a rewritten
 statement was derived from; it is None for freshly generated code and
 is not part of structural equality.
+
+``EXPR_SLOTS`` and ``BLOCK_SLOTS`` declare which attributes of each
+statement kind hold expressions and statement lists.  The traversal and
+rewrite helpers below read them, so structural walks elsewhere never
+decide a node's shape for themselves; the printer, interpreter and
+parser keep per-kind code because each kind behaves differently there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 
 # --------------------------------------------------------------------------
@@ -170,28 +177,54 @@ KEYWORDS = {"func", "var", "if", "else", "while", "for", "return"}
 
 
 # --------------------------------------------------------------------------
+# node shape
+
+# expression attributes of each statement kind, in source order
+EXPR_SLOTS: dict[type, tuple[str, ...]] = {
+    VarDecl: ("init",),
+    ArrayDecl: (),
+    Assign: ("value",),
+    ArrayAssign: ("index", "value"),
+    If: ("cond",),
+    While: ("cond",),
+    For: ("cond",),
+    Return: ("value",),
+    CallStmt: ("call",),
+}
+
+# statement-list attributes of the compound kinds, in source order
+BLOCK_SLOTS: dict[type, tuple[str, ...]] = {
+    If: ("then_body", "else_body"),
+    While: ("body",),
+    For: ("body",),
+}
+
+
+# --------------------------------------------------------------------------
 # traversal helpers
 
-def child_statements(st: Stmt) -> Iterator[Stmt]:
+def child_blocks(st: Stmt) -> list[list[Stmt]]:
+    """The statement lists a statement holds, in source order."""
+    return [getattr(st, slot) for slot in BLOCK_SLOTS.get(type(st), ())]
+
+
+def child_statements(st: Stmt) -> list[Stmt]:
     """Direct child statements of a compound statement, in source order."""
-    if isinstance(st, If):
-        yield from st.then_body
-        yield from st.else_body
-    elif isinstance(st, While):
-        yield from st.body
-    elif isinstance(st, For):
-        if st.init is not None:
-            yield st.init
-        if st.step is not None:
-            yield st.step
-        yield from st.body
+    # a for header's init and step are the only statements held outside a block
+    out = [s for s in (st.init, st.step) if s is not None] if type(st) is For else []
+    for block in child_blocks(st):
+        out.extend(block)
+    return out
 
 
 def walk_statements(stmts: list[Stmt]) -> Iterator[Stmt]:
     """Pre-order traversal over statements, compound nodes before children."""
-    for st in stmts:
+    stack = stmts[::-1]
+    while stack:
+        st = stack.pop()
         yield st
-        yield from walk_statements(list(child_statements(st)))
+        if type(st) in BLOCK_SLOTS:
+            stack.extend(reversed(child_statements(st)))
 
 
 def walk_program(program: Program) -> Iterator[Stmt]:
@@ -201,38 +234,51 @@ def walk_program(program: Program) -> Iterator[Stmt]:
 
 def stmt_expressions(st: Stmt) -> Iterator[Expr]:
     """Expressions directly held by a statement (not those of child statements)."""
-    if isinstance(st, VarDecl):
-        if st.init is not None:
-            yield st.init
-    elif isinstance(st, Assign):
-        yield st.value
-    elif isinstance(st, ArrayAssign):
-        yield st.index
-        yield st.value
-    elif isinstance(st, If):
-        yield st.cond
-    elif isinstance(st, While):
-        yield st.cond
-    elif isinstance(st, For):
-        if st.cond is not None:
-            yield st.cond
-    elif isinstance(st, Return):
-        if st.value is not None:
-            yield st.value
-    elif isinstance(st, CallStmt):
-        yield st.call
+    for slot in EXPR_SLOTS[type(st)]:
+        e = getattr(st, slot)
+        if e is not None:
+            yield e
+
+
+def map_stmt_exprs(st: Stmt, f: Callable[[Expr], Expr]) -> None:
+    """Apply f to each expression slot of st, in place (statement-local)."""
+    for slot in EXPR_SLOTS[type(st)]:
+        e = getattr(st, slot)
+        if e is not None:
+            setattr(st, slot, f(e))
 
 
 def walk_expr(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, BinOp):
-        yield from walk_expr(e.left)
-        yield from walk_expr(e.right)
-    elif isinstance(e, Index):
-        yield from walk_expr(e.index)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from walk_expr(a)
+    """Pre-order traversal of an expression, children left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        t = type(e)
+        if t is BinOp:
+            stack.append(e.right)
+            stack.append(e.left)
+        elif t is Index:
+            stack.append(e.index)
+        elif t is Call:
+            stack.extend(reversed(e.args))
+
+
+def map_expr(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Post-order rewrite: children left to right, then f on the node.
+
+    Subtrees are replaced in place by what f returns for them; the
+    result is f's value for ``e`` itself.
+    """
+    t = type(e)
+    if t is BinOp:
+        e.left = map_expr(e.left, f)
+        e.right = map_expr(e.right, f)
+    elif t is Index:
+        e.index = map_expr(e.index, f)
+    elif t is Call:
+        e.args = [map_expr(a, f) for a in e.args]
+    return f(e)
 
 
 def expr_names(e: Expr) -> set[str]:

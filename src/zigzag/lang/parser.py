@@ -4,7 +4,9 @@
 attaches //@vuln flags to the statement starting on the marked physical
 line, and then runs the static validator (declaration-before-use, no
 shadowing, unique function names, call arity).  Transform outputs that
-never existed as text can be checked with ``validate_program``.
+never existed as text can be checked with ``validate_program``.  Any
+failure, nesting deeper than ``MAX_DEPTH`` included, raises a
+``MiniLangError``.
 """
 from __future__ import annotations
 
@@ -31,12 +33,21 @@ from .nodes import (
     Var,
     VarDecl,
     While,
-    child_statements,
+    child_blocks,
     renumber,
     stmt_expressions,
     walk_expr,
     walk_statements,
 )
+
+# Deepest nesting ``parse`` accepts.  One level is a block, an expression
+# (a statement's own, or one in parentheses, brackets or call arguments),
+# a unary minus, or an operator in a chain such as a + b + c.  The parser
+# and the passes after it recurse over the tree, up to 16 Python frames a
+# level (nested calls), so 40 levels need at most about 650 frames and
+# stay inside the default recursion limit of 1000.  Programs from gen,
+# from any one transform and from any pair of transforms reach 15.
+MAX_DEPTH = 40
 
 _REL_OPS = {"<", ">", "<=", ">="}
 _EQ_OPS = {"==", "!="}
@@ -48,6 +59,7 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.tokens, self.vuln_lines = lex(source)
         self.pos = 0
+        self.depth = 0
         # statement id -> (line, col) of its first token
         self.positions: dict[int, tuple[int, int]] = {}
 
@@ -79,6 +91,18 @@ class Parser:
         tok = self.current
         return tok.kind == kind and (text is None or tok.text == text)
 
+    def int_value(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than int() converts
+            raise self.error(f"integer literal of {len(tok.text)} digits is too long", tok) from None
+
+    def nest(self) -> None:
+        """Open one nesting level; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
+
     # ---- grammar
 
     def parse_program(self) -> Program:
@@ -107,12 +131,14 @@ class Parser:
 
     def parse_block(self) -> list[Stmt]:
         self.expect("punct", "{")
+        self.nest()
         stmts: list[Stmt] = []
         while not self.at("punct", "}"):
             if self.at("eof"):
                 raise self.error("unterminated block")
             stmts.append(self.parse_statement())
         self.expect("punct", "}")
+        self.depth -= 1
         return stmts
 
     def _done(self, st: Stmt, tok: Token) -> Stmt:
@@ -145,7 +171,7 @@ class Parser:
             size_tok = self.expect("int")
             self.expect("punct", "]")
             self.expect("punct", ";")
-            size = int(size_tok.text)
+            size = self.int_value(size_tok)
             if size < 1:
                 raise SyntaxErrorML("array size must be positive", size_tok.line, size_tok.col)
             return ArrayDecl(name, size)
@@ -244,13 +270,19 @@ class Parser:
     # ---- expressions, precedence ladder
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        self.nest()
+        e = self.parse_or()
+        self.depth -= 1
+        return e
 
     def _binary_left(self, sub, ops: set[str]) -> Expr:
         left = sub()
+        depth = self.depth
         while self.current.kind == "op" and self.current.text in ops:
             op = self.advance().text
+            self.nest()
             left = BinOp(op, left, sub())
+        self.depth = depth
         return left
 
     def parse_or(self) -> Expr:
@@ -274,7 +306,9 @@ class Parser:
     def parse_unary(self) -> Expr:
         if self.at("op", "-"):
             self.advance()
+            self.nest()
             inner = self.parse_unary()
+            self.depth -= 1
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return BinOp("-", IntLit(0), inner)
@@ -284,7 +318,7 @@ class Parser:
         tok = self.current
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
+            return IntLit(self.int_value(tok))
         if tok.kind == "str":
             self.advance()
             return StrLit(tok.text)
@@ -404,11 +438,6 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
                 check_target(st.name, scopes, st)
             elif isinstance(st, ArrayAssign):
                 check_target(st.name, scopes, st)
-            elif isinstance(st, If):
-                check_block(st.then_body, scopes)
-                check_block(st.else_body, scopes)
-            elif isinstance(st, While):
-                check_block(st.body, scopes)
             elif isinstance(st, For):
                 # the init declaration lives in the enclosing scope, matching
                 # the desugared form  init; while (cond) { body; step; }
@@ -425,7 +454,8 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
                     for e in stmt_expressions(st.step):
                         check_expr(e, scopes, st.step)
                     check_target(st.step.name, scopes, st.step)  # type: ignore[union-attr]
-                check_block(st.body, scopes)
+            for block in child_blocks(st):
+                check_block(block, scopes)
         scopes.pop()
 
     for fn in program.functions:

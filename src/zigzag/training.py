@@ -188,8 +188,15 @@ class _Trainer:
         _require_train_split(variant_fragments, "variant pool")
         if {f.label for f in clean_fragments} != {0, 1}:
             raise TrainingError("training set must contain both classes")
+        model_config = model_config or {}
+        for key in ("delta", "fusion"):
+            if key in model_config:
+                raise TrainingError(
+                    f"model_config may not set {key!r}: the threshold is TrainConfig.delta "
+                    "and the fusion follows the training mode"
+                )
         self.tc = tc
-        self.mc = make_config(**{"fusion": fusion, "delta": tc.delta, **(model_config or {})})
+        self.mc = make_config(**model_config, fusion=fusion, delta=tc.delta)
         self.vocab = vocab = build_vocab([*clean_fragments, *variant_fragments])
         length = self.mc["length"]
         self.Xc, self.yc = encode_fragments(clean_fragments, vocab, length)

@@ -10,7 +10,7 @@ mutate their input.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..lang.nodes import (
     ArrayAssign,
@@ -33,6 +33,9 @@ from ..lang.nodes import (
     Var,
     VarDecl,
     While,
+    expr_names,
+    renumber,
+    stmt_expressions,
     walk_program,
     walk_statements,
 )
@@ -173,48 +176,17 @@ class Namer:
             n += 1
 
 
-# --------------------------------------------------------------------------
-# expression rewriting over statement expression slots
-
-def map_stmt_exprs(st: Stmt, f: Callable[[Expr], Expr]) -> None:
-    """Apply f to each expression slot of st, in place (statement-local)."""
-    t = type(st)
-    if t is VarDecl:
-        if st.init is not None:
-            st.init = f(st.init)
-    elif t is Assign:
-        st.value = f(st.value)
-    elif t is ArrayAssign:
-        st.index = f(st.index)
-        st.value = f(st.value)
-    elif t is If:
-        st.cond = f(st.cond)
-    elif t is While:
-        st.cond = f(st.cond)
-    elif t is For:
-        if st.cond is not None:
-            st.cond = f(st.cond)
-    elif t is Return:
-        if st.value is not None:
-            st.value = f(st.value)
-    elif t is CallStmt:
-        st.call = f(st.call)  # type: ignore[assignment]
-
-
 def mentioned_names(stmts: Iterable[Stmt]) -> set[str]:
     """Names used by statements: expression reads plus assignment targets.
 
     Declaration names are not uses; nested statements are included.
     """
-    from ..lang.nodes import expr_names, stmt_expressions
-
     out: set[str] = set()
-    for st in stmts:
-        for sub in walk_statements([st]):
-            for e in stmt_expressions(sub):
-                out |= expr_names(e)
-            if isinstance(sub, (Assign, ArrayAssign)):
-                out.add(sub.name)
+    for st in walk_statements(list(stmts)):
+        for e in stmt_expressions(st):
+            out |= expr_names(e)
+        if isinstance(st, (Assign, ArrayAssign)):
+            out.add(st.name)
     return out
 
 
@@ -223,8 +195,6 @@ def mentioned_names(stmts: Iterable[Stmt]) -> set[str]:
 
 def finalize(draft: Program, kind: str, input_line_ids: Iterable[int]) -> tuple[Program, LineMap]:
     """Renumber a draft, build its LineMap, and validate the result."""
-    from ..lang.nodes import renumber
-
     renumber(draft)
     line_map: LineMap = {}
     for st in walk_program(draft):

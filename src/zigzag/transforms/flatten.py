@@ -27,6 +27,7 @@ from ..lang.nodes import (
     Var,
     VarDecl,
     While,
+    child_blocks,
     walk_statements,
 )
 from .base import (
@@ -54,17 +55,10 @@ def _arrays_ok(fn: FunctionDef) -> bool:
                 if in_loop or st.name in names:
                     return False
                 names.add(st.name)
-            elif isinstance(st, If):
-                if not scan(st.then_body, in_loop) or not scan(st.else_body, in_loop):
-                    return False
-            elif isinstance(st, While):
-                if not scan(st.body, True):
-                    return False
-            elif isinstance(st, For):
-                if st.init is not None and not scan([st.init], in_loop):
-                    return False
-                if not scan(st.body, True):
-                    return False
+            # a for header's init is a VarDecl or Assign, never an array
+            body_in_loop = in_loop or not isinstance(st, If)
+            if not all(scan(block, body_in_loop) for block in child_blocks(st)):
+                return False
         return True
 
     return scan(fn.body, False)

@@ -20,12 +20,13 @@ from ..lang.nodes import (
     Expr,
     FunctionDef,
     If,
-    Index,
     IntLit,
     Program,
     Var,
     VarDecl,
-    walk_statements,
+    map_expr,
+    map_stmt_exprs,
+    walk_program,
 )
 from .base import (
     ENTRY_NAME,
@@ -34,7 +35,6 @@ from .base import (
     clone_block,
     clone_program,
     generated,
-    map_stmt_exprs,
 )
 from .flatten import flatten_function, flattenable
 
@@ -89,22 +89,14 @@ def _merge_all(program: Program, rng: np.random.Generator) -> tuple[Program, lis
     draft.functions = new_functions
 
     def rewrite(e: Expr) -> Expr:
-        if isinstance(e, BinOp):
-            e.left = rewrite(e.left)
-            e.right = rewrite(e.right)
-        elif isinstance(e, Index):
-            e.index = rewrite(e.index)
-        elif isinstance(e, Call):
-            e.args = [rewrite(a) for a in e.args]
-            if e.name in redirect:
-                merged_name, sel_value, carrier_count = redirect[e.name]
-                padding = [IntLit(0) for _ in range(carrier_count - len(e.args))]
-                return Call(merged_name, [IntLit(sel_value)] + e.args + padding)
+        if type(e) is Call and e.name in redirect:
+            merged_name, sel_value, carrier_count = redirect[e.name]
+            padding = [IntLit(0) for _ in range(carrier_count - len(e.args))]
+            return Call(merged_name, [IntLit(sel_value)] + e.args + padding)
         return e
 
-    for fn in draft.functions:
-        for st in walk_statements(fn.body):
-            map_stmt_exprs(st, rewrite)
+    for st in walk_program(draft):
+        map_stmt_exprs(st, lambda e: map_expr(e, rewrite))
     return draft, [fn.name for fn in new_functions if fn.name in emitted]
 
 

@@ -29,7 +29,6 @@ from ..lang.nodes import (
     Expr,
     For,
     FunctionDef,
-    If,
     Index,
     IntLit,
     Program,
@@ -38,10 +37,9 @@ from ..lang.nodes import (
     Var,
     VarDecl,
     While,
-    expr_names,
-    stmt_expressions,
+    child_blocks,
     walk_expr,
-    walk_statements,
+    walk_program,
 )
 from .base import (
     InapplicableTransform,
@@ -59,33 +57,22 @@ _RUN_KINDS = (Assign, ArrayAssign, CallStmt)
 # --------------------------------------------------------------------------
 # ct6
 
-def _rewrite_fors(stmts: list[Stmt]) -> tuple[list[Stmt], bool]:
+def _rewrite_fors(stmts: list[Stmt]) -> list[Stmt]:
     out: list[Stmt] = []
-    changed = False
     for st in stmts:
+        for block in child_blocks(st):
+            block[:] = _rewrite_fors(block)
         if isinstance(st, For):
-            changed = True
-            body, _ = _rewrite_fors(st.body)
-            if st.step is not None:
-                body = body + [st.step]
+            body = st.body + ([st.step] if st.step is not None else [])
             loop = While(st.cond if st.cond is not None else IntLit(1), body)
             loop.origin = source_origin(st)
             loop.vuln = st.vuln
             if st.init is not None:
                 out.append(st.init)
             out.append(loop)
-        elif isinstance(st, If):
-            st.then_body, c1 = _rewrite_fors(st.then_body)
-            st.else_body, c2 = _rewrite_fors(st.else_body)
-            changed = changed or c1 or c2
-            out.append(st)
-        elif isinstance(st, While):
-            st.body, c = _rewrite_fors(st.body)
-            changed = changed or c
-            out.append(st)
         else:
             out.append(st)
-    return out, changed
+    return out
 
 
 def _top_level_defs(stmts: list[Stmt]) -> list[str]:
@@ -124,10 +111,9 @@ def _split_function(fn: FunctionDef, rng: np.random.Generator, namer: Namer) -> 
 
 def pass_ct6(program: Program, rng: np.random.Generator) -> Program:
     draft = clone_program(program)
-    had_fors = False
+    had_fors = any(isinstance(st, For) for st in walk_program(draft))
     for fn in draft.functions:
-        fn.body, changed = _rewrite_fors(fn.body)
-        had_fors = had_fors or changed
+        fn.body = _rewrite_fors(fn.body)
 
     namer = Namer(draft)
     new_functions: list[FunctionDef] = []
@@ -156,7 +142,8 @@ def _ordered_names(e: Expr) -> list[str]:
 
 
 def _find_runs(stmts: list[Stmt]) -> list[tuple[list[Stmt], int, int]]:
-    """Maximal straight-line runs (container list, start, length >= 2)."""
+    """Maximal straight-line runs (container list, start, length >= 2), in
+    source order."""
     runs: list[tuple[list[Stmt], int, int]] = []
     i = 0
     while i < len(stmts):
@@ -168,20 +155,10 @@ def _find_runs(stmts: list[Stmt]) -> list[tuple[list[Stmt], int, int]]:
                 runs.append((stmts, i, j - i))
             i = j
         else:
-            for child in _child_blocks(stmts[i]):
+            for child in child_blocks(stmts[i]):
                 runs.extend(_find_runs(child))
             i += 1
     return runs
-
-
-def _child_blocks(st: Stmt) -> list[list[Stmt]]:
-    if isinstance(st, If):
-        return [st.then_body, st.else_body]
-    if isinstance(st, While):
-        return [st.body]
-    if isinstance(st, For):
-        return [st.body]
-    return []
 
 
 def _partition(stmts: list[Stmt], rng: np.random.Generator) -> list[list[Stmt]]:
@@ -265,8 +242,6 @@ def _split_blocks(program: Program, rng: np.random.Generator, recursive: bool, k
             new_functions.append(fn)
             continue
         applied = True
-        # deterministic site order: by first statement's LineId (ties impossible)
-        runs.sort(key=lambda r: _run_key(r))
         container, start, length = runs[int(rng.integers(0, len(runs)))]
         run = container[start : start + length]
         parts = _partition(run, rng)
@@ -282,13 +257,6 @@ def _split_blocks(program: Program, rng: np.random.Generator, recursive: bool, k
         raise InapplicableTransform(kind, "no straight-line run of two or more simple statements")
     draft.functions = new_functions
     return draft
-
-
-def _run_key(run: tuple[list[Stmt], int, int]) -> int:
-    container, start, _ = run
-    st = container[start]
-    key = source_origin(st)
-    return key if key is not None else 10**9
 
 
 def pass_ct7(program: Program, rng: np.random.Generator) -> Program:

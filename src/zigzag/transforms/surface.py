@@ -17,12 +17,13 @@ from ..lang.nodes import (
     Call,
     Expr,
     FunctionDef,
-    Index,
     IntLit,
     Program,
     Return,
     StrLit,
-    walk_statements,
+    map_expr,
+    map_stmt_exprs,
+    walk_program,
 )
 from .base import (
     ENTRY_NAME,
@@ -30,7 +31,6 @@ from .base import (
     Namer,
     clone_program,
     generated,
-    map_stmt_exprs,
 )
 
 
@@ -55,29 +55,18 @@ def pass_ct1(program: Program, rng: np.random.Generator) -> Program:
     draft = clone_program(program)
     builders: list[FunctionDef] = []
     namer = Namer(draft)
-    counter = 0
 
     def encode(e: Expr) -> Expr:
-        nonlocal counter
-        if isinstance(e, StrLit):
-            name = namer.fresh("s")
-            ret = generated(Return(_builder_body(e.value, _split_points(rng, len(e.value)))))
-            builders.append(FunctionDef(name, [], [ret]))
-            counter += 1
-            return Call(name, [])
-        if isinstance(e, BinOp):
-            e.left = encode(e.left)
-            e.right = encode(e.right)
-        elif isinstance(e, Call):
-            e.args = [encode(a) for a in e.args]
-        elif isinstance(e, Index):
-            e.index = encode(e.index)
-        return e
+        if type(e) is not StrLit:
+            return e
+        name = namer.fresh("s")
+        ret = generated(Return(_builder_body(e.value, _split_points(rng, len(e.value)))))
+        builders.append(FunctionDef(name, [], [ret]))
+        return Call(name, [])
 
-    for fn in draft.functions:
-        for st in walk_statements(fn.body):
-            map_stmt_exprs(st, encode)
-    if counter == 0:
+    for st in walk_program(draft):
+        map_stmt_exprs(st, lambda e: map_expr(e, encode))
+    if not builders:
         raise InapplicableTransform("ct1", "program has no string literals")
     draft.functions.extend(builders)
     return draft
@@ -97,21 +86,11 @@ def pass_ct2(program: Program, rng: np.random.Generator) -> Program:
         fn.params = [fn.params[i] for i in perm] + [namer.fresh("x")]
 
     def rewrite(e: Expr) -> Expr:
-        if isinstance(e, Call) and e.name in plans:
-            e.args = [rewrite(a) for a in e.args]
+        if type(e) is Call and e.name in plans:
             perm = plans[e.name]
             e.args = [e.args[i] for i in perm] + [IntLit(int(rng.integers(0, 100)))]
-            return e
-        if isinstance(e, BinOp):
-            e.left = rewrite(e.left)
-            e.right = rewrite(e.right)
-        elif isinstance(e, Call):
-            e.args = [rewrite(a) for a in e.args]
-        elif isinstance(e, Index):
-            e.index = rewrite(e.index)
         return e
 
-    for fn in draft.functions:
-        for st in walk_statements(fn.body):
-            map_stmt_exprs(st, rewrite)
+    for st in walk_program(draft):
+        map_stmt_exprs(st, lambda e: map_expr(e, rewrite))
     return draft

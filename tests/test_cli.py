@@ -76,6 +76,18 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
     assert main([str(a) for a in bad]) == 2
 
 
+def test_gen_seed_ignores_the_environment(tmp_path, monkeypatch):
+    def gen(name: str) -> tuple[bytes, bytes]:
+        train, test = tmp_path / f"{name}.train.jsonl", tmp_path / f"{name}.test.jsonl"
+        argv = ["gen", "--count", "6", "--seed", "1", "--out-train", str(train), "--out-test", str(test)]
+        assert main(argv) == 0
+        return train.read_bytes(), test.read_bytes()
+
+    plain = gen("plain")
+    monkeypatch.setenv("ZZ_SEED", "2")
+    assert gen("with-env") == plain
+
+
 @pytest.mark.parametrize(
     "lr, what",
     # 1e300 saturates tanh, so every loss and gradient stays finite and
@@ -161,8 +173,12 @@ def test_truncated_input_file_exits_3_with_one_line_error(case, tmp_path, demo_s
     [
         ("func main( {", "expected 'ident', found '{' (line 1, col 12)"),
         ("func main() {\n    output(2²);\n}\n", "unexpected character '²' (line 2, col 13)"),
+        (
+            "func main() {\n    output(" + "(" * 100 + "1" + ")" * 100 + ");\n}\n",
+            "nesting deeper than 40 levels (line 2, col 51)",
+        ),
     ],
-    ids=["syntax-error", "non-ascii-digit"],
+    ids=["syntax-error", "non-ascii-digit", "100-nested-parentheses"],
 )
 def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"

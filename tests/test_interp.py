@@ -14,7 +14,9 @@ from zigzag.lang import (
     count_input_reads,
     interpret,
     parse,
+    validate_program,
 )
+from zigzag.lang.nodes import BinOp, Expr, Program, Var
 
 
 def run(src: str, inputs=None, fuel: int = 10_000):
@@ -141,6 +143,31 @@ def test_runaway_recursion_reports_fuel_exhausted() -> None:
     src = "func f(n) { return f(n + 1); }\nfunc main() { output(f(0)); }"
     r = run(src, fuel=100_000)
     assert r.status == FUEL_EXHAUSTED
+
+
+def _deep_sum(terms: int) -> Program:
+    """main() outputs a + a + ... + a, built as a tree deeper than parse accepts."""
+    program = parse("func main() { var a = 1; output(a); }")
+    total: Expr = Var("a")
+    for _ in range(terms - 1):
+        total = BinOp("+", total, Var("a"))
+    program.function("main").body[1].call.args = [total]
+    validate_program(program)
+    return program
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse("func f(n) { return 1 + f(n); }\nfunc main() { output(f(0)); }"),
+        lambda: _deep_sum(900),
+    ],
+    ids=["recursive-call-in-sum", "900-term-sum"],
+)
+def test_python_stack_exhaustion_reports_fuel_exhausted(build) -> None:
+    r = interpret(build(), "main", [], 100_000)
+    assert r.status == FUEL_EXHAUSTED
+    assert r.steps_used == 100_000
 
 
 def test_deterministic_across_runs() -> None:

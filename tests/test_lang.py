@@ -1,12 +1,16 @@
 """Front-end tests: lexer, parser, printer, tokenize, static validation."""
 from __future__ import annotations
 
+import dataclasses
 import pathlib
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzag.lang import (
+    MiniLangError,
+    Program,
     SyntaxErrorML,
     UndeclaredIdentifierError,
     ValidationErrorML,
@@ -15,12 +19,23 @@ from zigzag.lang import (
     tokenize,
 )
 from zigzag.lang.lexer import lex
+from zigzag.lang.parser import MAX_DEPTH
 from zigzag.corpus import function_labels
 from zigzag.lang.nodes import (
+    BLOCK_SLOTS,
+    EXPR_SLOTS,
     Assign,
+    BinOp,
+    Call,
+    Expr,
     For,
     If,
+    Index,
+    IntLit,
+    Stmt,
+    Var,
     flagged_lines,
+    map_expr,
     program_signature,
     walk_program,
 )
@@ -226,3 +241,90 @@ def test_lex_returns_tokens_or_raises_syntax_error(text) -> None:
     assert tokens[-1].kind == "eof"
     positions = [(t.line, t.col) for t in tokens]
     assert positions == sorted(set(positions))
+
+
+def _main(body: str) -> str:
+    return "func main() { var a = 1; " + body + " }"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        _main("output(" + "(" * 100 + "a" + ")" * 100 + ");"),
+        _main("output(" + "-" * 1200 + "a);"),
+        _main("if (a) { " * 400 + "}" * 400),
+        _main("output(" + " + ".join(["a"] * 2000) + ");"),
+    ],
+    ids=["100-parentheses", "1200-unary-minuses", "400-nested-ifs", "2000-term-sum"],
+)
+def test_nesting_past_the_depth_limit_raises_syntax_error(source) -> None:
+    with pytest.raises(SyntaxErrorML, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        parse(source)
+
+
+@pytest.mark.parametrize("source", [_main("output(" + "7" * 5000 + ");"), _main("var b[" + "7" * 5000 + "];")])
+def test_overlong_integer_literal_raises_syntax_error(source) -> None:
+    with pytest.raises(SyntaxErrorML, match="integer literal of 5000 digits is too long"):
+        parse(source)
+
+
+def test_depth_limit_counts_each_level_once() -> None:
+    # the body block and output's argument are two levels, each parenthesis one more
+    def nested(parens: int) -> str:
+        return "func main() { output(" + "(" * parens + "1" + ")" * parens + "); }"
+
+    assert parse(nested(MAX_DEPTH - 2)).function_names() == ["main"]
+    with pytest.raises(SyntaxErrorML):
+        parse(nested(MAX_DEPTH - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.one_of(st.text(), st.text(alphabet="func main(){}var=;+-*()[]if else while return a1 \n")))
+def test_parse_returns_a_program_or_raises_minilang_error(text) -> None:
+    try:
+        program = parse(text)
+    except MiniLangError:
+        return
+    assert isinstance(program, Program)
+
+
+def _fields_of(cls: type, wanted) -> tuple[str, ...]:
+    hints = typing.get_type_hints(cls)
+    names = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is typing.Union:
+            (hint,) = [a for a in args if a is not type(None)]
+        if wanted(hint):
+            names.append(f.name)
+    return tuple(names)
+
+
+@pytest.mark.parametrize("cls", Stmt.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_slot_tables_list_every_expression_and_block_field(cls) -> None:
+    exprs = _fields_of(cls, lambda t: isinstance(t, type) and issubclass(t, Expr))
+    blocks = _fields_of(cls, lambda t: typing.get_origin(t) is list and typing.get_args(t) == (Stmt,))
+    assert EXPR_SLOTS[cls] == exprs
+    assert BLOCK_SLOTS.get(cls, ()) == blocks
+
+
+def test_slot_tables_cover_exactly_the_statement_kinds() -> None:
+    kinds = set(Stmt.__subclasses__())
+    assert set(EXPR_SLOTS) == kinds
+    assert set(BLOCK_SLOTS) <= kinds
+
+
+def test_map_expr_visits_children_before_the_parent_left_to_right() -> None:
+    index = Index("b", Var("i"))
+    call = Call("f", [Var("a"), index])
+    one = IntLit(1)
+    root = BinOp("+", call, one)
+    seen: list[Expr] = []
+
+    def visit(e: Expr) -> Expr:
+        seen.append(e)
+        return e
+
+    assert map_expr(root, visit) is root
+    assert seen == [call.args[0], index.index, index, call, one, root]

@@ -311,6 +311,19 @@ def test_zigzag_model_uses_mean_fusion_and_delta(pools):
     assert out.model.config["delta"] == 0.45
 
 
+@pytest.mark.parametrize("key, value", [("delta", 0.3), ("fusion", "c1"), ("fusion", "mean")])
+@pytest.mark.parametrize("mode", ["original", "zigzag"])
+def test_model_config_may_not_set_delta_or_fusion(mode, key, value, pools):
+    # the threshold must be the one X'' is mined at, and the fusion is the mode's
+    clean, varied, _ = pools
+    tc = quick_config(beta=1)
+    with pytest.raises(TrainingError, match=f"model_config may not set '{key}'"):
+        if mode == "original":
+            train_original(clean, model_config={key: value}, train_config=tc)
+        else:
+            train_zigzag(clean, varied, model_config={key: value}, train_config=tc)
+
+
 def test_original_model_uses_first_head(pools):
     clean, _, _ = pools
     out = train_original(clean, train_config=quick_config(e1=2))
