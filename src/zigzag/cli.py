@@ -41,7 +41,7 @@ _INT_KEYS = {
     "emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length",
 }
 _FLOAT_KEYS = {"vuln", "delta", "lr", "tau_disc", "tau_loss"}
-_STR_KEYS = {"ct", "mode", "granularity", "encoder"}
+_STR_KEYS = {"ct", "granularity", "encoder"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")

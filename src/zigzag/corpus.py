@@ -33,6 +33,7 @@ from .transforms import InapplicableTransform, apply_transform
 
 CORPUS_VERSION = 1
 SELF_CHECK_FUEL = 6000
+TRAIN_PER_MILLE = 800  # share of program ids that hash into the train split
 
 
 class CorpusError(Exception):
@@ -71,10 +72,10 @@ def function_labels(program: Program) -> dict[str, int]:
     return out
 
 
-def assign_split(pid: str, train_fraction: float = 0.8) -> str:
+def assign_split(pid: str) -> str:
     digest = hashlib.sha256(pid.encode("utf-8")).digest()
     bucket = int.from_bytes(digest[:8], "little") % 1000
-    return "train" if bucket < int(train_fraction * 1000) else "test"
+    return "train" if bucket < TRAIN_PER_MILLE else "test"
 
 
 # --------------------------------------------------------------------------

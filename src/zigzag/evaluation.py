@@ -75,16 +75,6 @@ def false_negative_rate(c: Confusion) -> Optional[Fraction]:
     return Fraction(c.fn, denom) if denom else None
 
 
-def precision(c: Confusion) -> Optional[Fraction]:
-    denom = c.tp + c.fp
-    return Fraction(c.tp, denom) if denom else None
-
-
-def recall(c: Confusion) -> Optional[Fraction]:
-    denom = c.tp + c.fn
-    return Fraction(c.tp, denom) if denom else None
-
-
 def f1_score(c: Confusion) -> Optional[Fraction]:
     denom = 2 * c.tp + c.fp + c.fn
     if denom == 0:

@@ -19,7 +19,6 @@ from .interp import (
     OUT_OF_BOUNDS,
     RUNTIME_ERROR,
     TYPE_ERROR,
-    count_input_reads,
     interpret,
 )
 from .lexer import Token, lex
@@ -57,7 +56,6 @@ __all__ = [
     "UndeclaredIdentifierError",
     "UnknownEntryError",
     "ValidationErrorML",
-    "count_input_reads",
     "interpret",
     "nodes",
     "parse",

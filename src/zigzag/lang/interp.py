@@ -8,8 +8,8 @@ UnknownEntryError for a missing entry function).
 Step accounting: one step per simple-statement execution, per loop
 iteration check, and per function call; if/else dispatch is free.  A
 program that exhausts its fuel reports steps_used == fuel.  Exceeding
-the configured call-depth budget, or Python's own stack, is also
-reported as fuel-exhausted.
+the call-depth budget ``MAX_CALL_DEPTH``, or Python's own stack, is
+also reported as fuel-exhausted.
 
 Runtime error kinds: out-of-bounds, division-by-zero, input-exhausted,
 and the defensive type-error (well-formed generators never produce it).
@@ -17,7 +17,7 @@ Division and modulo truncate toward zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import UnknownEntryError
@@ -52,6 +52,10 @@ INPUT_EXHAUSTED = "input-exhausted"
 TYPE_ERROR = "type-error"
 
 Value = Union[int, str, list]
+
+# deepest chain of user-function calls a run may make before it reports
+# FUEL_EXHAUSTED
+MAX_CALL_DEPTH = 200
 
 
 @dataclass(slots=True)
@@ -89,12 +93,11 @@ class _ReturnSignal(Exception):
 
 
 class Interpreter:
-    def __init__(self, program: Program, inputs: list[Value], fuel: int, max_depth: int = 200) -> None:
+    def __init__(self, program: Program, inputs: list[Value], fuel: int) -> None:
         self.functions = {f.name: f for f in program.functions}
         self.inputs = inputs
         self.input_pos = 0
         self.fuel = fuel
-        self.max_depth = max_depth
         self.outputs: list[Value] = []
         self.steps = 0
         self.depth = 0
@@ -216,7 +219,7 @@ class Interpreter:
         fn = self.functions[e.name]
         args = [self.eval(a, env) for a in e.args]
         self.tick()
-        if self.depth >= self.max_depth:
+        if self.depth >= MAX_CALL_DEPTH:
             raise _Fuel()
         self.depth += 1
         call_env = dict(zip(fn.params, args))
@@ -312,25 +315,6 @@ class Interpreter:
             return ExecResult(self.outputs, FUEL_EXHAUSTED, steps_used=self.fuel)
 
 
-def interpret(
-    program: Program,
-    entry: str,
-    inputs: list[Value],
-    fuel: int,
-    max_depth: int = 200,
-) -> ExecResult:
+def interpret(program: Program, entry: str, inputs: list[Value], fuel: int) -> ExecResult:
     """Run ``entry`` with the given input queue and fuel budget."""
-    return Interpreter(program, inputs, fuel, max_depth).run(entry)
-
-
-def count_input_reads(program: Program) -> int:
-    """Static count of input() call sites; used to size random input vectors."""
-    from .nodes import stmt_expressions, walk_expr, walk_program
-
-    n = 0
-    for st in walk_program(program):
-        for e in stmt_expressions(st):
-            for sub in walk_expr(e):
-                if isinstance(sub, Call) and sub.name == "input":
-                    n += 1
-    return n
+    return Interpreter(program, inputs, fuel).run(entry)

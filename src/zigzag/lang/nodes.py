@@ -9,15 +9,19 @@ by code transformations to record which input statement a rewritten
 statement was derived from; it is None for freshly generated code and
 is not part of structural equality.
 
-``EXPR_SLOTS`` and ``BLOCK_SLOTS`` declare which attributes of each
-statement kind hold expressions and statement lists.  The traversal and
-rewrite helpers below read them, so structural walks elsewhere never
-decide a node's shape for themselves; the printer, interpreter and
-parser keep per-kind code because each kind behaves differently there.
+The language's shared rules live here and nowhere else.
+``BINARY_LEVELS`` states operator precedence, which the parser and the
+printer both read.  ``EXPR_SLOTS`` and ``BLOCK_SLOTS`` declare which
+attributes of each statement kind hold expressions and statement lists;
+the traversal and rewrite helpers below read them, so structural walks
+elsewhere never decide a node's shape for themselves.  ``signature``
+derives a node's structural identity from its dataclass fields.  The
+printer, interpreter and parser keep per-kind code because each kind
+behaves differently there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Iterator, Optional
 
 
@@ -175,6 +179,19 @@ class Program:
 BUILTINS = {"input": 0, "output": 1}
 KEYWORDS = {"func", "var", "if", "else", "while", "for", "return"}
 
+# binary operators by precedence level, loosest first; all are
+# left-associative, and a unary minus binds tighter than any of them
+BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
+    ("||",),
+    ("&&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+# operator -> precedence, 1 for the loosest level
+BINARY_PREC: dict[str, int] = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+
 
 # --------------------------------------------------------------------------
 # node shape
@@ -311,61 +328,21 @@ def flagged_lines(program: Program) -> set[int]:
 # --------------------------------------------------------------------------
 # structural signatures
 
-def expr_signature(e: Expr) -> tuple:
-    if isinstance(e, IntLit):
-        return ("int", e.value)
-    if isinstance(e, StrLit):
-        return ("str", e.value)
-    if isinstance(e, Var):
-        return ("var", e.name)
-    if isinstance(e, BinOp):
-        return ("bin", e.op, expr_signature(e.left), expr_signature(e.right))
-    if isinstance(e, Index):
-        return ("index", e.name, expr_signature(e.index))
-    if isinstance(e, Call):
-        return ("call", e.name, tuple(expr_signature(a) for a in e.args))
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-def stmt_signature(st: Stmt, with_flags: bool = True) -> tuple:
-    flag = st.vuln if with_flags else None
-    if isinstance(st, VarDecl):
-        body = ("vardecl", st.name, None if st.init is None else expr_signature(st.init))
-    elif isinstance(st, ArrayDecl):
-        body = ("arraydecl", st.name, st.size)
-    elif isinstance(st, Assign):
-        body = ("assign", st.name, expr_signature(st.value))
-    elif isinstance(st, ArrayAssign):
-        body = ("arrayassign", st.name, expr_signature(st.index), expr_signature(st.value))
-    elif isinstance(st, If):
-        body = (
-            "if",
-            expr_signature(st.cond),
-            tuple(stmt_signature(s, with_flags) for s in st.then_body),
-            tuple(stmt_signature(s, with_flags) for s in st.else_body),
-        )
-    elif isinstance(st, While):
-        body = ("while", expr_signature(st.cond), tuple(stmt_signature(s, with_flags) for s in st.body))
-    elif isinstance(st, For):
-        body = (
-            "for",
-            None if st.init is None else stmt_signature(st.init, with_flags),
-            None if st.cond is None else expr_signature(st.cond),
-            None if st.step is None else stmt_signature(st.step, with_flags),
-            tuple(stmt_signature(s, with_flags) for s in st.body),
-        )
-    elif isinstance(st, Return):
-        body = ("return", None if st.value is None else expr_signature(st.value))
-    elif isinstance(st, CallStmt):
-        body = ("callstmt", expr_signature(st.call))
-    else:
-        raise TypeError(f"unknown statement node {type(st).__name__}")
-    return body + ((flag,) if with_flags else ())
+def signature(node, with_flags: bool = True):
+    """Structural identity of a node: its kind, every dataclass field and,
+    recursively, its children; a statement's vuln flag is added when
+    ``with_flags`` is set.  LineIds and origins are not fields.
+    """
+    if isinstance(node, list):
+        return tuple(signature(n, with_flags) for n in node)
+    if not is_dataclass(node):
+        return node
+    sig = (type(node).__name__, *(signature(getattr(node, f.name), with_flags) for f in fields(node)))
+    if with_flags and isinstance(node, Stmt):
+        sig += (node.vuln,)
+    return sig
 
 
 def program_signature(program: Program, with_flags: bool = True) -> tuple:
     """Structural identity of a program, ignoring LineIds (and optionally flags)."""
-    return tuple(
-        (f.name, tuple(f.params), tuple(stmt_signature(s, with_flags) for s in f.body))
-        for f in program.functions
-    )
+    return signature(program, with_flags)

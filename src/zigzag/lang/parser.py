@@ -16,6 +16,7 @@ from .nodes import (
     ArrayAssign,
     ArrayDecl,
     Assign,
+    BINARY_LEVELS,
     BinOp,
     BUILTINS,
     Call,
@@ -43,16 +44,17 @@ from .nodes import (
 # Deepest nesting ``parse`` accepts.  One level is a block, an expression
 # (a statement's own, or one in parentheses, brackets or call arguments),
 # a unary minus, or an operator in a chain such as a + b + c.  The parser
-# and the passes after it recurse over the tree, up to 16 Python frames a
-# level (nested calls), so 40 levels need at most about 650 frames and
-# stay inside the default recursion limit of 1000.  Programs from gen,
-# from any one transform and from any pair of transforms reach 15.
+# and the passes after it recurse over the tree; the parser goes deepest,
+# about 12 Python frames a level (nested calls), so at 40 levels parse and
+# every later pass need at most 440 frames and stay inside the default
+# recursion limit of 1000.  Programs from gen, from any one transform and
+# from any pair of transforms reach 15.
 MAX_DEPTH = 40
 
-_REL_OPS = {"<", ">", "<=", ">="}
-_EQ_OPS = {"==", "!="}
-_ADD_OPS = {"+", "-"}
-_MUL_OPS = {"*", "/", "%"}
+# Largest array ``parse`` accepts.  gen declares 5 to 9 elements; at this
+# bound a chain of interp.MAX_CALL_DEPTH calls, each holding one such
+# array, takes about 16 MB.
+MAX_ARRAY_SIZE = 10_000
 
 
 class Parser:
@@ -174,6 +176,8 @@ class Parser:
             size = self.int_value(size_tok)
             if size < 1:
                 raise SyntaxErrorML("array size must be positive", size_tok.line, size_tok.col)
+            if size > MAX_ARRAY_SIZE:
+                raise SyntaxErrorML(f"array size must be at most {MAX_ARRAY_SIZE}", size_tok.line, size_tok.col)
             return ArrayDecl(name, size)
         init = None
         if self.at("op", "="):
@@ -267,41 +271,27 @@ class Parser:
         self.expect("punct", ")")
         return Call(name, args)
 
-    # ---- expressions, precedence ladder
+    # ---- expressions, one recursion level per precedence level
 
     def parse_expr(self) -> Expr:
         self.nest()
-        e = self.parse_or()
+        e = self.parse_binary(0)
         self.depth -= 1
         return e
 
-    def _binary_left(self, sub, ops: set[str]) -> Expr:
-        left = sub()
+    def parse_binary(self, level: int) -> Expr:
+        """Left-associative chain of the operators at BINARY_LEVELS[level]."""
+        if level == len(BINARY_LEVELS):
+            return self.parse_unary()
+        ops = BINARY_LEVELS[level]
+        left = self.parse_binary(level + 1)
         depth = self.depth
         while self.current.kind == "op" and self.current.text in ops:
             op = self.advance().text
             self.nest()
-            left = BinOp(op, left, sub())
+            left = BinOp(op, left, self.parse_binary(level + 1))
         self.depth = depth
         return left
-
-    def parse_or(self) -> Expr:
-        return self._binary_left(self.parse_and, {"||"})
-
-    def parse_and(self) -> Expr:
-        return self._binary_left(self.parse_eq, {"&&"})
-
-    def parse_eq(self) -> Expr:
-        return self._binary_left(self.parse_rel, _EQ_OPS)
-
-    def parse_rel(self) -> Expr:
-        return self._binary_left(self.parse_add, _REL_OPS)
-
-    def parse_add(self) -> Expr:
-        return self._binary_left(self.parse_mul, _ADD_OPS)
-
-    def parse_mul(self) -> Expr:
-        return self._binary_left(self.parse_unary, _MUL_OPS)
 
     def parse_unary(self) -> Expr:
         if self.at("op", "-"):

@@ -13,6 +13,7 @@ from .nodes import (
     ArrayAssign,
     ArrayDecl,
     Assign,
+    BINARY_PREC,
     BinOp,
     Call,
     CallStmt,
@@ -31,22 +32,6 @@ from .nodes import (
     While,
 )
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    ">": 4,
-    "<=": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "%": 6,
-}
-
 
 def format_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(e, IntLit):
@@ -61,7 +46,7 @@ def format_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
         args = ", ".join(format_expr(a) for a in e.args)
         return f"{e.name}({args})"
     if isinstance(e, BinOp):
-        prec = _PREC[e.op]
+        prec = BINARY_PREC[e.op]
         text = (
             f"{format_expr(e.left, prec, False)} {e.op} {format_expr(e.right, prec, True)}"
         )

@@ -139,6 +139,18 @@ def clone_program(program: Program) -> Program:
     return Program([clone_function(f) for f in program.functions])
 
 
+def desugar_for(st: For) -> list[Stmt]:
+    """The meaning of a for-loop: ``init; while (cond) { body; step; }``.
+
+    A missing condition is 1; the while keeps the for's origin and flag.
+    The parts are reused, not copied.
+    """
+    loop = While(IntLit(1) if st.cond is None else st.cond, st.body + ([st.step] if st.step is not None else []))
+    loop.origin = source_origin(st)
+    loop.vuln = st.vuln
+    return ([st.init] if st.init is not None else []) + [loop]
+
+
 def generated(st: Stmt) -> Stmt:
     """Mark a freshly built statement as transform scaffolding."""
     st.origin = None

@@ -8,6 +8,11 @@ inside loop bodies keep their per-iteration reset semantics.  A
 function is eligible when it contains control flow and none of its
 arrays are declared inside a loop or share a name across sibling
 scopes.
+
+The lowering walks each statement list once, continuing in a fresh
+block after every if, while or dead tail, so only nesting recurses: a
+long flat body costs no Python stack.  For-loops are lowered through
+their while form (``desugar_for``).
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ from .base import (
     clone_expr,
     clone_program,
     clone_stmt,
+    desugar_for,
     generated,
     source_origin,
 )
@@ -101,9 +107,12 @@ class _Lowerer:
     def compile(self, stmts: list[Stmt], block: int, follow: int, hoist: dict[str, Stmt]) -> None:
         """Emit stmts into `block`, ending with a jump to `follow`."""
         cur = block
-        for i, st in enumerate(stmts):
-            rest = stmts[i + 1 :]
-            if isinstance(st, VarDecl):
+        work = stmts[::-1]  # the rest of the list, next statement last
+        while work:
+            st = work.pop()
+            if isinstance(st, For):
+                work.extend(reversed(desugar_for(st)))
+            elif isinstance(st, VarDecl):
                 if st.name not in hoist:
                     decl = VarDecl(st.name)
                     decl.origin = source_origin(st)
@@ -123,8 +132,7 @@ class _Lowerer:
                 self.cond_jump(cur, st.cond, then_b, else_b, st)
                 self.compile(st.then_body, then_b, cont, hoist)
                 self.compile(st.else_body, else_b, cont, hoist)
-                self.compile(rest, cont, follow, hoist)
-                return
+                cur = cont
             elif isinstance(st, While):
                 header = self.new_block()
                 body_b = self.new_block()
@@ -132,21 +140,7 @@ class _Lowerer:
                 self.jump(cur, header)
                 self.cond_jump(header, st.cond, body_b, cont, st)
                 self.compile(st.body, body_b, header, hoist)
-                self.compile(rest, cont, follow, hoist)
-                return
-            elif isinstance(st, For):
-                if st.init is not None:
-                    self.compile([st.init], cur, -2, hoist)  # -2: no jump, see below
-                header = self.new_block()
-                body_b = self.new_block()
-                cont = self.new_block()
-                self.jump(cur, header)
-                cond = st.cond if st.cond is not None else IntLit(1)
-                self.cond_jump(header, cond, body_b, cont, st)
-                body = list(st.body) + ([st.step] if st.step is not None else [])
-                self.compile(body, body_b, header, hoist)
-                self.compile(rest, cont, follow, hoist)
-                return
+                cur = cont
             elif isinstance(st, Return):
                 if st.value is not None:
                     ret = Assign(self.ret, clone_expr(st.value))
@@ -160,15 +154,13 @@ class _Lowerer:
                     exit_jump.origin = source_origin(st)
                     exit_jump.vuln = st.vuln
                 self.blocks[cur].append(exit_jump)
-                if rest:
-                    # statically unreachable tail keeps its LineMap images
-                    dead = self.new_block()
-                    self.compile(rest, dead, follow, hoist)
-                return
+                if not work:
+                    return  # the exit jump ends the list; no jump to follow
+                # statically unreachable tail keeps its LineMap images
+                cur = self.new_block()
             else:
                 self.blocks[cur].append(clone_stmt(st))
-        if follow != -2:
-            self.jump(cur, follow)
+        self.jump(cur, follow)
 
 
 def _dispatch_tree(pc: str, ids: list[int], blocks: dict[int, list[Stmt]]) -> list[Stmt]:

@@ -30,13 +30,11 @@ from ..lang.nodes import (
     For,
     FunctionDef,
     Index,
-    IntLit,
     Program,
     Return,
     Stmt,
     Var,
     VarDecl,
-    While,
     child_blocks,
     walk_expr,
     walk_program,
@@ -46,8 +44,8 @@ from .base import (
     Namer,
     clone_program,
     clone_stmt,
+    desugar_for,
     generated,
-    source_origin,
     mentioned_names,
 )
 
@@ -63,13 +61,7 @@ def _rewrite_fors(stmts: list[Stmt]) -> list[Stmt]:
         for block in child_blocks(st):
             block[:] = _rewrite_fors(block)
         if isinstance(st, For):
-            body = st.body + ([st.step] if st.step is not None else [])
-            loop = While(st.cond if st.cond is not None else IntLit(1), body)
-            loop.origin = source_origin(st)
-            loop.vuln = st.vuln
-            if st.init is not None:
-                out.append(st.init)
-            out.append(loop)
+            out.extend(desugar_for(st))
         else:
             out.append(st)
     return out

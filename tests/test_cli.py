@@ -177,8 +177,9 @@ def test_truncated_input_file_exits_3_with_one_line_error(case, tmp_path, demo_s
             "func main() {\n    output(" + "(" * 100 + "1" + ")" * 100 + ");\n}\n",
             "nesting deeper than 40 levels (line 2, col 51)",
         ),
+        ("func main() {\n    var a[9999999999];\n    output(1);\n}\n", "array size must be at most 10000 (line 2, col 11)"),
     ],
-    ids=["syntax-error", "non-ascii-digit", "100-nested-parentheses"],
+    ids=["syntax-error", "non-ascii-digit", "100-nested-parentheses", "huge-array"],
 )
 def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
@@ -187,6 +188,16 @@ def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_p
     assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {path}: record 'p7': source does not parse: {where}\n"
+
+
+def test_transform_flattens_a_long_flat_body(flat_ifs_source, tmp_path):
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "aug.jsonl"
+    program = parse(flat_ifs_source)
+    item = CorpusProgram(id="p1", source=flat_ifs_source, split="test", labels=function_labels(program),
+                         witness_inputs=None)
+    save_corpus(path, [item])
+    assert main(["transform", str(path), "--ct", "ct3", "--out", str(out)]) == 0
+    assert [p.kind for p in load_corpus(out)] == [None, "ct3"]
 
 
 # model tensor edits -> the model no longer fits its own config and vocabulary
@@ -229,8 +240,9 @@ def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
         ("granularity = line", "unknown granularity 'line'"),
         ("optimizer = sgd", "unknown config key 'optimizer'"),
         ("mine_with = current", "unknown config key 'mine_with'"),
+        ("mode = zigzag", "unknown config key 'mode'"),
     ],
-    ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with"],
+    ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with", "mode"],
 )
 def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"

@@ -23,8 +23,6 @@ from zigzag.evaluation import (
     false_positive_rate,
     format_metric,
     load_report,
-    precision,
-    recall,
 )
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import GRANULARITIES, extract_fragments
@@ -84,8 +82,6 @@ def test_confusion_addition():
 def test_metric_goldens():
     conf = Confusion(tp=8, fn=2, fp=1, tn=9)
     assert f1_score(conf) == Fraction(16, 19)
-    assert precision(conf) == Fraction(8, 9)
-    assert recall(conf) == Fraction(4, 5)
     assert false_positive_rate(conf) == Fraction(1, 10)
     assert false_negative_rate(conf) == Fraction(1, 5)
     assert format_metric(f1_score(conf)) == "0.8421052632"
@@ -94,8 +90,6 @@ def test_metric_goldens():
 def test_metrics_are_none_on_empty_denominators():
     empty = Confusion()
     assert f1_score(empty) is None
-    assert precision(empty) is None
-    assert recall(empty) is None
     assert false_positive_rate(empty) is None
     assert false_negative_rate(empty) is None
 

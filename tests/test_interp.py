@@ -11,12 +11,12 @@ from zigzag.lang import (
     OUT_OF_BOUNDS,
     RUNTIME_ERROR,
     UnknownEntryError,
-    count_input_reads,
     interpret,
     parse,
     validate_program,
 )
 from zigzag.lang.nodes import BinOp, Expr, Program, Var
+from zigzag.lang.parser import MAX_ARRAY_SIZE
 
 
 def run(src: str, inputs=None, fuel: int = 10_000):
@@ -170,14 +170,15 @@ def test_python_stack_exhaustion_reports_fuel_exhausted(build) -> None:
     assert r.steps_used == 100_000
 
 
+def test_array_at_the_size_bound_runs() -> None:
+    r = run(f"func main() {{ var a[{MAX_ARRAY_SIZE}]; a[{MAX_ARRAY_SIZE - 1}] = 7; output(a[{MAX_ARRAY_SIZE - 1}]); }}")
+    assert r.status == COMPLETED and r.outputs == [7]
+
+
 def test_deterministic_across_runs() -> None:
     src = "func main() { var i; var acc = 0; for (i = 0; i < 9; i = i + 1) { acc = acc + i * i; } output(acc); }"
     runs = [run(src) for _ in range(3)]
     assert all(r.outputs == runs[0].outputs and r.steps_used == runs[0].steps_used for r in runs)
-
-
-def test_count_input_reads(demo_program) -> None:
-    assert count_input_reads(demo_program) == 1
 
 
 def test_demo_fixture_behaviour(demo_program) -> None:

@@ -19,9 +19,10 @@ from zigzag.lang import (
     tokenize,
 )
 from zigzag.lang.lexer import lex
-from zigzag.lang.parser import MAX_DEPTH
+from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH
 from zigzag.corpus import function_labels
 from zigzag.lang.nodes import (
+    BINARY_PREC,
     BLOCK_SLOTS,
     EXPR_SLOTS,
     Assign,
@@ -37,6 +38,8 @@ from zigzag.lang.nodes import (
     flagged_lines,
     map_expr,
     program_signature,
+    stmt_expressions,
+    walk_expr,
     walk_program,
 )
 
@@ -328,3 +331,95 @@ def test_map_expr_visits_children_before_the_parent_left_to_right() -> None:
 
     assert map_expr(root, visit) is root
     assert seen == [call.args[0], index.index, index, call, one, root]
+
+
+@pytest.mark.parametrize("size", ["9999999999", "99999999999999999999", str(MAX_ARRAY_SIZE + 1)])
+def test_array_size_past_the_bound_raises_syntax_error(size) -> None:
+    with pytest.raises(SyntaxErrorML, match=f"array size must be at most {MAX_ARRAY_SIZE}"):
+        parse(f"func main() {{ var a[{size}]; output(1); }}")
+
+
+_LEAVES = st.one_of(st.integers(-9, 9).map(IntLit), st.sampled_from(["a", "b"]).map(Var))
+_OPERATOR_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.builds(BinOp, st.sampled_from(sorted(BINARY_PREC)), kids, kids),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_OPERATOR_TREES)
+def test_printed_operator_trees_parse_back_to_the_same_tree(tree) -> None:
+    program = parse("func main() { var a = 1; var b = 2; output(0); }")
+    program.function("main").body[-1].call.args = [tree]
+    assert program_signature(parse(pretty_print(program))) == program_signature(program)
+
+
+SIGNATURE_SRC = """
+func f(p) {
+    var a = p;
+    var b[3];
+    a = a + 2;
+    b[0] = a;
+    if (a < 2) {
+        a = 3;
+    } else {
+        a = 4;
+    }
+    while (a > 0) {
+        a = a - 1;
+    }
+    for (var i = 0; i < 2; i = i + 1) {
+        a = b[i];
+    }
+    output("s");
+    return f(a);
+}
+"""
+
+
+def _changed(value):
+    """A value of the same field that differs from ``value``."""
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, list):
+        return value[:-1]
+    return None if value is not None else IntLit(0)
+
+
+def _all_nodes(program) -> list:
+    nodes = []
+    for stmt in walk_program(program):
+        nodes.append(stmt)
+        for e in stmt_expressions(stmt):
+            nodes.extend(walk_expr(e))
+    return nodes
+
+
+def test_every_field_of_every_node_kind_is_in_the_signature() -> None:
+    program = parse(SIGNATURE_SRC)
+    nodes = _all_nodes(program)
+    assert {type(n) for n in nodes} == set(Stmt.__subclasses__()) | set(Expr.__subclasses__())
+    base = program_signature(program)
+    for node in nodes:
+        for f in dataclasses.fields(node):
+            old = getattr(node, f.name)
+            setattr(node, f.name, _changed(old))
+            assert program_signature(program) != base, (type(node).__name__, f.name)
+            setattr(node, f.name, old)
+    assert program_signature(program) == base
+
+
+def test_a_flag_is_in_the_signature_only_with_flags() -> None:
+    program = parse(SIGNATURE_SRC)
+    with_flags, without = program_signature(program), program_signature(program, with_flags=False)
+    for stmt in walk_program(program):
+        stmt.vuln = True
+        assert program_signature(program) != with_flags, type(stmt).__name__
+        assert program_signature(program, with_flags=False) == without
+        stmt.vuln = False
+        stmt.line_id += 100
+        stmt.origin = 7
+        assert program_signature(program) == with_flags

@@ -7,7 +7,7 @@ LineMap, print/parse cleanly, and be byte-deterministic per seed.
 import pytest
 
 from zigzag.corpus import generate_synthetic
-from zigzag.lang import interpret, parse, pretty_print
+from zigzag.lang import COMPLETED, interpret, parse, pretty_print
 from zigzag.lang.nodes import (
     For,
     collect_line_ids,
@@ -140,11 +140,50 @@ func main() {
 }
 """
 
+# for-loops without an init, without a condition, without a step, and with none
+PARTIAL_FORS_SRC = """
+func scan(n) {
+    var i = 0;
+    var s = 0;
+    for (; i < n; i = i + 1) {
+        s = s + i;
+    }
+    for (var k = 0; k < n; ) {
+        s = s + k * 2;
+        k = k + 1;
+    }
+    for (;;) {
+        if (s > 40) {
+            return s;
+        }
+        s = s + 7;
+    }
+}
+
+func label(x) {
+    var t = "v";
+    for (var j = x; ; j = j - 1) {
+        if (j < 1) {
+            return t;
+        }
+        t = t + "x";
+    }
+}
+
+func main() {
+    var n = input();
+    output(scan(n));
+    output(label(n));
+    return 0;
+}
+"""
+
 CASES = [
     (STRINGS_SRC, [[0], [1], [5]]),
     (NUMERIC_SRC, [[1, 12, 18], [0, 5, 9], [2, 7, 7]]),
     (ARRAYS_SRC, [[4], [0], [6]]),
     (MUTUAL_SRC, [[0], [3], [6]]),
+    (PARTIAL_FORS_SRC, [[0], [3], [6]]),
 ]
 
 FUEL = 20_000
@@ -310,6 +349,16 @@ def test_split_top_level_removes_for_loops_and_adds_functions():
     assert len(out.functions) > len(prog.functions)
     # entry point keeps its name and arity
     assert out.function("main").params == []
+
+
+@pytest.mark.parametrize("kind", ["ct3", "ct5"])
+def test_flattening_a_long_flat_body_keeps_behavior(kind, flat_ifs_source):
+    prog = parse(flat_ifs_source)
+    out, _ = apply_transform(prog, kind, 0)
+    reparsed = parse(pretty_print(out))
+    input_sets = [[3], [900], [5000]]
+    for r0, r1 in zip(_behavior(prog, input_sets), _behavior(reparsed, input_sets, FUEL * 4)):
+        assert r0.status == COMPLETED and r0.semantically_equal(r1), (r0, r1)
 
 
 def test_flatten_gives_single_top_level_loop():
