@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus, save_corpus
-from .encoding import EncodingError, default_length
+from .encoding import EncodingError
 from .evaluation import ORIGINAL_ROW, EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
 from .nn.model import ModelError, load_model, make_config, model_fingerprint, save_model
@@ -45,7 +45,7 @@ _STR_KEYS = {"ct", "granularity", "encoder"}
 _CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-_MODEL_KEYS = ("encoder", "emb_dim", "feature_dim", "head_hidden", "rnn_hidden")
+_MODEL_KEYS = ("encoder", "emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length")
 
 
 class UsageError(Exception):
@@ -54,7 +54,10 @@ class UsageError(Exception):
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,14 +77,6 @@ def _parse_config_file(path: str) -> dict:
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
-
-
-def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        return config["seed"]
-    return 0
 
 
 def _load_run_config(args) -> dict:
@@ -108,7 +103,7 @@ def _write_resolved(primary_output, payload: dict) -> None:
 
 def cmd_gen(args) -> None:
     config = _load_run_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _pick(args, config, "seed", 0)
     count = _pick(args, config, "count", None)
     vuln = _pick(args, config, "vuln", 0.4)
     if count is None:
@@ -135,7 +130,7 @@ def cmd_gen(args) -> None:
 
 def cmd_transform(args) -> None:
     config = _load_run_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _pick(args, config, "seed", 0)
     selector = _pick(args, config, "ct", None)
     if selector is None:
         raise UsageError("transform requires --ct (or a config file with ct=)")
@@ -167,7 +162,6 @@ def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, st
     granularity = _pick(args, config, "granularity", "function")
     mc = {k: config[k] for k in _MODEL_KEYS if k in config}
     mc["granularity"] = granularity
-    mc["length"] = config.get("length", default_length(granularity))
     try:
         tc.validate()
         make_config(**mc)
@@ -178,7 +172,7 @@ def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, st
 
 def cmd_train(args) -> None:
     config = _load_run_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _pick(args, config, "seed", 0)
     tc, mc, granularity = _train_configs(args, config, seed)
 
     # originals' fragments, then variants' grouped by kind in first-seen order
@@ -328,7 +322,7 @@ def main(argv=None) -> int:
         ModelError,
         TrainingError,
         TransformError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -556,7 +556,8 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
     """The JSON objects on the non-blank lines of a file.
 
     Bytes that are not UTF-8, and a line that is not a JSON object (a
-    truncated one, say), raise `error` naming the file and the line.
+    truncated one, or one nested too deep to decode, say), raise `error`
+    naming the file and the line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -569,7 +570,7 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
             continue
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise error(f"{path}:{number}: not valid JSON ({exc})") from None
         if not isinstance(rec, dict):
             raise error(f"{path}:{number}: not a JSON object")

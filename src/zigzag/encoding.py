@@ -22,8 +22,6 @@ from .lang import tokenize
 
 PAD_ID = 0
 UNK_ID = 1
-FUNCTION_LENGTH = 128
-SLICE_LENGTH = 64
 
 
 class EncodingError(Exception):
@@ -81,7 +79,3 @@ def encode_fragments(
     X = np.stack([encode_text(f.text, vocab, length) for f in fragments])
     y = np.array([float(f.label) for f in fragments], dtype=np.float64)
     return X, y
-
-
-def default_length(granularity: str) -> int:
-    return FUNCTION_LENGTH if granularity == "function" else SLICE_LENGTH

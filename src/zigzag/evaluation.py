@@ -44,10 +44,6 @@ class Confusion:
             self.tp + other.tp, self.fn + other.fn, self.fp + other.fp, self.tn + other.tn
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
-
 
 def confusion_from(y_true: Sequence[int], y_pred: Sequence[int]) -> Confusion:
     if len(y_true) != len(y_pred):

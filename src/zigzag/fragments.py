@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .corpus import CorpusProgram
+from .corpus import CorpusProgram, function_labels
 from .lang.nodes import (
     ArrayAssign,
     ArrayDecl,
@@ -122,8 +122,8 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
         program = item.program()
     out: list[Fragment] = []
     if granularity == FUNCTION_GRANULARITY:
+        labels = function_labels(program)
         for fn in program.functions:
-            label = int(any(st.vuln for st in walk_statements(fn.body)))
             out.append(
                 Fragment(
                     id=f"{item.id}/{fn.name}",
@@ -131,7 +131,7 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
                     function=fn.name,
                     granularity=granularity,
                     text=format_function(fn),
-                    label=label,
+                    label=labels[fn.name],
                     split=item.split,
                 )
             )

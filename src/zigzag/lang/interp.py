@@ -5,6 +5,9 @@ so it is total: every run of a statically valid program returns an
 ExecResult, never a Python exception (the only exception raised is
 UnknownEntryError for a missing entry function).
 
+A for-loop runs as its while form, ``nodes.desugar_for``: the same
+rule the validator checks and the transforms lower.
+
 Step accounting: one step per simple-statement execution, per loop
 iteration check, and per function call; if/else dispatch is free.  A
 program that exhausts its fuel reports steps_used == fuel.  Exceeding
@@ -13,7 +16,8 @@ also reported as fuel-exhausted.
 
 Runtime error kinds: out-of-bounds, division-by-zero, input-exhausted,
 and the defensive type-error (well-formed generators never produce it).
-Division and modulo truncate toward zero.
+A condition, an index and each operand of && and || must be an
+integer.  Division and modulo truncate toward zero.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .nodes import (
     Var,
     VarDecl,
     While,
+    desugar_for,
 )
 
 COMPLETED = "completed"
@@ -124,14 +129,7 @@ class Interpreter:
         if t is BinOp:
             return self.eval_binop(e, env)
         if t is Index:
-            arr = env[e.name]
-            if not isinstance(arr, list):
-                raise self.trap(TYPE_ERROR)
-            idx = self.eval(e.index, env)
-            if not isinstance(idx, int):
-                raise self.trap(TYPE_ERROR)
-            if idx < 0 or idx >= len(arr):
-                raise self.trap(OUT_OF_BOUNDS)
+            arr, idx = self.element(e.name, e.index, env)
             return arr[idx]
         if t is Call:
             return self.eval_call(e, env)
@@ -139,28 +137,30 @@ class Interpreter:
             return e.value
         raise TypeError(f"unknown expression node {t.__name__}")
 
+    def integer(self, e: Expr, env: dict) -> int:
+        """The value of e, which must be an integer."""
+        value = self.eval(e, env)
+        if not isinstance(value, int):
+            raise self.trap(TYPE_ERROR)
+        return value
+
+    def element(self, name: str, index: Expr, env: dict) -> tuple[list, int]:
+        """The array ``name`` and the in-bounds index ``index`` selects."""
+        arr = env[name]
+        if not isinstance(arr, list):
+            raise self.trap(TYPE_ERROR)
+        idx = self.integer(index, env)
+        if idx < 0 or idx >= len(arr):
+            raise self.trap(OUT_OF_BOUNDS)
+        return arr, idx
+
     def eval_binop(self, e: BinOp, env: dict) -> Value:
         op = e.op
-        if op == "&&":
-            left = self.eval(e.left, env)
-            if not isinstance(left, int):
-                raise self.trap(TYPE_ERROR)
-            if left == 0:
-                return 0
-            right = self.eval(e.right, env)
-            if not isinstance(right, int):
-                raise self.trap(TYPE_ERROR)
-            return 1 if right != 0 else 0
-        if op == "||":
-            left = self.eval(e.left, env)
-            if not isinstance(left, int):
-                raise self.trap(TYPE_ERROR)
-            if left != 0:
-                return 1
-            right = self.eval(e.right, env)
-            if not isinstance(right, int):
-                raise self.trap(TYPE_ERROR)
-            return 1 if right != 0 else 0
+        if op == "&&" or op == "||":
+            # a left operand of 0 decides &&, and a nonzero one decides ||
+            if (self.integer(e.left, env) != 0) == (op == "||"):
+                return int(op == "||")
+            return int(self.integer(e.right, env) != 0)
 
         left = self.eval(e.left, env)
         right = self.eval(e.right, env)
@@ -235,12 +235,6 @@ class Interpreter:
 
     # ---- statements
 
-    def truthy(self, e: Expr, env: dict) -> bool:
-        value = self.eval(e, env)
-        if not isinstance(value, int):
-            raise self.trap(TYPE_ERROR)
-        return value != 0
-
     def exec_block(self, stmts: list[Stmt], env: dict) -> None:
         for st in stmts:
             self.exec_stmt(st, env)
@@ -249,7 +243,7 @@ class Interpreter:
         t = type(st)
         if t is If:
             self.cur_line = st.line_id
-            if self.truthy(st.cond, env):
+            if self.integer(st.cond, env):
                 self.exec_block(st.then_body, env)
             else:
                 self.exec_block(st.else_body, env)
@@ -258,34 +252,19 @@ class Interpreter:
             while True:
                 self.cur_line = st.line_id
                 self.tick()
-                if not self.truthy(st.cond, env):
+                if not self.integer(st.cond, env):
                     return
                 self.exec_block(st.body, env)
         if t is For:
-            if st.init is not None:
-                self.exec_stmt(st.init, env)
-            while True:
-                self.cur_line = st.line_id
-                self.tick()
-                if st.cond is not None and not self.truthy(st.cond, env):
-                    return
-                self.exec_block(st.body, env)
-                if st.step is not None:
-                    self.exec_stmt(st.step, env)
+            self.exec_block(desugar_for(st), env)
+            return
 
         self.cur_line = st.line_id
         self.tick()
         if t is Assign:
             env[st.name] = self.eval(st.value, env)
         elif t is ArrayAssign:
-            arr = env[st.name]
-            if not isinstance(arr, list):
-                raise self.trap(TYPE_ERROR)
-            idx = self.eval(st.index, env)
-            if not isinstance(idx, int):
-                raise self.trap(TYPE_ERROR)
-            if idx < 0 or idx >= len(arr):
-                raise self.trap(OUT_OF_BOUNDS)
+            arr, idx = self.element(st.name, st.index, env)
             arr[idx] = self.eval(st.value, env)
         elif t is VarDecl:
             env[st.name] = 0 if st.init is None else self.eval(st.init, env)

@@ -15,9 +15,12 @@ printer both read.  ``EXPR_SLOTS`` and ``BLOCK_SLOTS`` declare which
 attributes of each statement kind hold expressions and statement lists;
 the traversal and rewrite helpers below read them, so structural walks
 elsewhere never decide a node's shape for themselves.  ``signature``
-derives a node's structural identity from its dataclass fields.  The
-printer, interpreter and parser keep per-kind code because each kind
-behaves differently there.
+derives a node's structural identity from its dataclass fields.
+``desugar_for`` is the one meaning of ``for``: the interpreter runs, the
+validator checks and the transforms lower a for-loop as the while form
+it returns, and ``source_origin`` names the input statement a rewritten
+one descends from.  The printer, interpreter and parser keep per-kind
+code because each kind behaves differently there.
 """
 from __future__ import annotations
 
@@ -172,9 +175,6 @@ class Program:
                 return f
         raise KeyError(name)
 
-    def function_names(self) -> list[str]:
-        return [f.name for f in self.functions]
-
 
 BUILTINS = {"input": 0, "output": 1}
 KEYWORDS = {"func", "var", "if", "else", "while", "for", "return"}
@@ -323,6 +323,33 @@ def collect_line_ids(program: Program) -> list[int]:
 
 def flagged_lines(program: Program) -> set[int]:
     return {st.line_id for st in walk_program(program) if st.vuln}
+
+
+# --------------------------------------------------------------------------
+# the meaning of for
+
+def source_origin(st: Stmt) -> Optional[int]:
+    """Input LineId a statement descends from, chaining through drafts.
+
+    Statements that were never numbered (generated, line_id < 1) have no
+    origin; mapping them would invent LineMap keys.
+    """
+    if st.origin is not None:
+        return st.origin
+    return st.line_id if st.line_id >= 1 else None
+
+
+def desugar_for(st: For) -> list[Stmt]:
+    """The meaning of a for-loop: ``init; while (cond) { body; step; }``.
+
+    A missing condition is 1; the while keeps the for's LineId, origin
+    and flag.  The parts are reused, not copied.
+    """
+    loop = While(IntLit(1) if st.cond is None else st.cond, st.body + ([st.step] if st.step is not None else []))
+    loop.line_id = st.line_id
+    loop.origin = source_origin(st)
+    loop.vuln = st.vuln
+    return ([st.init] if st.init is not None else []) + [loop]
 
 
 # --------------------------------------------------------------------------

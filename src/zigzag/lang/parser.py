@@ -35,6 +35,7 @@ from .nodes import (
     VarDecl,
     While,
     child_blocks,
+    desugar_for,
     renumber,
     stmt_expressions,
     walk_expr,
@@ -363,7 +364,9 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
 
     Unique function names, declaration-before-use, no shadowing, single
     namespace for variables and functions, and exact call arity
-    (builtins included).  Raises UndeclaredIdentifierError or
+    (builtins included).  A for-loop is checked as its while form,
+    ``nodes.desugar_for``, so its init joins the enclosing block and
+    its step sees the body's declarations.  Raises UndeclaredIdentifierError or
     ValidationErrorML with the statement's source position when known,
     otherwise its LineId.
     """
@@ -416,36 +419,27 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
             line, col = pos_of(st)
             raise UndeclaredIdentifierError(f"assignment to undeclared identifier {name!r}", line, col)
 
-    def check_block(stmts: list[Stmt], scopes: list[set[str]]) -> None:
+    def check_seq(stmts: list[Stmt], scopes: list[set[str]]) -> None:
         scopes.append(set())
-        for st in stmts:
-            if not isinstance(st, For):
-                for e in stmt_expressions(st):
-                    check_expr(e, scopes, st)
-            if isinstance(st, (VarDecl, ArrayDecl)):
+        work = stmts[::-1]  # the rest of the block, next statement last
+        while work:
+            st = work.pop()
+            t = type(st)
+            if t is For:
+                # checked as its while form, whose init joins this block;
+                # the while reports header errors at the for's position
+                parts = desugar_for(st)
+                positions[id(parts[-1])] = pos_of(st)
+                work.extend(reversed(parts))
+                continue
+            for e in stmt_expressions(st):
+                check_expr(e, scopes, st)
+            if t is VarDecl or t is ArrayDecl:
                 declare(st.name, scopes, st)
-            elif isinstance(st, Assign):
+            elif t is Assign or t is ArrayAssign:
                 check_target(st.name, scopes, st)
-            elif isinstance(st, ArrayAssign):
-                check_target(st.name, scopes, st)
-            elif isinstance(st, For):
-                # the init declaration lives in the enclosing scope, matching
-                # the desugared form  init; while (cond) { body; step; }
-                if st.init is not None:
-                    for e in stmt_expressions(st.init):
-                        check_expr(e, scopes, st.init)
-                    if isinstance(st.init, VarDecl):
-                        declare(st.init.name, scopes, st.init)
-                    else:
-                        check_target(st.init.name, scopes, st.init)  # type: ignore[union-attr]
-                if st.cond is not None:
-                    check_expr(st.cond, scopes, st)
-                if st.step is not None:
-                    for e in stmt_expressions(st.step):
-                        check_expr(e, scopes, st.step)
-                    check_target(st.step.name, scopes, st.step)  # type: ignore[union-attr]
             for block in child_blocks(st):
-                check_block(block, scopes)
+                check_seq(block, scopes)
         scopes.pop()
 
     for fn in program.functions:
@@ -454,7 +448,7 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
         for p in fn.params:
             if p in fn_names or p in BUILTINS:
                 raise ValidationErrorML(f"parameter {p!r} collides with a function name", 1, 1)
-        check_block(fn.body, [set(fn.params)])
+        check_seq(fn.body, [set(fn.params)])
 
     seen_ids: set[int] = set()
     for fn in program.functions:

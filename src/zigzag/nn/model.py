@@ -25,7 +25,7 @@ import hashlib
 
 import numpy as np
 
-from ..fragments import GRANULARITIES
+from ..fragments import FUNCTION_GRANULARITY, GRANULARITIES, SLICE_GRANULARITY
 from ..seeds import derive_rng
 from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
 
@@ -38,13 +38,16 @@ DEFAULT_CONFIG = {
     "feature_dim": 32,
     "head_hidden": 16,
     "rnn_hidden": 24,
-    "length": 128,
-    "granularity": "function",
+    "granularity": FUNCTION_GRANULARITY,
     "delta": 0.4,
     "fusion": "c1",
 }
 
-_REQUIRED_KEYS = tuple(DEFAULT_CONFIG)
+# tokens kept per fragment when the config names no length; a slice is a
+# few statements of one function
+DEFAULT_LENGTH = {FUNCTION_GRANULARITY: 128, SLICE_GRANULARITY: 64}
+
+_REQUIRED_KEYS = (*DEFAULT_CONFIG, "length")
 
 
 class ModelError(Exception):
@@ -54,7 +57,7 @@ class ModelError(Exception):
 def make_config(**overrides) -> dict:
     config = dict(DEFAULT_CONFIG)
     for key, value in overrides.items():
-        if key not in DEFAULT_CONFIG:
+        if key not in _REQUIRED_KEYS:
             raise ModelError(f"unknown config key {key!r}")
         config[key] = value
     if config["encoder"] not in ("mean", "rnn"):
@@ -63,6 +66,7 @@ def make_config(**overrides) -> dict:
         raise ModelError(f"unknown fusion {config['fusion']!r}")
     if config["granularity"] not in GRANULARITIES:
         raise ModelError(f"unknown granularity {config['granularity']!r}")
+    config.setdefault("length", DEFAULT_LENGTH[config["granularity"]])
     for key in ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length"):
         if type(config[key]) is not int or config[key] < 1:
             raise ModelError(f"{key} must be an integer >= 1, got {config[key]!r}")
@@ -266,7 +270,7 @@ def load_model(path: str | Path) -> DetectorModel:
         config = dict(header["config"])
         layout = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
         vocab = dict(header["vocab"])
-    except (ValueError, KeyError, AttributeError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, AttributeError, TypeError) as exc:
         raise ModelError(f"{path}: malformed header ({exc!r})") from None
     if version != FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format {version}")

@@ -330,7 +330,6 @@ class _Trainer:
 
     def feature_epoch(self, rnd: int, epoch: int) -> None:
         """Feature stack only, on X'; head parameters are never updated."""
-        fkeys = set(feature_keys(self.mc))
         for batch in self._batches(len(self.Xv), "feature", rnd, epoch):
             F, fc = features_forward(self.params, self.mc, self.Xv[batch])
             p1, h1 = head_forward(self.params, "c1", F)
@@ -338,8 +337,7 @@ class _Trainer:
             _, dp1, dp2 = discrepancy_loss(p1, p2)
             _, dF1 = head_backward(self.params, "c1", h1, dp1)
             _, dF2 = head_backward(self.params, "c2", h2, dp2)
-            fg = features_backward(self.params, self.mc, fc, dF1 + dF2)
-            self.opt.step(self.params, {k: v for k, v in fg.items() if k in fkeys})
+            self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF1 + dF2))
 
     def feature_phase(self, Xh: np.ndarray, rnd: int, gamma: float) -> None:
         for epoch in range(self.tc.e3):

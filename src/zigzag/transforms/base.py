@@ -10,7 +10,7 @@ mutate their input.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..lang.nodes import (
     ArrayAssign,
@@ -35,6 +35,7 @@ from ..lang.nodes import (
     While,
     expr_names,
     renumber,
+    source_origin,
     stmt_expressions,
     walk_program,
     walk_statements,
@@ -78,17 +79,6 @@ def clone_expr(e: Expr) -> Expr:
     if t is Call:
         return Call(e.name, [clone_expr(a) for a in e.args])
     raise TypeError(f"unknown expression node {t.__name__}")
-
-
-def source_origin(st: Stmt) -> Optional[int]:
-    """Input LineId a statement descends from, chaining through drafts.
-
-    Statements that were never numbered (generated, line_id < 1) have no
-    origin; mapping them would invent LineMap keys.
-    """
-    if st.origin is not None:
-        return st.origin
-    return st.line_id if st.line_id >= 1 else None
 
 
 def _book(new: Stmt, src: Stmt) -> Stmt:
@@ -137,18 +127,6 @@ def clone_function(fn: FunctionDef) -> FunctionDef:
 
 def clone_program(program: Program) -> Program:
     return Program([clone_function(f) for f in program.functions])
-
-
-def desugar_for(st: For) -> list[Stmt]:
-    """The meaning of a for-loop: ``init; while (cond) { body; step; }``.
-
-    A missing condition is 1; the while keeps the for's origin and flag.
-    The parts are reused, not copied.
-    """
-    loop = While(IntLit(1) if st.cond is None else st.cond, st.body + ([st.step] if st.step is not None else []))
-    loop.origin = source_origin(st)
-    loop.vuln = st.vuln
-    return ([st.init] if st.init is not None else []) + [loop]
 
 
 def generated(st: Stmt) -> Stmt:

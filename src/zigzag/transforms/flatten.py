@@ -11,8 +11,8 @@ scopes.
 
 The lowering walks each statement list once, continuing in a fresh
 block after every if, while or dead tail, so only nesting recurses: a
-long flat body costs no Python stack.  For-loops are lowered through
-their while form (``desugar_for``).
+long flat body costs no Python stack.  A for-loop is lowered as its
+while form, ``nodes.desugar_for``, the form the interpreter runs.
 """
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ from ..lang.nodes import (
     VarDecl,
     While,
     child_blocks,
+    desugar_for,
+    source_origin,
     walk_statements,
 )
 from .base import (
@@ -42,9 +44,7 @@ from .base import (
     clone_expr,
     clone_program,
     clone_stmt,
-    desugar_for,
     generated,
-    source_origin,
 )
 
 

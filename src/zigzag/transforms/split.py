@@ -36,6 +36,7 @@ from ..lang.nodes import (
     Var,
     VarDecl,
     child_blocks,
+    desugar_for,
     walk_expr,
     walk_program,
 )
@@ -44,7 +45,6 @@ from .base import (
     Namer,
     clone_program,
     clone_stmt,
-    desugar_for,
     generated,
     mentioned_names,
 )

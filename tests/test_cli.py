@@ -315,3 +315,54 @@ def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what
     assert main(["transform", str(path), "--ct", "all", "--out", str(tmp_path / "aug.jsonl")]) == 3
     record = value if field == "id" else "p7"
     assert capsys.readouterr().err == f"error: {path}: record {record!r}: {what}\n"
+
+
+# a JSON array nested deeper than json.loads decodes
+DEEP_JSON = "[" * 200_000
+
+
+@pytest.mark.parametrize("case", ["corpus", "report", "model-header"])
+def test_deeply_nested_json_exits_3_with_one_line_error(case, tmp_path, demo_source, capsys):
+    eval_argv, compare_argv = _write_inputs(tmp_path, demo_source)
+    corpus = tmp_path / "corpus.jsonl"
+    argv = {
+        "corpus": ["transform", str(corpus), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")],
+        "report": compare_argv,
+        "model-header": eval_argv,
+    }[case]
+    if case == "model-header":
+        blob = DEEP_JSON.encode()
+        (tmp_path / "model.zzm").write_bytes(b"ZZM1" + len(blob).to_bytes(8, "little") + blob)
+    else:
+        path = corpus if case == "corpus" else tmp_path / "report.jsonl"
+        path.write_text(path.read_text() + DEEP_JSON + "\n")
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"count = 4\n\xff\n")
+    argv = ["gen", "--config", str(config), "--out-train", str(tmp_path / "a"), "--out-test", str(tmp_path / "b")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--data", "--model", "--config"])
+def test_directory_in_place_of_an_input_file_exits_3(flag, tmp_path, demo_source, capsys):
+    eval_argv, _ = _write_inputs(tmp_path, demo_source)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if flag == "--model":
+        argv = eval_argv[:2] + [str(folder)] + eval_argv[3:]
+    else:
+        argv = ["train", "--mode", "original", "--data", str(tmp_path / "corpus.jsonl"),
+                "--out-model", str(tmp_path / "m.zzm"), "--out-trace", str(tmp_path / "t.jsonl")]
+        argv += [flag, str(folder)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

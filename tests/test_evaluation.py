@@ -65,7 +65,6 @@ def all_zeros(self, X):
 def test_confusion_from_golden():
     conf = confusion_from([1, 1, 0, 0], [1, 0, 1, 0])
     assert conf == Confusion(tp=1, fn=1, fp=1, tn=1)
-    assert conf.total == 4
 
 
 def test_confusion_from_rejects_length_mismatch():

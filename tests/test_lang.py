@@ -9,11 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzag.lang import (
+    COMPLETED,
+    FUEL_EXHAUSTED,
+    RUNTIME_ERROR,
+    ExecResult,
     MiniLangError,
     Program,
     SyntaxErrorML,
     UndeclaredIdentifierError,
     ValidationErrorML,
+    interpret,
     parse,
     pretty_print,
     tokenize,
@@ -34,6 +39,7 @@ from zigzag.lang.nodes import (
     Index,
     IntLit,
     Stmt,
+    StrLit,
     Var,
     flagged_lines,
     map_expr,
@@ -46,7 +52,7 @@ from zigzag.lang.nodes import (
 
 def test_parse_minimal_function() -> None:
     p = parse("func main() { output(1); }")
-    assert p.function_names() == ["main"]
+    assert [f.name for f in p.functions] == ["main"]
     assert len(p.function("main").body) == 1
 
 
@@ -65,6 +71,32 @@ def test_undeclared_identifier_rejected() -> None:
 def test_use_before_declaration_rejected() -> None:
     with pytest.raises(UndeclaredIdentifierError):
         parse("func main() { output(x); var x = 1; }")
+
+
+@pytest.mark.parametrize(
+    "source, name, line, col",
+    [
+        ("func main() {\n  var i = 0;\n    for (; q; i = i + 1) { output(i); }\n}\n", "q", 3, 5),
+        ("func main() {\n    for (var i = 0; i < 3; i = k) { output(i); }\n}\n", "k", 2, 28),
+        ("func main() {\n    for (var i = z; i < 3; i = i + 1) { output(i); }\n}\n", "z", 2, 10),
+    ],
+    ids=["condition", "step", "init"],
+)
+def test_for_header_errors_report_their_source_position(source, name, line, col) -> None:
+    # a condition error is the for's position; an init or step error, its own
+    with pytest.raises(UndeclaredIdentifierError, match=f"'{name}'") as exc:
+        parse(source)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_for_step_may_read_a_name_its_body_declares() -> None:
+    # the step runs at the end of the body, as in the while form
+    for_run = interpret(parse("func main() { var i; for (i = 0; i < 3; i = j) { var j = i + 1; } output(i); }"),
+                        "main", [], 1000)
+    while_run = interpret(parse("func main() { var i; i = 0; while (i < 3) { var j = i + 1; i = j; } output(i); }"),
+                          "main", [], 1000)
+    assert for_run == while_run
+    assert for_run.status == COMPLETED and for_run.outputs == [3]
 
 
 def test_shadowing_rejected() -> None:
@@ -276,7 +308,7 @@ def test_depth_limit_counts_each_level_once() -> None:
     def nested(parens: int) -> str:
         return "func main() { output(" + "(" * parens + "1" + ")" * parens + "); }"
 
-    assert parse(nested(MAX_DEPTH - 2)).function_names() == ["main"]
+    assert len(parse(nested(MAX_DEPTH - 2)).functions) == 1
     with pytest.raises(SyntaxErrorML):
         parse(nested(MAX_DEPTH - 1))
 
@@ -339,10 +371,20 @@ def test_array_size_past_the_bound_raises_syntax_error(size) -> None:
         parse(f"func main() {{ var a[{size}]; output(1); }}")
 
 
-_LEAVES = st.one_of(st.integers(-9, 9).map(IntLit), st.sampled_from(["a", "b"]).map(Var))
+# the programs below declare integers a and b and an array c of 3; a
+# string or an array where an integer is due traps as a type error
+_LEAVES = st.one_of(
+    st.integers(-9, 9).map(IntLit),
+    st.sampled_from(["a", "b", "c"]).map(Var),
+    st.sampled_from(["", "s", 'q"\\']).map(StrLit),
+    st.builds(lambda: Call("input", [])),
+)
 _OPERATOR_TREES = st.recursive(
     _LEAVES,
-    lambda kids: st.builds(BinOp, st.sampled_from(sorted(BINARY_PREC)), kids, kids),
+    lambda kids: st.one_of(
+        st.builds(BinOp, st.sampled_from(sorted(BINARY_PREC)), kids, kids),
+        st.builds(Index, st.sampled_from(["c", "a"]), kids),
+    ),
     max_leaves=12,
 )
 
@@ -350,9 +392,53 @@ _OPERATOR_TREES = st.recursive(
 @settings(derandomize=True, database=None, max_examples=300)
 @given(_OPERATOR_TREES)
 def test_printed_operator_trees_parse_back_to_the_same_tree(tree) -> None:
-    program = parse("func main() { var a = 1; var b = 2; output(0); }")
+    program = parse("func main() { var a = 1; var b = 2; var c[3]; output(0); }")
     program.function("main").body[-1].call.args = [tree]
     assert program_signature(parse(pretty_print(program))) == program_signature(program)
+
+
+FUZZ_SRC = """func main() {
+    var a = 1;
+    var b = 2;
+    var c[3];
+    output(0);
+    c[0] = 0;
+    if (0) { b = 1; } else { b = 3; }
+    while (0) { b = b - 1; output(b); }
+    for (var i = 0; 0; i = i + 1) { a = a + i; }
+    output(a);
+}"""
+# where a fuzzed tree goes in FUZZ_SRC: statement index and attribute
+FUZZ_PLACES = {
+    "output": (3, "call"),
+    "write-index": (4, "index"),
+    "write-value": (4, "value"),
+    "if": (5, "cond"),
+    "while": (6, "cond"),
+    "for": (7, "cond"),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(
+    _OPERATOR_TREES,
+    st.sampled_from(sorted(FUZZ_PLACES)),
+    st.integers(1, 200),
+    st.lists(st.integers(-4, 4), max_size=4),
+)
+def test_interpret_is_total_and_deterministic(tree, place, fuel, inputs) -> None:
+    program = parse(FUZZ_SRC)
+    index, attr = FUZZ_PLACES[place]
+    statement = program.function("main").body[index]
+    if attr == "call":
+        statement.call.args = [tree]
+    else:
+        setattr(statement, attr, tree)
+    result = interpret(program, "main", inputs, fuel)
+    assert isinstance(result, ExecResult)
+    assert result.status in (COMPLETED, RUNTIME_ERROR, FUEL_EXHAUSTED)
+    assert result.steps_used <= fuel
+    assert interpret(program, "main", inputs, fuel) == result
 
 
 SIGNATURE_SRC = """

@@ -313,3 +313,10 @@ def test_make_config_validation():
         make_config(encoder="transformer")
     with pytest.raises(ModelError):
         make_config(fusion="max")
+
+
+def test_make_config_length_defaults_by_granularity():
+    assert make_config()["length"] == 128
+    assert make_config(granularity="function")["length"] == 128
+    assert make_config(granularity="slice")["length"] == 64
+    assert make_config(granularity="slice", length=7)["length"] == 7

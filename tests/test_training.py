@@ -423,6 +423,7 @@ def test_trace_round_trip(tmp_path, pools):
     "damage, message",
     [
         ("truncated-line", ":2: not valid JSON"),
+        ("deep-line", ":2: not valid JSON"),
         ("missing-key", ": trace record 2: "),
         ("unknown-key", ": trace record 2: "),
     ],
@@ -435,6 +436,8 @@ def test_damaged_trace_raises_training_error(damage, message, tmp_path):
     rec = json.loads(second)
     if damage == "truncated-line":
         second = second[:-10]
+    elif damage == "deep-line":
+        second = "[" * 200_000
     elif damage == "missing-key":
         del rec["L_c"]
         second = json.dumps(rec)
