@@ -108,6 +108,8 @@ def cmd_gen(args) -> None:
     vuln = _pick(args, config, "vuln", 0.4)
     if count is None:
         raise UsageError("gen requires --count (or a config file with count=)")
+    if count < 1:
+        raise UsageError(f"--count must be >= 1, got {count}")
     if not 0.0 < vuln < 1.0:
         raise UsageError(f"--vuln must be strictly between 0 and 1, got {vuln}")
     corpus = generate_synthetic(count, vulnerable_fraction=vuln, seed=seed)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fragments import Fragment
-from .lang import tokenize
+from .lang.lexer import lex
 
 PAD_ID = 0
 UNK_ID = 1
@@ -29,12 +29,12 @@ class EncodingError(Exception):
 
 
 def normalize_tokens(text: str) -> list[str]:
-    tokens = tokenize(text)
+    tokens = lex(text)[0][:-1]  # without the eof token
     fun_map: dict[str, str] = {}
     var_map: dict[str, str] = {}
     out: list[str] = []
     for i, tok in enumerate(tokens):
-        if tok.category == "identifier":
+        if tok.kind == "ident":
             prev = tokens[i - 1] if i > 0 else None
             nxt = tokens[i + 1] if i + 1 < len(tokens) else None
             is_function = (prev is not None and prev.text == "func") or (
@@ -45,7 +45,7 @@ def normalize_tokens(text: str) -> list[str]:
             if tok.text not in table:
                 table[tok.text] = f"{prefix}_{len(table)}"
             out.append(table[tok.text])
-        elif tok.category == "literal" and tok.kind == "str":
+        elif tok.kind == "str":
             out.append("STR")
         else:
             out.append(tok.text)
@@ -63,19 +63,17 @@ def build_vocab(fragments: Iterable[Fragment]) -> dict[str, int]:
     return {tok: i + 2 for i, (tok, _) in enumerate(ordered)}
 
 
-def encode_text(text: str, vocab: dict[str, int], length: int) -> np.ndarray:
-    ids = [vocab.get(tok, UNK_ID) for tok in normalize_tokens(text)][:length]
-    arr = np.full(length, PAD_ID, dtype=np.int32)
-    arr[: len(ids)] = ids
-    return arr
-
-
 def encode_fragments(
     fragments: Sequence[Fragment], vocab: dict[str, int], length: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(N, L) int32 token ids and (N,) float64 labels."""
-    if not fragments:
-        return np.zeros((0, length), dtype=np.int32), np.zeros(0, dtype=np.float64)
-    X = np.stack([encode_text(f.text, vocab, length) for f in fragments])
+    """(N, L) int32 token ids and (N,) float64 labels.
+
+    Each row holds a fragment's first L token ids, unknown tokens as
+    UNK_ID, padded with PAD_ID.
+    """
+    X = np.full((len(fragments), length), PAD_ID, dtype=np.int32)
+    for row, frag in zip(X, fragments):
+        ids = [vocab.get(tok, UNK_ID) for tok in normalize_tokens(frag.text)][:length]
+        row[: len(ids)] = ids
     y = np.array([float(f.label) for f in fragments], dtype=np.float64)
     return X, y

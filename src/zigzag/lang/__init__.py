@@ -1,4 +1,4 @@
-"""Mini-language front end: parse, validate, print, tokenize, interpret."""
+"""Mini-language front end: lex, parse, validate, print, interpret."""
 from __future__ import annotations
 
 from . import nodes
@@ -21,23 +21,10 @@ from .interp import (
     TYPE_ERROR,
     interpret,
 )
-from .lexer import Token, lex
+from .lexer import Token
 from .nodes import Program
 from .parser import parse, validate_program
 from .printer import pretty_print
-
-
-def tokenize(source: str) -> list[Token]:
-    """Token stream of source text, vuln markers excluded.
-
-    Tokens carry a .category in {keyword, identifier, literal, operator,
-    punctuation}.  Joining token texts with canonical spacing re-parses
-    to a program structurally equal to the input (LineIds are fresh and
-    vuln flags are dropped with the markers).
-    """
-    tokens, _ = lex(source)
-    return [t for t in tokens if t.kind != "eof"]
-
 
 __all__ = [
     "COMPLETED",
@@ -60,6 +47,5 @@ __all__ = [
     "nodes",
     "parse",
     "pretty_print",
-    "tokenize",
     "validate_program",
 ]

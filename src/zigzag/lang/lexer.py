@@ -45,27 +45,12 @@ _TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE = re.compile(r"\\(.)")
 
-_CATEGORIES = {
-    "keyword": "keyword",
-    "ident": "identifier",
-    "int": "literal",
-    "str": "literal",
-    "op": "operator",
-    "punct": "punctuation",
-}
-
-
 @dataclass(slots=True)
 class Token:
     kind: str  # keyword | ident | int | str | op | punct | eof
     text: str
     line: int
     col: int
-
-    @property
-    def category(self) -> str:
-        """Public token category used by fragment tokenization."""
-        return _CATEGORIES[self.kind]
 
 
 def escape_string(value: str) -> str:

@@ -94,6 +94,12 @@ class TrainConfig:
         for name in ("beta", "e1", "e2", "e3", "batch_size"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be >= 1")
+        # an lr too large for the data, inf included, is a divergence (exit 4)
+        if not self.lr > 0.0:
+            raise TrainingError(f"lr must be > 0, got {self.lr}")
+        for name in ("tau_disc", "tau_loss"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise TrainingError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(slots=True)

@@ -13,29 +13,19 @@ Eight passes, addressed as ct1..ct8:
 
 ``apply_transform`` runs one pass and returns the transformed program
 plus a LineMap sending each input statement id to the set of statement
-ids derived from it.  ``apply_pipeline`` chains passes left to right,
-skipping inapplicable stages, and composes the LineMaps.
+ids derived from it.  A pass copies its input once and then moves the
+statements of that draft, so the output shares no node with the input.
+Passes compose by applying them one after another.
 """
 from __future__ import annotations
 
-import logging
-
 from ..lang.nodes import Program, collect_line_ids
-from ..seeds import derive_seed
-from .base import (
-    ENTRY_NAME,
-    GENERATED_PREFIX,
-    InapplicableTransform,
-    LineMap,
-    TransformError,
-    finalize,
-)
-from .flatten import flattenable, pass_ct3
+from ..seeds import derive_rng
+from .base import GENERATED_PREFIX, InapplicableTransform, LineMap, TransformError, finalize
+from .flatten import pass_ct3
 from .merge import pass_ct4, pass_ct5
 from .split import pass_ct6, pass_ct7, pass_ct8
 from .surface import pass_ct1, pass_ct2
-
-log = logging.getLogger(__name__)
 
 _PASSES = {
     "ct1": pass_ct1,
@@ -81,17 +71,6 @@ def resolve_kinds(spec: str) -> tuple[str, ...]:
     return kinds
 
 
-def identity_line_map(program: Program) -> LineMap:
-    return {i: {i} for i in collect_line_ids(program)}
-
-
-def compose_line_maps(first: LineMap, second: LineMap) -> LineMap:
-    return {
-        orig: {nid for mid in mids for nid in second[mid]}
-        for orig, mids in first.items()
-    }
-
-
 def apply_transform(program: Program, kind: str, seed: int) -> tuple[Program, LineMap]:
     """Apply one pass under a seed derived from (seed, kind).
 
@@ -101,58 +80,19 @@ def apply_transform(program: Program, kind: str, seed: int) -> tuple[Program, Li
     key = kind.strip().lower()
     if key not in _PASSES:
         raise TransformError(f"unknown transform kind {kind!r}")
-    from ..seeds import derive_rng
-
     rng = derive_rng(seed, "transform", key)
     input_ids = collect_line_ids(program)
     draft = _PASSES[key](program, rng)
     return finalize(draft, key, input_ids)
 
 
-def apply_pipeline(
-    program: Program, kinds: tuple[str, ...] | list[str], seed: int
-) -> tuple[Program, LineMap]:
-    """Chain passes left to right, composing LineMaps.
-
-    Stages whose pass is inapplicable to the current program are skipped
-    (logged at debug level); if every stage is skipped the pipeline as a
-    whole is inapplicable.
-    """
-    if not kinds:
-        raise TransformError("empty transform pipeline")
-    current = program
-    line_map = identity_line_map(program)
-    applied = 0
-    reasons: list[str] = []
-    for i, kind in enumerate(kinds):
-        stage_seed = derive_seed(seed, "stage", i, kind.strip().lower())
-        try:
-            current, stage_map = apply_transform(current, kind, stage_seed)
-        except InapplicableTransform as exc:
-            log.debug("pipeline stage %d (%s) skipped: %s", i, kind, exc.reason)
-            reasons.append(f"{kind}: {exc.reason}")
-            continue
-        line_map = compose_line_maps(line_map, stage_map)
-        applied += 1
-    if applied == 0:
-        raise InapplicableTransform(
-            "+".join(kinds), "every stage was inapplicable (" + "; ".join(reasons) + ")"
-        )
-    return current, line_map
-
-
 __all__ = [
     "ALL_KINDS",
     "CT_SETS",
-    "ENTRY_NAME",
     "GENERATED_PREFIX",
     "InapplicableTransform",
     "LineMap",
     "TransformError",
-    "apply_pipeline",
     "apply_transform",
-    "compose_line_maps",
-    "flattenable",
-    "identity_line_map",
     "resolve_kinds",
 ]

@@ -4,8 +4,12 @@ A pass receives a parsed program whose statements carry LineIds and
 returns a draft program in which every statement's ``origin`` slot
 names the input statement it was derived from (None for generated
 scaffolding).  ``finalize`` renumbers the draft, validates it, and
-builds the LineMap original-LineId -> set of new LineIds.  Passes never
-mutate their input.
+builds the LineMap original-LineId -> set of new LineIds.
+
+A pass copies its input once, with ``clone_program``, and never mutates
+the input.  From then on it moves the statements and expressions of
+that draft into their new places instead of copying them again, so no
+node of the output appears twice or is shared with the input.
 """
 from __future__ import annotations
 
@@ -98,15 +102,19 @@ def clone_stmt(st: Stmt) -> Stmt:
     elif t is ArrayAssign:
         new = ArrayAssign(st.name, clone_expr(st.index), clone_expr(st.value))
     elif t is If:
-        new = If(clone_expr(st.cond), clone_block(st.then_body), clone_block(st.else_body))
+        new = If(
+            clone_expr(st.cond),
+            [clone_stmt(s) for s in st.then_body],
+            [clone_stmt(s) for s in st.else_body],
+        )
     elif t is While:
-        new = While(clone_expr(st.cond), clone_block(st.body))
+        new = While(clone_expr(st.cond), [clone_stmt(s) for s in st.body])
     elif t is For:
         new = For(
             None if st.init is None else clone_stmt(st.init),
             None if st.cond is None else clone_expr(st.cond),
             None if st.step is None else clone_stmt(st.step),
-            clone_block(st.body),
+            [clone_stmt(s) for s in st.body],
         )
     elif t is Return:
         new = Return(None if st.value is None else clone_expr(st.value))
@@ -117,16 +125,13 @@ def clone_stmt(st: Stmt) -> Stmt:
     return _book(new, st)
 
 
-def clone_block(stmts: list[Stmt]) -> list[Stmt]:
-    return [clone_stmt(s) for s in stmts]
-
-
-def clone_function(fn: FunctionDef) -> FunctionDef:
-    return FunctionDef(fn.name, list(fn.params), clone_block(fn.body))
-
-
 def clone_program(program: Program) -> Program:
-    return Program([clone_function(f) for f in program.functions])
+    """The one copy a pass makes: a deep copy whose statements record the
+    input statement they copy in ``origin``."""
+    return Program([
+        FunctionDef(fn.name, list(fn.params), [clone_stmt(s) for s in fn.body])
+        for fn in program.functions
+    ])
 
 
 def generated(st: Stmt) -> Stmt:

@@ -37,15 +37,7 @@ from ..lang.nodes import (
     source_origin,
     walk_statements,
 )
-from .base import (
-    InapplicableTransform,
-    Namer,
-    clone_block,
-    clone_expr,
-    clone_program,
-    clone_stmt,
-    generated,
-)
+from .base import InapplicableTransform, Namer, clone_program, generated
 
 
 def has_control_flow(fn: FunctionDef) -> bool:
@@ -75,7 +67,8 @@ def flattenable(fn: FunctionDef) -> bool:
 
 
 class _Lowerer:
-    """Compiles a statement list into jump-threaded basic blocks."""
+    """Compiles a statement list into jump-threaded basic blocks, moving
+    the draft's statements and expressions into them."""
 
     EXIT = -1
 
@@ -99,7 +92,7 @@ class _Lowerer:
         self.blocks[block].append(self._jump_stmt(target))
 
     def cond_jump(self, block: int, cond, then_target: int, else_target: int, src: Stmt) -> None:
-        st = If(clone_expr(cond), [self._jump_stmt(then_target)], [self._jump_stmt(else_target)])
+        st = If(cond, [self._jump_stmt(then_target)], [self._jump_stmt(else_target)])
         st.origin = source_origin(src)
         st.vuln = src.vuln
         self.blocks[block].append(st)
@@ -117,13 +110,13 @@ class _Lowerer:
                     decl = VarDecl(st.name)
                     decl.origin = source_origin(st)
                     hoist[st.name] = decl
-                reset = Assign(st.name, clone_expr(st.init) if st.init is not None else IntLit(0))
+                reset = Assign(st.name, st.init if st.init is not None else IntLit(0))
                 reset.origin = source_origin(st)
                 reset.vuln = st.vuln
                 self.blocks[cur].append(reset)
             elif isinstance(st, ArrayDecl):
                 if st.name not in hoist:
-                    hoist[st.name] = clone_stmt(st)
+                    hoist[st.name] = st
                 # eligibility guarantees single declaration outside loops
             elif isinstance(st, If):
                 then_b = self.new_block()
@@ -143,7 +136,7 @@ class _Lowerer:
                 cur = cont
             elif isinstance(st, Return):
                 if st.value is not None:
-                    ret = Assign(self.ret, clone_expr(st.value))
+                    ret = Assign(self.ret, st.value)
                     ret.origin = source_origin(st)
                     ret.vuln = st.vuln
                     self.blocks[cur].append(ret)
@@ -159,7 +152,7 @@ class _Lowerer:
                 # statically unreachable tail keeps its LineMap images
                 cur = self.new_block()
             else:
-                self.blocks[cur].append(clone_stmt(st))
+                self.blocks[cur].append(st)
         self.jump(cur, follow)
 
 
@@ -176,12 +169,13 @@ def _dispatch_tree(pc: str, ids: list[int], blocks: dict[int, list[Stmt]]) -> li
 
 
 def flatten_function(fn: FunctionDef, rng: np.random.Generator, namer: Namer) -> FunctionDef:
+    """The flattened form of a draft function; fn's statements move into it."""
     pc = namer.fresh("pc")
     ret = namer.fresh("ret")
     lower = _Lowerer(pc, ret)
     entry = lower.new_block()
     hoist: dict[str, Stmt] = {}
-    lower.compile(clone_block(fn.body), entry, _Lowerer.EXIT, hoist)
+    lower.compile(fn.body, entry, _Lowerer.EXIT, hoist)
 
     perm = rng.permutation(len(lower.blocks))
     new_id = {old: int(perm[old]) for old in range(len(lower.blocks))}

@@ -28,18 +28,12 @@ from ..lang.nodes import (
     map_stmt_exprs,
     walk_program,
 )
-from .base import (
-    ENTRY_NAME,
-    InapplicableTransform,
-    Namer,
-    clone_block,
-    clone_program,
-    generated,
-)
+from .base import ENTRY_NAME, InapplicableTransform, Namer, clone_program, generated
 from .flatten import flatten_function, flattenable
 
 
 def _merge_pair(f: FunctionDef, g: FunctionDef, namer: Namer, index: int) -> FunctionDef:
+    """One function dispatching to f's or g's body; both bodies move into it."""
     merged_name = namer.fresh("m")
     sel = namer.fresh("sel")
     carriers = [namer.fresh(f"c{index}_") for _ in range(max(len(f.params), len(g.params)))]
@@ -49,7 +43,7 @@ def _merge_pair(f: FunctionDef, g: FunctionDef, namer: Namer, index: int) -> Fun
             generated(VarDecl(param, Var(carrier)))
             for param, carrier in zip(fn.params, carriers)
         ]
-        return binds + clone_block(fn.body)
+        return binds + fn.body
 
     dispatch = If(BinOp("==", Var(sel), IntLit(0)), branch(f), branch(g))
     return FunctionDef(merged_name, [sel] + carriers, [generated(dispatch)])

@@ -40,14 +40,7 @@ from ..lang.nodes import (
     walk_expr,
     walk_program,
 )
-from .base import (
-    InapplicableTransform,
-    Namer,
-    clone_program,
-    clone_stmt,
-    generated,
-    mentioned_names,
-)
+from .base import InapplicableTransform, Namer, clone_program, generated, mentioned_names
 
 _RUN_KINDS = (Assign, ArrayAssign, CallStmt)
 
@@ -198,11 +191,9 @@ def _part_io(part: list[Stmt]) -> tuple[list[str], str | None]:
 
 
 def _outline_run(
-    run: list[Stmt],
-    parts: list[list[Stmt]],
-    base: str,
-    namer: Namer,
+    parts: list[list[Stmt]], base: str, namer: Namer
 ) -> tuple[list[Stmt], list[FunctionDef]]:
+    """Call sites for the parts of a run, and the functions the parts move into."""
     replacement: list[Stmt] = []
     functions: list[FunctionDef] = []
     for part in parts:
@@ -211,7 +202,7 @@ def _outline_run(
         body: list[Stmt] = []
         if written is not None and written not in params:
             body.append(generated(VarDecl(written)))
-        body.extend(clone_stmt(st) for st in part)
+        body.extend(part)
         if written is not None:
             body.append(generated(Return(Var(written))))
         functions.append(FunctionDef(name, list(params), body))
@@ -237,10 +228,10 @@ def _split_blocks(program: Program, rng: np.random.Generator, recursive: bool, k
         container, start, length = runs[int(rng.integers(0, len(runs)))]
         run = container[start : start + length]
         parts = _partition(run, rng)
-        replacement, outlined = _outline_run(run, parts, f"{fn.name}_b", namer)
+        replacement, outlined = _outline_run(parts, f"{fn.name}_b", namer)
         if recursive:
             second_parts = _partition(replacement, rng)
-            replacement, second = _outline_run(replacement, second_parts, f"{fn.name}_w", namer)
+            replacement, second = _outline_run(second_parts, f"{fn.name}_w", namer)
             outlined.extend(second)
         container[start : start + length] = replacement
         new_functions.append(fn)

@@ -76,6 +76,14 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
     assert main([str(a) for a in bad]) == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_count_below_one_exits_2(count, tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    assert main(["gen", "--count", count, "--out-train", str(train), "--out-test", str(test)]) == 2
+    assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+    assert not train.exists()
+
+
 def test_gen_seed_ignores_the_environment(tmp_path, monkeypatch):
     def gen(name: str) -> tuple[bytes, bytes]:
         train, test = tmp_path / f"{name}.train.jsonl", tmp_path / f"{name}.test.jsonl"
@@ -241,8 +249,14 @@ def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
         ("optimizer = sgd", "unknown config key 'optimizer'"),
         ("mine_with = current", "unknown config key 'mine_with'"),
         ("mode = zigzag", "unknown config key 'mode'"),
+        ("lr = -1", "lr must be > 0, got -1.0"),
+        ("lr = 0", "lr must be > 0, got 0.0"),
+        ("lr = nan", "lr must be > 0, got nan"),
+        ("tau_disc = nan", "tau_disc must be finite and >= 0, got nan"),
+        ("tau_loss = -1", "tau_loss must be finite and >= 0, got -1.0"),
     ],
-    ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with", "mode"],
+    ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with", "mode",
+         "lr-negative", "lr-zero", "lr-nan", "tau_disc-nan", "tau_loss-negative"],
 )
 def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"

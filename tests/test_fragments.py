@@ -9,7 +9,6 @@ from zigzag.encoding import (
     EncodingError,
     build_vocab,
     encode_fragments,
-    encode_text,
     normalize_tokens,
 )
 from zigzag.fragments import (
@@ -223,13 +222,17 @@ def test_vocab_rejects_non_training_fragments():
 
 def test_encode_pads_truncates_and_maps_unknowns():
     vocab = {"func": 2, "(": 3, ")": 4, "{": 5, "}": 6}
-    arr = encode_text("func f() {\n    return 0;\n}\n", vocab, 8)
+    frag = Fragment("a", "p", "f", "function", "func f() {\n    return 0;\n}\n", 0, "train")
+
+    def encode(length):
+        X, _ = encode_fragments([frag], vocab, length)
+        return X[0]
+
+    arr = encode(8)
     assert arr.dtype == np.int32 and arr.shape == (8,)
     assert arr[0] == 2 and UNK_ID in arr.tolist()
-    short = encode_text("func f() {\n    return 0;\n}\n", vocab, 4)
-    assert short.tolist() == [2, UNK_ID, 3, 4]
-    long = encode_text("func f() {\n    return 0;\n}\n", vocab, 32)
-    assert long[-1] == PAD_ID
+    assert encode(4).tolist() == [2, UNK_ID, 3, 4]
+    assert encode(32)[-1] == PAD_ID
 
 
 def test_encode_fragments_shapes():

@@ -1,4 +1,4 @@
-"""Front-end tests: lexer, parser, printer, tokenize, static validation."""
+"""Front-end tests: lexer, parser, printer, static validation."""
 from __future__ import annotations
 
 import dataclasses
@@ -21,7 +21,6 @@ from zigzag.lang import (
     interpret,
     parse,
     pretty_print,
-    tokenize,
 )
 from zigzag.lang.lexer import lex
 from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH
@@ -184,34 +183,36 @@ def test_for_header_sub_statements_get_ids() -> None:
 
 
 def test_tokenize_categories() -> None:
-    cats = [(t.category, t.text) for t in tokenize("a = b + 1;")]
-    assert cats == [
-        ("identifier", "a"),
-        ("operator", "="),
-        ("identifier", "b"),
-        ("operator", "+"),
-        ("literal", "1"),
-        ("punctuation", ";"),
+    kinds = [(t.kind, t.text) for t in lex("a = b + 1;")[0]]
+    assert kinds == [
+        ("ident", "a"),
+        ("op", "="),
+        ("ident", "b"),
+        ("op", "+"),
+        ("int", "1"),
+        ("punct", ";"),
+        ("eof", ""),
     ]
 
 
 def test_tokenize_keywords_and_strings() -> None:
-    toks = tokenize('func main() { while (1) { output("hi, there"); } }')
-    kinds = {t.text: t.category for t in toks}
+    toks, _ = lex('func main() { while (1) { output("hi, there"); } }')
+    kinds = {t.text: t.kind for t in toks}
     assert kinds["while"] == "keyword"
     assert kinds["func"] == "keyword"
-    assert kinds["hi, there"] == "literal"
+    assert kinds["output"] == "ident"
+    assert kinds["hi, there"] == "str"
 
 
 def test_tokenize_excludes_vuln_markers(demo_source) -> None:
-    assert all("@vuln" not in t.text for t in tokenize(demo_source))
+    assert all("@vuln" not in t.text for t in lex(demo_source)[0])
 
 
 def test_tokenize_of_ast_matches_text(demo_source, demo_program) -> None:
-    via_ast = [(t.category, t.text) for t in tokenize(pretty_print(demo_program))]
-    via_text = [(t.category, t.text) for t in tokenize(demo_source)]
+    via_ast = [(t.kind, t.text) for t in lex(pretty_print(demo_program))[0][:-1]]
+    via_text = [(t.kind, t.text) for t in lex(demo_source)[0][:-1]]
     assert via_ast == via_text
-    # token count of the fixture, pinned
+    # token count of the fixture without its eof token, pinned
     assert len(via_ast) == 124
 
 

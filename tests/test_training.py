@@ -410,6 +410,10 @@ def test_config_validation_rejects(overrides):
         quick_config(**overrides).validate()
 
 
+def test_config_validation_accepts_zero_stop_thresholds():
+    quick_config(tau_disc=0.0, tau_loss=0.0).validate()
+
+
 def test_trace_round_trip(tmp_path, pools):
     clean, varied, _ = pools
     out = train_zigzag(clean, varied, train_config=quick_config(beta=1))

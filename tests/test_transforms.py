@@ -13,6 +13,8 @@ from zigzag.lang.nodes import (
     collect_line_ids,
     flagged_lines,
     program_signature,
+    stmt_expressions,
+    walk_expr,
     walk_program,
 )
 from zigzag.transforms import (
@@ -21,10 +23,7 @@ from zigzag.transforms import (
     GENERATED_PREFIX,
     InapplicableTransform,
     TransformError,
-    apply_pipeline,
     apply_transform,
-    compose_line_maps,
-    identity_line_map,
     resolve_kinds,
 )
 
@@ -388,30 +387,20 @@ def test_recursive_split_outlines_the_outlined_calls():
 
 
 def test_pipeline_composes_maps_and_preserves_behavior():
+    """Passes compose by applying one to the output of the other: each
+    stage maps every input LineId and keeps its flags inside the images
+    of the flags before it, and the composition keeps behaviour."""
     prog = parse(ARRAYS_SRC)
-    flags = flagged_lines(prog)
-    out, lmap = apply_pipeline(prog, ("ct6", "ct3"), seed=5)
-    assert set(lmap) == set(collect_line_ids(prog))
+    current = prog
+    for kind in ("ct6", "ct3"):
+        ids, flags = set(collect_line_ids(current)), flagged_lines(current)
+        current, lmap = apply_transform(current, kind, 5)
+        assert set(lmap) == ids
+        image = set().union(*(lmap[f] for f in flags))
+        assert flagged_lines(current) <= image and image
     r0 = interpret(prog, "main", [4], fuel=FUEL)
-    r1 = interpret(parse(pretty_print(out)), "main", [4], fuel=FUEL * 16)
+    r1 = interpret(parse(pretty_print(current)), "main", [4], fuel=FUEL * 16)
     assert r0.semantically_equal(r1)
-    image = set().union(*(lmap[f] for f in flags))
-    assert flagged_lines(out) <= image and image
-
-
-def test_pipeline_skips_inapplicable_stage():
-    prog = parse(NUMERIC_SRC)  # no strings: ct1 cannot apply
-    out, _ = apply_pipeline(prog, ("ct1", "ct2"), seed=0)
-    r = interpret(out, "main", [1, 12, 18], fuel=FUEL * 4)
-    assert r.outputs == interpret(prog, "main", [1, 12, 18], fuel=FUEL).outputs
-
-
-def test_pipeline_rejects_empty_and_fully_inapplicable():
-    prog = parse("func main() {\n    return 0;\n}\n")
-    with pytest.raises(TransformError):
-        apply_pipeline(prog, (), seed=0)
-    with pytest.raises(InapplicableTransform):
-        apply_pipeline(prog, ("ct1", "ct4"), seed=0)
 
 
 def test_apply_rejects_unknown_kind():
@@ -432,17 +421,6 @@ def test_resolve_kinds_accepts_lists_sets_and_all():
         resolve_kinds("")
 
 
-def test_line_map_composition_chains_images():
-    first = {1: {1, 2}, 2: {3}}
-    second = {1: {10}, 2: {11, 12}, 3: {13}}
-    assert compose_line_maps(first, second) == {1: {10, 11, 12}, 2: {13}}
-
-
-def test_identity_line_map_matches_program_ids(demo_program):
-    ids = set(collect_line_ids(demo_program))
-    assert identity_line_map(demo_program) == {i: {i} for i in ids}
-
-
 def _what_a_pass_reads(program):
     return (
         program_signature(program),
@@ -450,13 +428,18 @@ def _what_a_pass_reads(program):
     )
 
 
+def _sources(demo_source):
+    """The case programs, the fixture and six generated programs."""
+    return [src for src, _ in CASES] + [demo_source] + [
+        p.source for p in generate_synthetic(6, 0.5, seed=3)
+    ]
+
+
 def test_transform_does_not_mutate_input(demo_source):
     """augment_corpus runs every kind on one parse of each original: a pass
     must leave its input's signature, LineIds, flags and origins as parsed,
     and give the same output as on a fresh parse."""
-    sources = [src for src, _ in CASES] + [demo_source]
-    sources += [p.source for p in generate_synthetic(6, 0.5, seed=3)]
-    for src in sources:
+    for src in _sources(demo_source):
         shared = parse(src)
         for kind in ALL_KINDS:
             try:
@@ -466,3 +449,32 @@ def test_transform_does_not_mutate_input(demo_source):
             assert _what_a_pass_reads(shared) == _what_a_pass_reads(parse(src)), kind
             fresh_out, fresh_lmap = apply_transform(parse(src), kind, 5)
             assert (pretty_print(out), lmap) == (pretty_print(fresh_out), fresh_lmap), kind
+
+
+def _nodes(program):
+    """Every statement and expression object of a program."""
+    for st in walk_program(program):
+        yield st
+        for e in stmt_expressions(st):
+            yield from walk_expr(e)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_output_holds_each_node_once_and_none_of_the_input(kind, demo_source):
+    """A pass copies its input once and moves the nodes of that copy: no
+    statement or expression object sits at two places of the output, and
+    none is shared with the input."""
+    applied = 0
+    for src in _sources(demo_source):
+        prog = parse(src)
+        try:
+            out, _ = apply_transform(prog, kind, 5)
+        except InapplicableTransform:
+            continue
+        applied += 1
+        seen: set[int] = set()
+        for node in _nodes(out):
+            assert id(node) not in seen, (kind, node)
+            seen.add(id(node))
+        assert not seen & {id(node) for node in _nodes(prog)}, kind
+    assert applied, f"{kind} applied to no program"
