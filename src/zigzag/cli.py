@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus, save_corpus
-from .encoding import EncodingError
+from .encoding import EncodingError, count_truncated
 from .evaluation import ORIGINAL_ROW, EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
 from .nn.model import ModelError, load_model, make_config, model_fingerprint, save_model
@@ -159,30 +159,46 @@ def cmd_transform(args) -> None:
     log.info("wrote %d programs (%d variants)", len(augmented), variants)
 
 
-def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, str]:
+def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, int]:
+    """The train config, the model config the command passes on, and the
+    token length the model will keep."""
     tc = TrainConfig(seed=seed, **{k: config[k] for k in _TRAIN_KEYS if k in config})
-    granularity = _pick(args, config, "granularity", "function")
     mc = {k: config[k] for k in _MODEL_KEYS if k in config}
-    mc["granularity"] = granularity
+    mc["granularity"] = _pick(args, config, "granularity", "function")
     try:
         tc.validate()
-        make_config(**mc)
+        length = make_config(**mc)["length"]
     except (TrainingError, ModelError) as exc:
         raise UsageError(str(exc))
-    return tc, mc, granularity
+    return tc, mc, length
 
 
 def cmd_train(args) -> None:
     config = _load_run_config(args)
     seed = _pick(args, config, "seed", 0)
-    tc, mc, granularity = _train_configs(args, config, seed)
+    tc, mc, length = _train_configs(args, config, seed)
+    granularity = mc["granularity"]
 
-    # originals' fragments, then variants' grouped by kind in first-seen order
+    # originals' fragments, then variants' grouped by kind in first-seen
+    # order; original mode counts the variants' fragments and keeps none.
+    # Fragments with equal tokens share one tuple: many variants normalize
+    # to their original's tokens, and the tuples are most of what is kept.
     buckets: dict = {None: []}
+    sequences: dict = {}
+    variants = truncated_variants = 0
     for item, program in read_corpus(args.data):
         bucket = buckets.setdefault(item.kind, [])
-        if item.split == "train":
-            bucket.extend(extract_fragments(item, granularity, program))
+        if item.split != "train":
+            continue
+        fragments = extract_fragments(item, granularity, program)
+        if item.kind is not None:
+            variants += len(fragments)
+            truncated_variants += count_truncated(fragments, length)
+            if args.mode == "original":
+                continue
+        for frag in fragments:
+            frag.tokens = sequences.setdefault(frag.tokens, frag.tokens)
+        bucket.extend(fragments)
     clean = buckets.pop(None)
     varied = [f for bucket in buckets.values() for f in bucket]
     val_fragments = None
@@ -193,8 +209,8 @@ def cmd_train(args) -> None:
         ]
 
     if args.mode == "original":
-        if varied:
-            log.warning("original mode ignores %d transformed variants", len(varied))
+        if variants:
+            log.warning("original mode ignores %d transformed variants", variants)
         outcome = train_original(clean, model_config=mc, train_config=tc, val_fragments=val_fragments)
     elif args.mode == "conventional":
         if not varied:
@@ -216,7 +232,9 @@ def cmd_train(args) -> None:
         "train_config": dataclasses.asdict(tc),
         "model_config": outcome.model.config,
         "clean_fragments": len(clean),
-        "variant_fragments": len(varied),
+        "variant_fragments": variants,
+        "truncated_clean_fragments": count_truncated(clean, length),
+        "truncated_variant_fragments": truncated_variants,
         "rounds_run": outcome.rounds_run,
         "stopped_early": outcome.stopped_early,
         "model_fingerprint": model_fingerprint(outcome.model),
@@ -238,6 +256,7 @@ def cmd_eval(args) -> None:
         "granularity": report.granularity,
         "corpus_digest": report.corpus_digest,
         "model_digest": report.model_digest,
+        "buckets": report.buckets,
     })
     print(report.to_text())
 

@@ -6,6 +6,12 @@ see concrete names (the attacker controls those).  String literals
 collapse to STR.  Keywords, operators, punctuation, and integer
 literals pass through.
 
+A fragment arrives with these tokens (``Fragment.tokens``), emitted
+from its AST at extraction, so the vocabulary and the encoder read them
+and lex nothing.  ``normalize_tokens`` states the same rule over text:
+it lexes and anonymizes by the neighbouring tokens, and is the
+reference the token walk is tested against.
+
 Ids 0 and 1 are reserved for padding and unknown tokens.  The
 vocabulary is built from training fragments only; handing it anything
 else is a leakage bug and raises.
@@ -58,7 +64,7 @@ def build_vocab(fragments: Iterable[Fragment]) -> dict[str, int]:
     for frag in fragments:
         if frag.split != "train":
             raise EncodingError(f"vocabulary fed non-training fragment {frag.id}")
-        counts.update(normalize_tokens(frag.text))
+        counts.update(frag.tokens)
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return {tok: i + 2 for i, (tok, _) in enumerate(ordered)}
 
@@ -73,7 +79,12 @@ def encode_fragments(
     """
     X = np.full((len(fragments), length), PAD_ID, dtype=np.int32)
     for row, frag in zip(X, fragments):
-        ids = [vocab.get(tok, UNK_ID) for tok in normalize_tokens(frag.text)][:length]
+        ids = [vocab.get(tok, UNK_ID) for tok in frag.tokens[:length]]
         row[: len(ids)] = ids
     y = np.array([float(f.label) for f in fragments], dtype=np.float64)
     return X, y
+
+
+def count_truncated(fragments: Iterable[Fragment], length: int) -> int:
+    """How many fragments hold more tokens than an encoding of `length` keeps."""
+    return sum(len(frag.tokens) > length for frag in fragments)

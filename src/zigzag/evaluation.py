@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .corpus import CorpusProgram, read_json_lines
-from .encoding import encode_fragments
+from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
 from .nn.model import DetectorModel, model_fingerprint
@@ -115,6 +117,10 @@ class EvalReport:
     rows: list[EvalRow]
     corpus_digest: str
     model_digest: str
+    # per bucket, as evaluate_detector saw it: fragments, fragments longer
+    # than the model keeps, and unknown tokens in what it kept; not saved
+    # with the report, so a loaded report has none
+    buckets: dict[str, dict[str, int]] = field(default_factory=dict, compare=False)
 
     def row(self, name: str) -> EvalRow:
         for r in self.rows:
@@ -203,11 +209,19 @@ def load_report(path) -> EvalReport:
 # --------------------------------------------------------------------------
 # running a detector over program buckets
 
-def _bucket_row(model: DetectorModel, name: str, bucket: list[tuple[CorpusProgram, list[Fragment]]]) -> EvalRow:
+def _bucket_row(
+    model: DetectorModel, name: str, bucket: list[tuple[CorpusProgram, list[Fragment]]]
+) -> tuple[EvalRow, dict[str, int]]:
     """Score every fragment of a bucket in one forward pass, then count
-    per function."""
+    per function; with the row, the bucket's fragment counters."""
     fragments = [frag for _, frags in bucket for frag in frags]
-    X, _ = encode_fragments(fragments, model.vocab, model.config["length"])
+    length = model.config["length"]
+    X, _ = encode_fragments(fragments, model.vocab, length)
+    counters = {
+        "fragments": len(fragments),
+        "truncated": count_truncated(fragments, length),
+        "unk_tokens": int(np.count_nonzero(X == UNK_ID)),
+    }
     preds = iter(model.predict(X))
     y_true: list[int] = []
     y_pred: list[int] = []
@@ -216,7 +230,7 @@ def _bucket_row(model: DetectorModel, name: str, bucket: list[tuple[CorpusProgra
         for function, label in item.labels.items():
             y_true.append(label)
             y_pred.append(int(function in flagged))
-    return EvalRow(name, len(bucket), len(y_true), confusion_from(y_true, y_pred))
+    return EvalRow(name, len(bucket), len(y_true), confusion_from(y_true, y_pred)), counters
 
 
 def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequence[CorpusProgram]]) -> str:
@@ -240,17 +254,19 @@ def evaluate_detector(model: DetectorModel, pairs: Iterable[tuple[CorpusProgram,
         fragments = extract_fragments(item, granularity, program)
         buckets.setdefault(item.kind, []).append((item, fragments))
     originals = buckets.pop(None)
-    kinds = [_bucket_row(model, kind, buckets[kind]) for kind in sorted(buckets)]
+    scored = {kind: _bucket_row(model, kind, buckets[kind]) for kind in sorted(buckets)}
+    kinds = [row for row, _ in scored.values()]
     total = EvalRow(
         TOTAL_ROW,
         sum(r.programs for r in kinds),
         sum(r.functions for r in kinds),
         sum((r.confusion for r in kinds), Confusion()),
     )
-    rows = [_bucket_row(model, ORIGINAL_ROW, originals), *kinds, total]
+    original, original_counters = _bucket_row(model, ORIGINAL_ROW, originals)
     targets = {kind: [item for item, _ in bucket] for kind, bucket in buckets.items()}
     digest = corpus_digest([item for item, _ in originals], targets)
-    return EvalReport(granularity, rows, digest, model_fingerprint(model))
+    counters = {ORIGINAL_ROW: original_counters, **{kind: c for kind, (_, c) in scored.items()}}
+    return EvalReport(granularity, [original, *kinds, total], digest, model_fingerprint(model), counters)
 
 
 # --------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 Two granularities:
 
-* "function": one fragment per function, text is the whole function.
-* "slice": one fragment per array-indexing statement, text is the
-  backward closure over statements that define any name the slice
-  already mentions (all occurrences, not just reaching definitions),
-  rendered in source order.  Only simple statements participate;
-  loop and branch headers are control context and stay out.
+* "function": one fragment per function, the whole function.
+* "slice": one fragment per array-indexing statement: the backward
+  closure over statements that define any name the slice already
+  mentions (all occurrences, not just reaching definitions), in source
+  order.  Only simple statements participate; loop and branch headers
+  are control context and stay out.
 
-A fragment is labeled 1 when it contains a flagged statement.  The
-fragment carries its program's split so later stages can refuse to fit
-anything on test data.
+A fragment holds its normalized tokens, taken once at extraction from
+the AST by ``lang.printer.function_tokens`` or ``statement_tokens``;
+nothing downstream prints or lexes it again.  Its ``text`` is derived
+from the tokens for a reader.  A fragment is labeled 1 when it contains
+a flagged statement.  It carries its program's split so later stages
+can refuse to fit anything on test data.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from .lang.nodes import (
     walk_expr,
     walk_statements,
 )
-from .lang.printer import format_function, format_statements
+from .lang.printer import function_tokens, statement_tokens
 
 FUNCTION_GRANULARITY = "function"
 SLICE_GRANULARITY = "slice"
@@ -51,9 +54,15 @@ class Fragment:
     program_id: str
     function: str
     granularity: str
-    text: str
+    tokens: tuple[str, ...]
     label: int
     split: str
+
+    @property
+    def text(self) -> str:
+        """The tokens on one line, a string literal as ``""``:
+        ``encoding.normalize_tokens`` reads it back to the tokens."""
+        return " ".join('""' if tok == "STR" else tok for tok in self.tokens)
 
 
 def _defined_names(st: Stmt) -> set[str]:
@@ -130,7 +139,7 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
                     program_id=item.id,
                     function=fn.name,
                     granularity=granularity,
-                    text=format_function(fn),
+                    tokens=function_tokens(fn),
                     label=labels[fn.name],
                     split=item.split,
                 )
@@ -145,7 +154,7 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
                     program_id=item.id,
                     function=fn.name,
                     granularity=granularity,
-                    text=format_statements(stmts),
+                    tokens=statement_tokens(stmts),
                     label=label,
                     split=item.split,
                 )

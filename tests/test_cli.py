@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,24 +14,33 @@ from zigzag.cli import main
 from zigzag.corpus import CorpusProgram, function_labels, load_corpus, save_corpus
 from zigzag.evaluation import Confusion, EvalReport, EvalRow
 from zigzag.fragments import extract_fragments
-from zigzag.lang import parse
+from zigzag.lang import lexer, parse
 from zigzag.lang.parser import Parser
 from zigzag.nn.model import DetectorModel, init_params, load_model, make_config, model_fingerprint, save_model
 
 
 def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeypatch):
-    parses = []
-    parse_program = Parser.parse_program
+    parses, lexes = [], []
+    parse_program, lex = Parser.parse_program, lexer.lex
 
     def counted(self):
         parses.append(None)
         return parse_program(self)
 
+    def counted_lex(source):
+        lexes.append(None)
+        return lex(source)
+
     monkeypatch.setattr(Parser, "parse_program", counted)
+    # every module that bound the lexer, so a fragment re-lexed anywhere counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zigzag") and getattr(module, "lex", None) is lex:
+            monkeypatch.setattr(module, "lex", counted_lex)
 
     def run(*argv) -> int:
         """Run one command, require exit 0, and return its parse count."""
         parses.clear()
+        lexes.clear()
         assert main([str(a) for a in argv]) == 0
         return len(parses)
 
@@ -47,11 +57,21 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
         assert run("transform", source, "--ct", ct, "--seed", 1, "--out", out) == records(source)
         assert sidecar(out)["variants"] == sum(p.kind is not None for p in load_corpus(out))
 
+    # a length that cuts some fragments, so the truncation counts say something
+    length = 60
     config = tmp_path / "small.cfg"
-    config.write_text("e1 = 2\nbeta = 1\ne2 = 1\ne3 = 1\n")
+    config.write_text(f"e1 = 2\nbeta = 1\ne2 = 1\ne3 = 1\nlength = {length}\n")
     items = load_corpus(train_aug)
     clean = [f for p in items if p.kind is None for f in extract_fragments(p, "function")]
     varied = [f for p in items if p.kind is not None for f in extract_fragments(p, "function")]
+    tested = {}
+    for p in load_corpus(test_aug):
+        tested.setdefault(p.kind or "n/a", []).extend(extract_fragments(p, "function"))
+
+    def truncated(fragments) -> int:
+        return sum(len(f.tokens) > length for f in fragments)
+
+    assert 0 < truncated(clean) < len(clean) and 0 < truncated(varied) < len(varied)
     reports = []
     for mode in ("original", "conventional", "zigzag"):
         model, trace = tmp_path / f"{mode}.zzm", tmp_path / f"{mode}.trace.jsonl"
@@ -62,13 +82,26 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
             argv += ["--val-data", test]
             inputs.append(test)
         assert run(*argv) == records(*inputs)
+        assert len(lexes) == records(*inputs), "a train fragment was lexed again"
         written = sidecar(model)
         assert written["clean_fragments"] == len(clean)
         assert written["variant_fragments"] == len(varied)
+        assert written["truncated_clean_fragments"] == truncated(clean)
+        assert written["truncated_variant_fragments"] == truncated(varied)
         assert written["model_fingerprint"] == model_fingerprint(load_model(model))
 
         report = tmp_path / f"{mode}.report.jsonl"
         assert run("eval", "--model", model, "--corpus", test_aug, "--out", report) == records(test_aug)
+        assert len(lexes) == records(test_aug), "an eval fragment was lexed again"
+        vocab = load_model(model).vocab
+        assert sidecar(report)["buckets"] == {
+            bucket: {
+                "fragments": len(fragments),
+                "truncated": truncated(fragments),
+                "unk_tokens": sum(tok not in vocab for f in fragments for tok in f.tokens[:length]),
+            }
+            for bucket, fragments in tested.items()
+        }
         reports.append(report)
     run("compare", *reports)
 

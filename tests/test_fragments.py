@@ -205,7 +205,7 @@ def test_normalize_collapses_strings():
 
 def test_vocab_orders_by_frequency_then_text():
     frags = [
-        Fragment("a", "p", "f", "function", "func f() {\n    return 1 + 1 + 2;\n}\n", 0, "train")
+        Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 1 + 1 + 2;\n}\n")), 0, "train")
     ]
     vocab = build_vocab(frags)
     assert min(vocab.values()) == 2
@@ -215,14 +215,14 @@ def test_vocab_orders_by_frequency_then_text():
 
 
 def test_vocab_rejects_non_training_fragments():
-    frag = Fragment("a", "p", "f", "function", "func f() {\n    return 0;\n}\n", 0, "test")
+    frag = Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "test")
     with pytest.raises(EncodingError):
         build_vocab([frag])
 
 
 def test_encode_pads_truncates_and_maps_unknowns():
     vocab = {"func": 2, "(": 3, ")": 4, "{": 5, "}": 6}
-    frag = Fragment("a", "p", "f", "function", "func f() {\n    return 0;\n}\n", 0, "train")
+    frag = Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "train")
 
     def encode(length):
         X, _ = encode_fragments([frag], vocab, length)

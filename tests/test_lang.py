@@ -6,7 +6,7 @@ import pathlib
 import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zigzag.lang import (
     COMPLETED,
@@ -24,7 +24,10 @@ from zigzag.lang import (
 )
 from zigzag.lang.lexer import lex
 from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH
+from zigzag.lang.printer import function_tokens, statement_tokens
 from zigzag.corpus import function_labels
+from zigzag.encoding import normalize_tokens
+from zigzag.fragments import Fragment
 from zigzag.lang.nodes import (
     BINARY_PREC,
     BLOCK_SLOTS,
@@ -396,6 +399,25 @@ def test_printed_operator_trees_parse_back_to_the_same_tree(tree) -> None:
     program = parse("func main() { var a = 1; var b = 2; var c[3]; output(0); }")
     program.function("main").body[-1].call.args = [tree]
     assert program_signature(parse(pretty_print(program))) == program_signature(program)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_OPERATOR_TREES)
+@example(BinOp("*", IntLit(-3), BinOp("-", IntLit(-2), Var("a"))))
+@example(BinOp("-", Var("a"), BinOp("-", IntLit(-1), IntLit(-9))))
+@example(BinOp("+", StrLit('q"\\'), StrLit("tab\there\nline")))
+@example(BinOp("*", BinOp("||", Var("a"), BinOp("&&", Var("b"), IntLit(0))),
+               Index("c", BinOp("%", BinOp("-", IntLit(-4), Var("b")), IntLit(3)))))
+def test_token_walk_is_the_printed_text_lexed_and_normalized(tree) -> None:
+    program = parse("func main() { var a = 1; var b = 2; var c[3]; output(0); }")
+    main = program.function("main")
+    main.body[-1].call.args = [tree]
+    text = pretty_print(program)
+    tokens = function_tokens(main)
+    assert list(tokens) == normalize_tokens(text)
+    assert list(statement_tokens(main.body[-1:])) == normalize_tokens(text.splitlines()[-2])
+    fragment = Fragment("p/main", "p", "main", "function", tokens, 0, "train")
+    assert normalize_tokens(fragment.text) == list(tokens)
 
 
 FUZZ_SRC = """func main() {

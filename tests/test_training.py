@@ -393,7 +393,7 @@ def test_rejects_non_training_fragments(pools):
         program_id=clean[0].program_id,
         function=clean[0].function,
         granularity=clean[0].granularity,
-        text=clean[0].text,
+        tokens=clean[0].tokens,
         label=clean[0].label,
         split="test",
     )

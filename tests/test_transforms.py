@@ -6,10 +6,14 @@ LineMap, print/parse cleanly, and be byte-deterministic per seed.
 """
 import pytest
 
-from zigzag.corpus import generate_synthetic
+from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic
+from zigzag.encoding import normalize_tokens
+from zigzag.fragments import GRANULARITIES, extract_fragments, slice_statements
 from zigzag.lang import COMPLETED, interpret, parse, pretty_print
 from zigzag.lang.nodes import (
     For,
+    FunctionDef,
+    Program,
     collect_line_ids,
     flagged_lines,
     program_signature,
@@ -478,3 +482,45 @@ def test_output_holds_each_node_once_and_none_of_the_input(kind, demo_source):
             seen.add(id(node))
         assert not seen & {id(node) for node in _nodes(prog)}, kind
     assert applied, f"{kind} applied to no program"
+
+
+def _printed_fragment_tokens(program, granularity):
+    """Each fragment's tokens the long way: print, lex, normalize_tokens."""
+    if granularity == "function":
+        texts = [pretty_print(Program([fn])) for fn in program.functions]
+    else:
+        # a slice prints as its simple statements, one line each
+        texts = [
+            "\n".join(pretty_print(Program([FunctionDef("f", [], stmts)])).splitlines()[1:-1])
+            for fn in program.functions
+            for stmts in slice_statements(fn)
+        ]
+    return [tuple(normalize_tokens(text)) for text in texts]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_fragment_tokens_are_the_printed_text_lexed_and_normalized(kind, granularity, demo_source):
+    """Fragments take their tokens from the AST; they must equal what
+    print -> lex -> normalize_tokens gives, and their text must read back
+    to them, on the case programs, the fixture, six generated programs and
+    each one's variants at seeds 0, 1 and 7."""
+    checked = 0
+    for src in _sources(demo_source):
+        original = parse(src)
+        programs = [original]
+        for seed in (0, 1, 7):
+            try:
+                programs.append(apply_transform(original, kind, seed)[0])
+            except InapplicableTransform:
+                pass
+        for program in programs:
+            item = CorpusProgram(
+                id="p", source=src, split="train", labels=function_labels(program), witness_inputs=None
+            )
+            fragments = extract_fragments(item, granularity, program)
+            assert [f.tokens for f in fragments] == _printed_fragment_tokens(program, granularity)
+            for f in fragments:
+                assert normalize_tokens(f.text) == list(f.tokens), f.id
+            checked += len(fragments)
+    assert checked
