@@ -22,6 +22,7 @@ import dataclasses
 import json
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -140,7 +141,10 @@ def cmd_transform(args) -> None:
         kinds = resolve_kinds(selector)
     except TransformError as exc:
         raise UsageError(str(exc))
-    augmented = augment_corpus(read_corpus(args.input), kinds, seed)
+    pairs = list(read_corpus(args.input))
+    augmented = augment_corpus(pairs, kinds, seed)
+    originals = sum(1 for item, _ in pairs if item.kind is None)
+    made = Counter(p.kind for p in augmented[len(pairs):])  # the variants follow the input
     if args.variants_only:
         augmented = [p for p in augmented if p.kind is not None]
     save_corpus(args.out, augmented)
@@ -155,6 +159,8 @@ def cmd_transform(args) -> None:
         "variants_only": bool(args.variants_only),
         "programs": len(augmented),
         "variants": variants,
+        # per kind, the originals it made a variant of and those it did not apply to
+        "per_kind": {kind: {"made": made[kind], "inapplicable": originals - made[kind]} for kind in kinds},
     })
     log.info("wrote %d programs (%d variants)", len(augmented), variants)
 

@@ -11,6 +11,10 @@ few ulps (tests pin the two within 1e-12 of the largest |emb|).  The
 scatter (np.add.at over gathered positions) serves the RNN only.
 
 Token id 0 is padding and never contributes to pooling or recurrence.
+The RNN kernels step through every column of the X they are given;
+features_forward gives them X cut after the batch's last column that
+holds a token, since a column of padding in every row leaves h as it is
+and adds exact zeros to every gradient.
 The kernels do not check that ids lie in [0, emb rows): numpy would
 raise a bare IndexError, read a negative id from the end of emb, or
 (in the count matrix) count an id >= V in the next row.  The range is

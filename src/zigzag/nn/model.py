@@ -4,8 +4,10 @@ The feature stack embeds token ids, pools them (masked mean, or a
 masked tanh recurrence when config["encoder"] is "rnn"), and applies a
 tanh affine layer.  The mean is a matmul with the batch's token-count
 matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
-only the RNN scatters per-token gradients into the embedding.  Each head
-is a small tanh MLP ending in a sigmoid.
+only the RNN scatters per-token gradients into the embedding.  The
+recurrence runs to the batch's last column that holds a token; the
+all-padding columns after it would leave h as it is.  Each head is a
+small tanh MLP ending in a sigmoid.
 Everything is float64 and functional: forward passes return caches,
 backward passes return gradient dicts keyed like the parameter dict, so
 freezing a subsystem means not asking for its gradients.
@@ -152,6 +154,11 @@ def features_forward(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndar
         enc, C, denom = embed_mean_forward(params["emb"], X)
         cache: dict = {"C": C, "denom": denom}
     else:
+        # the recurrence stops at the last column that holds a token in any
+        # row: past it every step carries h unchanged and adds exact zeros
+        # to every gradient, so the cut is byte-identical
+        filled = np.flatnonzero((X != 0).any(axis=0))
+        X = X[:, : filled[-1] + 1 if filled.size else 0]
         hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
         enc = hs[:, -1, :]
         cache = {"X": X, "hs": hs, "E": E}

@@ -55,7 +55,8 @@ def resolve_kinds(spec: str) -> tuple[str, ...]:
     """Resolve a user-facing transform selector to a kind tuple.
 
     Accepts a single kind ("ct3"), a comma list ("ct1,ct6"), "all", or a
-    named set ("md2").  Case-insensitive.
+    named set ("md2").  Case-insensitive; a kind listed twice is kept
+    once, so each program gets at most one variant of each kind.
     """
     text = spec.strip().lower()
     if not text:
@@ -64,7 +65,7 @@ def resolve_kinds(spec: str) -> tuple[str, ...]:
         return ALL_KINDS
     if text in CT_SETS:
         return CT_SETS[text]
-    kinds = tuple(part.strip() for part in text.split(","))
+    kinds = tuple(dict.fromkeys(part.strip() for part in text.split(",")))
     for kind in kinds:
         if kind not in _PASSES:
             raise TransformError(f"unknown transform kind {kind!r}")

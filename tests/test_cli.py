@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zigzag.cli import main
-from zigzag.corpus import CorpusProgram, function_labels, load_corpus, save_corpus
+from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic, load_corpus, save_corpus
 from zigzag.evaluation import Confusion, EvalReport, EvalRow
 from zigzag.fragments import extract_fragments
 from zigzag.lang import lexer, parse
@@ -229,6 +229,24 @@ def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_p
     assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {path}: record 'p7': source does not parse: {where}\n"
+
+
+@pytest.mark.parametrize("variants_only", [False, True])
+def test_transform_sidecar_counts_variants_made_and_inapplicable_per_kind(variants_only, tmp_path, demo_source):
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "aug.jsonl"
+    demo = CorpusProgram(id="demo", source=demo_source, split="test",
+                         labels=function_labels(parse(demo_source)), witness_inputs=None)
+    originals = [demo, *generate_synthetic(4, 0.5, seed=2)]
+    save_corpus(path, originals)
+    argv = ["transform", str(path), "--ct", "all", "--seed", "1", "--out", str(out)]
+    assert main(argv + ["--variants-only"] * variants_only) == 0
+    per_kind = json.loads(out.with_name(out.name + ".config.json").read_text())["per_kind"]
+    written = [p.kind for p in load_corpus(out)]
+    assert list(per_kind) == [f"ct{i}" for i in range(1, 9)]
+    for kind, counts in per_kind.items():
+        assert counts["made"] == written.count(kind)
+        assert counts["made"] + counts["inapplicable"] == len(originals)
+    assert any(counts["inapplicable"] for counts in per_kind.values())
 
 
 def test_transform_flattens_a_long_flat_body(flat_ifs_source, tmp_path):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import zigzag.nn
-from zigzag.nn.kernels import embed_mean_forward
+from zigzag.corpus import generate_synthetic
+from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.fragments import extract_fragments
+from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
 from zigzag.nn.losses import EPS, bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
@@ -29,7 +32,9 @@ BATCH = 3
 LENGTH = 7
 
 
-def tiny_setup(encoder: str, seed: int = 5):
+def tiny_setup(encoder: str, seed: int = 5, pad_from: int = LENGTH):
+    """A tiny model and batch; rows 0 and 2 end in padding, and every row
+    is padding from column `pad_from` on."""
     config = make_config(
         encoder=encoder, emb_dim=4, feature_dim=6, head_hidden=5, rnn_hidden=5, length=LENGTH
     )
@@ -38,6 +43,7 @@ def tiny_setup(encoder: str, seed: int = 5):
     X = rng.integers(1, VOCAB, size=(BATCH, LENGTH)).astype(np.int32)
     X[0, 4:] = 0  # padded tail
     X[2, 6:] = 0
+    X[:, pad_from:] = 0
     y = rng.integers(0, 2, size=BATCH).astype(np.float64)
     return config, params, X, y
 
@@ -96,17 +102,26 @@ def fd_worst_rel(params, loss_fn, grads, h=1e-4) -> float:
     return worst
 
 
-@pytest.mark.parametrize("encoder", ["mean", "rnn"])
-def test_bce_gradients_match_finite_differences(encoder):
-    config, params, X, y = tiny_setup(encoder)
+# padded-tail: every row ends in padding, so the RNN cuts the batch's tail
+FD_CASES = pytest.mark.parametrize("encoder,pad_from", [
+    pytest.param("mean", LENGTH, id="mean"),
+    pytest.param("rnn", LENGTH, id="rnn"),
+    pytest.param("mean", 5, id="mean-padded-tail"),
+    pytest.param("rnn", 5, id="rnn-padded-tail"),
+])
+
+
+@FD_CASES
+def test_bce_gradients_match_finite_differences(encoder, pad_from):
+    config, params, X, y = tiny_setup(encoder, pad_from=pad_from)
     grads = grads_bce(params, config, X, y)
     worst = fd_worst_rel(params, lambda: total_bce(params, config, X, y), grads)
     assert worst <= 1e-4
 
 
-@pytest.mark.parametrize("encoder", ["mean", "rnn"])
-def test_discrepancy_gradients_match_finite_differences(encoder):
-    config, params, X, y = tiny_setup(encoder)
+@FD_CASES
+def test_discrepancy_gradients_match_finite_differences(encoder, pad_from):
+    config, params, X, y = tiny_setup(encoder, pad_from=pad_from)
     F, _ = features_forward(params, config, X)
     p1, _ = head_forward(params, "c1", F)
     p2, _ = head_forward(params, "c2", F)
@@ -129,6 +144,75 @@ def test_features_forward_accepts_exactly_ids_below_emb_rows(encoder):
         X[1, 0] = bad
         with pytest.raises(ModelError, match=f"token id {bad} "):
             features_forward(params, config, X)
+
+
+# ---- RNN cut at the last filled column ------------------------------------------
+
+
+def uncut_rnn_pass(params: dict, X: np.ndarray, dF: np.ndarray) -> tuple[np.ndarray, dict]:
+    """F and the feature gradients of the RNN stack, stepping the kernels
+    through every column of X."""
+    hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
+    enc = hs[:, -1, :]
+    F = np.tanh(enc @ params["f_w"] + params["f_b"])
+    dpre = dF * (1.0 - F * F)
+    dE, dwx, dwh, db = rnn_backward(dpre @ params["f_w"].T, hs, E, X, params["r_wx"], params["r_wh"])
+    grads = {"f_w": enc.T @ dpre, "f_b": dpre.sum(axis=0), "r_wx": dwx, "r_wh": dwh, "r_b": db}
+    grads["emb"] = scatter_embedding(dE, X, params["emb"].shape[0])
+    return F, grads
+
+
+def slice_rnn_setup(length: int = 64):
+    """An RNN model and the encoded slice fragments of a small corpus."""
+    fragments = [f for item in generate_synthetic(8, 0.5, seed=3) for f in extract_fragments(item, "slice")]
+    vocab = build_vocab(f for f in fragments if f.split == "train")
+    X, _ = encode_fragments(fragments, vocab, length)
+    config = make_config(encoder="rnn", granularity="slice", length=length)
+    params = init_params(config, max(vocab.values()) + 1, 7)
+    rng = derive_rng(7, "rnn-cut")
+    for key in ("r_b", "f_b"):  # nonzero biases, so a masked step would show
+        params[key] = rng.uniform(-0.5, 0.5, size=params[key].shape)
+    return config, params, X
+
+
+def _gap_batch(X):
+    """Rows whose tokens sit in columns 0-2 and 4-5; column 3 is padding."""
+    gap = X[:6, :6].copy()
+    gap[:, 3] = 0
+    gap[:, :3] = np.maximum(gap[:, :3], 2)
+    gap[:, 5] = 2
+    return gap
+
+
+RNN_CUT_BATCHES = {
+    "encoded": lambda X: X[:32],
+    "five-extra-pad-columns": lambda X: np.pad(X[:32], ((0, 0), (0, 5))),
+    "all-padding": lambda X: np.zeros_like(X[:4]),
+    "empty": lambda X: X[:0],
+    "tokens-in-column-0-only": lambda X: np.pad(X[:8, :1], ((0, 0), (0, X.shape[1] - 1))),
+    "pad-column-between-tokens": lambda X: np.pad(_gap_batch(X), ((0, 0), (0, X.shape[1] - 6))),
+}
+
+
+@pytest.mark.parametrize("batch", RNN_CUT_BATCHES)
+def test_rnn_cut_at_last_filled_column_changes_no_byte(batch):
+    config, params, encoded = slice_rnn_setup()
+    X = RNN_CUT_BATCHES[batch](encoded)
+    filled = np.flatnonzero((X != 0).any(axis=0))
+    last = int(filled[-1]) if filled.size else -1
+    if batch == "encoded":
+        assert 0 < last < X.shape[1] - 1, "the encoded batch ends in padding columns"
+    dF = derive_rng(7, "rnn-cut-dF").uniform(-1.0, 1.0, size=(X.shape[0], config["feature_dim"]))
+    F, cache = features_forward(params, config, X)
+    grads = features_backward(params, config, cache, dF)
+    want_F, want_grads = uncut_rnn_pass(params, X, dF)
+    assert cache["hs"].shape[1] == last + 2  # h0, then one step per column up to the last filled
+    assert F.tobytes() == want_F.tobytes()
+    assert sorted(grads) == sorted(want_grads)
+    for key, g in want_grads.items():
+        assert grads[key].tobytes() == g.tobytes(), key
+    if batch == "all-padding":
+        assert F.tobytes() == np.broadcast_to(np.tanh(params["f_b"]), F.shape).tobytes()
 
 
 # ---- count-matrix mean pooling ------------------------------------------------

@@ -416,6 +416,7 @@ def test_apply_rejects_unknown_kind():
 def test_resolve_kinds_accepts_lists_sets_and_all():
     assert resolve_kinds("ct3") == ("ct3",)
     assert resolve_kinds("CT1, ct6") == ("ct1", "ct6")
+    assert resolve_kinds("ct6,ct1,ct6") == ("ct6", "ct1")
     assert resolve_kinds("all") == ALL_KINDS
     assert resolve_kinds("MD2") == CT_SETS["md2"]
     assert resolve_kinds("md0") == ()
