@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import pathlib
 import typing
 
@@ -21,6 +22,7 @@ from zigzag.lang import (
     interpret,
     parse,
     pretty_print,
+    validate_program,
 )
 from zigzag.lang.lexer import lex
 from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH
@@ -121,6 +123,96 @@ def test_call_arity_checked() -> None:
 def test_unknown_callee_rejected() -> None:
     with pytest.raises(UndeclaredIdentifierError):
         parse("func main() { output(g(1)); }")
+
+
+# every static rule's error: (exception type, message, line, col); a
+# statement's errors all report the statement's first token, and an
+# expression's first failing node in pre-order names the error
+_VALIDATION_ERRORS = [
+    pytest.param("func main() {\n    output(x);\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 2, 5, id="undeclared-use"),
+    pytest.param("func main() {\n    var i = 0;\n    output(a[i]);\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'a'", 3, 5, id="undeclared-index"),
+    pytest.param("func main() {\n    output(x);\n    var x = 1;\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 2, 5, id="use-before-declaration"),
+    pytest.param("func main() {\n    var x = x + 1;\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 2, 5, id="use-in-own-initializer"),
+    pytest.param("func main() {\n    if (1) {\n        var x = 1;\n    }\n    output(x);\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 5, 5, id="use-after-its-block"),
+    pytest.param("func f() {\n    var x = 1;\n    return x;\n}\nfunc main() {\n    output(x);\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 6, 5, id="declared-in-another-function"),
+    pytest.param("func main() {\n    output(x + y);\n}\n",
+                 UndeclaredIdentifierError, "use of undeclared identifier 'x'", 2, 5, id="left-operand-first"),
+    pytest.param("func main() {\n    var a = 1;\n      b = a;\n}\n",
+                 UndeclaredIdentifierError, "assignment to undeclared identifier 'b'", 3, 7, id="assign-undeclared"),
+    pytest.param("func main() {\n    var i = 0;\n    arr[i] = 1;\n}\n",
+                 UndeclaredIdentifierError, "assignment to undeclared identifier 'arr'", 3, 5,
+                 id="array-assign-undeclared"),
+    pytest.param("func main() {\n    var a = 1;\n    output(a + g(a));\n}\n",
+                 UndeclaredIdentifierError, "call to undeclared function 'g'", 3, 5, id="undeclared-callee"),
+    pytest.param("func main() {\n    g();\n}\n",
+                 UndeclaredIdentifierError, "call to undeclared function 'g'", 2, 5, id="undeclared-callee-statement"),
+    pytest.param("func main() {\n    output(g(x));\n}\n",
+                 UndeclaredIdentifierError, "call to undeclared function 'g'", 2, 5, id="callee-before-its-argument"),
+    pytest.param("func main() {\n    output(input(3));\n}\n",
+                 ValidationErrorML, "builtin 'input' takes 0 argument(s)", 2, 5, id="builtin-arity-input"),
+    pytest.param("func main() {\n    var a = 1;\n    output(a, a);\n}\n",
+                 ValidationErrorML, "builtin 'output' takes 1 argument(s)", 3, 5, id="builtin-arity-output"),
+    pytest.param("func f(a) {\n    return a;\n}\nfunc main() {\n    output(f(1, 2));\n}\n",
+                 ValidationErrorML, "call to 'f' with 2 args, expected 1", 5, 5, id="user-arity"),
+    pytest.param("func f(a, b) {\n    return a;\n}\nfunc main() {\n    f(1);\n}\n",
+                 ValidationErrorML, "call to 'f' with 1 args, expected 2", 5, 5, id="user-arity-statement"),
+    pytest.param("func main() {\n    var x = 1;\n    var x = 2;\n}\n",
+                 ValidationErrorML, "redeclaration of 'x'", 3, 5, id="redeclaration"),
+    pytest.param("func main() {\n    var x[3];\n    var x = 2;\n}\n",
+                 ValidationErrorML, "redeclaration of 'x'", 3, 5, id="redeclaration-of-an-array"),
+    pytest.param("func main() {\n    var x = 1;\n    if (x) {\n        var x = 2;\n    }\n}\n",
+                 ValidationErrorML, "redeclaration of 'x'", 4, 9, id="shadowing"),
+    pytest.param("func main() {\n    var x = 1;\n    if (x) {\n        x = 2;\n    } else {\n"
+                 "        while (x) {\n            var x = 3;\n        }\n    }\n}\n",
+                 ValidationErrorML, "redeclaration of 'x'", 7, 13, id="shadowing-in-else"),
+    pytest.param("func f(p) {\n    var p = 1;\n    return p;\n}\n",
+                 ValidationErrorML, "redeclaration of 'p'", 2, 5, id="shadowing-a-parameter"),
+    pytest.param("func main() {\n    var i = 0;\n    for (var i = 1; i < 3; i = i + 1) {\n        output(i);\n    }\n}\n",
+                 ValidationErrorML, "redeclaration of 'i'", 3, 10, id="for-init-redeclares"),
+    pytest.param("func f() {\n    return 1;\n}\nfunc main() {\n    var f = 1;\n}\n",
+                 ValidationErrorML, "variable 'f' collides with a function name", 5, 5, id="variable-named-as-function"),
+    pytest.param("func main() {\n    var input = 1;\n}\n",
+                 ValidationErrorML, "variable 'input' collides with a function name", 2, 5,
+                 id="variable-named-as-builtin"),
+    pytest.param("func main() {\n    var g[2];\n}\nfunc g() {\n    return;\n}\n",
+                 ValidationErrorML, "variable 'g' collides with a function name", 2, 5,
+                 id="variable-named-as-later-function"),
+    pytest.param("func f(main) {\n    return main;\n}\nfunc main() {\n    output(f(1));\n}\n",
+                 ValidationErrorML, "parameter 'main' collides with a function name", 1, 1,
+                 id="parameter-named-as-function"),
+    pytest.param("func f(output) {\n    return output;\n}\n",
+                 ValidationErrorML, "parameter 'output' collides with a function name", 1, 1,
+                 id="parameter-named-as-builtin"),
+    pytest.param("func f(a, b, a) {\n    return a;\n}\n",
+                 ValidationErrorML, "duplicate parameter in 'f'", 1, 1, id="duplicate-parameter"),
+    pytest.param("func f() {\n    return;\n}\n\nfunc f() {\n    return;\n}\n",
+                 ValidationErrorML, "duplicate function name 'f'", 1, 1, id="duplicate-function"),
+    pytest.param("func main() {\n    return;\n}\nfunc input() {\n    return 1;\n}\n",
+                 ValidationErrorML, "function name shadows builtin 'input'", 1, 1, id="function-shadows-builtin"),
+]
+
+
+@pytest.mark.parametrize("source, error, message, line, col", _VALIDATION_ERRORS)
+def test_validation_error_type_message_and_position(source, error, message, line, col) -> None:
+    with pytest.raises(MiniLangError) as exc:
+        parse(source)
+    assert (type(exc.value), exc.value.message, exc.value.line, exc.value.col) == (error, message, line, col)
+
+
+def test_validation_without_positions_reports_the_statement_line_id() -> None:
+    # a transform's output never existed as text: its errors carry the LineId and col 0
+    program = parse("func main() {\n    var a = 1;\n    output(a);\n}\n")
+    stmt = program.function("main").body[1]
+    stmt.call.args[0] = Var("b")
+    with pytest.raises(UndeclaredIdentifierError) as exc:
+        validate_program(program)
+    assert (exc.value.message, exc.value.line, exc.value.col) == ("use of undeclared identifier 'b'", stmt.line_id, 0)
 
 
 def test_line_ids_unique_and_monotone(demo_program) -> None:
@@ -245,6 +337,46 @@ def test_lex_vuln_marker_tolerates_spacing_but_not_extra_text() -> None:
     assert vuln_lines == {1, 3}
 
 
+# sources whose line ends, tabs, comments and trailing lines a line-wise
+# scan must treat as the whole-source scan did; tests/fixtures/lex_edges.json
+# holds each one's tokens, marker lines and eof position, or its error
+_LEX_EDGES = {
+    "crlf": "func main() {\r\n    var a = 1;\r\n\r\n    output(a); //@vuln\r\n}\r\n",
+    "lone-cr": "var a\r= 1;\r\routput(a);\r",
+    "tabs": "func main() {\n\tvar s = \"a\tb\";\t\tvar t = 2;\n\t\toutput(\t-t\t);\n}",
+    "trailing-comment": "func main() {\n    output(1);\n} // the end",
+    "blank-trailing-lines": "func main() {\n    output(1);\n}\n\n   \n\t\n\r\n",
+    "vuln-on-a-last-line-without-newline": "func main() {\n    output(1);\n}\n//@vuln",
+    "vuln-crlf-on-a-last-line": "output(1);\r\n   //@vuln\r",
+    "empty": "",
+    "only-newlines": "\n\n\n",
+    "comment-holding-quotes-and-slashes": "a = 1; // \"x\\ // @vuln\n//@vuln\t\nb /c;",
+    "unterminated-string-before-crlf": "func main() {\r\n    output(\"ab);\r\n}",
+    "bad-escape-before-crlf": "x = \"a\\\r\ny\";",
+    "escape-at-the-end": "\n\tx = \"a\\",
+    "character-after-tabs": "\n\t\tx = 1 @ 2;",
+    "form-feed": "a = 1;\x0cb = 2;",
+}
+
+
+def _lex_record(source: str) -> dict:
+    try:
+        tokens, vuln_lines = lex(source)
+    except SyntaxErrorML as exc:
+        return {"error": [exc.message, exc.line, exc.col]}
+    return {
+        "tokens": [[t.line, t.col, t.kind, t.text] for t in tokens[:-1]],
+        "vuln_lines": sorted(vuln_lines),
+        "eof": [tokens[-1].line, tokens[-1].col],
+    }
+
+
+@pytest.mark.parametrize("name", list(_LEX_EDGES))
+def test_lex_edge_cases_match_the_golden_streams(name) -> None:
+    golden = json.loads((pathlib.Path(__file__).parent / "fixtures" / "lex_edges.json").read_text())
+    assert _lex_record(_LEX_EDGES[name]) == golden[name]
+
+
 @pytest.mark.parametrize(
     "source, message, line, col",
     [
@@ -315,6 +447,29 @@ def test_depth_limit_counts_each_level_once() -> None:
     assert len(parse(nested(MAX_DEPTH - 2)).functions) == 1
     with pytest.raises(SyntaxErrorML):
         parse(nested(MAX_DEPTH - 1))
+
+
+def _output(expr: str) -> str:
+    return _main(f"output({expr});")
+
+
+# each form's deepest accepted size, counted in terms or factors, and the
+# column of the error one past it: an operator is one level, and a looser
+# operator drops the levels of the tighter ones before it
+_CHAIN_LIMITS = [
+    pytest.param(lambda n: " + ".join(["a * a"] * n), 38, 341, id="products-summed"),
+    pytest.param(lambda n: " * ".join(["a"] * n) + " + a", 39, 189, id="product-plus-one"),
+    pytest.param(lambda n: "a + " + " * ".join(["a"] * n), 38, 189, id="one-plus-product"),
+    pytest.param(lambda n: "a < " + " + ".join(["a"] * n), 38, 189, id="compared-sum"),
+]
+
+
+@pytest.mark.parametrize("chain, deepest, col", _CHAIN_LIMITS)
+def test_mixed_precedence_chain_depth_limit(chain, deepest, col) -> None:
+    assert len(parse(_output(chain(deepest))).functions) == 1
+    with pytest.raises(SyntaxErrorML) as exc:
+        parse(_output(chain(deepest + 1)))
+    assert (exc.value.message, exc.value.line, exc.value.col) == (f"nesting deeper than {MAX_DEPTH} levels", 1, col)
 
 
 @settings(derandomize=True, database=None, max_examples=300)
