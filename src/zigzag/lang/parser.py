@@ -44,12 +44,13 @@ from .nodes import (
 
 # Deepest nesting ``parse`` accepts.  One level is a block, an expression
 # (a statement's own, or one in parentheses, brackets or call arguments),
-# a unary minus, or an operator in a chain such as a + b + c.  The parser
-# and the passes after it recurse over the tree; the parser goes deepest,
-# about 12 Python frames a level (nested calls), so at 40 levels parse and
-# every later pass need at most 440 frames and stay inside the default
-# recursion limit of 1000.  Programs from gen, from any one transform and
-# from any pair of transforms reach 15.
+# a unary minus (two on an operand other than an integer literal, as the
+# printer writes -e as 0 - (e)), or an operator in a chain such as
+# a + b + c.  The parser and the passes after it recurse over the tree;
+# the parser goes deepest, about 12 Python frames a level (nested calls),
+# so at 40 levels parse and every later pass need at most 440 frames and
+# stay inside the default recursion limit of 1000.  Programs from gen,
+# from any one transform and from any pair of transforms reach 15.
 MAX_DEPTH = 40
 
 # Largest array ``parse`` accepts.  gen declares 5 to 9 elements; at this
@@ -100,9 +101,9 @@ class Parser:
         except ValueError:  # longer than int() converts
             raise self.error(f"integer literal of {len(tok.text)} digits is too long", tok) from None
 
-    def nest(self) -> None:
-        """Open one nesting level; the caller closes it with depth -= 1."""
-        self.depth += 1
+    def nest(self, levels: int = 1) -> None:
+        """Open nesting levels; the caller closes them with depth -= levels."""
+        self.depth += levels
         if self.depth > MAX_DEPTH:
             raise self.error(f"nesting deeper than {MAX_DEPTH} levels")
 
@@ -297,9 +298,12 @@ class Parser:
     def parse_unary(self) -> Expr:
         if self.at("op", "-"):
             self.advance()
-            self.nest()
+            # the printer writes -e as 0 - (e), an operator and a parenthesis,
+            # unless e is an integer literal
+            levels = 1 if self.current.kind == "int" else 2
+            self.nest(levels)
             inner = self.parse_unary()
-            self.depth -= 1
+            self.depth -= levels
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return BinOp("-", IntLit(0), inner)

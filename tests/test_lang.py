@@ -472,6 +472,29 @@ def test_mixed_precedence_chain_depth_limit(chain, deepest, col) -> None:
     assert (exc.value.message, exc.value.line, exc.value.col) == (f"nesting deeper than {MAX_DEPTH} levels", 1, col)
 
 
+# the deepest accepted program of each nesting form; the printer writes a
+# unary minus on anything but an integer literal as 0 - (e), so it is
+# charged two levels
+_DEEPEST = [
+    pytest.param(lambda n: _output("(" * n + "a" + ")" * n), 38, id="parentheses"),
+    pytest.param(lambda n: _output("-" * n + "a"), 19, id="unary-minus"),
+    pytest.param(lambda n: _output(" + ".join(["-5"] * n)), 38, id="negative-literals-summed"),
+    pytest.param(lambda n: _output("a * -(" * n + "a" + ")" * n), 9, id="times-minus"),
+    pytest.param(lambda n: _main("if (a) { " * n + "}" * n), 39, id="nested-if"),
+    pytest.param(lambda n: _main("while (a) { " * n + "}" * n), 39, id="nested-while"),
+    pytest.param(lambda n: _output(" + ".join(["a"] * n)), 39, id="sum"),
+    *(pytest.param(lambda n, chain=p.values[0]: _output(chain(n)), p.values[1], id=p.id) for p in _CHAIN_LIMITS),
+]
+
+
+@pytest.mark.parametrize("source, deepest", _DEEPEST)
+def test_the_deepest_program_of_each_form_prints_to_one_that_parses(source, deepest) -> None:
+    program = parse(source(deepest))
+    with pytest.raises(SyntaxErrorML, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        parse(source(deepest + 1))
+    assert program_signature(parse(pretty_print(program))) == program_signature(program)
+
+
 @settings(derandomize=True, database=None, max_examples=300)
 @given(st.one_of(st.text(), st.text(alphabet="func main(){}var=;+-*()[]if else while return a1 \n")))
 def test_parse_returns_a_program_or_raises_minilang_error(text) -> None:
