@@ -1,9 +1,10 @@
 """Tokenizer for the mini language.
 
-One compiled regular expression, with a named group per token kind, is
-scanned over the source from left to right.  Lines and columns count
-characters from 1; a token's column is its offset from the start of its
-line, so a tab is one column.
+No token spans a newline, so the source is scanned a line at a time:
+one ``findall`` yields the line's (blank run, token) pairs, a token's
+column is the running sum of the lengths before it, and its kind comes
+from its first character.  Lines and columns count characters from 1,
+so a tab is one column.
 
 Character set: whitespace is space, tab, carriage return and newline.
 Identifiers are ASCII letters, ASCII digits and ``_``, not starting
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import SyntaxErrorML
-from .nodes import KEYWORDS
+from .nodes import BINARY_PREC, KEYWORDS
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _UNESCAPES = {value: "\\" + name for name, value in _ESCAPES.items()}
@@ -30,18 +31,17 @@ _UNESCAPES = {value: "\\" + name for name, value in _ESCAPES.items()}
 # a string literal up to its closing quote; a literal that fails to
 # close is diagnosed from where this match ends
 _STRING_PREFIX = r'"(?:[^"\\\n]|\\[nt"\\])*'
-# alternatives are tried in order: a comment before the `/` operator,
-# two-character operators before their one-character prefixes
-_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
-    ("space", r"[ \t\r\n]+"),
-    ("comment", r"//[^\n]*"),
-    ("int", r"[0-9]+"),
-    ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("str", _STRING_PREFIX + '"'),
-    ("op", r"[=!<>]=|&&|\|\||[-+*/%<>=]"),
-    ("punct", r"[(){}\[\],;]"),
-    ("other", r"."),
-)))
+# a blank run, then one token or any other non-blank character; a
+# comment comes before the `/` operator, two-character operators before
+# their one-character prefixes, and a lone character last
+_PAIR = re.compile(
+    r"([ \t\r]*)(//.*|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|" + _STRING_PREFIX + r'"|[=!<>]=|&&|\|\||[^ \t\r])'
+)
+# token kind by first character; `/`, `!`, `&`, `|` and anything else
+# are told apart by the whole token
+_KIND = {**dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident"),
+         **dict.fromkeys("0123456789", "int"), **dict.fromkeys("=<>+-*%", "op"),
+         **dict.fromkeys("(){}[],;", "punct"), '"': "str"}
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -57,12 +57,12 @@ def escape_string(value: str) -> str:
     return "".join(_UNESCAPES.get(ch, ch) for ch in value)
 
 
-def _string_error(source: str, start: int, line: int, line_start: int) -> SyntaxErrorML:
-    """The error for a string literal opening at `start` that does not close."""
-    end = _STRING_PREFIX_RE.match(source, start).end()
-    if end < len(source) and source[end] == "\\":
-        return SyntaxErrorML("bad escape sequence", line, end + 1 - line_start + 1)
-    return SyntaxErrorML("unterminated string literal", line, start - line_start + 1)
+def _string_error(text: str, start: int, line: int) -> SyntaxErrorML:
+    """The error for a string literal at offset `start` of line `text` that does not close."""
+    end = _STRING_PREFIX_RE.match(text, start).end()
+    if end < len(text) and text[end] == "\\":
+        return SyntaxErrorML("bad escape sequence", line, end + 2)
+    return SyntaxErrorML("unterminated string literal", line, start + 1)
 
 
 def lex(source: str) -> tuple[list[Token], set[int]]:
@@ -72,33 +72,32 @@ def lex(source: str) -> tuple[list[Token], set[int]]:
     """
     tokens: list[Token] = []
     vuln_lines: set[int] = set()
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if kind == "space":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
-        col = start - line_start + 1
-        if kind == "word":
-            tokens.append(Token("keyword" if text in KEYWORDS else "ident", text, line, col))
-        elif kind == "str":
-            value = text[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
-            tokens.append(Token("str", value, line, col))
-        elif kind == "comment":
-            if text[2:].strip() == "@vuln":
-                vuln_lines.add(line)
-        elif kind == "other":
-            if text == '"':
-                raise _string_error(source, start, line, line_start)
-            raise SyntaxErrorML(f"unexpected character {text!r}", line, col)
-        else:
+    for line, text_of_line in enumerate(source.split("\n"), 1):
+        col = 1
+        for blank, text in _PAIR.findall(text_of_line):
+            col += len(blank)
+            kind = _KIND.get(text[0])
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+            elif kind == "str":
+                if len(text) == 1:
+                    raise _string_error(text_of_line, col - 1, line)
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+                tokens.append(Token("str", value, line, col))
+                col += len(text)
+                continue
+            elif kind is None:
+                if text[:2] == "//":  # the line's last pair
+                    if text[2:].strip() == "@vuln":
+                        vuln_lines.add(line)
+                    break
+                if text not in BINARY_PREC:
+                    raise SyntaxErrorML(f"unexpected character {text!r}", line, col)
+                kind = "op"
             tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            col += len(text)
+    tokens.append(Token("eof", "", line, len(text_of_line) + 1))
     return tokens, vuln_lines

@@ -1,26 +1,31 @@
 """Recursive-descent parser and static validator for the mini language.
 
-``parse`` performs syntax analysis, assigns LineIds in pre-order,
-attaches //@vuln flags to the statement starting on the marked physical
-line, and then runs the static validator (declaration-before-use, no
-shadowing, unique function names, call arity).  Transform outputs that
-never existed as text can be checked with ``validate_program``.  Any
-failure, nesting deeper than ``MAX_DEPTH`` included, raises a
-``MiniLangError``.
+Expressions are parsed by precedence climbing over ``nodes.BINARY_PREC``,
+and the current token is kept in ``Parser.tok``, which ``advance`` moves.
+``parse`` assigns LineIds in pre-order, attaches //@vuln flags to the
+statement starting on the marked physical line, and then runs the
+static validator (declaration-before-use, no shadowing, unique function
+names, call arity).  Transform outputs that never existed as text can
+be checked with ``validate_program``.  Any failure, nesting deeper than
+``MAX_DEPTH`` included, raises a ``MiniLangError``.
 """
 from __future__ import annotations
 
-from .errors import SyntaxErrorML, UndeclaredIdentifierError, ValidationErrorML
+from typing import Callable, NoReturn
+
+from .errors import SourceError, SyntaxErrorML, UndeclaredIdentifierError, ValidationErrorML
 from .lexer import Token, lex
 from .nodes import (
     ArrayAssign,
     ArrayDecl,
     Assign,
-    BINARY_LEVELS,
+    BINARY_PREC,
+    BLOCK_SLOTS,
     BinOp,
     BUILTINS,
     Call,
     CallStmt,
+    EXPR_SLOTS,
     Expr,
     For,
     FunctionDef,
@@ -34,12 +39,9 @@ from .nodes import (
     Var,
     VarDecl,
     While,
-    child_blocks,
     desugar_for,
     renumber,
-    stmt_expressions,
-    walk_expr,
-    walk_statements,
+    walk_program,
 )
 
 # Deepest nesting ``parse`` accepts.  One level is a block, an expression
@@ -47,10 +49,10 @@ from .nodes import (
 # a unary minus (two on an operand other than an integer literal, as the
 # printer writes -e as 0 - (e)), or an operator in a chain such as
 # a + b + c.  The parser and the passes after it recurse over the tree;
-# the parser goes deepest, about 12 Python frames a level (nested calls),
-# so at 40 levels parse and every later pass need at most 440 frames and
-# stay inside the default recursion limit of 1000.  Programs from gen,
-# from any one transform and from any pair of transforms reach 15.
+# the parser goes deepest, about 5 Python frames a level (188 frames for
+# 38 nested call arguments), so parse and every later pass stay far inside
+# the default recursion limit of 1000.  Programs from gen, from any one
+# transform and from any pair of transforms reach 15.
 MAX_DEPTH = 40
 
 # Largest array ``parse`` accepts.  gen declares 5 to 9 elements; at this
@@ -63,36 +65,36 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.tokens, self.vuln_lines = lex(source)
         self.pos = 0
+        self.tok = self.tokens[0]  # the current token, moved only by advance
         self.depth = 0
         # statement id -> (line, col) of its first token
         self.positions: dict[int, tuple[int, int]] = {}
 
     # ---- token plumbing
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
     def error(self, message: str, tok: Token | None = None) -> SyntaxErrorML:
-        tok = tok or self.current
+        tok = tok or self.tok
         return SyntaxErrorML(message, tok.line, tok.col)
 
     def advance(self) -> Token:
-        tok = self.current
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.current
+        tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
             got = tok.text if tok.text else tok.kind
             raise self.error(f"expected {want!r}, found {got!r}")
-        return self.advance()
+        self.pos += 1  # advance, inlined: what is expected is never eof
+        self.tok = self.tokens[self.pos]
+        return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.current
+        tok = self.tok
         return tok.kind == kind and (text is None or tok.text == text)
 
     def int_value(self, tok: Token) -> int:
@@ -111,7 +113,7 @@ class Parser:
 
     def parse_program(self) -> Program:
         functions = []
-        while not self.at("eof"):
+        while self.tok.kind != "eof":
             functions.append(self.parse_function())
         program = Program(functions)
         renumber(program)
@@ -123,52 +125,51 @@ class Parser:
         self.expect("keyword", "func")
         name = self.expect("ident").text
         self.expect("punct", "(")
-        params: list[str] = []
+        params = self.parse_list(lambda: self.expect("ident").text)
+        return FunctionDef(name, params, self.parse_block())
+
+    def parse_list(self, item: Callable[[], object]) -> list:
+        """Comma-separated items, then the closing parenthesis."""
+        items = []
         if not self.at("punct", ")"):
-            params.append(self.expect("ident").text)
+            items.append(item())
             while self.at("punct", ","):
                 self.advance()
-                params.append(self.expect("ident").text)
+                items.append(item())
         self.expect("punct", ")")
-        body = self.parse_block()
-        return FunctionDef(name, params, body)
+        return items
 
     def parse_block(self) -> list[Stmt]:
         self.expect("punct", "{")
         self.nest()
         stmts: list[Stmt] = []
-        while not self.at("punct", "}"):
-            if self.at("eof"):
+        tok = self.tok
+        while tok.kind != "punct" or tok.text != "}":
+            if tok.kind == "eof":
                 raise self.error("unterminated block")
             stmts.append(self.parse_statement())
-        self.expect("punct", "}")
+            tok = self.tok
+        self.advance()
         self.depth -= 1
         return stmts
 
-    def _done(self, st: Stmt, tok: Token) -> Stmt:
+    def parse_statement(self) -> Stmt:
+        tok = self.tok
+        if tok.kind == "ident":
+            st = self.parse_simple()
+        elif tok.kind == "keyword" and tok.text in _STATEMENTS:
+            st = _STATEMENTS[tok.text](self)
+        elif tok.kind == "keyword":
+            raise self.error(f"unexpected keyword {tok.text!r}")
+        else:
+            raise self.error("expected a statement")
         self.positions[id(st)] = (tok.line, tok.col)
         return st
 
-    def parse_statement(self) -> Stmt:
-        tok = self.current
-        if tok.kind == "keyword":
-            if tok.text == "var":
-                return self._done(self.parse_var_decl(), tok)
-            if tok.text == "if":
-                return self._done(self.parse_if(), tok)
-            if tok.text == "while":
-                return self._done(self.parse_while(), tok)
-            if tok.text == "for":
-                return self._done(self.parse_for(), tok)
-            if tok.text == "return":
-                return self._done(self.parse_return(), tok)
-            raise self.error(f"unexpected keyword {tok.text!r}")
-        if tok.kind == "ident":
-            return self._done(self.parse_simple(), tok)
-        raise self.error("expected a statement")
+    # each parse_<keyword> starts at its keyword, which parse_statement saw
 
-    def parse_var_decl(self) -> Stmt:
-        self.expect("keyword", "var")
+    def parse_var(self) -> Stmt:
+        self.advance()
         name = self.expect("ident").text
         if self.at("punct", "["):
             self.advance()
@@ -189,64 +190,60 @@ class Parser:
         return VarDecl(name, init)
 
     def parse_if(self) -> Stmt:
-        self.expect("keyword", "if")
+        self.advance()
         self.expect("punct", "(")
         cond = self.parse_expr()
         self.expect("punct", ")")
         then_body = self.parse_block()
-        else_body: list[Stmt] = []
-        if self.at("keyword", "else"):
-            self.advance()
-            else_body = self.parse_block()
-        return If(cond, then_body, else_body)
+        if not self.at("keyword", "else"):
+            return If(cond, then_body, [])
+        self.advance()
+        return If(cond, then_body, self.parse_block())
 
     def parse_while(self) -> Stmt:
-        self.expect("keyword", "while")
+        self.advance()
         self.expect("punct", "(")
         cond = self.parse_expr()
         self.expect("punct", ")")
         return While(cond, self.parse_block())
 
     def parse_for(self) -> Stmt:
-        self.expect("keyword", "for")
+        self.advance()
         self.expect("punct", "(")
         init: Stmt | None = None
         if not self.at("punct", ";"):
-            tok = self.current
-            if self.at("keyword", "var"):
-                self.expect("keyword", "var")
-                name = self.expect("ident").text
-                self.expect("op", "=")
-                init = VarDecl(name, self.parse_expr())
-            else:
-                name = self.expect("ident").text
-                self.expect("op", "=")
-                init = Assign(name, self.parse_expr())
-            self._done(init, tok)
+            tok = self.tok
+            declares = self.at("keyword", "var")
+            if declares:
+                self.advance()
+            name = self.expect("ident").text
+            self.expect("op", "=")
+            init = (VarDecl if declares else Assign)(name, self.parse_expr())
+            self.positions[id(init)] = (tok.line, tok.col)
         self.expect("punct", ";")
         cond = None if self.at("punct", ";") else self.parse_expr()
         self.expect("punct", ";")
         step: Stmt | None = None
         if not self.at("punct", ")"):
-            tok = self.current
+            tok = self.tok
             name = self.expect("ident").text
             self.expect("op", "=")
             step = Assign(name, self.parse_expr())
-            self._done(step, tok)
+            self.positions[id(step)] = (tok.line, tok.col)
         self.expect("punct", ")")
         return For(init, cond, step, self.parse_block())
 
     def parse_return(self) -> Stmt:
-        self.expect("keyword", "return")
+        self.advance()
         value = None if self.at("punct", ";") else self.parse_expr()
         self.expect("punct", ";")
         return Return(value)
 
     def parse_simple(self) -> Stmt:
         """Assignment, array write, or call statement starting at an identifier."""
-        name_tok = self.expect("ident")
+        name = self.advance().text
         if self.at("punct", "("):
-            call = self.parse_call(name_tok.text)
+            call = self.parse_call(name)
             self.expect("punct", ";")
             return CallStmt(call)
         if self.at("punct", "["):
@@ -256,78 +253,80 @@ class Parser:
             self.expect("op", "=")
             value = self.parse_expr()
             self.expect("punct", ";")
-            return ArrayAssign(name_tok.text, index, value)
+            return ArrayAssign(name, index, value)
         self.expect("op", "=")
         value = self.parse_expr()
         self.expect("punct", ";")
-        return Assign(name_tok.text, value)
+        return Assign(name, value)
 
     def parse_call(self, name: str) -> Call:
-        self.expect("punct", "(")
-        args: list[Expr] = []
-        if not self.at("punct", ")"):
-            args.append(self.parse_expr())
-            while self.at("punct", ","):
-                self.advance()
-                args.append(self.parse_expr())
-        self.expect("punct", ")")
-        return Call(name, args)
+        self.advance()  # the "(" the caller saw
+        return Call(name, self.parse_list(self.parse_expr))
 
-    # ---- expressions, one recursion level per precedence level
+    # ---- expressions, by precedence climbing
 
     def parse_expr(self) -> Expr:
         self.nest()
-        e = self.parse_binary(0)
+        e = self.parse_binary(1)
         self.depth -= 1
         return e
 
-    def parse_binary(self, level: int) -> Expr:
-        """Left-associative chain of the operators at BINARY_LEVELS[level]."""
-        if level == len(BINARY_LEVELS):
-            return self.parse_unary()
-        ops = BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        depth = self.depth
-        while self.current.kind == "op" and self.current.text in ops:
-            op = self.advance().text
+    def parse_binary(self, min_prec: int) -> Expr:
+        """An operand, then each operator binding at min_prec or tighter.
+
+        A right operand takes the operators tighter than its own, so one
+        call meets ever looser ones.  Each is a nesting level, kept until
+        a looser one is consumed, as if each precedence had its own call.
+        """
+        left = self.parse_unary()
+        depth, last = self.depth, min_prec
+        tok = self.tok
+        while tok.kind == "op":
+            prec = BINARY_PREC.get(tok.text, 0)
+            if prec < min_prec:
+                break
+            self.advance()
+            if prec < last:
+                self.depth = depth
+            last = prec
             self.nest()
-            left = BinOp(op, left, self.parse_binary(level + 1))
+            left = BinOp(tok.text, left, self.parse_binary(prec + 1))
+            tok = self.tok
         self.depth = depth
         return left
 
     def parse_unary(self) -> Expr:
-        if self.at("op", "-"):
+        tok = self.tok
+        kind = tok.kind
+        if kind == "ident":
+            self.advance()
+            nxt = self.tok
+            if nxt.kind == "punct" and nxt.text == "(":
+                return self.parse_call(tok.text)
+            if nxt.kind == "punct" and nxt.text == "[":
+                self.advance()
+                index = self.parse_expr()
+                self.expect("punct", "]")
+                return Index(tok.text, index)
+            return Var(tok.text)
+        if kind == "int":
+            self.advance()
+            return IntLit(self.int_value(tok))
+        if kind == "op" and tok.text == "-":
             self.advance()
             # the printer writes -e as 0 - (e), an operator and a parenthesis,
             # unless e is an integer literal
-            levels = 1 if self.current.kind == "int" else 2
+            levels = 1 if self.tok.kind == "int" else 2
             self.nest(levels)
             inner = self.parse_unary()
             self.depth -= levels
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return BinOp("-", IntLit(0), inner)
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        tok = self.current
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(self.int_value(tok))
-        if tok.kind == "str":
+        if kind == "str":
             self.advance()
             return StrLit(tok.text)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at("punct", "("):
-                return self.parse_call(tok.text)
-            if self.at("punct", "["):
-                self.advance()
-                index = self.parse_expr()
-                self.expect("punct", "]")
-                return Index(tok.text, index)
-            return Var(tok.text)
-        if self.at("punct", "("):
+        if kind == "punct" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect("punct", ")")
@@ -340,19 +339,17 @@ class Parser:
         if not self.vuln_lines:
             return
         claimed: set[int] = set()
-        for fn in program.functions:
-            for st in walk_statements(fn.body):
-                pos = self.positions.get(id(st))
-                if pos is None:
-                    continue
-                line = pos[0]
-                if line in self.vuln_lines and line not in claimed:
-                    st.vuln = True
-                    claimed.add(line)
-        dangling = self.vuln_lines - claimed
-        if dangling:
-            line = min(dangling)
-            raise SyntaxErrorML("//@vuln marker not attached to any statement", line, 1)
+        for st in walk_program(program):
+            line = self.positions[id(st)][0]  # every parsed statement has one
+            if line in self.vuln_lines and line not in claimed:
+                st.vuln = True
+                claimed.add(line)
+        if self.vuln_lines - claimed:
+            raise SyntaxErrorML("//@vuln marker not attached to any statement", min(self.vuln_lines - claimed), 1)
+
+
+# statement parsers by their leading keyword
+_STATEMENTS = {kw: getattr(Parser, f"parse_{kw}") for kw in ("var", "if", "while", "for", "return")}
 
 
 def parse(source: str) -> Program:
@@ -383,48 +380,39 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
             raise ValidationErrorML(f"duplicate function name {fn.name!r}", 1, 1)
         arity[fn.name] = len(fn.params)
 
-    fn_names = set(arity)
+    reserved = set(arity) | BUILTINS.keys()  # names no variable may take
+    declared: set[str] = set()  # the names in scope at the statement checked
 
-    def pos_of(st: Stmt) -> tuple[int, int]:
-        return positions.get(id(st), (st.line_id, 0))
+    def fail(error: type[SourceError], message: str, st: Stmt) -> NoReturn:
+        line, col = positions.get(id(st), (st.line_id, 0))
+        raise error(message, line, col)
 
-    def check_expr(e: Expr, scopes: list[set[str]], st: Stmt) -> None:
-        line, col = pos_of(st)
-        for sub in walk_expr(e):
-            if isinstance(sub, (Var, Index)):
-                if not any(sub.name in s for s in scopes):
-                    raise UndeclaredIdentifierError(f"use of undeclared identifier {sub.name!r}", line, col)
-            elif isinstance(sub, Call):
-                if sub.name in BUILTINS:
-                    if len(sub.args) != BUILTINS[sub.name]:
-                        raise ValidationErrorML(
-                            f"builtin {sub.name!r} takes {BUILTINS[sub.name]} argument(s)", line, col
-                        )
-                elif sub.name in arity:
-                    if len(sub.args) != arity[sub.name]:
-                        raise ValidationErrorML(
-                            f"call to {sub.name!r} with {len(sub.args)} args, expected {arity[sub.name]}",
-                            line,
-                            col,
-                        )
-                else:
-                    raise UndeclaredIdentifierError(f"call to undeclared function {sub.name!r}", line, col)
+    def check_expr(e: Expr, st: Stmt) -> None:
+        stack = [e]  # pre-order, children left to right
+        while stack:
+            e = stack.pop()
+            t = type(e)
+            if t is BinOp:
+                stack.append(e.right)
+                stack.append(e.left)
+            elif t is Var or t is Index:
+                if e.name not in declared:
+                    fail(UndeclaredIdentifierError, f"use of undeclared identifier {e.name!r}", st)
+                if t is Index:
+                    stack.append(e.index)
+            elif t is Call:
+                name, n = e.name, len(e.args)
+                if name in BUILTINS:
+                    if n != BUILTINS[name]:
+                        fail(ValidationErrorML, f"builtin {name!r} takes {BUILTINS[name]} argument(s)", st)
+                elif name not in arity:
+                    fail(UndeclaredIdentifierError, f"call to undeclared function {name!r}", st)
+                elif n != arity[name]:
+                    fail(ValidationErrorML, f"call to {name!r} with {n} args, expected {arity[name]}", st)
+                stack.extend(reversed(e.args))
 
-    def declare(name: str, scopes: list[set[str]], st: Stmt) -> None:
-        line, col = pos_of(st)
-        if name in fn_names or name in BUILTINS:
-            raise ValidationErrorML(f"variable {name!r} collides with a function name", line, col)
-        if any(name in s for s in scopes):
-            raise ValidationErrorML(f"redeclaration of {name!r}", line, col)
-        scopes[-1].add(name)
-
-    def check_target(name: str, scopes: list[set[str]], st: Stmt) -> None:
-        if not any(name in s for s in scopes):
-            line, col = pos_of(st)
-            raise UndeclaredIdentifierError(f"assignment to undeclared identifier {name!r}", line, col)
-
-    def check_seq(stmts: list[Stmt], scopes: list[set[str]]) -> None:
-        scopes.append(set())
+    def check_block(stmts: list[Stmt]) -> None:
+        added = []  # this block's declarations, out of scope at its end
         work = stmts[::-1]  # the rest of the block, next statement last
         while work:
             st = work.pop()
@@ -433,30 +421,39 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
                 # checked as its while form, whose init joins this block;
                 # the while reports header errors at the for's position
                 parts = desugar_for(st)
-                positions[id(parts[-1])] = pos_of(st)
+                if id(st) in positions:
+                    positions[id(parts[-1])] = positions[id(st)]
                 work.extend(reversed(parts))
                 continue
-            for e in stmt_expressions(st):
-                check_expr(e, scopes, st)
+            for slot in EXPR_SLOTS[t]:
+                e = getattr(st, slot)
+                if e is not None:
+                    check_expr(e, st)
             if t is VarDecl or t is ArrayDecl:
-                declare(st.name, scopes, st)
-            elif t is Assign or t is ArrayAssign:
-                check_target(st.name, scopes, st)
-            for block in child_blocks(st):
-                check_seq(block, scopes)
-        scopes.pop()
+                if st.name in reserved:
+                    fail(ValidationErrorML, f"variable {st.name!r} collides with a function name", st)
+                if st.name in declared:
+                    fail(ValidationErrorML, f"redeclaration of {st.name!r}", st)
+                declared.add(st.name)
+                added.append(st.name)
+            elif (t is Assign or t is ArrayAssign) and st.name not in declared:
+                fail(UndeclaredIdentifierError, f"assignment to undeclared identifier {st.name!r}", st)
+            for slot in BLOCK_SLOTS.get(t, ()):
+                check_block(getattr(st, slot))
+        declared.difference_update(added)
 
     for fn in program.functions:
         if len(set(fn.params)) != len(fn.params):
             raise ValidationErrorML(f"duplicate parameter in {fn.name!r}", 1, 1)
         for p in fn.params:
-            if p in fn_names or p in BUILTINS:
+            if p in reserved:
                 raise ValidationErrorML(f"parameter {p!r} collides with a function name", 1, 1)
-        check_seq(fn.body, [set(fn.params)])
+        declared.clear()
+        declared.update(fn.params)
+        check_block(fn.body)
 
     seen_ids: set[int] = set()
-    for fn in program.functions:
-        for st in walk_statements(fn.body):
-            if st.line_id in seen_ids:
-                raise ValidationErrorML(f"duplicate LineId {st.line_id}", st.line_id, 0)
-            seen_ids.add(st.line_id)
+    for st in walk_program(program):
+        if st.line_id in seen_ids:
+            raise ValidationErrorML(f"duplicate LineId {st.line_id}", st.line_id, 0)
+        seen_ids.add(st.line_id)
