@@ -2,12 +2,15 @@
 their shape.
 
 Programs are lists of functions; function bodies are statement lists.
-Every statement carries a LineId (a unique integer assigned in source
-order, not a physical line number) and a vuln flag set by a trailing
-//@vuln marker.  Statements also carry a transient ``origin`` slot used
-by code transformations to record which input statement a rewritten
-statement was derived from; it is None for freshly generated code and
-is not part of structural equality.
+Every statement carries a LineId and a vuln flag set by a trailing
+//@vuln marker.  A LineId is not a physical line number: the statements
+of a program are numbered 1..n in the pre-order of ``walk_program``, by
+the parser as it reads each statement's first token, and by the
+transforms' ``finalize`` on a draft.  A statement built any other way is
+unnumbered, with LineId -1.  Statements also carry a transient
+``origin`` slot used by code transformations to record which input
+statement a rewritten statement was derived from; it is None for
+freshly generated code and is not part of structural equality.
 
 The language's shared rules live here and nowhere else.
 ``BINARY_LEVELS`` states operator precedence, which the parser and the
@@ -307,14 +310,6 @@ def expr_names(e: Expr) -> set[str]:
         elif isinstance(sub, Index):
             out.add(sub.name)
     return out
-
-
-def renumber(program: Program) -> None:
-    """Assign fresh LineIds in pre-order; ids are unique program-wide."""
-    next_id = 1
-    for st in walk_program(program):
-        st.line_id = next_id
-        next_id += 1
 
 
 def collect_line_ids(program: Program) -> list[int]:

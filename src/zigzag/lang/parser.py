@@ -2,12 +2,15 @@
 
 Expressions are parsed by precedence climbing over ``nodes.BINARY_PREC``,
 and the current token is kept in ``Parser.tok``, which ``advance`` moves.
-``parse`` assigns LineIds in pre-order, attaches //@vuln flags to the
-statement starting on the marked physical line, and then runs the
-static validator (declaration-before-use, no shadowing, unique function
-names, call arity).  Transform outputs that never existed as text can
-be checked with ``validate_program``.  Any failure, nesting deeper than
-``MAX_DEPTH`` included, raises a ``MiniLangError``.
+At a statement's first token, a for header's init and step included,
+the parser gives the statement the next LineId, so ids run 1..n in the
+pre-order of ``nodes.walk_program``; it records the statement's
+(line, col) and takes the //@vuln flag of that line if no statement
+has.  ``parse`` then runs the static validator (declaration-before-use,
+no shadowing, unique function names, call arity).  Transform outputs
+that never existed as text can be checked with ``validate_program``.
+Any failure, nesting deeper than ``MAX_DEPTH`` included, raises a
+``MiniLangError``.
 """
 from __future__ import annotations
 
@@ -40,8 +43,6 @@ from .nodes import (
     VarDecl,
     While,
     desugar_for,
-    renumber,
-    walk_program,
 )
 
 # Deepest nesting ``parse`` accepts.  One level is a block, an expression
@@ -60,6 +61,8 @@ MAX_DEPTH = 40
 # array, takes about 16 MB.
 MAX_ARRAY_SIZE = 10_000
 
+Position = tuple[int, int]  # (line, col) of a token
+
 
 class Parser:
     def __init__(self, source: str) -> None:
@@ -67,8 +70,9 @@ class Parser:
         self.pos = 0
         self.tok = self.tokens[0]  # the current token, moved only by advance
         self.depth = 0
-        # statement id -> (line, col) of its first token
-        self.positions: dict[int, tuple[int, int]] = {}
+        # LineId -> (line, col) of the statement's first token; LineIds start at 1
+        self.positions: list[Position] = [(0, 0)]
+        self.unclaimed = set(self.vuln_lines)  # marked lines no statement starts on yet
 
     # ---- token plumbing
 
@@ -103,6 +107,13 @@ class Parser:
         except ValueError:  # longer than int() converts
             raise self.error(f"integer literal of {len(tok.text)} digits is too long", tok) from None
 
+    def number(self, tok: Token) -> tuple[int, bool]:
+        """The LineId and //@vuln flag of the statement starting at tok."""
+        self.positions.append((tok.line, tok.col))
+        vuln = tok.line in self.unclaimed
+        self.unclaimed.discard(tok.line)  # a marker goes to the first statement on its line
+        return len(self.positions) - 1, vuln
+
     def nest(self, levels: int = 1) -> None:
         """Open nesting levels; the caller closes them with depth -= levels."""
         self.depth += levels
@@ -115,10 +126,10 @@ class Parser:
         functions = []
         while self.tok.kind != "eof":
             functions.append(self.parse_function())
+        if self.unclaimed:
+            raise SyntaxErrorML("//@vuln marker not attached to any statement", min(self.unclaimed), 1)
         program = Program(functions)
-        renumber(program)
-        self._attach_vuln_flags(program)
-        validate_program(program, positions=self.positions)
+        validate_program(program, self.positions)
         return program
 
     def parse_function(self) -> FunctionDef:
@@ -155,6 +166,7 @@ class Parser:
 
     def parse_statement(self) -> Stmt:
         tok = self.tok
+        line_id, vuln = self.number(tok)
         if tok.kind == "ident":
             st = self.parse_simple()
         elif tok.kind == "keyword" and tok.text in _STATEMENTS:
@@ -163,7 +175,7 @@ class Parser:
             raise self.error(f"unexpected keyword {tok.text!r}")
         else:
             raise self.error("expected a statement")
-        self.positions[id(st)] = (tok.line, tok.col)
+        st.line_id, st.vuln = line_id, vuln
         return st
 
     # each parse_<keyword> starts at its keyword, which parse_statement saw
@@ -212,24 +224,24 @@ class Parser:
         self.expect("punct", "(")
         init: Stmt | None = None
         if not self.at("punct", ";"):
-            tok = self.tok
+            mark = self.number(self.tok)
             declares = self.at("keyword", "var")
             if declares:
                 self.advance()
             name = self.expect("ident").text
             self.expect("op", "=")
             init = (VarDecl if declares else Assign)(name, self.parse_expr())
-            self.positions[id(init)] = (tok.line, tok.col)
+            init.line_id, init.vuln = mark
         self.expect("punct", ";")
         cond = None if self.at("punct", ";") else self.parse_expr()
         self.expect("punct", ";")
         step: Stmt | None = None
         if not self.at("punct", ")"):
-            tok = self.tok
+            mark = self.number(self.tok)
             name = self.expect("ident").text
             self.expect("op", "=")
             step = Assign(name, self.parse_expr())
-            self.positions[id(step)] = (tok.line, tok.col)
+            step.line_id, step.vuln = mark
         self.expect("punct", ")")
         return For(init, cond, step, self.parse_block())
 
@@ -333,20 +345,6 @@ class Parser:
             return inner
         raise self.error(f"expected an expression, found {tok.text or tok.kind!r}")
 
-    # ---- vuln markers
-
-    def _attach_vuln_flags(self, program: Program) -> None:
-        if not self.vuln_lines:
-            return
-        claimed: set[int] = set()
-        for st in walk_program(program):
-            line = self.positions[id(st)][0]  # every parsed statement has one
-            if line in self.vuln_lines and line not in claimed:
-                st.vuln = True
-                claimed.add(line)
-        if self.vuln_lines - claimed:
-            raise SyntaxErrorML("//@vuln marker not attached to any statement", min(self.vuln_lines - claimed), 1)
-
 
 # statement parsers by their leading keyword
 _STATEMENTS = {kw: getattr(Parser, f"parse_{kw}") for kw in ("var", "if", "while", "for", "return")}
@@ -360,18 +358,17 @@ def parse(source: str) -> Program:
 # --------------------------------------------------------------------------
 # static validation
 
-def validate_program(program: Program, positions: dict[int, tuple[int, int]] | None = None) -> None:
+def validate_program(program: Program, positions: list[Position] | None = None) -> None:
     """Enforce the language's static rules.
 
     Unique function names, declaration-before-use, no shadowing, single
     namespace for variables and functions, and exact call arity
     (builtins included).  A for-loop is checked as its while form,
     ``nodes.desugar_for``, so its init joins the enclosing block and
-    its step sees the body's declarations.  Raises UndeclaredIdentifierError or
-    ValidationErrorML with the statement's source position when known,
-    otherwise its LineId.
+    its step sees the body's declarations.  Raises UndeclaredIdentifierError
+    or ValidationErrorML at ``positions[line_id]`` of the statement, else at
+    its LineId and col 0.
     """
-    positions = positions or {}
     arity: dict[str, int] = {}
     for fn in program.functions:
         if fn.name in BUILTINS:
@@ -384,7 +381,7 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
     declared: set[str] = set()  # the names in scope at the statement checked
 
     def fail(error: type[SourceError], message: str, st: Stmt) -> NoReturn:
-        line, col = positions.get(id(st), (st.line_id, 0))
+        line, col = positions[st.line_id] if positions else (st.line_id, 0)
         raise error(message, line, col)
 
     def check_expr(e: Expr, st: Stmt) -> None:
@@ -418,12 +415,8 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
             st = work.pop()
             t = type(st)
             if t is For:
-                # checked as its while form, whose init joins this block;
-                # the while reports header errors at the for's position
-                parts = desugar_for(st)
-                if id(st) in positions:
-                    positions[id(parts[-1])] = positions[id(st)]
-                work.extend(reversed(parts))
+                # checked as its while form, whose init joins this block
+                work.extend(reversed(desugar_for(st)))
                 continue
             for slot in EXPR_SLOTS[t]:
                 e = getattr(st, slot)
@@ -451,9 +444,3 @@ def validate_program(program: Program, positions: dict[int, tuple[int, int]] | N
         declared.clear()
         declared.update(fn.params)
         check_block(fn.body)
-
-    seen_ids: set[int] = set()
-    for st in walk_program(program):
-        if st.line_id in seen_ids:
-            raise ValidationErrorML(f"duplicate LineId {st.line_id}", st.line_id, 0)
-        seen_ids.add(st.line_id)

@@ -3,13 +3,15 @@
 A pass receives a parsed program whose statements carry LineIds and
 returns a draft program in which every statement's ``origin`` slot
 names the input statement it was derived from (None for generated
-scaffolding).  ``finalize`` renumbers the draft, validates it, and
-builds the LineMap original-LineId -> set of new LineIds.
+scaffolding), and no LineId.  ``finalize`` numbers the draft in the
+walk that builds the LineMap original-LineId -> set of new LineIds,
+then validates it.
 
 A pass copies its input once, with ``clone_program``, and never mutates
 the input.  From then on it moves the statements and expressions of
 that draft into their new places instead of copying them again, so no
-node of the output appears twice or is shared with the input.
+node of the output appears twice or is shared with the input;
+``finalize`` raises TransformError on a statement already numbered.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from ..lang.nodes import (
     VarDecl,
     While,
     expr_names,
-    renumber,
     source_origin,
     stmt_expressions,
     walk_program,
@@ -189,12 +190,18 @@ def mentioned_names(stmts: Iterable[Stmt]) -> set[str]:
 # finalize
 
 def finalize(draft: Program, kind: str, input_line_ids: Iterable[int]) -> tuple[Program, LineMap]:
-    """Renumber a draft, build its LineMap, and validate the result."""
-    renumber(draft)
+    """Number a draft and build its LineMap in one walk, then validate it.
+
+    A statement that already has a LineId was placed twice or kept from
+    the input: TransformError, raised before it is renumbered.
+    """
     line_map: LineMap = {}
-    for st in walk_program(draft):
+    for line_id, st in enumerate(walk_program(draft), 1):
+        if st.line_id >= 1:
+            raise TransformError(f"{kind} placed a statement twice or kept one of its input (LineId {st.line_id})")
+        st.line_id = line_id
         if st.origin is not None:
-            line_map.setdefault(st.origin, set()).add(st.line_id)
+            line_map.setdefault(st.origin, set()).add(line_id)
         st.origin = None
     missing = set(input_line_ids) - set(line_map)
     if missing:

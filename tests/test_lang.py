@@ -25,9 +25,9 @@ from zigzag.lang import (
     validate_program,
 )
 from zigzag.lang.lexer import lex
-from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH
+from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH, Parser
 from zigzag.lang.printer import function_tokens, statement_tokens
-from zigzag.corpus import function_labels
+from zigzag.corpus import function_labels, generate_synthetic
 from zigzag.encoding import normalize_tokens
 from zigzag.fragments import Fragment
 from zigzag.lang.nodes import (
@@ -215,10 +215,25 @@ def test_validation_without_positions_reports_the_statement_line_id() -> None:
     assert (exc.value.message, exc.value.line, exc.value.col) == ("use of undeclared identifier 'b'", stmt.line_id, 0)
 
 
-def test_line_ids_unique_and_monotone(demo_program) -> None:
-    ids = [st.line_id for st in walk_program(demo_program)]
-    assert ids == sorted(ids)
-    assert len(ids) == len(set(ids))
+def test_line_ids_are_one_to_n_in_walk_order(demo_source) -> None:
+    # the parser numbers a statement at its first token, which is the walk's pre-order
+    for src in [demo_source] + [p.source for p in generate_synthetic(12, seed=1)]:
+        ids = [st.line_id for st in walk_program(parse(src))]
+        assert ids == list(range(1, len(ids) + 1))
+
+
+def test_validate_program_leaves_the_positions_it_is_given_unchanged() -> None:
+    # a for is checked as its while form, which reports at the for's position
+    src = (
+        "func f(a) {\n    return a;\n}\n"
+        "func main() {\n    var n = 2;\n    for (var i = 0; i < n; i = i + 1) {\n        output(i);\n    }\n}\n"
+    )
+    parser = Parser(src)
+    program = parser.parse_program()
+    positions = list(parser.positions)
+    validate_program(program, parser.positions)
+    assert parser.positions == positions
+    assert len(positions) == 1 + len(list(walk_program(program)))
 
 
 def test_vuln_marker_attaches_to_statement(demo_program) -> None:

@@ -6,7 +6,9 @@ LineMap, print/parse cleanly, and be byte-deterministic per seed.
 """
 import pytest
 
-from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic
+import zigzag.transforms
+from zigzag.cli import main
+from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic, save_corpus
 from zigzag.encoding import normalize_tokens
 from zigzag.fragments import GRANULARITIES, extract_fragments, slice_statements
 from zigzag.lang import COMPLETED, interpret, parse, pretty_print
@@ -30,6 +32,7 @@ from zigzag.transforms import (
     apply_transform,
     resolve_kinds,
 )
+from zigzag.transforms.base import clone_program
 
 STRINGS_SRC = """
 func tag(code) {
@@ -454,6 +457,42 @@ def test_transform_does_not_mutate_input(demo_source):
             assert _what_a_pass_reads(shared) == _what_a_pass_reads(parse(src)), kind
             fresh_out, fresh_lmap = apply_transform(parse(src), kind, 5)
             assert (pretty_print(out), lmap) == (pretty_print(fresh_out), fresh_lmap), kind
+
+
+def _place_first_statement_twice(program, rng):
+    draft = clone_program(program)
+    body = draft.functions[0].body
+    body.append(body[0])
+    return draft
+
+
+def _keep_first_input_statement(program, rng):
+    draft = clone_program(program)
+    draft.functions[0].body[0] = program.functions[0].body[0]
+    return draft
+
+
+@pytest.mark.parametrize("faulty_pass", [_place_first_statement_twice, _keep_first_input_statement])
+def test_finalize_rejects_a_statement_placed_twice_or_kept_from_the_input(
+    faulty_pass, demo_source, tmp_path, monkeypatch, capsys
+):
+    """finalize numbers the draft, whose statements all start unnumbered:
+    one that is numbered already is a pass fault, raised before it is
+    renumbered, so the input keeps its LineIds."""
+    monkeypatch.setitem(zigzag.transforms._PASSES, "ct2", faulty_pass)
+    prog = parse(demo_source)
+    with pytest.raises(TransformError, match="ct2 placed a statement twice or kept one of its input") as exc:
+        apply_transform(prog, "ct2", 0)
+    assert exc.traceback[-1].name == "finalize"
+    assert _what_a_pass_reads(prog) == _what_a_pass_reads(parse(demo_source))
+
+    corpus = tmp_path / "corpus.jsonl"
+    labels = function_labels(prog)
+    save_corpus(corpus, [CorpusProgram(id="p0", source=demo_source, split="test", labels=labels, witness_inputs=None)])
+    capsys.readouterr()
+    assert main(["transform", str(corpus), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ct2 placed a statement twice") and err.count("\n") == 1
 
 
 def _nodes(program):
