@@ -72,6 +72,8 @@ class Parser:
         self.depth = 0
         # LineId -> (line, col) of the statement's first token; LineIds start at 1
         self.positions: list[Position] = [(0, 0)]
+        # per function: its func token, then each parameter
+        self.heads: list[list[Position]] = []
         self.unclaimed = set(self.vuln_lines)  # marked lines no statement starts on yet
 
     # ---- token plumbing
@@ -129,15 +131,16 @@ class Parser:
         if self.unclaimed:
             raise SyntaxErrorML("//@vuln marker not attached to any statement", min(self.unclaimed), 1)
         program = Program(functions)
-        validate_program(program, self.positions)
+        validate_program(program, self.positions, self.heads)
         return program
 
     def parse_function(self) -> FunctionDef:
-        self.expect("keyword", "func")
+        head = [self.expect("keyword", "func")]
         name = self.expect("ident").text
         self.expect("punct", "(")
-        params = self.parse_list(lambda: self.expect("ident").text)
-        return FunctionDef(name, params, self.parse_block())
+        head += self.parse_list(lambda: self.expect("ident"))
+        self.heads.append([(tok.line, tok.col) for tok in head])
+        return FunctionDef(name, [tok.text for tok in head[1:]], self.parse_block())
 
     def parse_list(self, item: Callable[[], object]) -> list:
         """Comma-separated items, then the closing parenthesis."""
@@ -358,7 +361,11 @@ def parse(source: str) -> Program:
 # --------------------------------------------------------------------------
 # static validation
 
-def validate_program(program: Program, positions: list[Position] | None = None) -> None:
+def validate_program(
+    program: Program,
+    positions: list[Position] | None = None,
+    heads: list[list[Position]] | None = None,
+) -> None:
     """Enforce the language's static rules.
 
     Unique function names, declaration-before-use, no shadowing, single
@@ -367,14 +374,19 @@ def validate_program(program: Program, positions: list[Position] | None = None) 
     ``nodes.desugar_for``, so its init joins the enclosing block and
     its step sees the body's declarations.  Raises UndeclaredIdentifierError
     or ValidationErrorML at ``positions[line_id]`` of the statement, else at
-    its LineId and col 0.
+    its LineId and col 0; a function-level error at the func token or
+    parameter in ``Parser.heads``, else at (1, 1).
     """
+    def fail_head(message: str, k: int, at: int) -> NoReturn:
+        line, col = heads[k][at] if heads else (1, 1)
+        raise ValidationErrorML(message, line, col)
+
     arity: dict[str, int] = {}
-    for fn in program.functions:
+    for k, fn in enumerate(program.functions):
         if fn.name in BUILTINS:
-            raise ValidationErrorML(f"function name shadows builtin {fn.name!r}", 1, 1)
+            fail_head(f"function name shadows builtin {fn.name!r}", k, 0)
         if fn.name in arity:
-            raise ValidationErrorML(f"duplicate function name {fn.name!r}", 1, 1)
+            fail_head(f"duplicate function name {fn.name!r}", k, 0)
         arity[fn.name] = len(fn.params)
 
     reserved = set(arity) | BUILTINS.keys()  # names no variable may take
@@ -435,12 +447,14 @@ def validate_program(program: Program, positions: list[Position] | None = None) 
                 check_block(getattr(st, slot))
         declared.difference_update(added)
 
-    for fn in program.functions:
-        if len(set(fn.params)) != len(fn.params):
-            raise ValidationErrorML(f"duplicate parameter in {fn.name!r}", 1, 1)
-        for p in fn.params:
+    for k, fn in enumerate(program.functions):
+        params = fn.params
+        if len(set(params)) != len(params):
+            at = next(i for i, p in enumerate(params) if p in params[:i])
+            fail_head(f"duplicate parameter in {fn.name!r}", k, 1 + at)
+        for i, p in enumerate(params):
             if p in reserved:
-                raise ValidationErrorML(f"parameter {p!r} collides with a function name", 1, 1)
+                fail_head(f"parameter {p!r} collides with a function name", k, 1 + i)
         declared.clear()
-        declared.update(fn.params)
+        declared.update(params)
         check_block(fn.body)

@@ -184,17 +184,17 @@ _VALIDATION_ERRORS = [
                  ValidationErrorML, "variable 'g' collides with a function name", 2, 5,
                  id="variable-named-as-later-function"),
     pytest.param("func f(main) {\n    return main;\n}\nfunc main() {\n    output(f(1));\n}\n",
-                 ValidationErrorML, "parameter 'main' collides with a function name", 1, 1,
+                 ValidationErrorML, "parameter 'main' collides with a function name", 1, 8,
                  id="parameter-named-as-function"),
     pytest.param("func f(output) {\n    return output;\n}\n",
-                 ValidationErrorML, "parameter 'output' collides with a function name", 1, 1,
+                 ValidationErrorML, "parameter 'output' collides with a function name", 1, 8,
                  id="parameter-named-as-builtin"),
     pytest.param("func f(a, b, a) {\n    return a;\n}\n",
-                 ValidationErrorML, "duplicate parameter in 'f'", 1, 1, id="duplicate-parameter"),
+                 ValidationErrorML, "duplicate parameter in 'f'", 1, 14, id="duplicate-parameter"),
     pytest.param("func f() {\n    return;\n}\n\nfunc f() {\n    return;\n}\n",
-                 ValidationErrorML, "duplicate function name 'f'", 1, 1, id="duplicate-function"),
+                 ValidationErrorML, "duplicate function name 'f'", 5, 1, id="duplicate-function"),
     pytest.param("func main() {\n    return;\n}\nfunc input() {\n    return 1;\n}\n",
-                 ValidationErrorML, "function name shadows builtin 'input'", 1, 1, id="function-shadows-builtin"),
+                 ValidationErrorML, "function name shadows builtin 'input'", 4, 1, id="function-shadows-builtin"),
 ]
 
 
@@ -230,10 +230,11 @@ def test_validate_program_leaves_the_positions_it_is_given_unchanged() -> None:
     )
     parser = Parser(src)
     program = parser.parse_program()
-    positions = list(parser.positions)
-    validate_program(program, parser.positions)
-    assert parser.positions == positions
+    positions, heads = list(parser.positions), [list(h) for h in parser.heads]
+    validate_program(program, parser.positions, parser.heads)
+    assert (parser.positions, parser.heads) == (positions, heads)
     assert len(positions) == 1 + len(list(walk_program(program)))
+    assert heads == [[(1, 1), (1, 8)], [(4, 1)]]
 
 
 def test_vuln_marker_attaches_to_statement(demo_program) -> None:
