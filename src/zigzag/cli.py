@@ -268,8 +268,12 @@ def cmd_eval(args) -> None:
 
 
 def cmd_compare(args) -> None:
+    if len(args.reports) < 2:
+        raise UsageError("need at least two reports to compare")
     if args.names:
         names = [part.strip() for part in args.names.split(",")]
+        if len(names) != len(args.reports):
+            raise UsageError("one name per report required")
     else:
         names = [Path(p).stem for p in args.reports]
     reports = [load_report(path) for path in args.reports]

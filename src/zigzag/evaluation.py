@@ -173,11 +173,13 @@ class EvalReport:
 
 
 _COUNT_KEYS = ("programs", "functions", "tp", "fn", "fp", "tn")
+_HEADER_KEYS = ("granularity", "corpus_digest", "model_digest")
 
 
 def load_report(path) -> EvalReport:
-    """A saved report; every row needs a string name and integer counts,
-    else EvaluationError names the file and the row."""
+    """A saved report; its header needs string granularity and digests,
+    and every row a string name and integer counts, else EvaluationError
+    names the file and the header or row."""
     records = read_json_lines(path, EvaluationError)
     if not records:
         raise EvaluationError(f"{path}: empty report")
@@ -196,12 +198,11 @@ def load_report(path) -> EvalReport:
                     raise EvaluationError(f"{path}: row {name!r}: {key!r} is not an integer")
             programs, functions, *confusion = counts
             rows.append(EvalRow(name, programs, functions, Confusion(*confusion)))
-        return EvalReport(
-            granularity=header["granularity"],
-            rows=rows,
-            corpus_digest=header["corpus_digest"],
-            model_digest=header["model_digest"],
-        )
+        strings = {key: header[key] for key in _HEADER_KEYS}
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise EvaluationError(f"{path}: header: {key!r} is not a string")
+        return EvalReport(rows=rows, **strings)
     except KeyError as exc:
         raise EvaluationError(f"{path}: record missing key {exc}") from None
 

@@ -338,6 +338,31 @@ def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, t
     assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
 
+@pytest.mark.parametrize("field", ["granularity", "corpus_digest", "model_digest"])
+@pytest.mark.parametrize("value", [[], 5, None], ids=["list", "int", "null"])
+def test_wrongly_typed_report_header_field_exits_3_naming_the_file(field, value, tmp_path, demo_source, capsys):
+    _, compare_argv = _write_inputs(tmp_path, demo_source)
+    for name in ("base.jsonl", "report.jsonl"):
+        path = tmp_path / name
+        header, row = (json.loads(line) for line in path.read_text().splitlines())
+        header[field] = value
+        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    assert main(compare_argv) == 3
+    assert capsys.readouterr().err == f"error: {tmp_path / 'base.jsonl'}: header: {field!r} is not a string\n"
+
+
+@pytest.mark.parametrize(
+    "extra, what",
+    [([], "need at least two reports to compare"), (["--names", "x"], "one name per report required")],
+    ids=["one-report", "one-name-for-two"],
+)
+def test_compare_argument_counts_exit_2_before_reading_a_report(extra, what, tmp_path, capsys):
+    # the reports do not exist: the counts are checked before any is read
+    reports = [str(tmp_path / "a.jsonl")] + ([str(tmp_path / "b.jsonl")] if extra else [])
+    assert main(["compare", *reports, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {what}\n"
+
+
 @pytest.mark.parametrize("case", sorted(TENSOR_EDITS))
 def test_model_tensors_that_do_not_fit_the_config_exit_3(case, tmp_path, demo_source, capsys):
     eval_argv, _ = _write_inputs(tmp_path, demo_source)
