@@ -66,7 +66,7 @@ Position = tuple[int, int]  # (line, col) of a token
 
 class Parser:
     def __init__(self, source: str) -> None:
-        self.tokens, self.vuln_lines = lex(source)
+        self.tokens, self.unclaimed = lex(source)  # unclaimed: //@vuln lines no statement took yet
         self.pos = 0
         self.tok = self.tokens[0]  # the current token, moved only by advance
         self.depth = 0
@@ -74,7 +74,6 @@ class Parser:
         self.positions: list[Position] = [(0, 0)]
         # per function: its func token, then each parameter
         self.heads: list[list[Position]] = []
-        self.unclaimed = set(self.vuln_lines)  # marked lines no statement starts on yet
 
     # ---- token plumbing
 
@@ -169,7 +168,7 @@ class Parser:
 
     def parse_statement(self) -> Stmt:
         tok = self.tok
-        line_id, vuln = self.number(tok)
+        mark = self.number(tok)
         if tok.kind == "ident":
             st = self.parse_simple()
         elif tok.kind == "keyword" and tok.text in _STATEMENTS:
@@ -178,7 +177,7 @@ class Parser:
             raise self.error(f"unexpected keyword {tok.text!r}")
         else:
             raise self.error("expected a statement")
-        st.line_id, st.vuln = line_id, vuln
+        st.line_id, st.vuln = mark
         return st
 
     # each parse_<keyword> starts at its keyword, which parse_statement saw

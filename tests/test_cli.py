@@ -339,7 +339,7 @@ def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, t
 
 
 @pytest.mark.parametrize("field", ["granularity", "corpus_digest", "model_digest"])
-@pytest.mark.parametrize("value", [[], 5, None], ids=["list", "int", "null"])
+@pytest.mark.parametrize("value", [[], None], ids=["list", "null"])
 def test_wrongly_typed_report_header_field_exits_3_naming_the_file(field, value, tmp_path, demo_source, capsys):
     _, compare_argv = _write_inputs(tmp_path, demo_source)
     for name in ("base.jsonl", "report.jsonl"):
