@@ -629,4 +629,12 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
 
 
 def load_corpus(path: str | Path) -> list[CorpusProgram]:
+    """Every record of a corpus file, checked as `read_corpus` checks it,
+    without the parses.
+
+    The commands read through `read_corpus`, which hands each record's
+    parse on; no module under `src/` calls this. It stays because it is
+    the corpus reader the benchmark calls: its corpus round-trip check
+    and its `corpus.load` span name it, and the tests read written
+    corpora through it."""
     return [item for item, _ in read_corpus(path)]

@@ -4,7 +4,8 @@ The package is split by concern: kernels.py holds the hot compute
 (count-matrix mean pooling, the recurrent encoder and its
 embedding-gradient scatter), model.py the parameter container and
 serialization, losses.py the training objectives, optim.py the Adam
-update rule.
+update rule, which keeps the parameters, once it first steps them, in
+one flat buffer that the named tensors are views of.
 """
 from .kernels import active_backend
 from .losses import EPS, bce_loss, discrepancy_loss

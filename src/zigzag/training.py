@@ -174,8 +174,11 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
 
 class _Trainer:
     """One run: the encoded sets X, X' and the validation set, the
-    parameters and one Adam, whose per-tensor moment history carries
-    across phase switches and damps the discrepancy tug-of-war."""
+    parameters and one Adam. On the first step the Adam moves the
+    parameters into one flat buffer, features first and then the heads,
+    so a joint, classifier or feature step updates one slice of it. Its
+    moment history and per-tensor step counts carry across phase switches
+    and damp the discrepancy tug-of-war."""
 
     def __init__(
         self,

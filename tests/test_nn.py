@@ -302,7 +302,10 @@ def test_adam_updates_only_given_keys():
     opt.step(params, {"a": np.array([0.5, -0.5])})
     assert params["a"].tolist() == pytest.approx([0.5, 2.5])
     assert params["b"].tolist() == [3.0]
-    assert set(opt.m) == {"a"}
+    # b's moments and step count did not move: its first step is a signed lr
+    opt.step(params, {"b": np.array([-0.25])})
+    assert params["b"].tolist() == pytest.approx([3.5])
+    assert params["a"].tolist() == pytest.approx([0.5, 2.5])
 
 
 def test_adam_first_step_is_signed_lr():
@@ -311,10 +314,84 @@ def test_adam_first_step_is_signed_lr():
     np.testing.assert_allclose(params["a"], [0.9, 1.1], atol=1e-6)
 
 
+def test_adam_rejects_a_second_params_dict():
+    opt = Adam(0.1)
+    opt.step({"a": np.array([1.0])}, {"a": np.array([0.5])})
+    with pytest.raises(ValueError):
+        opt.step({"a": np.array([1.0])}, {"a": np.array([0.5])})
+
+
 def test_optimizers_reject_non_finite_gradients():
     params = {"a": np.array([1.0])}
     with pytest.raises(TrainingDiverged):
         Adam(0.1).step(params, {"a": np.array([np.inf])})
+
+
+def test_non_finite_gradient_moves_no_tensor_and_names_the_first_in_buffer_order():
+    params = init_params(make_config(emb_dim=4), VOCAB, 0)
+    before = {k: v.tobytes() for k, v in params.items()}
+    grads = {k: np.full(v.shape, 0.5) for k, v in params.items()}
+    grads["c2_b2"] = np.array([np.nan])
+    grads["f_b"][1] = np.inf
+    grads = {k: grads[k] for k in reversed(params)}  # heads first, as the trainer builds them
+    opt = Adam(0.1)
+    with pytest.raises(TrainingDiverged, match="^non-finite gradient in 'f_b'$"):
+        opt.step(params, grads)
+    assert {k: v.tobytes() for k, v in params.items()} == before
+    # nor did any moment or step count: the next step is a first step
+    opt.step(params, {"emb": np.full(params["emb"].shape, -0.5)})
+    emb_before = np.frombuffer(before["emb"]).reshape(params["emb"].shape)
+    np.testing.assert_allclose(params["emb"], emb_before + 0.1, atol=1e-6)
+
+
+def test_non_finite_parameter_names_the_first_tensor_in_buffer_order():
+    params = {"a": np.array([1.0]), "b": np.array([1.0, 2.0])}
+    with pytest.raises(TrainingDiverged, match="^non-finite parameter in 'a'$"):
+        Adam(np.inf).step(params, {"b": np.array([0.5, 0.5]), "a": np.array([0.5])})
+
+
+class _PerTensorAdam:
+    """The per-tensor Adam loop the flat buffer replaced, kept as the reference."""
+
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+        self.lr, self.beta1, self.beta2, self.eps = float(lr), beta1, beta2, eps
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t: dict[str, int] = {}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        for name, g in grads.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(params[name])
+                self.v[name] = np.zeros_like(params[name])
+                self.t[name] = 0
+            self.t[name] += 1
+            t = self.t[name]
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            mhat = self.m[name] / (1.0 - self.beta1**t)
+            vhat = self.v[name] / (1.0 - self.beta2**t)
+            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+def test_flat_adam_is_byte_identical_to_the_per_tensor_loop(encoder):
+    config = make_config(encoder=encoder, emb_dim=4, feature_dim=6, head_hidden=5, rnn_hidden=5)
+    params = init_params(config, VOCAB, 3)
+    reference = {k: v.copy() for k, v in params.items()}
+    heads = [f"{h}_{p}" for h in ("c1", "c2") for p in ("w2", "b2", "w1", "b1")]  # head_backward's order
+    features = [k for k in reversed(params) if not k.startswith("c")]
+    # per-tensor step counts diverge, and the last joint step spans tensors
+    # whose counts differ (heads 6, features 5)
+    steps = [heads + features] * 3 + [heads] * 2 + [features] * 2 + [heads] + [heads + features]
+    opt, ref = Adam(0.05), _PerTensorAdam(0.05)
+    rng = derive_rng(0, "test", "adam")
+    for keys in steps:
+        grads = {k: rng.normal(scale=0.3, size=params[k].shape) for k in keys}
+        opt.step(params, grads)
+        ref.step(reference, grads)
+        for k in params:
+            assert params[k].tobytes() == reference[k].tobytes(), k
 
 
 # ---- model container ------------------------------------------------------------
