@@ -186,22 +186,21 @@ def cmd_train(args) -> None:
     granularity = mc["granularity"]
 
     # originals' fragments, then variants' grouped by kind in first-seen
-    # order; original mode counts the variants' fragments and keeps none.
-    # Fragments with equal tokens share one tuple: many variants normalize
-    # to their original's tokens, and the tuples are most of what is kept.
+    # order; original mode counts the variant programs and cuts no
+    # fragments from them. Fragments with equal tokens share one tuple:
+    # many variants normalize to their original's tokens, and the tuples
+    # are most of what is kept.
     buckets: dict = {None: []}
     sequences: dict = {}
-    variants = truncated_variants = 0
+    ignored = 0
     for item, program in read_corpus(args.data):
         bucket = buckets.setdefault(item.kind, [])
         if item.split != "train":
             continue
+        if item.kind is not None and args.mode == "original":
+            ignored += 1
+            continue
         fragments = extract_fragments(item, granularity, program)
-        if item.kind is not None:
-            variants += len(fragments)
-            truncated_variants += count_truncated(fragments, length)
-            if args.mode == "original":
-                continue
         for frag in fragments:
             frag.tokens = sequences.setdefault(frag.tokens, frag.tokens)
         bucket.extend(fragments)
@@ -215,8 +214,8 @@ def cmd_train(args) -> None:
         ]
 
     if args.mode == "original":
-        if variants:
-            log.warning("original mode ignores %d transformed variants", variants)
+        if ignored:
+            log.warning("original mode ignores %d transformed variant programs", ignored)
         outcome = train_original(clean, model_config=mc, train_config=tc, val_fragments=val_fragments)
     elif args.mode == "conventional":
         if not varied:
@@ -238,9 +237,10 @@ def cmd_train(args) -> None:
         "train_config": dataclasses.asdict(tc),
         "model_config": outcome.model.config,
         "clean_fragments": len(clean),
-        "variant_fragments": variants,
+        # the fragments the model trained on: no variant's in original mode
+        "variant_fragments": len(varied),
         "truncated_clean_fragments": count_truncated(clean, length),
-        "truncated_variant_fragments": truncated_variants,
+        "truncated_variant_fragments": count_truncated(varied, length),
         "rounds_run": outcome.rounds_run,
         "stopped_early": outcome.stopped_early,
         "model_fingerprint": model_fingerprint(outcome.model),

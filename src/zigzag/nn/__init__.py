@@ -2,7 +2,9 @@
 
 The package is split by concern: kernels.py holds the hot compute
 (count-matrix mean pooling, the recurrent encoder and its
-embedding-gradient scatter), model.py the parameter container and
+embedding-gradient scatter), model.py the parameter container, the
+passes of the feature stack and of the two heads c1 and c2 (which run
+as one pair, heads_forward and heads_backward), the threshold rule and
 serialization, losses.py the training objectives, optim.py the Adam
 update rule, which keeps the parameters, once it first steps them, in
 one flat buffer that the named tensors are views of.

@@ -7,7 +7,10 @@ matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
 only the RNN scatters per-token gradients into the embedding.  The
 recurrence runs to the batch's last column that holds a token; the
 all-padding columns after it would leave h as it is.  Each head is a
-small tanh MLP ending in a sigmoid.
+small tanh MLP ending in a sigmoid.  The two heads c1 and c2 always run
+as a pair on one F: heads_forward and heads_backward are the only way
+training and prediction reach them, and heads_backward sums the two
+heads' feature gradients.  binary_prediction is the one threshold rule.
 Everything is float64 and functional: forward passes return caches,
 backward passes return gradient dicts keyed like the parameter dict, so
 freezing a subsystem means not asking for its gradients.
@@ -51,6 +54,9 @@ DEFAULT_LENGTH = {FUNCTION_GRANULARITY: 128, SLICE_GRANULARITY: 64}
 
 _REQUIRED_KEYS = (*DEFAULT_CONFIG, "length")
 
+# the two classifier heads on one feature stack
+HEADS = ("c1", "c2")
+
 
 class ModelError(Exception):
     pass
@@ -87,6 +93,11 @@ def head_keys(head: str) -> list[str]:
     return [f"{head}_w1", f"{head}_b1", f"{head}_w2", f"{head}_b2"]
 
 
+def heads_keys() -> list[str]:
+    """The tensors of both heads, c1's first."""
+    return [key for head in HEADS for key in head_keys(head)]
+
+
 def param_shapes(config: dict, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor the config and vocabulary call for."""
     D = config["emb_dim"]
@@ -98,7 +109,7 @@ def param_shapes(config: dict, vocab_size: int) -> dict[str, tuple[int, ...]]:
         H = enc_out = config["rnn_hidden"]
         shapes.update(r_wx=(D, H), r_wh=(H, H), r_b=(H,))
     shapes.update(f_w=(enc_out, Fd), f_b=(Fd,))
-    for head in ("c1", "c2"):
+    for head in HEADS:
         shapes.update({f"{head}_w1": (Fd, Hh), f"{head}_b1": (Hh,), f"{head}_w2": (Hh, 1), f"{head}_b2": (1,)})
     return shapes
 
@@ -212,6 +223,27 @@ def head_backward(
     return grads, dF
 
 
+def heads_forward(params: dict, F: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[dict, dict]]:
+    """Both heads on the same features: p1, p2 and the pair's cache."""
+    p1, h1 = head_forward(params, "c1", F)
+    p2, h2 = head_forward(params, "c2", F)
+    return p1, p2, (h1, h2)
+
+
+def heads_backward(
+    params: dict, cache: tuple[dict, dict], dp1: np.ndarray, dp2: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Both heads' gradients in one dict, c1's first, and dF1 + dF2."""
+    g1, dF1 = head_backward(params, "c1", cache[0], dp1)
+    g2, dF2 = head_backward(params, "c2", cache[1], dp2)
+    return {**g1, **g2}, dF1 + dF2
+
+
+def binary_prediction(p: np.ndarray, delta: float) -> np.ndarray:
+    """Strictly greater than the threshold; p == delta is negative."""
+    return (p > delta).astype(np.int64)
+
+
 # --------------------------------------------------------------------------
 # container
 
@@ -227,8 +259,7 @@ class DetectorModel:
 
     def predict_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F, _ = features_forward(self.params, self.config, X)
-        p1, _ = head_forward(self.params, "c1", F)
-        p2, _ = head_forward(self.params, "c2", F)
+        p1, p2, _ = heads_forward(self.params, F)
         return p1, p2
 
     def fused_proba(self, X: np.ndarray) -> np.ndarray:
@@ -238,8 +269,7 @@ class DetectorModel:
         return p1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        # strictly greater: a probability equal to delta stays negative
-        return (self.fused_proba(X) > self.config["delta"]).astype(np.int64)
+        return binary_prediction(self.fused_proba(X), self.config["delta"])
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Training schemes for the detector.
 
 Two entry points share one trainer: one setup, one joint warm-up, one
-Adam optimizer.
+Adam optimizer.  The detector's two heads c1 and c2 run as one pair on
+one F, through nn.model.heads_forward and heads_backward, so no phase
+here names a head; the threshold rule is nn.model.binary_prediction,
+which this module re-exports.
 
 * train_original: one feature stack and two heads fit jointly by summed
   cross entropy on whatever fragments it is given.  Adversarial
@@ -19,10 +22,10 @@ Adam optimizer.
     feature phase - heads frozen bit for bit; the feature stack
         minimizes mean |c1 - c2| over all of X'.
 
-  An example is hard when either head's thresholded prediction (strictly
-  greater than delta) disagrees with its label.  Training stops early
-  when a round changes neither the mean discrepancy on X' nor the clean
-  loss by more than the tolerances.
+  An example is hard when either head's thresholded prediction
+  (binary_prediction: strictly greater than delta) disagrees with its
+  label.  Training stops early when a round changes neither the mean
+  discrepancy on X' nor the clean loss by more than the tolerances.
 
 Training runs with numpy float overflow raised: an overflow, or a
 non-finite loss, gradient or parameter, ends the run with
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,12 +62,13 @@ from .fragments import Fragment
 from .nn.losses import bce_loss, discrepancy_loss
 from .nn.model import (
     DetectorModel,
+    binary_prediction,
     feature_keys,
     features_backward,
     features_forward,
-    head_backward,
-    head_forward,
-    head_keys,
+    heads_backward,
+    heads_forward,
+    heads_keys,
     init_params,
     make_config,
 )
@@ -89,6 +94,14 @@ class TrainConfig:
     tau_loss: float = 1e-3
 
     def validate(self) -> None:
+        for name in ("beta", "e1", "e2", "e3", "batch_size", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
+        for name in ("delta", "lr", "tau_disc", "tau_loss"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TrainingError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise TrainingError("delta must be in (0, 1)")
         for name in ("beta", "e1", "e2", "e3", "batch_size"):
@@ -128,13 +141,37 @@ def save_trace(path: str | Path, trace: Sequence[TrainRecord]) -> None:
             fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
+_PHASES = ("joint", "classifier", "feature")
+
+
+def _record_fault(rec: TrainRecord) -> Optional[str]:
+    """What is wrong with a loaded record's field types, or None."""
+    for name in ("round", "epoch"):
+        value = getattr(rec, name)
+        if type(value) is not int:
+            return f"{name} must be an integer, got {value!r}"
+    if rec.phase not in _PHASES:
+        return f"phase must be one of {', '.join(_PHASES)}, got {rec.phase!r}"
+    for name in ("L_c", "L_h", "mean_disc", "gamma"):
+        value = getattr(rec, name)
+        if type(value) is not float or not math.isfinite(value):
+            return f"{name} must be a finite float, got {value!r}"
+    if rec.val_f1 is not None and type(rec.val_f1) is not float:
+        return f"val_f1 must be a float or null, got {rec.val_f1!r}"
+    return None
+
+
 def load_trace(path: str | Path) -> list[TrainRecord]:
     out = []
     for number, rec in enumerate(read_json_lines(path, TrainingError), 1):
         try:
-            out.append(TrainRecord(**rec))
+            record = TrainRecord(**rec)
         except TypeError as exc:  # a missing or unknown key
             raise TrainingError(f"{path}: trace record {number}: {exc}") from None
+        fault = _record_fault(record)
+        if fault:
+            raise TrainingError(f"{path}: trace record {number}: {fault}")
+        out.append(record)
     return out
 
 
@@ -158,11 +195,6 @@ def _frozen(params: dict[str, np.ndarray], keys: Sequence[str], what: str):
     for k, value in before.items():
         if not np.array_equal(value, params[k]):
             raise TrainingError(f"{what} moved frozen tensor {k!r}")
-
-
-def binary_prediction(p: np.ndarray, delta: float) -> np.ndarray:
-    """Strictly greater than the threshold; p == delta is negative."""
-    return (p > delta).astype(np.int64)
 
 
 def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
@@ -224,16 +256,14 @@ class _Trainer:
 
     def clean_loss(self, F_clean: np.ndarray) -> float:
         """Summed CE of both heads on the clean set, given its features."""
-        p1, _ = head_forward(self.params, "c1", F_clean)
-        p2, _ = head_forward(self.params, "c2", F_clean)
+        p1, p2, _ = heads_forward(self.params, F_clean)
         return bce_loss(p1, self.yc)[0] + bce_loss(p2, self.yc)[0]
 
     def discrepancy_on(self, F: np.ndarray) -> float:
         """Mean |c1 - c2| over the rows of the features F; 0 when empty."""
         if len(F) == 0:
             return 0.0
-        p1, _ = head_forward(self.params, "c1", F)
-        p2, _ = head_forward(self.params, "c2", F)
+        p1, p2, _ = heads_forward(self.params, F)
         return discrepancy_loss(p1, p2)[0]
 
     def val_f1(self) -> Optional[float]:
@@ -269,14 +299,9 @@ class _Trainer:
         for batch in self._batches(len(self.Xc), "joint", 0, epoch):
             Xb, yb = self.Xc[batch], self.yc[batch]
             F, fc = features_forward(self.params, self.mc, Xb)
-            p1, h1 = head_forward(self.params, "c1", F)
-            p2, h2 = head_forward(self.params, "c2", F)
-            _, dp1 = bce_loss(p1, yb)
-            _, dp2 = bce_loss(p2, yb)
-            g1, dF1 = head_backward(self.params, "c1", h1, dp1)
-            g2, dF2 = head_backward(self.params, "c2", h2, dp2)
-            fg = features_backward(self.params, self.mc, fc, dF1 + dF2)
-            self.opt.step(self.params, {**g1, **g2, **fg})
+            p1, p2, hc = heads_forward(self.params, F)
+            grads, dF = heads_backward(self.params, hc, bce_loss(p1, yb)[1], bce_loss(p2, yb)[1])
+            self.opt.step(self.params, {**grads, **features_backward(self.params, self.mc, fc, dF)})
 
     def warm_up(self) -> None:
         """Joint CE on X for up to e1 epochs, until L_c moves by at most tau_loss."""
@@ -295,24 +320,15 @@ class _Trainer:
         hard_order = derive_rng(self.tc.seed, "hard", rnd, epoch).permutation(len(F_hard))
         hard_chunks = np.array_split(hard_order, len(clean_batches))
         for batch, hard in zip(clean_batches, hard_chunks):
-            grads: dict[str, np.ndarray] = {}
-            p1, h1 = head_forward(self.params, "c1", F_clean[batch])
-            p2, h2 = head_forward(self.params, "c2", F_clean[batch])
-            _, dp1 = bce_loss(p1, self.yc[batch])
-            _, dp2 = bce_loss(p2, self.yc[batch])
-            g1, _ = head_backward(self.params, "c1", h1, dp1)
-            g2, _ = head_backward(self.params, "c2", h2, dp2)
-            for k, v in (*g1.items(), *g2.items()):
-                grads[k] = grads.get(k, 0.0) + v
+            yb = self.yc[batch]
+            p1, p2, hc = heads_forward(self.params, F_clean[batch])
+            grads, _ = heads_backward(self.params, hc, bce_loss(p1, yb)[1], bce_loss(p2, yb)[1])
             if len(hard):
-                q1, hh1 = head_forward(self.params, "c1", F_hard[hard])
-                q2, hh2 = head_forward(self.params, "c2", F_hard[hard])
+                q1, q2, hc = heads_forward(self.params, F_hard[hard])
                 _, dq1, dq2 = discrepancy_loss(q1, q2)
                 # maximize the discrepancy on hard examples
-                hg1, _ = head_backward(self.params, "c1", hh1, -dq1)
-                hg2, _ = head_backward(self.params, "c2", hh2, -dq2)
-                for k, v in (*hg1.items(), *hg2.items()):
-                    grads[k] = grads.get(k, 0.0) + v
+                hard_grads, _ = heads_backward(self.params, hc, -dq1, -dq2)
+                grads = {k: g + hard_grads[k] for k, g in grads.items()}
             self.opt.step(self.params, grads)
 
     def classifier_phase(self, rnd: int) -> tuple[np.ndarray, float]:
@@ -325,8 +341,7 @@ class _Trainer:
         go out of scope when the phase ends.
         """
         F_var = self.features(self.Xv)
-        p1, _ = head_forward(self.params, "c1", F_var)
-        p2, _ = head_forward(self.params, "c2", F_var)
+        p1, p2, _ = heads_forward(self.params, F_var)
         mask = hard_mask(p1, p2, self.yv, self.tc.delta)
         Xh = self.Xv[mask]
         gamma = float(mask.sum()) / len(self.Xv)
@@ -341,12 +356,10 @@ class _Trainer:
         """Feature stack only, on X'; head parameters are never updated."""
         for batch in self._batches(len(self.Xv), "feature", rnd, epoch):
             F, fc = features_forward(self.params, self.mc, self.Xv[batch])
-            p1, h1 = head_forward(self.params, "c1", F)
-            p2, h2 = head_forward(self.params, "c2", F)
+            p1, p2, hc = heads_forward(self.params, F)
             _, dp1, dp2 = discrepancy_loss(p1, p2)
-            _, dF1 = head_backward(self.params, "c1", h1, dp1)
-            _, dF2 = head_backward(self.params, "c2", h2, dp2)
-            self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF1 + dF2))
+            _, dF = heads_backward(self.params, hc, dp1, dp2)
+            self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF))
 
     def feature_phase(self, Xh: np.ndarray, rnd: int, gamma: float) -> None:
         for epoch in range(self.tc.e3):
@@ -371,13 +384,12 @@ class _Trainer:
 
     def zigzag_rounds(self, rounds: int) -> tuple[int, bool]:
         """Rounds run and whether the stop rule ended them before `rounds`."""
-        head_key_list = [*head_keys("c1"), *head_keys("c2")]
         # the last record was measured with the current parameters
         prev_disc, prev_loss = self.trace[-1].mean_disc, self.trace[-1].L_c
         for rnd in range(1, rounds + 1):
             with _frozen(self.params, feature_keys(self.mc), "classifier phase"):
                 Xh, gamma = self.classifier_phase(rnd)
-            with _frozen(self.params, head_key_list, "feature phase"):
+            with _frozen(self.params, heads_keys(), "feature phase"):
                 self.feature_phase(Xh, rnd, gamma)
             disc, loss = self.trace[-1].mean_disc, self.trace[-1].L_c
             if abs(prev_disc - disc) <= self.tc.tau_disc and abs(prev_loss - loss) <= self.tc.tau_loss:

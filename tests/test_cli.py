@@ -85,9 +85,11 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
         assert len(lexes) == records(*inputs), "a train fragment was lexed again"
         written = sidecar(model)
         assert written["clean_fragments"] == len(clean)
-        assert written["variant_fragments"] == len(varied)
+        # the variant fragments the model trained on: none in original mode
+        trained_on = [] if mode == "original" else varied
+        assert written["variant_fragments"] == len(trained_on)
         assert written["truncated_clean_fragments"] == truncated(clean)
-        assert written["truncated_variant_fragments"] == truncated(varied)
+        assert written["truncated_variant_fragments"] == truncated(trained_on)
         assert written["model_fingerprint"] == model_fingerprint(load_model(model))
 
         report = tmp_path / f"{mode}.report.jsonl"

@@ -40,7 +40,7 @@ def valid(tmp_path_factory) -> dict[str, bytes]:
     EvalReport("function", rows, "c" * 64, "m" * 64).save(d / "report")
     save_trace(d / "trace", [
         TrainRecord(0, "joint", 0, 0.5, 0.0, 0.1, 0.0, None),
-        TrainRecord(1, "features", 2, 0.25, 0.5, 0.01, 0.2, 0.75),
+        TrainRecord(1, "feature", 2, 0.25, 0.5, 0.01, 0.2, 0.75),
     ])
     config = make_config(emb_dim=4, feature_dim=6, head_hidden=5)
     save_model(DetectorModel(config, {"func": 2, "VAR_0": 3}, init_params(config, 4, 0)), d / "model")

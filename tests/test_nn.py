@@ -17,6 +17,9 @@ from zigzag.nn.model import (
     features_forward,
     head_backward,
     head_forward,
+    heads_backward,
+    heads_forward,
+    heads_keys,
     init_params,
     load_model,
     make_config,
@@ -48,39 +51,35 @@ def tiny_setup(encoder: str, seed: int = 5, pad_from: int = LENGTH):
     return config, params, X, y
 
 
+# the loss helpers go through the head pair, so finite differences pin
+# heads_forward and heads_backward as well as the feature stack
+
+
 def total_bce(params, config, X, y) -> float:
     F, _ = features_forward(params, config, X)
-    p1, _ = head_forward(params, "c1", F)
-    p2, _ = head_forward(params, "c2", F)
+    p1, p2, _ = heads_forward(params, F)
     return bce_loss(p1, y)[0] + bce_loss(p2, y)[0]
 
 
 def grads_bce(params, config, X, y) -> dict:
     F, fc = features_forward(params, config, X)
-    p1, h1 = head_forward(params, "c1", F)
-    p2, h2 = head_forward(params, "c2", F)
-    _, dp1 = bce_loss(p1, y)
-    _, dp2 = bce_loss(p2, y)
-    g1, dF1 = head_backward(params, "c1", h1, dp1)
-    g2, dF2 = head_backward(params, "c2", h2, dp2)
-    return {**g1, **g2, **features_backward(params, config, fc, dF1 + dF2)}
+    p1, p2, hc = heads_forward(params, F)
+    grads, dF = heads_backward(params, hc, bce_loss(p1, y)[1], bce_loss(p2, y)[1])
+    return {**grads, **features_backward(params, config, fc, dF)}
 
 
 def total_disc(params, config, X) -> float:
     F, _ = features_forward(params, config, X)
-    p1, _ = head_forward(params, "c1", F)
-    p2, _ = head_forward(params, "c2", F)
+    p1, p2, _ = heads_forward(params, F)
     return discrepancy_loss(p1, p2)[0]
 
 
 def grads_disc(params, config, X) -> dict:
     F, fc = features_forward(params, config, X)
-    p1, h1 = head_forward(params, "c1", F)
-    p2, h2 = head_forward(params, "c2", F)
+    p1, p2, hc = heads_forward(params, F)
     _, d1, d2 = discrepancy_loss(p1, p2)
-    g1, dF1 = head_backward(params, "c1", h1, d1)
-    g2, dF2 = head_backward(params, "c2", h2, d2)
-    return {**g1, **g2, **features_backward(params, config, fc, dF1 + dF2)}
+    grads, dF = heads_backward(params, hc, d1, d2)
+    return {**grads, **features_backward(params, config, fc, dF)}
 
 
 def fd_worst_rel(params, loss_fn, grads, h=1e-4) -> float:
@@ -130,6 +129,38 @@ def test_discrepancy_gradients_match_finite_differences(encoder, pad_from):
     grads = grads_disc(params, config, X)
     worst = fd_worst_rel(params, lambda: total_disc(params, config, X), grads)
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+def test_head_pair_equals_two_single_head_calls(encoder):
+    config, params, X, y = tiny_setup(encoder)
+    F, _ = features_forward(params, config, X)
+    p1, p2, pair = heads_forward(params, F)
+    q1, h1 = head_forward(params, "c1", F)
+    q2, h2 = head_forward(params, "c2", F)
+    assert (p1.tobytes(), p2.tobytes()) == (q1.tobytes(), q2.tobytes())
+
+    def single(dp1, dp2):
+        g1, dF1 = head_backward(params, "c1", h1, dp1)
+        g2, dF2 = head_backward(params, "c2", h2, dp2)
+        return {**g1, **g2}, dF1 + dF2
+
+    _, d1, d2 = discrepancy_loss(p1, p2)
+    clean = (bce_loss(p1, y)[1], bce_loss(p2, y)[1])
+    for dp1, dp2 in (clean, (-d1, -d2)):
+        grads, dF = heads_backward(params, pair, dp1, dp2)
+        want, want_dF = single(dp1, dp2)
+        assert list(grads) == list(want) and set(grads) == set(heads_keys())
+        assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
+        assert dF.tobytes() == want_dF.tobytes()
+    # a classifier step's gradient: clean CE plus the negated discrepancy,
+    # merged once, against the per-head accumulation it replaced
+    clean_g, hard_g = (heads_backward(params, pair, *dp)[0] for dp in (clean, (-d1, -d2)))
+    merged: dict = {}
+    for k, g in (*single(*clean)[0].items(), *single(-d1, -d2)[0].items()):
+        merged[k] = merged.get(k, 0.0) + g
+    assert list(merged) == list(clean_g)
+    assert all((clean_g[k] + hard_g[k]).tobytes() == merged[k].tobytes() for k in merged)
 
 
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])

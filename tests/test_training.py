@@ -403,7 +403,12 @@ def test_rejects_non_training_fragments(pools):
 
 @pytest.mark.parametrize(
     "overrides",
-    [dict(delta=0.0), dict(e2=0), dict(beta=0), dict(e1=0), dict(batch_size=0)],
+    [
+        dict(delta=0.0), dict(e2=0), dict(beta=0), dict(e1=0), dict(batch_size=0),
+        # wrongly typed: a fraction of an epoch or a batch, a bool, a number as text
+        dict(e1=2.5), dict(batch_size=1.5), dict(beta=True), dict(e3=4.0), dict(seed=1.0),
+        dict(seed=False), dict(delta="0.4"), dict(lr="0.002"), dict(tau_disc=None), dict(tau_loss=True),
+    ],
 )
 def test_config_validation_rejects(overrides):
     with pytest.raises(TrainingError):
@@ -423,6 +428,24 @@ def test_trace_round_trip(tmp_path, pools):
     assert [asdict(r) for r in loaded] == [asdict(r) for r in out.trace]
 
 
+# one field of a record set to a value of the wrong type, or not finite
+FIELD_DAMAGE = {
+    "round-string": ("round", "x"),
+    "round-bool": ("round", True),
+    "epoch-float": ("epoch", 1.0),
+    "phase-int": ("phase", 3),
+    "phase-unknown": ("phase", "warm-up"),
+    "L_c-string": ("L_c", "nan"),
+    "L_c-nan": ("L_c", math.nan),
+    "L_h-infinite": ("L_h", math.inf),
+    "mean_disc-null": ("mean_disc", None),
+    "mean_disc-int": ("mean_disc", 0),
+    "gamma-bool": ("gamma", True),
+    "val_f1-string": ("val_f1", "0.5"),
+    "val_f1-bool": ("val_f1", False),
+}
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -430,6 +453,7 @@ def test_trace_round_trip(tmp_path, pools):
         ("deep-line", ":2: not valid JSON"),
         ("missing-key", ": trace record 2: "),
         ("unknown-key", ": trace record 2: "),
+        *((damage, f": trace record 2: {key} must ") for damage, (key, _) in FIELD_DAMAGE.items()),
     ],
 )
 def test_damaged_trace_raises_training_error(damage, message, tmp_path):
@@ -445,8 +469,12 @@ def test_damaged_trace_raises_training_error(damage, message, tmp_path):
     elif damage == "missing-key":
         del rec["L_c"]
         second = json.dumps(rec)
-    else:
+    elif damage == "unknown-key":
         rec["L_x"] = 1.0
+        second = json.dumps(rec)
+    else:
+        key, value = FIELD_DAMAGE[damage]
+        rec[key] = value
         second = json.dumps(rec)
     path.write_text(first + "\n" + second + "\n")
     with pytest.raises(TrainingError) as exc:
