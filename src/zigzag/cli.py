@@ -206,23 +206,18 @@ def cmd_train(args) -> None:
         bucket.extend(fragments)
     clean = buckets.pop(None)
     varied = [f for bucket in buckets.values() for f in bucket]
-    val_fragments = None
-    if args.val_data:
-        val_fragments = [
-            f for item, program in read_corpus(args.val_data)
-            for f in extract_fragments(item, granularity, program)
-        ]
+    val_programs = read_corpus(args.val_data) if args.val_data else None
 
     if args.mode == "original":
         if ignored:
             log.warning("original mode ignores %d transformed variant programs", ignored)
-        outcome = train_original(clean, model_config=mc, train_config=tc, val_fragments=val_fragments)
+        outcome = train_original(clean, model_config=mc, train_config=tc, val_programs=val_programs)
     elif args.mode == "conventional":
         if not varied:
             log.warning("conventional mode without variants is identical to original mode")
-        outcome = train_original(clean + varied, model_config=mc, train_config=tc, val_fragments=val_fragments)
+        outcome = train_original(clean + varied, model_config=mc, train_config=tc, val_programs=val_programs)
     else:
-        outcome = train_zigzag(clean, varied, model_config=mc, train_config=tc, val_fragments=val_fragments)
+        outcome = train_zigzag(clean, varied, model_config=mc, train_config=tc, val_programs=val_programs)
 
     save_model(outcome.model, args.out_model)
     save_trace(args.out_trace, outcome.trace)

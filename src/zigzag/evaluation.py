@@ -1,14 +1,16 @@
 """Detector evaluation: exact-rational metrics and per-transform rows.
 
-Programs are bucketed by transform kind, and each bucket's fragments
-are encoded together and scored in one forward pass.  Counts are
-aggregated at function level: a function is predicted positive when
-any of its fragments (its one function fragment, or any of its slices)
-is, and functions without slices are predicted negative.  Metrics
-are computed as Fractions so reports are exact; a metric whose
-denominator is zero is undefined and rendered "n/a", except F1 which is
-exactly 0 whenever there are no true positives but positives exist
-somewhere (numerator 0, denominator > 0).
+encode_corpus cuts and encodes a corpus once per bucket (untransformed
+programs, then each transform kind); EncodedCorpus.score scores it under
+a model's current parameters, one forward pass per bucket, as eval does
+once and training does after every epoch.  Counts are per function: a
+function is predicted positive when any of its fragments (its one
+function fragment, or any of its slices) is, and functions without
+slices are predicted negative.  Total sums the transformed rows
+(total_row).  Metrics are Fractions, so reports are exact; a metric
+whose denominator is zero is undefined and rendered "n/a", except F1
+which is exactly 0 whenever there are no true positives but positives
+exist somewhere (numerator 0, denominator > 0).
 """
 from __future__ import annotations
 
@@ -111,6 +113,17 @@ class EvalRow:
         return f1_score(self.confusion)
 
 
+def total_row(kinds: Sequence[EvalRow]) -> EvalRow:
+    """The Total row of the transformed rows: the sum of their programs,
+    functions and confusions."""
+    return EvalRow(
+        TOTAL_ROW,
+        sum(r.programs for r in kinds),
+        sum(r.functions for r in kinds),
+        sum((r.confusion for r in kinds), Confusion()),
+    )
+
+
 @dataclass(slots=True)
 class EvalReport:
     granularity: str
@@ -208,30 +221,42 @@ def load_report(path) -> EvalReport:
 
 
 # --------------------------------------------------------------------------
-# running a detector over program buckets
+# cutting a corpus once, then scoring it under a model
 
-def _bucket_row(
-    model: DetectorModel, name: str, bucket: list[tuple[CorpusProgram, list[Fragment]]]
-) -> tuple[EvalRow, dict[str, int]]:
-    """Score every fragment of a bucket in one forward pass, then count
-    per function; with the row, the bucket's fragment counters."""
-    fragments = [frag for _, frags in bucket for frag in frags]
-    length = model.config["length"]
-    X, _ = encode_fragments(fragments, model.vocab, length)
-    counters = {
-        "fragments": len(fragments),
-        "truncated": count_truncated(fragments, length),
-        "unk_tokens": int(np.count_nonzero(X == UNK_ID)),
-    }
-    preds = iter(model.predict(X))
-    y_true: list[int] = []
-    y_pred: list[int] = []
-    for item, frags in bucket:
-        flagged = {frag.function for frag in frags if next(preds)}
-        for function, label in item.labels.items():
-            y_true.append(label)
-            y_pred.append(int(function in flagged))
-    return EvalRow(name, len(bucket), len(y_true), confusion_from(y_true, y_pred)), counters
+
+@dataclass(slots=True)
+class EncodedCorpus:
+    """A corpus as encode_corpus cuts and encodes it, to be scored under
+    any parameters that read its vocabulary and length."""
+
+    digest: str
+    # per bucket: fragments, fragments longer than the length, and unknown
+    # tokens in what was kept
+    counters: dict[str, dict[str, int]]
+    # per bucket, untransformed first: its name, its encoded fragments and,
+    # per program, the function labels and each fragment's function
+    buckets: list[tuple[str, np.ndarray, list[tuple[dict[str, int], tuple[str, ...]]]]]
+
+    @property
+    def transformed(self) -> int:
+        """How many programs the Total row counts."""
+        return sum(len(programs) for _, _, programs in self.buckets[1:])
+
+    def score(self, model: DetectorModel) -> list[EvalRow]:
+        """The n/a row, one row per kind and the Total row under `model`:
+        one forward pass per bucket, then counts per function."""
+        rows = []
+        for name, X, programs in self.buckets:
+            preds = iter(model.predict(X))
+            y_true: list[int] = []
+            y_pred: list[int] = []
+            for labels, functions in programs:
+                flagged = {function for function in functions if next(preds)}
+                for function, label in labels.items():
+                    y_true.append(label)
+                    y_pred.append(int(function in flagged))
+            rows.append(EvalRow(name, len(programs), len(y_true), confusion_from(y_true, y_pred)))
+        return [*rows, total_row(rows[1:])]
 
 
 def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequence[CorpusProgram]]) -> str:
@@ -242,32 +267,39 @@ def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequenc
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def encode_corpus(
+    pairs: Iterable[tuple[CorpusProgram, Program]], granularity: str, vocab: dict[str, int], length: int
+) -> EncodedCorpus:
+    """`pairs`, each program with its parse as `read_corpus` yields them,
+    cut at `granularity` and encoded to `length` by `vocab`, one array
+    per bucket; a parse is dropped once its fragments are cut."""
+    cut: dict[Optional[str], list[tuple[CorpusProgram, list[Fragment]]]] = {None: []}
+    for item, program in pairs:
+        cut.setdefault(item.kind, []).append((item, extract_fragments(item, granularity, program)))
+    originals = cut.pop(None)
+    targets = {kind: [item for item, _ in bucket] for kind, bucket in cut.items()}
+    digest = corpus_digest([item for item, _ in originals], targets)
+    counters, buckets = {}, []
+    for name, bucket in [(ORIGINAL_ROW, originals), *sorted(cut.items())]:
+        fragments = [frag for _, frags in bucket for frag in frags]
+        X, _ = encode_fragments(fragments, vocab, length)
+        counters[name] = {
+            "fragments": len(fragments),
+            "truncated": count_truncated(fragments, length),
+            "unk_tokens": int(np.count_nonzero(X == UNK_ID)),
+        }
+        programs = [(item.labels, tuple(frag.function for frag in frags)) for item, frags in bucket]
+        buckets.append((name, X, programs))
+    return EncodedCorpus(digest, counters, buckets)
+
+
 def evaluate_detector(model: DetectorModel, pairs: Iterable[tuple[CorpusProgram, Program]]) -> EvalReport:
     """One row per bucket: untransformed programs, each transform kind,
-    and the union of all transformed buckets.
-
-    `pairs` holds each program with its parse, as `read_corpus` yields
-    them; a parse is dropped once its fragments are cut.
-    """
+    and the union of all transformed buckets; `pairs` as encode_corpus
+    takes them."""
     granularity = model.config["granularity"]
-    buckets: dict[Optional[str], list[tuple[CorpusProgram, list[Fragment]]]] = {None: []}
-    for item, program in pairs:
-        fragments = extract_fragments(item, granularity, program)
-        buckets.setdefault(item.kind, []).append((item, fragments))
-    originals = buckets.pop(None)
-    scored = {kind: _bucket_row(model, kind, buckets[kind]) for kind in sorted(buckets)}
-    kinds = [row for row, _ in scored.values()]
-    total = EvalRow(
-        TOTAL_ROW,
-        sum(r.programs for r in kinds),
-        sum(r.functions for r in kinds),
-        sum((r.confusion for r in kinds), Confusion()),
-    )
-    original, original_counters = _bucket_row(model, ORIGINAL_ROW, originals)
-    targets = {kind: [item for item, _ in bucket] for kind, bucket in buckets.items()}
-    digest = corpus_digest([item for item, _ in originals], targets)
-    counters = {ORIGINAL_ROW: original_counters, **{kind: c for kind, (_, c) in scored.items()}}
-    return EvalReport(granularity, [original, *kinds, total], digest, model_fingerprint(model), counters)
+    corpus = encode_corpus(pairs, granularity, model.vocab, model.config["length"])
+    return EvalReport(granularity, corpus.score(model), corpus.digest, model_fingerprint(model), corpus.counters)
 
 
 # --------------------------------------------------------------------------

@@ -33,8 +33,10 @@ TrainingDiverged.
 
 Each epoch appends a trace record; traces serialize to JSONL for
 inspection and for the phase-dynamics checks.  A record holds, after its
-epoch, L_c (summed head CE on X), L_h (mean |c1 - c2| on X'') and
-mean_disc (the same on X'; 0 when X' is empty).  Its passes:
+epoch, L_c (summed head CE on X), L_h (mean |c1 - c2| on X''),
+mean_disc (the same on X'; 0 when X' is empty) and val_f1: the Total-row
+F1 that eval would report for the model on train --val-data, None
+without it or where that F1 is undefined.  Its passes:
 
     warm-up record - one forward pass each over X and X';
     classifier record - none: the phase's features are frozen, so the one
@@ -51,14 +53,15 @@ import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import read_json_lines
+from .corpus import CorpusProgram, read_json_lines
 from .encoding import build_vocab, encode_fragments
-from .evaluation import confusion_from, f1_score
+from .evaluation import encode_corpus
 from .fragments import Fragment
+from .lang.nodes import Program
 from .nn.losses import bce_loss, discrepancy_loss
 from .nn.model import (
     DetectorModel,
@@ -205,12 +208,12 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
 
 
 class _Trainer:
-    """One run: the encoded sets X, X' and the validation set, the
-    parameters and one Adam. On the first step the Adam moves the
-    parameters into one flat buffer, features first and then the heads,
-    so a joint, classifier or feature step updates one slice of it. Its
-    moment history and per-tensor step counts carry across phase switches
-    and damp the discrepancy tug-of-war."""
+    """One run: the encoded sets X and X', the validation corpus as eval
+    encodes it, the parameters and one Adam. On the first step the Adam
+    moves the parameters into one flat buffer, features first and then
+    the heads, so a joint, classifier or feature step updates one slice
+    of it. Its moment history and per-tensor step counts carry across
+    phase switches and damp the discrepancy tug-of-war."""
 
     def __init__(
         self,
@@ -218,7 +221,7 @@ class _Trainer:
         variant_fragments: Sequence[Fragment],
         model_config: dict | None,
         train_config: TrainConfig | None,
-        val_fragments: Optional[Sequence[Fragment]],
+        val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]],
         fusion: str,
     ) -> None:
         tc = train_config or TrainConfig()
@@ -242,7 +245,11 @@ class _Trainer:
         length = self.mc["length"]
         self.Xc, self.yc = encode_fragments(clean_fragments, vocab, length)
         self.Xv, self.yv = encode_fragments(variant_fragments, vocab, length)
-        self.val = encode_fragments(val_fragments, vocab, length) if val_fragments else None
+        self.val = None
+        if val_programs is not None:
+            self.val = encode_corpus(val_programs, self.mc["granularity"], vocab, length)
+            if not self.val.transformed:
+                raise TrainingError("validation corpus holds no transformed programs: its Total row is empty")
         self.params = init_params(self.mc, max(vocab.values(), default=1) + 1, tc.seed)
         self.opt = Adam(tc.lr)
         self.trace: list[TrainRecord] = []
@@ -269,10 +276,8 @@ class _Trainer:
     def val_f1(self) -> Optional[float]:
         if self.val is None:
             return None
-        Xv, yv = self.val
-        pred = DetectorModel(self.mc, self.vocab, self.params).predict(Xv)
-        f1 = f1_score(confusion_from(yv.tolist(), pred.tolist()))
-        return 0.0 if f1 is None else float(f1)
+        f1 = self.val.score(DetectorModel(self.mc, self.vocab, self.params))[-1].f1  # the Total row's
+        return None if f1 is None else float(f1)
 
     def record(self, rnd: int, phase: str, epoch: int, L_c: float, L_h: float, disc: float, gamma: float) -> None:
         self.trace.append(
@@ -402,10 +407,10 @@ def train_original(
     fragments: Sequence[Fragment],
     model_config: dict | None = None,
     train_config: TrainConfig | None = None,
-    val_fragments: Optional[Sequence[Fragment]] = None,
+    val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]] = None,
 ) -> TrainOutcome:
     """Joint CE fit of features and both heads on the given fragments."""
-    return _Trainer(fragments, [], model_config, train_config, val_fragments, fusion="c1").run(0)
+    return _Trainer(fragments, [], model_config, train_config, val_programs, fusion="c1").run(0)
 
 
 def train_zigzag(
@@ -413,7 +418,7 @@ def train_zigzag(
     variant_fragments: Sequence[Fragment],
     model_config: dict | None = None,
     train_config: TrainConfig | None = None,
-    val_fragments: Optional[Sequence[Fragment]] = None,
+    val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]] = None,
 ) -> TrainOutcome:
     """Decoupled robust training; see the module docstring for the loop."""
     if not variant_fragments:
@@ -421,5 +426,5 @@ def train_zigzag(
             "variant pool is empty; without transformed programs there is "
             "nothing to harden against - use train_original instead"
         )
-    trainer = _Trainer(clean_fragments, variant_fragments, model_config, train_config, val_fragments, fusion="mean")
+    trainer = _Trainer(clean_fragments, variant_fragments, model_config, train_config, val_programs, fusion="mean")
     return trainer.run(trainer.tc.beta)

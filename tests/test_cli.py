@@ -12,11 +12,12 @@ import pytest
 
 from zigzag.cli import main
 from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic, load_corpus, save_corpus
-from zigzag.evaluation import Confusion, EvalReport, EvalRow
+from zigzag.evaluation import Confusion, EvalReport, EvalRow, load_report
 from zigzag.fragments import extract_fragments
 from zigzag.lang import lexer, parse
 from zigzag.lang.parser import Parser
 from zigzag.nn.model import DetectorModel, init_params, load_model, make_config, model_fingerprint, save_model
+from zigzag.training import load_trace
 
 
 def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeypatch):
@@ -79,8 +80,8 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
                 "--out-model", model, "--out-trace", trace]
         inputs = [train_aug]
         if mode == "zigzag":
-            argv += ["--val-data", test]
-            inputs.append(test)
+            argv += ["--val-data", test_aug]
+            inputs.append(test_aug)
         assert run(*argv) == records(*inputs)
         assert len(lexes) == records(*inputs), "a train fragment was lexed again"
         written = sidecar(model)
@@ -109,6 +110,47 @@ def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeyp
 
     bad = ["gen", "--count", 4, "--vuln", 1.5, "--out-train", train, "--out-test", test]
     assert main([str(a) for a in bad]) == 2
+
+
+@pytest.fixture(scope="module")
+def small_corpora(tmp_path_factory) -> dict:
+    """A count-10 corpus: train and test, each also transformed, and a
+    config for a short training run."""
+    d = tmp_path_factory.mktemp("small")
+    paths = {name: d / f"{name}.jsonl" for name in ("train", "test", "train_aug", "test_aug")}
+    assert main(["gen", "--count", "10", "--seed", "1",
+                 "--out-train", str(paths["train"]), "--out-test", str(paths["test"])]) == 0
+    for name, ct in (("train", "ct2,ct7"), ("test", "ct2,ct3")):
+        argv = ["transform", str(paths[name]), "--ct", ct, "--seed", "1", "--out", str(paths[f"{name}_aug"])]
+        assert main(argv) == 0
+    paths["config"] = d / "short.cfg"
+    paths["config"].write_text("e1 = 3\nbeta = 1\ne2 = 1\ne3 = 1\n")
+    return paths
+
+
+def _train_argv(corpora, tmp_path, mode="original", *extra) -> list[str]:
+    return ["train", "--mode", mode, "--data", str(corpora["train_aug"]), "--config", str(corpora["config"]),
+            "--out-model", str(tmp_path / "m.zzm"), "--out-trace", str(tmp_path / "t.jsonl"), *extra]
+
+
+@pytest.mark.parametrize("mode", ["original", "zigzag"])
+@pytest.mark.parametrize("granularity", ["function", "slice"])
+def test_last_val_f1_is_the_total_f1_eval_reports(granularity, mode, small_corpora, tmp_path):
+    test_aug = str(small_corpora["test_aug"])
+    argv = _train_argv(small_corpora, tmp_path, mode, "--granularity", granularity, "--val-data", test_aug)
+    assert main(argv) == 0
+    assert main(["eval", "--model", str(tmp_path / "m.zzm"), "--corpus", test_aug,
+                 "--out", str(tmp_path / "report.jsonl")]) == 0
+    total = load_report(tmp_path / "report.jsonl").row("Total").confusion
+    assert total.tp + total.fp + total.fn > 0
+    assert load_trace(tmp_path / "t.jsonl")[-1].val_f1 == 2 * total.tp / (2 * total.tp + total.fp + total.fn)
+
+
+def test_validation_corpus_without_transformed_programs_exits_3(small_corpora, tmp_path, capsys):
+    argv = _train_argv(small_corpora, tmp_path, "original", "--val-data", str(small_corpora["test"]))
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: validation corpus holds no transformed programs: its Total row is empty\n"
+    assert not (tmp_path / "m.zzm").exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

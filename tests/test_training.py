@@ -49,9 +49,8 @@ def pools():
     augmented = augment_corpus(train_pairs, ("ct2", "ct7"), seed=5)
     clean = [f for item, program in train_pairs for f in extract_fragments(item, "function", program)]
     varied = [f for item in augmented if item.kind for f in extract_fragments(item, "function")]
-    val = [f for c in corpus if c.split == "test" for f in extract_fragments(c, "function")]
-    for frag in val:
-        frag.split = "train"  # only so the vocab guard accepts them as inputs elsewhere
+    test_pairs = [(c, c.program()) for c in corpus if c.split == "test"]
+    val = [(p, p.program()) for p in augment_corpus(test_pairs, ("ct2", "ct7"), seed=5)]
     return clean, varied, val
 
 
@@ -220,7 +219,7 @@ def test_warmup_plateau_stops_before_cap(pools):
 
 def test_zigzag_trace_schema_and_dynamics(pools):
     clean, varied, val = pools
-    out = train_zigzag(clean, varied, train_config=quick_config(), val_fragments=val)
+    out = train_zigzag(clean, varied, train_config=quick_config(), val_programs=val)
     assert out.rounds_run >= 1
     phases = {rec.phase for rec in out.trace}
     assert phases == {"joint", "classifier", "feature"}
@@ -296,6 +295,13 @@ def test_final_trace_record_equals_the_returned_model_on_x_and_x_prime(pools):
     assert last.phase == "feature"
     assert last.L_c == bce_loss(p1, yc)[0] + bce_loss(p2, yc)[0]
     assert last.mean_disc == discrepancy_loss(q1, q2)[0]
+
+
+def test_validation_corpus_without_transformed_programs_raises(pools):
+    clean, _, val = pools
+    originals = [(item, program) for item, program in val if item.kind is None]
+    with pytest.raises(TrainingError, match="no transformed programs"):
+        train_original(clean, train_config=quick_config(e1=1), val_programs=originals)
 
 
 def test_zigzag_without_validation_records_none(pools):
