@@ -192,10 +192,11 @@ def cmd_train(args) -> None:
     # are most of what is kept.
     buckets: dict = {None: []}
     sequences: dict = {}
-    ignored = 0
+    ignored = tested = 0
     for item, program in read_corpus(args.data):
         bucket = buckets.setdefault(item.kind, [])
         if item.split != "train":
+            tested += 1
             continue
         if item.kind is not None and args.mode == "original":
             ignored += 1
@@ -208,6 +209,8 @@ def cmd_train(args) -> None:
     varied = [f for bucket in buckets.values() for f in bucket]
     val_programs = read_corpus(args.val_data) if args.val_data else None
 
+    if tested:
+        log.warning("train ignores %d test-split programs", tested)
     if args.mode == "original":
         if ignored:
             log.warning("original mode ignores %d transformed variant programs", ignored)
@@ -307,7 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a detector")
     p.add_argument("--mode", choices=("original", "conventional", "zigzag"), required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--val-data")
+    p.add_argument(
+        "--val-data",
+        help="corpus scored after every epoch; each trace record's val_f1 is the Total-row F1 "
+        "that eval would report on it (it needs transformed programs)",
+    )
     p.add_argument("--granularity", choices=tuple(GRANULARITIES))
     p.add_argument("--seed", type=int)
     p.add_argument("--config")

@@ -581,12 +581,12 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
 def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     """Each record of a corpus file with the parse that checked it.
 
-    A record must have string id, source and split, integer labels that
-    match the flags in its source, witness_inputs null or a list of
-    integers, a provenance object, and a source that parses; anything
-    else raises CorpusError naming the file and the record.  Each parse
-    is yielded once and kept nowhere, so a caller that drops it holds
-    one program's tree at a time.
+    A record must have string id and source, split "train" or "test",
+    integer labels that match the flags in its source, witness_inputs
+    null or a list of integers, a provenance object, and a source that
+    parses; anything else raises CorpusError naming the file and the
+    record.  Each parse is yielded once and kept nowhere, so a caller
+    that drops it holds one program's tree at a time.
     """
     records = read_json_lines(path, CorpusError)
     if not records:
@@ -610,6 +610,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         for name in ("id", "source", "split"):
             if not isinstance(getattr(item, name), str):
                 raise CorpusError(f"{where}: {name!r} is not a string")
+        if item.split not in ("train", "test"):
+            raise CorpusError(f"{where}: 'split' is {item.split!r}, neither 'train' nor 'test'")
         if not isinstance(item.labels, dict) or not all(type(v) is int for v in item.labels.values()):
             raise CorpusError(f"{where}: 'labels' is not an object of integers")
         witness = item.witness_inputs

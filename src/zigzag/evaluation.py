@@ -7,16 +7,17 @@ once and training does after every epoch.  Counts are per function: a
 function is predicted positive when any of its fragments (its one
 function fragment, or any of its slices) is, and functions without
 slices are predicted negative.  Total sums the transformed rows
-(total_row).  Metrics are Fractions, so reports are exact; a metric
-whose denominator is zero is undefined and rendered "n/a", except F1
-which is exactly 0 whenever there are no true positives but positives
-exist somewhere (numerator 0, denominator > 0).
+(total_row), and load_report holds a saved report to that rule.  Metrics
+are Fractions, so reports are exact; a metric whose denominator is zero
+is undefined and rendered "n/a", except F1 which is exactly 0 whenever
+there are no true positives but positives exist somewhere (numerator 0,
+denominator > 0).
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -113,6 +114,12 @@ class EvalRow:
         return f1_score(self.confusion)
 
 
+# one line of the report text, filled from a record of to_records
+_LINE = "{row:<8} {programs:>6} {functions:>6} {tp:>5} {fn:>5} {fp:>5} {tn:>5} {fpr:>13} {fnr:>13} {f1:>13}"
+_TITLES = dict(row="row", programs="progs", functions="funcs", tp="TP", fn="FN", fp="FP", tn="TN",
+               fpr="FPR", fnr="FNR", f1="F1")
+
+
 def total_row(kinds: Sequence[EvalRow]) -> EvalRow:
     """The Total row of the transformed rows: the sum of their programs,
     functions and confusions."""
@@ -142,35 +149,24 @@ class EvalReport:
         raise EvaluationError(f"no row named {name!r}")
 
     def to_text(self) -> str:
-        header = f"{'row':<8} {'progs':>6} {'funcs':>6} {'TP':>5} {'FN':>5} {'FP':>5} {'TN':>5} {'FPR':>13} {'FNR':>13} {'F1':>13}"
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            c = r.confusion
-            lines.append(
-                f"{r.name:<8} {r.programs:>6} {r.functions:>6} {c.tp:>5} {c.fn:>5} {c.fp:>5} {c.tn:>5} "
-                f"{format_metric(r.fpr):>13} {format_metric(r.fnr):>13} {format_metric(r.f1):>13}"
-            )
+        header = _LINE.format(**_TITLES)
+        lines = [header, "-" * len(header), *(_LINE.format(**rec) for rec in self.to_records())]
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            c = r.confusion
-            out.append(
-                {
-                    "row": r.name,
-                    "programs": r.programs,
-                    "functions": r.functions,
-                    "tp": c.tp,
-                    "fn": c.fn,
-                    "fp": c.fp,
-                    "tn": c.tn,
-                    "fpr": format_metric(r.fpr),
-                    "fnr": format_metric(r.fnr),
-                    "f1": format_metric(r.f1),
-                }
-            )
-        return out
+        """One record per row; FPR, FNR and F1 are rendered here only."""
+        return [
+            {
+                "row": r.name,
+                "programs": r.programs,
+                "functions": r.functions,
+                **asdict(r.confusion),
+                "fpr": format_metric(r.fpr),
+                "fnr": format_metric(r.fnr),
+                "f1": format_metric(r.f1),
+            }
+            for r in self.rows
+        ]
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -191,8 +187,10 @@ _HEADER_KEYS = ("granularity", "corpus_digest", "model_digest")
 
 def load_report(path) -> EvalReport:
     """A saved report; its header needs string granularity and digests,
-    and every row a string name and integer counts, else EvaluationError
-    names the file and the header or row."""
+    and every row a string name of its own and non-negative integer
+    counts.  It needs an n/a and a Total row, and Total must be the
+    total_row of the others.  Else EvaluationError names the file and
+    the header or row."""
     records = read_json_lines(path, EvaluationError)
     if not records:
         raise EvaluationError(f"{path}: empty report")
@@ -200,24 +198,33 @@ def load_report(path) -> EvalReport:
     if header.get("kind") != "eval-report":
         raise EvaluationError(f"{path}: not an evaluation report")
     try:
-        rows = []
+        rows: dict[str, EvalRow] = {}
         for rec in records[1:]:
             name = rec["row"]
             if not isinstance(name, str):
                 raise EvaluationError(f"{path}: row {name!r}: 'row' is not a string")
+            if name in rows:
+                raise EvaluationError(f"{path}: row {name!r} appears twice")
             counts = [rec[k] for k in _COUNT_KEYS]
             for key, value in zip(_COUNT_KEYS, counts):
                 if type(value) is not int:
                     raise EvaluationError(f"{path}: row {name!r}: {key!r} is not an integer")
+                if value < 0:
+                    raise EvaluationError(f"{path}: row {name!r}: {key!r} is negative")
             programs, functions, *confusion = counts
-            rows.append(EvalRow(name, programs, functions, Confusion(*confusion)))
+            rows[name] = EvalRow(name, programs, functions, Confusion(*confusion))
         strings = {key: header[key] for key in _HEADER_KEYS}
         for key, value in strings.items():
             if not isinstance(value, str):
                 raise EvaluationError(f"{path}: header: {key!r} is not a string")
-        return EvalReport(rows=rows, **strings)
     except KeyError as exc:
         raise EvaluationError(f"{path}: record missing key {exc}") from None
+    for name in (ORIGINAL_ROW, TOTAL_ROW):
+        if name not in rows:
+            raise EvaluationError(f"{path}: no row {name!r}")
+    if rows[TOTAL_ROW] != total_row([r for name, r in rows.items() if name not in (ORIGINAL_ROW, TOTAL_ROW)]):
+        raise EvaluationError(f"{path}: row {TOTAL_ROW!r} is not the sum of the transformed rows")
+    return EvalReport(rows=list(rows.values()), **strings)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from zigzag.cli import main
 from zigzag.corpus import CorpusProgram, function_labels, generate_synthetic, load_corpus, save_corpus
-from zigzag.evaluation import Confusion, EvalReport, EvalRow, load_report
+from zigzag.evaluation import Confusion, EvalReport, EvalRow, load_report, total_row
 from zigzag.fragments import extract_fragments
 from zigzag.lang import lexer, parse
 from zigzag.lang.parser import Parser
@@ -153,6 +153,21 @@ def test_validation_corpus_without_transformed_programs_exits_3(small_corpora, t
     assert not (tmp_path / "m.zzm").exists()
 
 
+def test_train_counts_the_test_split_programs_it_ignores(small_corpora, tmp_path, caplog):
+    tested = load_corpus(small_corpora["test"])
+    mixed = tmp_path / "mixed.jsonl"
+    save_corpus(mixed, load_corpus(small_corpora["train"]) + tested)
+    models = []
+    for data in (small_corpora["train"], mixed):
+        argv = _train_argv(small_corpora, tmp_path)
+        argv[argv.index("--data") + 1] = str(data)
+        caplog.clear()
+        assert main(argv) == 0
+        models.append((tmp_path / "m.zzm").read_bytes())
+    assert f"train ignores {len(tested)} test-split programs" in caplog.messages
+    assert models[0] == models[1]
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_gen_count_below_one_exits_2(count, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
@@ -224,9 +239,10 @@ def _write_inputs(tmp_path, demo_source) -> tuple[list[str], list[str]]:
         tmp_path / "corpus.jsonl",
         [CorpusProgram(id="p0", source=demo_source, split="test", labels=labels, witness_inputs=None)],
     )
-    row = EvalRow(name="Total", programs=1, functions=len(labels), confusion=Confusion(1, 0, 0, 1))
+    confusion = Confusion(1, 0, 0, len(labels) - 1)
+    rows = [EvalRow("n/a", 1, len(labels), confusion), EvalRow("ct1", 1, len(labels), confusion)]
     for name in ("base.jsonl", "report.jsonl"):
-        EvalReport("function", [row], "corpus", "model").save(tmp_path / name)
+        EvalReport("function", [*rows, total_row(rows[1:])], "corpus", "model").save(tmp_path / name)
     eval_argv = [
         "eval",
         "--model", str(tmp_path / "model.zzm"),
@@ -367,6 +383,50 @@ def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     assert not (tmp_path / "m.zzm").exists()
 
 
+def _edit_report(path, edit) -> None:
+    """Rewrite a saved report after `edit(header, rows)` changed its records in place."""
+    header, *rows = (json.loads(line) for line in path.read_text().splitlines())
+    edit(header, rows)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in (header, *rows)))
+
+
+def _set(row: int, key: str, value):
+    return lambda header, rows: rows[row].update({key: value})
+
+
+def _add_one(row: int, key: str):
+    return lambda header, rows: rows[row].update({key: rows[row][key] + 1})
+
+
+# a report whose rows contradict each other -> what load_report says of it;
+# the rows are n/a, ct1 and Total
+CONTRADICTIONS = {
+    "negative-fn": (_set(1, "fn", -5), "row 'ct1': 'fn' is negative"),
+    "negative-fn-and-inflated-tp": (
+        lambda header, rows: (rows[1].update(fn=-5), rows[2].update(tp=10**6)),
+        "row 'ct1': 'fn' is negative",
+    ),
+    "inflated-total-tp": (_set(2, "tp", 10**6), "row 'Total' is not the sum of the transformed rows"),
+    "total-programs": (_add_one(2, "programs"), "row 'Total' is not the sum of the transformed rows"),
+    "total-functions": (_add_one(2, "functions"), "row 'Total' is not the sum of the transformed rows"),
+    "total-fp": (_add_one(2, "fp"), "row 'Total' is not the sum of the transformed rows"),
+    "second-total": (lambda header, rows: rows.append(dict(rows[2], tp=0)), "row 'Total' appears twice"),
+    "second-ct1": (lambda header, rows: rows.insert(2, dict(rows[1])), "row 'ct1' appears twice"),
+    "no-n/a": (lambda header, rows: rows.pop(0), "no row 'n/a'"),
+    "no-total": (lambda header, rows: rows.pop(2), "no row 'Total'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTIONS))
+def test_contradictory_report_exits_3_naming_the_file_and_row(case, tmp_path, demo_source, capsys):
+    _, compare_argv = _write_inputs(tmp_path, demo_source)
+    path = tmp_path / "report.jsonl"
+    edit, what = CONTRADICTIONS[case]
+    _edit_report(path, edit)
+    assert main(compare_argv) == 3
+    assert capsys.readouterr() == ("", f"error: {path}: {what}\n")
+
+
 @pytest.mark.parametrize(
     "field, value, what",
     [("tp", "3", "row 'Total': 'tp' is not an integer"), ("row", 5, "row 5: 'row' is not a string")],
@@ -375,9 +435,7 @@ def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
 def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, tmp_path, demo_source, capsys):
     _, compare_argv = _write_inputs(tmp_path, demo_source)
     path = tmp_path / "report.jsonl"
-    header, row = (json.loads(line) for line in path.read_text().splitlines())
-    row[field] = value
-    path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+    _edit_report(path, lambda header, rows: rows[-1].update({field: value}))
     assert main(compare_argv) == 3
     assert capsys.readouterr().err == f"error: {path}: {what}\n"
 
@@ -387,10 +445,7 @@ def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, t
 def test_wrongly_typed_report_header_field_exits_3_naming_the_file(field, value, tmp_path, demo_source, capsys):
     _, compare_argv = _write_inputs(tmp_path, demo_source)
     for name in ("base.jsonl", "report.jsonl"):
-        path = tmp_path / name
-        header, row = (json.loads(line) for line in path.read_text().splitlines())
-        header[field] = value
-        path.write_text(json.dumps(header) + "\n" + json.dumps(row) + "\n")
+        _edit_report(tmp_path / name, lambda header, rows: header.update({field: value}))
     assert main(compare_argv) == 3
     assert capsys.readouterr().err == f"error: {tmp_path / 'base.jsonl'}: header: {field!r} is not a string\n"
 
@@ -433,10 +488,14 @@ def test_model_tensors_that_do_not_fit_the_config_exit_3(case, tmp_path, demo_so
         ("witness_inputs", [True], "'witness_inputs' is neither null nor a list of integers"),
         ("provenance", [], "'provenance' is not an object"),
         ("provenance", "base", "'provenance' is not an object"),
+        ("split", 5, "'split' is not a string"),
+        ("split", "Train", "'split' is 'Train', neither 'train' nor 'test'"),
+        ("split", "", "'split' is '', neither 'train' nor 'test'"),
     ],
     ids=[
         "labels-list", "source-int", "label-string", "label-null", "id-int",
         "witness-int", "witness-string-entry", "witness-bool-entry", "provenance-list", "provenance-string",
+        "split-int", "split-capitalized", "split-empty",
     ],
 )
 def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what, tmp_path, capsys):

@@ -23,6 +23,7 @@ from zigzag.evaluation import (
     false_positive_rate,
     format_metric,
     load_report,
+    total_row,
 )
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import GRANULARITIES, extract_fragments
@@ -205,6 +206,25 @@ def test_report_text_rendering(monkeypatch, eval_pairs):
     assert " 0 " in text or "\t0" in text or "0\n" in text
 
 
+def test_report_text_is_its_records_in_columns():
+    rows = [
+        EvalRow(ORIGINAL_ROW, 3, 7, Confusion(2, 1, 1, 3)),
+        EvalRow("ct2", 3, 7, Confusion(0, 3, 0, 4)),
+        EvalRow("ct5", 2, 3, Confusion(0, 0, 0, 3)),
+    ]
+    report = EvalReport("function", [*rows, total_row(rows[1:])], "d" * 64, "m" * 64)
+    assert report.row(TOTAL_ROW) == EvalRow(TOTAL_ROW, 5, 10, Confusion(0, 3, 0, 7))
+    # the text evaluation rendered before it was drawn from to_records
+    assert report.to_text().splitlines() == [
+        "row       progs  funcs    TP    FN    FP    TN           FPR           FNR            F1",
+        "-" * 88,
+        "n/a           3      7     2     1     1     3          0.25  0.3333333333  0.6666666667",
+        "ct2           3      7     0     3     0     4             0             1             0",
+        "ct5           2      3     0     0     0     3             0           n/a           n/a",
+        "Total         5     10     0     3     0     7             0             1             0",
+    ]
+
+
 def test_report_round_trip(tmp_path, monkeypatch, eval_pairs, eval_corpus):
     monkeypatch.setattr(DetectorModel, "predict", all_ones)
     report = evaluate_detector(stub_model(), eval_pairs)
@@ -241,9 +261,9 @@ def fake_report(f1_pairs, digest="d" * 64) -> EvalReport:
     tp, fn = f1_pairs
     rows = [
         EvalRow(ORIGINAL_ROW, 1, 1, Confusion(tp=1)),
-        EvalRow(TOTAL_ROW, 4, 8, Confusion(tp=tp, fn=fn)),
+        EvalRow("ct1", 4, 8, Confusion(tp=tp, fn=fn, tn=8 - tp - fn)),
     ]
-    return EvalReport(granularity="function", rows=rows, corpus_digest=digest, model_digest="m" * 64)
+    return EvalReport("function", [*rows, total_row(rows[1:])], corpus_digest=digest, model_digest="m" * 64)
 
 
 def test_compare_reports_orders_weakest_first():

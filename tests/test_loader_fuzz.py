@@ -35,6 +35,7 @@ def valid(tmp_path_factory) -> dict[str, bytes]:
     save_corpus(d / "corpus", generate_synthetic(3, 0.5, seed=1))
     rows = [
         EvalRow("n/a", 2, 5, Confusion(1, 0, 1, 3)),
+        EvalRow("ct1", 2, 5, Confusion(0, 1, 0, 4)),
         EvalRow("Total", 2, 5, Confusion(0, 1, 0, 4)),
     ]
     EvalReport("function", rows, "c" * 64, "m" * 64).save(d / "report")
