@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus, save_corpus
 from .encoding import EncodingError, count_truncated
-from .evaluation import ORIGINAL_ROW, EvaluationError, compare_reports, evaluate_detector, load_report
+from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
 from .nn.model import ModelError, load_model, make_config, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
@@ -208,19 +208,27 @@ def cmd_train(args) -> None:
     clean = buckets.pop(None)
     varied = [f for bucket in buckets.values() for f in bucket]
     val_programs = read_corpus(args.val_data) if args.val_data else None
+    # read only with val_programs: names the file in its errors, like every input's
+    val_source = f"{args.val_data}: validation corpus"
 
     if tested:
         log.warning("train ignores %d test-split programs", tested)
     if args.mode == "original":
         if ignored:
             log.warning("original mode ignores %d transformed variant programs", ignored)
-        outcome = train_original(clean, model_config=mc, train_config=tc, val_programs=val_programs)
+        outcome = train_original(
+            clean, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
+        )
     elif args.mode == "conventional":
         if not varied:
             log.warning("conventional mode without variants is identical to original mode")
-        outcome = train_original(clean + varied, model_config=mc, train_config=tc, val_programs=val_programs)
+        outcome = train_original(
+            clean + varied, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
+        )
     else:
-        outcome = train_zigzag(clean, varied, model_config=mc, train_config=tc, val_programs=val_programs)
+        outcome = train_zigzag(
+            clean, varied, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
+        )
 
     save_model(outcome.model, args.out_model)
     save_trace(args.out_trace, outcome.trace)
@@ -248,9 +256,7 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     model = load_model(args.model)
-    report = evaluate_detector(model, read_corpus(args.corpus))
-    if not report.row(ORIGINAL_ROW).programs:
-        raise CorpusError(f"{args.corpus} holds no untransformed programs")
+    report = evaluate_detector(model, read_corpus(args.corpus), source=str(args.corpus))
     report.save(args.out)
     _write_resolved(args.out, {
         "command": "eval",

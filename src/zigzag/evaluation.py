@@ -7,11 +7,11 @@ once and training does after every epoch.  Counts are per function: a
 function is predicted positive when any of its fragments (its one
 function fragment, or any of its slices) is, and functions without
 slices are predicted negative.  Total sums the transformed rows
-(total_row), and load_report holds a saved report to that rule.  Metrics
-are Fractions, so reports are exact; a metric whose denominator is zero
-is undefined and rendered "n/a", except F1 which is exactly 0 whenever
-there are no true positives but positives exist somewhere (numerator 0,
-denominator > 0).
+(total_row), and load_report holds a saved report to that rule and to
+the metrics its counts render.  Metrics are Fractions, so reports are
+exact; a metric whose denominator is zero is undefined and rendered
+"n/a", except F1 which is exactly 0 whenever there are no true positives
+but positives exist somewhere (numerator 0, denominator > 0).
 """
 from __future__ import annotations
 
@@ -183,13 +183,15 @@ class EvalReport:
 
 _COUNT_KEYS = ("programs", "functions", "tp", "fn", "fp", "tn")
 _HEADER_KEYS = ("granularity", "corpus_digest", "model_digest")
+_METRIC_KEYS = ("fpr", "fnr", "f1")
 
 
 def load_report(path) -> EvalReport:
     """A saved report; its header needs string granularity and digests,
     and every row a string name of its own and non-negative integer
-    counts.  It needs an n/a and a Total row, and Total must be the
-    total_row of the others.  Else EvaluationError names the file and
+    counts.  It needs an n/a and a Total row, Total must be the
+    total_row of the others, and each row's fpr, fnr and f1 must be the
+    strings its counts render.  Else EvaluationError names the file and
     the header or row."""
     records = read_json_lines(path, EvaluationError)
     if not records:
@@ -224,7 +226,15 @@ def load_report(path) -> EvalReport:
             raise EvaluationError(f"{path}: no row {name!r}")
     if rows[TOTAL_ROW] != total_row([r for name, r in rows.items() if name not in (ORIGINAL_ROW, TOTAL_ROW)]):
         raise EvaluationError(f"{path}: row {TOTAL_ROW!r} is not the sum of the transformed rows")
-    return EvalReport(rows=list(rows.values()), **strings)
+    report = EvalReport(rows=list(rows.values()), **strings)
+    for saved, rendered in zip(records[1:], report.to_records()):
+        for key in _METRIC_KEYS:
+            if saved.get(key) != rendered[key]:
+                raise EvaluationError(
+                    f"{path}: row {rendered['row']!r}: {key!r} is {saved.get(key)!r}, "
+                    f"but its counts give {rendered[key]!r}"
+                )
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +310,17 @@ def encode_corpus(
     return EncodedCorpus(digest, counters, buckets)
 
 
-def evaluate_detector(model: DetectorModel, pairs: Iterable[tuple[CorpusProgram, Program]]) -> EvalReport:
+def evaluate_detector(
+    model: DetectorModel, pairs: Iterable[tuple[CorpusProgram, Program]], source: str = "corpus"
+) -> EvalReport:
     """One row per bucket: untransformed programs, each transform kind,
     and the union of all transformed buckets; `pairs` as encode_corpus
-    takes them."""
+    takes them.  Pairs without an untransformed program raise
+    EvaluationError naming `source`, before any forward pass."""
     granularity = model.config["granularity"]
     corpus = encode_corpus(pairs, granularity, model.vocab, model.config["length"])
+    if not corpus.buckets[0][2]:
+        raise EvaluationError(f"{source} holds no untransformed programs")
     return EvalReport(granularity, corpus.score(model), corpus.digest, model_fingerprint(model), corpus.counters)
 
 

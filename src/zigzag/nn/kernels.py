@@ -4,11 +4,15 @@ run to run.
 
 Masked mean pooling is a matmul with a token-count matrix: C (N, V)
 holds each row's count of every unpadded token id, built by one
-bincount over row-offset ids, so the pooled rows are (C @ emb) / n and
-the embedding gradient is C.T @ (dpooled / n).  No (N, L, D) gathered
-tensor is built; the summation order differs from gather-and-sum by a
-few ulps (tests pin the two within 1e-12 of the largest |emb|).  The
-scatter (np.add.at over gathered positions) serves the RNN only.
+bincount over row-offset ids (token_counts), so the pooled rows are
+(C @ emb) / n and the embedding gradient is C.T @ (dpooled / n).  C
+depends on the ids alone, never on the parameters, so it is built once
+per fixed set of rows and a batch's C is a row gather of its set's; its
+entries are small integers, exact in float64, so a gathered C is the
+array a per-batch count would build.  No (N, L, D) gathered tensor is
+built; the summation order differs from gather-and-sum by a few ulps
+(tests pin the two within 1e-12 of the largest |emb|).  The scatter
+(np.add.at over gathered positions) serves the RNN only.
 
 Token id 0 is padding and never contributes to pooling or recurrence.
 The RNN kernels step through every column of the X they are given;
@@ -17,9 +21,9 @@ holds a token, since a column of padding in every row leaves h as it is
 and adds exact zeros to every gradient.
 The kernels do not check that ids lie in [0, emb rows): numpy would
 raise a bare IndexError, read a negative id from the end of emb, or
-(in the count matrix) count an id >= V in the next row.  The range is
-checked once at the model boundary (features_forward), which raises
-ModelError before any kernel runs.
+(in token_counts) count an id >= V in the next row.  The range is
+checked once per set of ids, when nn.model.prepare_ids prepares it,
+which raises ModelError before any kernel reads an id.
 """
 from __future__ import annotations
 
@@ -31,19 +35,21 @@ def active_backend() -> str:
     return "numpy"
 
 
-def embed_mean_forward(emb: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pooled rows (C @ emb) / n, the count matrix C and n.
-
-    n is each row's unpadded token count, at least 1, so an all-padding
-    row pools to zeros.  C and n are what the backward pass needs.
-    """
+def token_counts(X: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count matrix C (N, vocab_size) of X's unpadded ids and each
+    row's unpadded token count n, at least 1, so an all-padding row pools
+    to zeros."""
     N = X.shape[0]
-    V = emb.shape[0]
     mask = X != 0
-    ids = (X + np.arange(N, dtype=np.int64)[:, None] * V).ravel()
-    C = np.bincount(ids, weights=mask.ravel(), minlength=N * V).reshape(N, V)
+    ids = (X + np.arange(N, dtype=np.int64)[:, None] * vocab_size).ravel()
+    C = np.bincount(ids, weights=mask.ravel(), minlength=N * vocab_size).reshape(N, vocab_size)
     denom = np.maximum(mask.sum(axis=1), 1).astype(np.float64)
-    return (C @ emb) / denom[:, None], C, denom
+    return C, denom
+
+
+def embed_mean_forward(emb: np.ndarray, C: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Pooled rows (C @ emb) / n of token_counts' C and n."""
+    return (C @ emb) / denom[:, None]
 
 
 def rnn_forward(

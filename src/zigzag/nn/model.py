@@ -6,14 +6,19 @@ tanh affine layer.  The mean is a matmul with the batch's token-count
 matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
 only the RNN scatters per-token gradients into the embedding.  The
 recurrence runs to the batch's last column that holds a token; the
-all-padding columns after it would leave h as it is.  Each head is a
-small tanh MLP ending in a sigmoid.  The two heads c1 and c2 always run
-as a pair on one F: heads_forward and heads_backward are the only way
-training and prediction reach them, and heads_backward sums the two
-heads' feature gradients.  binary_prediction is the one threshold rule.
-Everything is float64 and functional: forward passes return caches,
-backward passes return gradient dicts keyed like the parameter dict, so
-freezing a subsystem means not asking for its gradients.
+all-padding columns after it would leave h as it is.  prepare_ids
+readies a set of id rows once: it checks the ids against the
+embedding's rows and, for the mean encoder, builds C and n.  A training
+set is prepared once per run and its batches are row gathers of it; an
+id array given to features_forward is prepared there, on every call.
+Each head is a small tanh MLP ending in a sigmoid.  The two heads c1
+and c2 always run as a pair on one F: heads_forward and heads_backward
+are the only way training and prediction reach them, and heads_backward
+sums the two heads' feature gradients.  binary_prediction is the one
+threshold rule.  Everything is float64 and functional: forward passes
+return caches, backward passes return gradient dicts keyed like the
+parameter dict, so freezing a subsystem means not asking for its
+gradients.
 
 Serialization is a fixed binary layout (magic, length-prefixed
 canonical JSON header, raw little-endian float64 tensors in sorted name
@@ -32,7 +37,7 @@ import numpy as np
 
 from ..fragments import FUNCTION_GRANULARITY, GRANULARITIES, SLICE_GRANULARITY
 from ..seeds import derive_rng
-from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
+from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
 
 MAGIC = b"ZZM1"
 FORMAT_VERSION = 1
@@ -150,26 +155,65 @@ def _check_token_ids(X: np.ndarray, rows: int) -> None:
         raise ModelError(f"token id {hi} is out of range for an embedding of {rows} rows")
 
 
-def features_forward(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndarray, dict]:
+@dataclass(frozen=True, slots=True)
+class PreparedIds:
+    """(N, L) token ids as prepare_ids readies them: X checked against an
+    embedding of emb_rows rows and, for the mean encoder, its count
+    matrix C and per-row token counts denom (None for the RNN).  Indexing
+    gathers rows of all three, so a batch or subset needs no new count."""
+
+    X: np.ndarray
+    emb_rows: int
+    C: np.ndarray | None = None
+    denom: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def __getitem__(self, rows) -> "PreparedIds":
+        if self.C is None:
+            return PreparedIds(self.X[rows], self.emb_rows)
+        return PreparedIds(self.X[rows], self.emb_rows, self.C[rows], self.denom[rows])
+
+
+def prepare_ids(params: dict, config: dict, X: np.ndarray) -> PreparedIds:
+    """X ready for features_forward under any parameters with the same
+    embedding rows and encoder.  The id range is checked here, before any
+    kernel reads an id: an id outside [0, emb rows) raises ModelError (the
+    count matrix would count an id >= emb rows in the next row's columns).
+    The mean encoder's counts are built here, once for all of X."""
+    rows = params["emb"].shape[0]
+    _check_token_ids(X, rows)
+    if config["encoder"] == "mean":
+        return PreparedIds(X, rows, *token_counts(X, rows))
+    return PreparedIds(X, rows)
+
+
+def features_forward(params: dict, config: dict, X: np.ndarray | PreparedIds) -> tuple[np.ndarray, dict]:
     """Feature vectors F (N, feature_dim) and the cache for the backward pass.
 
     X holds (N, L) token ids encoded with the model's own vocabulary, so
-    every id lies in [0, emb rows).  This is the one entry point to the
-    embedding kernels for training, mining and prediction; an id outside
-    that range raises ModelError here, before any kernel reads it (the
-    count matrix of the mean encoder would count an id >= emb rows in the
-    next row's columns).
+    every id lies in [0, emb rows), either as an array, which is prepared
+    here (prepare_ids checks its range), or as a set prepare_ids readied
+    for parameters of the same embedding rows and encoder.  This is the
+    one entry point to the embedding kernels for training, mining and
+    prediction.
     """
-    _check_token_ids(X, params["emb"].shape[0])
+    ids = X if isinstance(X, PreparedIds) else prepare_ids(params, config, X)
+    if ids.emb_rows != params["emb"].shape[0] or (ids.C is None) != (config["encoder"] == "rnn"):
+        raise ModelError(
+            f"ids prepared for {ids.emb_rows} embedding rows and the {'rnn' if ids.C is None else 'mean'} "
+            f"encoder do not fit {params['emb'].shape[0]} rows and the {config['encoder']} encoder"
+        )
     if config["encoder"] == "mean":
-        enc, C, denom = embed_mean_forward(params["emb"], X)
-        cache: dict = {"C": C, "denom": denom}
+        enc = embed_mean_forward(params["emb"], ids.C, ids.denom)
+        cache: dict = {"C": ids.C, "denom": ids.denom}
     else:
         # the recurrence stops at the last column that holds a token in any
         # row: past it every step carries h unchanged and adds exact zeros
         # to every gradient, so the cut is byte-identical
-        filled = np.flatnonzero((X != 0).any(axis=0))
-        X = X[:, : filled[-1] + 1 if filled.size else 0]
+        filled = np.flatnonzero((ids.X != 0).any(axis=0))
+        X = ids.X[:, : filled[-1] + 1 if filled.size else 0]
         hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
         enc = hs[:, -1, :]
         cache = {"X": X, "hs": hs, "E": E}

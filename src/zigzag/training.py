@@ -44,6 +44,11 @@ without it or where that F1 is undefined.  Its passes:
         epochs train on also serves every record of the phase, which runs
         the heads only;
     feature record - one forward pass each over X, X' and X''.
+
+X and X' are prepared once per run, right after the parameters are
+initialized (nn.model.prepare_ids: one id range check per set and, for
+the mean encoder, one token-count matrix per set); every batch, X'' and
+every pass above gathers rows of them and counts no token again.
 """
 from __future__ import annotations
 
@@ -65,6 +70,7 @@ from .lang.nodes import Program
 from .nn.losses import bce_loss, discrepancy_loss
 from .nn.model import (
     DetectorModel,
+    PreparedIds,
     binary_prediction,
     feature_keys,
     features_backward,
@@ -74,6 +80,7 @@ from .nn.model import (
     heads_keys,
     init_params,
     make_config,
+    prepare_ids,
 )
 from .nn.optim import Adam, TrainingDiverged
 from .seeds import derive_rng
@@ -208,7 +215,7 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
 
 
 class _Trainer:
-    """One run: the encoded sets X and X', the validation corpus as eval
+    """One run: the prepared sets X and X', the validation corpus as eval
     encodes it, the parameters and one Adam. On the first step the Adam
     moves the parameters into one flat buffer, features first and then
     the heads, so a joint, classifier or feature step updates one slice
@@ -223,6 +230,7 @@ class _Trainer:
         train_config: TrainConfig | None,
         val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]],
         fusion: str,
+        val_source: str = "validation corpus",
     ) -> None:
         tc = train_config or TrainConfig()
         tc.validate()
@@ -243,20 +251,22 @@ class _Trainer:
         self.mc = make_config(**model_config, fusion=fusion, delta=tc.delta)
         self.vocab = vocab = build_vocab([*clean_fragments, *variant_fragments])
         length = self.mc["length"]
-        self.Xc, self.yc = encode_fragments(clean_fragments, vocab, length)
-        self.Xv, self.yv = encode_fragments(variant_fragments, vocab, length)
+        Xc, self.yc = encode_fragments(clean_fragments, vocab, length)
+        Xv, self.yv = encode_fragments(variant_fragments, vocab, length)
         self.val = None
         if val_programs is not None:
             self.val = encode_corpus(val_programs, self.mc["granularity"], vocab, length)
             if not self.val.transformed:
-                raise TrainingError("validation corpus holds no transformed programs: its Total row is empty")
+                raise TrainingError(f"{val_source} holds no transformed programs: its Total row is empty")
         self.params = init_params(self.mc, max(vocab.values(), default=1) + 1, tc.seed)
+        self.Xc = prepare_ids(self.params, self.mc, Xc)
+        self.Xv = prepare_ids(self.params, self.mc, Xv)
         self.opt = Adam(tc.lr)
         self.trace: list[TrainRecord] = []
 
     # ---- measurement helpers -------------------------------------------
 
-    def features(self, X: np.ndarray) -> np.ndarray:
+    def features(self, X: PreparedIds) -> np.ndarray:
         """F of X under the current feature stack; the forward cache is
         dropped at once, so no full-pool cache outlives the call."""
         return features_forward(self.params, self.mc, X)[0]
@@ -336,14 +346,14 @@ class _Trainer:
                 grads = {k: g + hard_grads[k] for k, g in grads.items()}
             self.opt.step(self.params, grads)
 
-    def classifier_phase(self, rnd: int) -> tuple[np.ndarray, float]:
+    def classifier_phase(self, rnd: int) -> tuple[PreparedIds, float]:
         """Mine X'' and run the e2 classifier epochs and their records, on
         one forward pass each over X', X and X'' (the features stay frozen
         through the phase); returns X'' and its share gamma of X'.
 
-        X'' is forwarded itself, not cut from the features of X', so its
-        rows get the features a pass over X'' alone gives.  The features
-        go out of scope when the phase ends.
+        X'' is a row gather of the prepared X', forwarded itself, not cut
+        from the features of X', so its rows get the features a pass over
+        X'' alone gives.  The features go out of scope when the phase ends.
         """
         F_var = self.features(self.Xv)
         p1, p2, _ = heads_forward(self.params, F_var)
@@ -366,7 +376,7 @@ class _Trainer:
             _, dF = heads_backward(self.params, hc, dp1, dp2)
             self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF))
 
-    def feature_phase(self, Xh: np.ndarray, rnd: int, gamma: float) -> None:
+    def feature_phase(self, Xh: PreparedIds, rnd: int, gamma: float) -> None:
         for epoch in range(self.tc.e3):
             self.feature_epoch(rnd, epoch)
             # each set's features are dropped once measured
@@ -408,9 +418,13 @@ def train_original(
     model_config: dict | None = None,
     train_config: TrainConfig | None = None,
     val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]] = None,
+    val_source: str = "validation corpus",
 ) -> TrainOutcome:
-    """Joint CE fit of features and both heads on the given fragments."""
-    return _Trainer(fragments, [], model_config, train_config, val_programs, fusion="c1").run(0)
+    """Joint CE fit of features and both heads on the given fragments;
+    val_source names val_programs in errors."""
+    return _Trainer(
+        fragments, [], model_config, train_config, val_programs, fusion="c1", val_source=val_source
+    ).run(0)
 
 
 def train_zigzag(
@@ -419,12 +433,17 @@ def train_zigzag(
     model_config: dict | None = None,
     train_config: TrainConfig | None = None,
     val_programs: Optional[Iterable[tuple[CorpusProgram, Program]]] = None,
+    val_source: str = "validation corpus",
 ) -> TrainOutcome:
-    """Decoupled robust training; see the module docstring for the loop."""
+    """Decoupled robust training; see the module docstring for the loop.
+    val_source names val_programs in errors."""
     if not variant_fragments:
         raise TrainingError(
             "variant pool is empty; without transformed programs there is "
             "nothing to harden against - use train_original instead"
         )
-    trainer = _Trainer(clean_fragments, variant_fragments, model_config, train_config, val_programs, fusion="mean")
+    trainer = _Trainer(
+        clean_fragments, variant_fragments, model_config, train_config, val_programs,
+        fusion="mean", val_source=val_source,
+    )
     return trainer.run(trainer.tc.beta)

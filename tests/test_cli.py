@@ -149,7 +149,9 @@ def test_last_val_f1_is_the_total_f1_eval_reports(granularity, mode, small_corpo
 def test_validation_corpus_without_transformed_programs_exits_3(small_corpora, tmp_path, capsys):
     argv = _train_argv(small_corpora, tmp_path, "original", "--val-data", str(small_corpora["test"]))
     assert main(argv) == 3
-    assert capsys.readouterr().err == "error: validation corpus holds no transformed programs: its Total row is empty\n"
+    assert capsys.readouterr().err == (
+        f"error: {small_corpora['test']}: validation corpus holds no transformed programs: its Total row is empty\n"
+    )
     assert not (tmp_path / "m.zzm").exists()
 
 
@@ -415,6 +417,35 @@ CONTRADICTIONS = {
     "no-n/a": (lambda header, rows: rows.pop(0), "no row 'n/a'"),
     "no-total": (lambda header, rows: rows.pop(2), "no row 'Total'"),
 }
+
+
+def test_rendered_metric_that_its_counts_do_not_give_exits_3(tmp_path, demo_source, capsys):
+    _, compare_argv = _write_inputs(tmp_path, demo_source)
+    path = tmp_path / "report.jsonl"
+    load_report(path)  # its counts agree; only the rendered Total F1 is rewritten
+    _edit_report(path, _set(2, "f1", "0.99"))
+    assert main(compare_argv) == 3
+    assert capsys.readouterr() == ("", f"error: {path}: row 'Total': 'f1' is '0.99', but its counts give '1'\n")
+
+
+def test_eval_refuses_a_corpus_without_untransformed_programs_before_any_forward_pass(
+    tmp_path, demo_source, capsys, monkeypatch
+):
+    eval_argv, _ = _write_inputs(tmp_path, demo_source)
+    variants = tmp_path / "variants.jsonl"
+    assert main(["transform", str(tmp_path / "corpus.jsonl"), "--ct", "all", "--seed", "1",
+                 "--variants-only", "--out", str(variants)]) == 0
+    assert load_corpus(variants) and all(item.kind for item in load_corpus(variants))
+    capsys.readouterr()
+
+    def predict(self, X):
+        raise AssertionError("a forward pass ran")
+
+    monkeypatch.setattr(DetectorModel, "predict", predict)
+    eval_argv[eval_argv.index("--corpus") + 1] = str(variants)
+    assert main(eval_argv) == 3
+    assert capsys.readouterr() == ("", f"error: {variants} holds no untransformed programs\n")
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", sorted(CONTRADICTIONS))

@@ -8,7 +8,7 @@ import zigzag.nn
 from zigzag.corpus import generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import extract_fragments
-from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding
+from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
 from zigzag.nn.losses import EPS, bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
@@ -24,6 +24,7 @@ from zigzag.nn.model import (
     load_model,
     make_config,
     model_fingerprint,
+    prepare_ids,
     save_model,
 )
 from zigzag.nn.optim import Adam, TrainingDiverged
@@ -275,7 +276,8 @@ def test_count_matrix_pooling_matches_gather_and_sum(shape):
     X[rng.uniform(size=(N, L)) < 0.3] = 0
     if N:
         X[0] = 0  # an all-padding row
-    pooled, C, denom = embed_mean_forward(emb, X)
+    C, denom = token_counts(X, V)
+    pooled = embed_mean_forward(emb, C, denom)
     assert pooled.shape == (N, D)
     # C counts each row's unpadded ids exactly; n is the unpadded length, at least 1
     for i in range(N):
@@ -287,6 +289,59 @@ def test_count_matrix_pooling_matches_gather_and_sum(shape):
     # only the summation order differs: a few ulps of the largest |emb|
     scale = np.abs(emb).max()
     assert np.abs(pooled - gather_mean_reference(emb, X)).max(initial=0.0) <= 1e-12 * scale
+
+
+# ---- prepared sets -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+def test_prepared_rows_forward_and_backward_byte_equal_the_plain_rows(encoder):
+    config, params, _, _ = tiny_setup(encoder)
+    rng = derive_rng(11, "prepared-data", encoder)
+    X = rng.integers(1, VOCAB, size=(9, LENGTH)).astype(np.int32)
+    X[rng.uniform(size=X.shape) < 0.3] = 0
+    X[[2, 5]] = 0  # all-padding rows
+    prepared = prepare_ids(params, config, X)
+    assert len(prepared) == len(X)
+    mask = np.isin(np.arange(len(X)), [1, 2, 7])
+    # the whole set, a shuffled batch, a mask (as X'' is mined), a slice,
+    # no rows, and the all-padding rows alone
+    for rows in (np.arange(len(X)), rng.permutation(len(X))[:4], mask, slice(3, 8),
+                 np.array([], dtype=np.int64), np.array([2, 5])):
+        F, cache = features_forward(params, config, prepared[rows])
+        F_plain, cache_plain = features_forward(params, config, X[rows])
+        assert F.shape == F_plain.shape and F.tobytes() == F_plain.tobytes()
+        dF = derive_rng(12, "prepared-grad").normal(size=F.shape)
+        grads = features_backward(params, config, cache, dF)
+        grads_plain = features_backward(params, config, cache_plain, dF)
+        assert list(grads) == list(grads_plain)
+        assert all(grads[k].tobytes() == grads_plain[k].tobytes() for k in grads)
+
+
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+@pytest.mark.parametrize("bad", [VOCAB, -1], ids=["emb-rows", "negative"])
+def test_preparing_ids_out_of_range_raises_before_any_kernel(encoder, bad, monkeypatch):
+    config, params, X, _ = tiny_setup(encoder)
+    X[1, 0] = bad
+
+    def kernel(*args):
+        raise AssertionError("a kernel read ids before their range was checked")
+
+    for name in ("token_counts", "embed_mean_forward", "rnn_forward"):
+        monkeypatch.setattr(zigzag.nn.model, name, kernel)
+    for prepare in (prepare_ids, features_forward):
+        with pytest.raises(ModelError, match=f"token id {bad} "):
+            prepare(params, config, X)
+
+
+def test_a_set_prepared_for_another_embedding_or_encoder_raises():
+    config, params, X, _ = tiny_setup("mean")
+    prepared = prepare_ids(params, config, X)
+    wider = dict(params, emb=np.zeros((VOCAB + 1, config["emb_dim"])))
+    rnn_config, rnn_params, _, _ = tiny_setup("rnn")
+    for other_params, other_config in ((wider, config), (rnn_params, rnn_config)):
+        with pytest.raises(ModelError, match=f"prepared for {VOCAB} embedding rows"):
+            features_forward(other_params, other_config, prepared)
 
 
 # ---- backend -----------------------------------------------------------------

@@ -8,11 +8,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import zigzag.nn.model
 import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.evaluation import encode_corpus
 from zigzag.fragments import extract_fragments
-from zigzag.nn.kernels import embed_mean_forward, rnn_forward
+from zigzag.nn.kernels import embed_mean_forward, rnn_forward, token_counts
 from zigzag.nn.losses import bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
@@ -116,7 +118,7 @@ def test_each_round_mines_the_hard_set_from_x_prime_at_the_round_start(pools, mo
         p1, _ = head_forward(params, "c1", F)
         p2, _ = head_forward(params, "c2", F)
         mask = hard_mask(p1, p2, trainer.yv, tc.delta)
-        assert np.array_equal(Xh, trainer.Xv[mask])
+        assert np.array_equal(Xh.X, trainer.Xv.X[mask])
         assert gamma == mask.sum() / len(mask)
         masks.append(mask)
     # neither all-hard nor all-easy, so the agreement is not vacuous
@@ -146,7 +148,7 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
     # ids in range: F is exactly the kernel's encoding through the tanh layer
     F, _ = features_forward(model.params, mc, X)
     if encoder == "mean":
-        enc, _, _ = embed_mean_forward(model.params["emb"], X)
+        enc = embed_mean_forward(model.params["emb"], *token_counts(X, rows))
     else:
         hs, _ = rnn_forward(
             model.params["emb"], X, model.params["r_wx"], model.params["r_wh"], model.params["r_b"]
@@ -281,6 +283,29 @@ def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encode
         assert got[: tc.e2] == [n_v + n_c + n_h] + [0] * (tc.e2 - 1)
         # each feature epoch trains on X' and is measured on X, X' and X''
         assert got[tc.e2 :] == [n_v + n_c + n_v + n_h] * tc.e3
+
+
+@pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
+def test_zigzag_counts_the_tokens_of_x_and_x_prime_once(pools, with_val, monkeypatch):
+    clean, varied, val = pools
+    counted = []  # rows of each token-count matrix built
+
+    def counting(X, vocab_size):
+        counted.append(len(X))
+        return token_counts(X, vocab_size)
+
+    monkeypatch.setattr(zigzag.nn.model, "token_counts", counting)
+    tc = quick_config(e1=2, beta=2, e2=2, e3=2, tau_disc=0.0, tau_loss=0.0)
+    out = train_zigzag(clean, varied, train_config=tc, val_programs=val if with_val else None)
+    assert out.rounds_run == 2 and len(out.trace) == 2 + 2 * (2 + 2)
+    # X, then X': once per run, not per pass; the validation buckets are
+    # counted where each record scores them
+    expected = [len(clean), len(varied)]
+    if with_val:
+        buckets = encode_corpus(val, "function", out.model.vocab, out.model.config["length"]).buckets
+        expected += [len(X) for _, X, _ in buckets] * len(out.trace)
+        assert len(buckets) == 3
+    assert counted == expected
 
 
 def test_final_trace_record_equals_the_returned_model_on_x_and_x_prime(pools):
