@@ -5,12 +5,14 @@ one target helper, and prints a few values plus a tag string.  In the
 vulnerable variant the target helper indexes an array with a raw
 input-derived value and the offending statement carries a //@vuln flag;
 the benign variant keeps the sanitizing arithmetic inside the indexing
-expression itself, so the distinction travels with the sink statement
-no matter how the surrounding code is split, merged, or flattened.
-Around the sink, helpers carry class-correlated but semantically inert
-texture (guard-style conditionals in benign code, raw arithmetic chains
-with stray `%` in vulnerable code) that gives shortcut learners an easy
-separator on untransformed programs.
+expression itself (the double mod of `_wrap`; the copy loop's counter
+needs only `i % size`), so the distinction travels with the sink
+statement no matter how the surrounding code is split, merged, or
+flattened.  `_wrap` is the class separator.  Around the sink, helpers
+carry class-correlated but semantically inert `_texture` (guard-style
+conditionals in benign code, raw arithmetic chains with stray `%` in
+vulnerable code) that gives shortcut learners an easy separator on
+untransformed programs.
 
 Every generated program is self-checked: its benign inputs must run to
 completion, and for vulnerable programs the witness inputs must trap
@@ -138,17 +140,29 @@ def _padding(rng) -> list[tuple[str, str]]:
 
 
 # --------------------------------------------------------------------------
-# template families: each returns helper source, main body lines, witness
-# vector, benign vector, and the hostile vector a benign variant must survive
+# template families: each returns its helper source, its part of `main` as
+# data (the arrays it declares, the fill expression for the first of them,
+# its two input names and its tail lines), a witness vector, and a benign
+# vector; a benign variant must also survive the witness vector
+
+
+def _wrap(index: str, size: int) -> str:
+    """A benign sink's index expression: `index` wrapped into [0, size)
+    for any int value.  The vulnerable sink indexes with the raw value, so
+    this double mod is the one dependable class separator."""
+    if not index.isidentifier():
+        index = f"({index})"
+    return f"({index} % {size} + {size}) % {size}"
 
 
 def _texture(rng, vulnerable: bool, v: str, size: int) -> list[str]:
-    """Inert filler statements for a helper body, correlated with its class.
+    """Inert filler statements for a helper body, correlated with its class
+    and indented for it.
 
     Benign helpers get guard-style conditionals that only touch scratch
     variables; vulnerable ones get arithmetic chains.  Vulnerable chains
     carry stray `%` so modulo counts overlap between classes and the only
-    dependable separator is the wrap inside the sink expression.
+    dependable separator is the `_wrap` inside the sink expression.
     """
     a = int(rng.integers(2, 6))
     b = int(rng.integers(1, 9))
@@ -191,7 +205,7 @@ def _texture(rng, vulnerable: bool, v: str, size: int) -> list[str]:
                 "}",
             ],
         )
-    return list(pools[int(rng.integers(0, len(pools)))])
+    return [f"    {t}" for t in pools[int(rng.integers(0, len(pools)))]]
 
 
 def _t_copy(rng, vulnerable: bool, size: int) -> dict:
@@ -203,7 +217,7 @@ def _t_copy(rng, vulnerable: bool, size: int) -> dict:
     seeded = rng.random() < 0.35  # loop counter arrives as a parameter
     lines = [] if seeded else ["    var i = 0;"]
     if rng.random() < 0.65:
-        lines += [f"    {t}" for t in _texture(rng, vulnerable, "n", size)]
+        lines += _texture(rng, vulnerable, "n", size)
     lines += [
         "    while (i < n) {",
         sink,
@@ -217,28 +231,16 @@ def _t_copy(rng, vulnerable: bool, size: int) -> dict:
     if rng.random() < 0.3:  # route the call through a forwarding helper
         helper += f"\nfunc copy_go({params}) {{\n    return copy_take({params});\n}}\n"
         entry = "copy_go"
-    call = f"{entry}(dst, src, n, 0)" if seeded else f"{entry}(dst, src, n)"
+    args = "dst, src, n, 0" if seeded else "dst, src, n"
     probe = int(rng.integers(0, size))
     fill_m = int(rng.integers(1, 4))
-    main = [
-        f"var src[{size}];",
-        f"var dst[{size}];",
-        "var f = 0;",
-        f"while (f < {size}) {{",
-        f"    src[f % {size}] = f * {fill_m} + 1;",
-        "    f = f + 1;",
-        "}",
-        "var n = input();",
-        "var k = input();",
-        "PAD",
-        f"var moved = {call};",
-        "output(moved);",
-        f"output(dst[{probe} % {size}]);",
-    ]
     return {
         "name": "copy",
         "helper": helper,
-        "main": main,
+        "arrays": ("src", "dst"),
+        "fill": f"f * {fill_m} + 1",
+        "inputs": ("n", "k"),
+        "tail": [f"var moved = {entry}({args});", "output(moved);", f"output(dst[{probe} % {size}]);"],
         "witness": [size + 2, 1],
         "benign": [max(1, size - 2), 3],
     }
@@ -248,27 +250,17 @@ def _t_lookup(rng, vulnerable: bool, size: int) -> dict:
     if vulnerable:
         ret = "    return table[k]; //@vuln"
     else:
-        ret = f"    return table[(k % {size} + {size}) % {size}];"
-    body = [f"    {t}" for t in _texture(rng, vulnerable, "k", size)] + [ret]
+        ret = f"    return table[{_wrap('k', size)}];"
+    body = _texture(rng, vulnerable, "k", size) + [ret]
     helper = "func pick_slot(table, k) {\n" + "\n".join(body) + "\n}\n"
-    entry = "pick_slot"
     step = int(rng.integers(2, 6))
-    main = [
-        f"var table[{size}];",
-        "var f = 0;",
-        f"while (f < {size}) {{",
-        f"    table[f % {size}] = {step} * f;",
-        "    f = f + 1;",
-        "}",
-        "var k = input();",
-        "var d = input();",
-        "PAD",
-        f"output({entry}(table, k));",
-    ]
     return {
         "name": "lookup",
         "helper": helper,
-        "main": main,
+        "arrays": ("table",),
+        "fill": f"{step} * f",
+        "inputs": ("k", "d"),
+        "tail": ["output(pick_slot(table, k));"],
         "witness": [size + 1, 0],
         "benign": [2, 5],
     }
@@ -278,10 +270,8 @@ def _t_window(rng, vulnerable: bool, size: int) -> dict:
     if vulnerable:
         acc_line = "        acc = acc + buf[start + j]; //@vuln"
     else:
-        acc_line = (
-            f"        acc = acc + buf[((start + j) % {size} + {size}) % {size}];"
-        )
-    body = [f"    {t}" for t in _texture(rng, vulnerable, "start", size)]
+        acc_line = f"        acc = acc + buf[{_wrap('start + j', size)}];"
+    body = _texture(rng, vulnerable, "start", size)
     body += [
         "    var acc = 0;",
         "    var j = 0;",
@@ -293,22 +283,13 @@ def _t_window(rng, vulnerable: bool, size: int) -> dict:
     ]
     helper = "func window_sum(buf, start, width) {\n" + "\n".join(body) + "\n}\n"
     fill_c = int(rng.integers(1, 5))
-    main = [
-        f"var buf[{size}];",
-        "var f = 0;",
-        f"while (f < {size}) {{",
-        f"    buf[f % {size}] = f + {fill_c};",
-        "    f = f + 1;",
-        "}",
-        "var start = input();",
-        "var width = input();",
-        "PAD",
-        "output(window_sum(buf, start, width));",
-    ]
     return {
         "name": "window",
         "helper": helper,
-        "main": main,
+        "arrays": ("buf",),
+        "fill": f"f + {fill_c}",
+        "inputs": ("start", "width"),
+        "tail": ["output(window_sum(buf, start, width));"],
         "witness": [size, 2],
         "benign": [1, 3],
     }
@@ -318,32 +299,21 @@ def _t_store(rng, vulnerable: bool, size: int) -> dict:
     if vulnerable:
         sink = "    buf[pos] = v; //@vuln"
     else:
-        sink = f"    buf[(pos % {size} + {size}) % {size}] = v;"
+        sink = f"    buf[{_wrap('pos', size)}] = v;"
     lines = []
     if rng.random() < 0.5:
-        lines += [f"    {t}" for t in _texture(rng, vulnerable, "pos", size)]
+        lines += _texture(rng, vulnerable, "pos", size)
     lines += [sink, "    return pos;"]
     helper = "func put_slot(buf, pos, v) {\n" + "\n".join(lines) + "\n}\n"
-    entry = "put_slot"
     fill_c = int(rng.integers(2, 6))
     probe = int(rng.integers(0, size))
-    main = [
-        f"var buf[{size}];",
-        "var f = 0;",
-        f"while (f < {size}) {{",
-        f"    buf[f % {size}] = f * {fill_c};",
-        "    f = f + 1;",
-        "}",
-        "var pos = input();",
-        "var v = input();",
-        "PAD",
-        f"output({entry}(buf, pos, v));",
-        f"output(buf[{probe} % {size}]);",
-    ]
     return {
         "name": "store",
         "helper": helper,
-        "main": main,
+        "arrays": ("buf",),
+        "fill": f"f * {fill_c}",
+        "inputs": ("pos", "v"),
+        "tail": ["output(put_slot(buf, pos, v));", f"output(buf[{probe} % {size}]);"],
         "witness": [size + 3, 4],
         "benign": [3, 9],
     }
@@ -366,26 +336,16 @@ def _t_tagged(rng, vulnerable: bool, size: int) -> dict:
     if vulnerable:
         ret = "    return marks[slot]; //@vuln"
     else:
-        ret = f"    return marks[(slot % {size} + {size}) % {size}];"
-    body = [f"    {t}" for t in _texture(rng, vulnerable, "slot", size)] + [ret]
+        ret = f"    return marks[{_wrap('slot', size)}];"
+    body = _texture(rng, vulnerable, "slot", size) + [ret]
     score_fn = "func score_of(marks, slot) {\n" + "\n".join(body) + "\n}\n"
-    main = [
-        f"var marks[{size}];",
-        "var f = 0;",
-        f"while (f < {size}) {{",
-        f"    marks[f % {size}] = f * 2 + 1;",
-        "    f = f + 1;",
-        "}",
-        "var g = input();",
-        "var s = input();",
-        "PAD",
-        "output(level_name(g));",
-        "output(score_of(marks, s));",
-    ]
     return {
         "name": "tagged",
         "helper": namer_fn + "\n" + score_fn,
-        "main": main,
+        "arrays": ("marks",),
+        "fill": "f * 2 + 1",
+        "inputs": ("g", "s"),
+        "tail": ["output(level_name(g));", "output(score_of(marks, s));"],
         "witness": [1, size + 4],
         "benign": [8, 2],
     }
@@ -400,34 +360,30 @@ def _assemble(rng, vulnerable: bool) -> dict:
     spec = template(rng, vulnerable, size)
     pads = _padding(rng)
 
-    # wire padding helpers into main at the PAD slot, chaining when two
-    seed_var = next(
-        l.split()[1] for l in spec["main"] if l.startswith("var ") and l.endswith("= input();")
-    )
-    pad_lines: list[str] = []
+    arrays = spec["arrays"]
+    first, second = spec["inputs"]
+    main = [f"var {name}[{size}];" for name in arrays] + [
+        "var f = 0;",
+        f"while (f < {size}) {{",
+        f"    {arrays[0]}[f % {size}] = {spec['fill']};",
+        "    f = f + 1;",
+        "}",
+        f"var {first} = input();",
+        f"var {second} = input();",
+    ]
+    # padding helpers take the first input, chained when there are two
     if len(pads) == 1:
-        pad_lines.append(f"output({pads[0][0]}({seed_var}));")
+        main.append(f"output({pads[0][0]}({first}));")
     else:
-        first, second = pads[0][0], pads[1][0]
-        pad_lines.append(f"var u = {first}({seed_var});")
-        pad_lines.append(f"output({second}(u));")
-
-    main_lines: list[str] = []
-    for line in spec["main"]:
-        if line == "PAD":
-            main_lines.extend(pad_lines)
-        else:
-            main_lines.append(line)
-    main_lines.append(f'output("{spec["name"]}");')
-    main_lines.append("return 0;")
+        main += [f"var u = {pads[0][0]}({first});", f"output({pads[1][0]}(u));"]
+    main += spec["tail"] + [f'output("{spec["name"]}");', "return 0;"]
 
     helper_blocks = [spec["helper"]] + [text for _, text in pads]
     order = rng.permutation(len(helper_blocks))
     body = "\n\n".join(helper_blocks[int(i)].rstrip() for i in order)
-    main_src = "func main() {\n" + "\n".join(f"    {l}" for l in main_lines) + "\n}\n"
-    source = body + "\n\n" + main_src
+    main_src = "func main() {\n" + "\n".join(f"    {l}" for l in main) + "\n}\n"
     return {
-        "source": source,
+        "source": body + "\n\n" + main_src,
         "template": spec["name"],
         "witness": spec["witness"],
         "benign": spec["benign"],
@@ -520,10 +476,18 @@ def transform_variant(item: CorpusProgram, program: Program, kind: str, seed: in
 def augment_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], kinds: Iterable[str], seed: int) -> list[CorpusProgram]:
     """Originals plus one variant per (program, kind), kind-major; empty
     kinds is a no-op.  `pairs` holds each program with its parse, as
-    `read_corpus` yields them; variants are built from originals only."""
+    `read_corpus` yields them; variants are built from originals only.
+    An input that already holds `id::kind` for one of its originals and
+    one of `kinds` raises CorpusError before any variant is built."""
     pairs = list(pairs)
+    kinds = list(kinds)
     out = [item for item, _ in pairs]
     originals = [(item, program) for item, program in pairs if item.kind is None]
+    ids = {item.id for item in out}
+    for kind in kinds:
+        for item, _ in originals:
+            if f"{item.id}::{kind}" in ids:
+                raise CorpusError(f"{item.id!r} already has a {kind} variant in the input")
     for kind in kinds:
         for item, program in originals:
             variant = transform_variant(item, program, kind, seed)
@@ -537,19 +501,25 @@ def augment_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], kinds: Iterab
 
 def save_corpus(path: str | Path, programs: Iterable[CorpusProgram]) -> None:
     items = list(programs)
+    header = {"version": CORPUS_VERSION, "kind": "program-corpus", "count": len(items)}
+    write_json_lines(path, [header] + [
+        {
+            "id": item.id,
+            "split": item.split,
+            "source": item.source,
+            "labels": item.labels,
+            "witness_inputs": item.witness_inputs,
+            "provenance": item.provenance,
+        }
+        for item in items
+    ])
+
+
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """Each record as one JSON object with sorted keys on a line of its own."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"version": CORPUS_VERSION, "kind": "program-corpus", "count": len(items)}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for item in items:
-            record = {
-                "id": item.id,
-                "split": item.split,
-                "source": item.source,
-                "labels": item.labels,
-                "witness_inputs": item.witness_inputs,
-                "provenance": item.provenance,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
@@ -581,11 +551,11 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
 def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     """Each record of a corpus file with the parse that checked it.
 
-    A record must have string id and source, split "train" or "test",
-    integer labels that match the flags in its source, witness_inputs
-    null or a list of integers, a provenance object, and a source that
-    parses; anything else raises CorpusError naming the file and the
-    record.  Each parse is yielded once and kept nowhere, so a caller
+    A record must have a string id that no earlier record has, string
+    source, split "train" or "test", integer labels that match the flags
+    in its source, witness_inputs null or a list of integers, a
+    provenance object, and a source that parses; anything else raises
+    CorpusError naming the file and the record.  Each parse is yielded once and kept nowhere, so a caller
     that drops it holds one program's tree at a time.
     """
     records = read_json_lines(path, CorpusError)
@@ -594,6 +564,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     header = records[0]
     if header.get("version") != CORPUS_VERSION or header.get("kind") != "program-corpus":
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
+    seen: set[str] = set()
     for rec in records[1:]:
         try:
             item = CorpusProgram(
@@ -610,6 +581,9 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         for name in ("id", "source", "split"):
             if not isinstance(getattr(item, name), str):
                 raise CorpusError(f"{where}: {name!r} is not a string")
+        if item.id in seen:
+            raise CorpusError(f"{where}: id repeats an earlier record's")
+        seen.add(item.id)
         if item.split not in ("train", "test"):
             raise CorpusError(f"{where}: 'split' is {item.split!r}, neither 'train' nor 'test'")
         if not isinstance(item.labels, dict) or not all(type(v) is int for v in item.labels.values()):

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines
+from .corpus import CorpusProgram, read_json_lines, write_json_lines
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
@@ -169,16 +169,13 @@ class EvalReport:
         ]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {
-                "kind": "eval-report",
-                "granularity": self.granularity,
-                "corpus_digest": self.corpus_digest,
-                "model_digest": self.model_digest,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in self.to_records():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        header = {
+            "kind": "eval-report",
+            "granularity": self.granularity,
+            "corpus_digest": self.corpus_digest,
+            "model_digest": self.model_digest,
+        }
+        write_json_lines(path, [header, *self.to_records()])
 
 
 _COUNT_KEYS = ("programs", "functions", "tp", "fn", "fp", "tn")

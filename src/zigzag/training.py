@@ -52,7 +52,6 @@ every pass above gathers rows of them and counts no token again.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from contextlib import contextmanager
@@ -62,7 +61,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines
+from .corpus import CorpusProgram, read_json_lines, write_json_lines
 from .encoding import build_vocab, encode_fragments
 from .evaluation import encode_corpus
 from .fragments import Fragment
@@ -146,9 +145,7 @@ class TrainOutcome:
 
 
 def save_trace(path: str | Path, trace: Sequence[TrainRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in trace:
-            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+    write_json_lines(path, (asdict(rec) for rec in trace))
 
 
 _PHASES = ("joint", "classifier", "feature")

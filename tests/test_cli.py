@@ -293,6 +293,28 @@ def test_unparsable_corpus_source_exits_3_naming_the_record(source, where, tmp_p
     assert err == f"error: {path}: record 'p7': source does not parse: {where}\n"
 
 
+def test_a_repeated_record_id_exits_3_naming_it(tmp_path, capsys):
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "aug.jsonl"
+    item = generate_synthetic(1, 0.0, seed=1)[0]
+    save_corpus(path, [item, item])
+    assert main(["transform", str(path), "--ct", "ct2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: record {item.id!r}: id repeats an earlier record's\n"
+    assert not out.exists()
+
+
+def test_transform_refuses_to_make_a_variant_its_input_holds(tmp_path, capsys):
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert main(["gen", "--count", "10", "--seed", "1", "--out-train", str(train), "--out-test", str(test)]) == 0
+    assert main(["transform", str(train), "--ct", "ct2", "--out", str(once)]) == 0
+    capsys.readouterr()
+    assert main(["transform", str(once), "--ct", "ct3,ct2", "--out", str(twice)]) == 3
+    first = load_corpus(once)[0].id
+    assert capsys.readouterr().err == f"error: {first!r} already has a ct2 variant in the input\n"
+    assert not twice.exists()
+    assert main(["transform", str(once), "--ct", "ct3", "--out", str(twice)]) == 0
+
+
 @pytest.mark.parametrize("variants_only", [False, True])
 def test_transform_sidecar_counts_variants_made_and_inapplicable_per_kind(variants_only, tmp_path, demo_source):
     path, out = tmp_path / "corpus.jsonl", tmp_path / "aug.jsonl"
