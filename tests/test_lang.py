@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pathlib
+import random
 import typing
 
 import pytest
@@ -27,9 +29,10 @@ from zigzag.lang import (
 from zigzag.lang.lexer import lex
 from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH, Parser
 from zigzag.lang.printer import function_tokens, statement_tokens
-from zigzag.corpus import function_labels, generate_synthetic
+from zigzag.corpus import function_labels, generate_synthetic, transform_variant
 from zigzag.encoding import normalize_tokens
 from zigzag.fragments import Fragment
+from zigzag.transforms import ALL_KINDS
 from zigzag.lang.nodes import (
     BINARY_PREC,
     BLOCK_SLOTS,
@@ -385,6 +388,46 @@ def _lex_record(source: str) -> dict:
         "vuln_lines": sorted(vuln_lines),
         "eof": [tokens[-1].line, tokens[-1].col],
     }
+
+
+def _front_end_sources() -> list[str]:
+    """gen's programs at seed 1, their printed ct1-ct8 variants, then one
+    seeded deletion, duplication and swap of a character in each of those."""
+    sources = []
+    for item in generate_synthetic(40, seed=1):
+        program = item.program()
+        sources.append(item.source)
+        for kind in ALL_KINDS:
+            variant = transform_variant(item, program, kind, 1)
+            if variant is not None:
+                sources.append(variant.source)
+    rng = random.Random(1)
+    mutated = []
+    for s in sources:
+        i, j, k = rng.randrange(len(s)), rng.randrange(len(s)), rng.randrange(len(s) - 1)
+        mutated += [s[:i] + s[i + 1:], s[:j] + s[j] + s[j:], s[:k] + s[k + 1] + s[k] + s[k + 2:]]
+    return sources + mutated
+
+
+def _parse_record(source: str) -> dict:
+    try:
+        parser = Parser(source)
+        program = parser.parse_program()
+    except MiniLangError as exc:
+        return {"error": [type(exc).__name__, exc.message, exc.line, exc.col]}
+    return {"signature": program_signature(program), "positions": parser.positions[1:]}
+
+
+def test_lex_and_parse_outcomes_are_pinned() -> None:
+    """Every token, marker line and error of the lexer, and every tree,
+    flag, statement position and error of the parser, on valid programs
+    and their single-character mutations, against the digest the front
+    end gave before the lexer kept flat token texts."""
+    digest = hashlib.sha256()
+    for source in _front_end_sources():
+        record = {"lex": _lex_record(source), "parse": _parse_record(source)}
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == "6ef2d3fef21ebd8cec43c1ea26094e13b24edea08bfa387b0f2d9e3be31e28fb"
 
 
 @pytest.mark.parametrize("name", list(_LEX_EDGES))
