@@ -142,8 +142,10 @@ def cmd_transform(args) -> None:
     except TransformError as exc:
         raise UsageError(str(exc))
     pairs = list(read_corpus(args.input))
-    augmented = augment_corpus(pairs, kinds, seed)
     originals = sum(1 for item, _ in pairs if item.kind is None)
+    if kinds and not originals:  # variants are made from originals only
+        raise CorpusError(f"{args.input} holds no untransformed programs to transform")
+    augmented = augment_corpus(pairs, kinds, seed)
     made = Counter(p.kind for p in augmented[len(pairs):])  # the variants follow the input
     if args.variants_only:
         augmented = [p for p in augmented if p.kind is not None]

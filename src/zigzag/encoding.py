@@ -9,8 +9,9 @@ literals pass through.
 A fragment arrives with these tokens (``Fragment.tokens``), emitted
 from its AST at extraction, so the vocabulary and the encoder read them
 and lex nothing.  ``normalize_tokens`` states the same rule over text:
-it lexes and anonymizes by the neighbouring tokens, and is the
-reference the token walk is tested against.
+it lexes, then anonymizes each identifier by the raw texts of its
+neighbours in the flat token stream, and is the reference the token
+walk is tested against.
 
 Ids 0 and 1 are reserved for padding and unknown tokens.  The
 vocabulary is built from training fragments only; handing it anything
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fragments import Fragment
-from .lang.lexer import lex
+from .lang.lexer import kind_of, lex
 
 PAD_ID = 0
 UNK_ID = 1
@@ -35,26 +36,24 @@ class EncodingError(Exception):
 
 
 def normalize_tokens(text: str) -> list[str]:
-    tokens = lex(text)[0][:-1]  # without the eof token
+    texts = lex(text)[0].texts  # raw texts, ending with eof's empty one
     fun_map: dict[str, str] = {}
     var_map: dict[str, str] = {}
     out: list[str] = []
-    for i, tok in enumerate(tokens):
-        if tok.kind == "ident":
-            prev = tokens[i - 1] if i > 0 else None
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            is_function = (prev is not None and prev.text == "func") or (
-                nxt is not None and nxt.text == "("
-            )
+    for i in range(len(texts) - 1):
+        tok = texts[i]
+        kind = kind_of(tok)
+        if kind == "ident":
+            is_function = (i > 0 and texts[i - 1] == "func") or texts[i + 1] == "("
             table = fun_map if is_function else var_map
             prefix = "FUN" if is_function else "VAR"
-            if tok.text not in table:
-                table[tok.text] = f"{prefix}_{len(table)}"
-            out.append(table[tok.text])
-        elif tok.kind == "str":
+            if tok not in table:
+                table[tok] = f"{prefix}_{len(table)}"
+            out.append(table[tok])
+        elif kind == "str":
             out.append("STR")
         else:
-            out.append(tok.text)
+            out.append(tok)
     return out
 
 

@@ -1,10 +1,26 @@
 """Tokenizer for the mini language.
 
-No token spans a newline, so the source is scanned a line at a time:
-one ``findall`` yields the line's (blank run, token) pairs, a token's
-column is the running sum of the lengths before it, and its kind comes
-from its first character.  Lines and columns count characters from 1,
-so a tab is one column.
+``lex`` returns a ``TokenStream``: the raw text of every token in one
+flat list (``texts``, ending with the eof token's empty text) and the
+index of each line's first token (``firsts``).  No token spans a
+newline, so the source is scanned a line at a time, one ``findall``
+per line; a comment can only be a line's last match, and is dropped
+there.  Nothing else is built per token: a token's kind comes from its
+first character (and ``KEYWORDS``), its line from a bisect over
+``firsts``, and its column from a rescan of that one line, computed
+only when asked for.  The parser reads ``texts`` by index, and a raw
+text names its token: a string literal keeps its quotes and escapes, so
+no string equals an operator, a keyword or a punctuation mark.
+
+A source is valid when every character outside blanks, strings and
+comments belongs to a token; the scan's last alternative takes any
+other character alone.  So a source whose texts hold a one-character
+text that is no token is rescanned line by line, only to name the
+first error with its line and column.
+
+Indexing, iterating or slicing a ``TokenStream`` gives ``Token``
+objects, with string literals decoded.  Lines and columns count
+characters from 1, so a tab is one column.
 
 Character set: whitespace is space, tab, carriage return and newline.
 Identifiers are ASCII letters, ASCII digits and ``_``, not starting
@@ -20,10 +36,13 @@ carry it so the parser can flag the statement starting on that line.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import Iterator
 
 from .errors import SyntaxErrorML
-from .nodes import BINARY_PREC, KEYWORDS
+from .nodes import KEYWORDS
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _UNESCAPES = {value: "\\" + name for name, value in _ESCAPES.items()}
@@ -31,17 +50,24 @@ _UNESCAPES = {value: "\\" + name for name, value in _ESCAPES.items()}
 # a string literal up to its closing quote; a literal that fails to
 # close is diagnosed from where this match ends
 _STRING_PREFIX = r'"(?:[^"\\\n]|\\[nt"\\])*'
-# a blank run, then one token or any other non-blank character; a
-# comment comes before the `/` operator, two-character operators before
-# their one-character prefixes, and a lone character last
-_PAIR = re.compile(
-    r"([ \t\r]*)(//.*|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|" + _STRING_PREFIX + r'"|[=!<>]=|&&|\|\||[^ \t\r])'
-)
-# token kind by first character; `/`, `!`, `&`, `|` and anything else
-# are told apart by the whole token
-_KIND = {**dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident"),
-         **dict.fromkeys("0123456789", "int"), **dict.fromkeys("=<>+-*%", "op"),
-         **dict.fromkeys("(){}[],;", "punct"), '"': "str"}
+# one token or any other non-blank character, the most frequent kinds
+# first; a comment comes before the `/` operator, `&&` and `||` before
+# a lone `&` or `|`, and a lone character last
+_TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){}\[\],;+*%-]|[0-9]+|[=!<>]=?|//.*|"
+          + _STRING_PREFIX + r'"|&&|\|\||[^ \t\r]')
+# a blank run, then one token; the scan keeps the token, and the rescan
+# for columns the blank run too
+_TOKENS = re.compile(r"[ \t\r]*(" + _TOKEN + ")")
+_PAIR = re.compile(r"([ \t\r]*)(" + _TOKEN + ")")
+# the first characters of identifiers (and keywords) and of integer literals
+NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+DIGITS = frozenset("0123456789")
+# token kind by first character; the eof token's text is empty
+_KIND = {**dict.fromkeys(NAME_START, "ident"), **dict.fromkeys(DIGITS, "int"),
+         **dict.fromkeys("=<>+-*/%!&|", "op"), **dict.fromkeys("(){}[],;", "punct"), '"': "str", "": "eof"}
+# the one-character texts that are tokens; any other is a lone character
+# that no token takes, the only texts an invalid source scans to
+_SINGLE_TOKENS = NAME_START | DIGITS | frozenset("=<>+-*/%(){}[],;")
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -57,47 +83,112 @@ def escape_string(value: str) -> str:
     return "".join(_UNESCAPES.get(ch, ch) for ch in value)
 
 
-def _string_error(text: str, start: int, line: int) -> SyntaxErrorML:
-    """The error for a string literal at offset `start` of line `text` that does not close."""
-    end = _STRING_PREFIX_RE.match(text, start).end()
-    if end < len(text) and text[end] == "\\":
-        return SyntaxErrorML("bad escape sequence", line, end + 2)
-    return SyntaxErrorML("unterminated string literal", line, start + 1)
+def string_value(text: str) -> str:
+    """The value of a string literal's raw text: quotes dropped, escapes decoded."""
+    value = text[1:-1]
+    if "\\" in value:
+        value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+    return value
 
 
-def lex(source: str) -> tuple[list[Token], set[int]]:
-    """Tokens ending with an `eof` token, and the lines holding `//@vuln`.
+def kind_of(text: str) -> str:
+    """The kind of a token's raw text."""
+    kind = _KIND[text[:1]]
+    return "keyword" if kind == "ident" and text in KEYWORDS else kind
 
-    A string token's text is the decoded value; the printer re-escapes it.
+
+def _columns(text_of_line: str) -> list[tuple[int, str]]:
+    """(column, raw text) of each match on one line, a comment included."""
+    out = []
+    col = 1
+    for blank, text in _PAIR.findall(text_of_line):
+        col += len(blank)
+        out.append((col, text))
+        col += len(text)
+    return out
+
+
+def _first_error(lines: list[str]) -> SyntaxErrorML:
+    """The error at the first lone character of a source that holds one."""
+    for line, text_of_line in enumerate(lines, 1):
+        for col, text in _columns(text_of_line):
+            if len(text) == 1 and text not in _SINGLE_TOKENS:
+                if text != '"':
+                    return SyntaxErrorML(f"unexpected character {text!r}", line, col)
+                end = _STRING_PREFIX_RE.match(text_of_line, col - 1).end()
+                if end < len(text_of_line) and text_of_line[end] == "\\":
+                    return SyntaxErrorML("bad escape sequence", line, end + 2)
+                return SyntaxErrorML("unterminated string literal", line, col)
+    raise AssertionError("no lone character in the source")
+
+
+class TokenStream:
+    """The tokens of one source: raw texts, ending with eof's empty text,
+    and the index of each line's first token (a line without tokens
+    holds the index of the next token)."""
+
+    __slots__ = ("texts", "firsts", "lines")
+
+    def __init__(self, texts: list[str], firsts: list[int], lines: list[str]) -> None:
+        self.texts = texts
+        self.firsts = firsts
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def line(self, index: int) -> int:
+        """The line of token `index`."""
+        return bisect_right(self.firsts, index)
+
+    def position(self, index: int) -> tuple[int, int]:
+        """(line, col) of token `index`, the line rescanned for the column."""
+        line = self.line(index)
+        text_of_line = self.lines[line - 1]
+        if index == len(self.texts) - 1:  # eof, just past the last line
+            return line, len(text_of_line) + 1
+        return line, _columns(text_of_line)[index - self.firsts[line - 1]][0]
+
+    def _token(self, text: str, line: int, col: int) -> Token:
+        kind = kind_of(text)
+        return Token(kind, string_value(text) if kind == "str" else text, line, col)
+
+    def __iter__(self) -> Iterator[Token]:
+        """Every token, eof last, each line rescanned once."""
+        ends = self.firsts[1:] + [len(self.texts) - 1]
+        for line, (text_of_line, first, end) in enumerate(zip(self.lines, self.firsts, ends), 1):
+            for col, text in _columns(text_of_line)[:end - first]:  # not a comment
+                yield self._token(text, line, col)
+        yield self[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        index = range(len(self.texts))[index]  # negative indexes, and IndexError
+        return self._token(self.texts[index], *self.position(index))
+
+
+def lex(source: str) -> tuple[TokenStream, set[int]]:
+    """The token stream of `source`, and the lines holding `//@vuln`.
+
+    One scan per line yields the line's raw texts; the stream keeps them
+    in one list, with the count of texts before each line.  No line or
+    column is computed here: ``TokenStream.position`` computes one when
+    a caller asks.  A source that does not lex raises SyntaxErrorML at
+    its first error.
     """
-    tokens: list[Token] = []
+    lines = source.split("\n")
+    per_line = list(map(_TOKENS.findall, lines))
     vuln_lines: set[int] = set()
-    for line, text_of_line in enumerate(source.split("\n"), 1):
-        col = 1
-        for blank, text in _PAIR.findall(text_of_line):
-            col += len(blank)
-            kind = _KIND.get(text[0])
-            if kind == "ident":
-                if text in KEYWORDS:
-                    kind = "keyword"
-            elif kind == "str":
-                if len(text) == 1:
-                    raise _string_error(text_of_line, col - 1, line)
-                value = text[1:-1]
-                if "\\" in value:
-                    value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
-                tokens.append(Token("str", value, line, col))
-                col += len(text)
-                continue
-            elif kind is None:
-                if text[:2] == "//":  # the line's last pair
-                    if text[2:].strip() == "@vuln":
-                        vuln_lines.add(line)
-                    break
-                if text not in BINARY_PREC:
-                    raise SyntaxErrorML(f"unexpected character {text!r}", line, col)
-                kind = "op"
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-    tokens.append(Token("eof", "", line, len(text_of_line) + 1))
-    return tokens, vuln_lines
+    if "//" in source:
+        for line, found in enumerate(per_line, 1):
+            if found and found[-1][:2] == "//":
+                if found.pop()[2:].strip() == "@vuln":
+                    vuln_lines.add(line)
+    texts = list(chain.from_iterable(per_line))
+    for text in set(texts):
+        if len(text) == 1 and text not in _SINGLE_TOKENS:
+            raise _first_error(lines)
+    texts.append("")
+    firsts = list(accumulate(map(len, per_line[:-1]), initial=0))
+    return TokenStream(texts, firsts, lines), vuln_lines

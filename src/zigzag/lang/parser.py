@@ -1,23 +1,27 @@
 """Recursive-descent parser and static validator for the mini language.
 
-Expressions are parsed by precedence climbing over ``nodes.BINARY_PREC``,
-and the current token is kept in ``Parser.tok``, which ``advance`` moves.
-At a statement's first token, a for header's init and step included,
-the parser gives the statement the next LineId, so ids run 1..n in the
-pre-order of ``nodes.walk_program``; it records the statement's
-(line, col) and takes the //@vuln flag of that line if no statement
-has.  ``parse`` then runs the static validator (declaration-before-use,
-no shadowing, unique function names, call arity).  Transform outputs
-that never existed as text can be checked with ``validate_program``.
-Any failure, nesting deeper than ``MAX_DEPTH`` included, raises a
-``MiniLangError``.
+The parser reads the lexer's flat token stream by index: ``Parser.pos``
+is the current index and ``Parser.text`` its raw text, which
+``advance`` and ``expect`` move.  A token is matched by comparing raw
+texts, and its kind comes from its first character, so no ``Token`` is
+built.  Expressions are parsed by precedence climbing over
+``nodes.BINARY_PREC``.  At a statement's first token, a for header's
+init and step included, the parser gives the statement the next
+LineId, so ids run 1..n in the pre-order of ``nodes.walk_program``; it
+records that token's index and takes the //@vuln flag of its line if no
+statement has.  ``parse`` then runs the static validator
+(declaration-before-use, no shadowing, unique function names, call
+arity).  A (line, col) is computed from a token index only for an
+error.  Transform outputs that never existed as text can be checked
+with ``validate_program``.  Any failure, nesting deeper than
+``MAX_DEPTH`` included, raises a ``MiniLangError``.
 """
 from __future__ import annotations
 
 from typing import Callable, NoReturn
 
 from .errors import SourceError, SyntaxErrorML, UndeclaredIdentifierError, ValidationErrorML
-from .lexer import Token, lex
+from .lexer import DIGITS, NAME_START, lex, string_value
 from .nodes import (
     ArrayAssign,
     ArrayDecl,
@@ -35,6 +39,7 @@ from .nodes import (
     If,
     Index,
     IntLit,
+    KEYWORDS,
     Program,
     Return,
     Stmt,
@@ -61,59 +66,66 @@ MAX_DEPTH = 40
 # array, takes about 16 MB.
 MAX_ARRAY_SIZE = 10_000
 
-Position = tuple[int, int]  # (line, col) of a token
-
 
 class Parser:
     def __init__(self, source: str) -> None:
-        self.tokens, self.unclaimed = lex(source)  # unclaimed: //@vuln lines no statement took yet
+        self.stream, self.unclaimed = lex(source)  # unclaimed: //@vuln lines no statement took yet
+        self.texts = self.stream.texts
         self.pos = 0
-        self.tok = self.tokens[0]  # the current token, moved only by advance
+        self.text = self.texts[0]  # the current token's raw text, moved by advance and expect
         self.depth = 0
-        # LineId -> (line, col) of the statement's first token; LineIds start at 1
-        self.positions: list[Position] = [(0, 0)]
-        # per function: its func token, then each parameter
-        self.heads: list[list[Position]] = []
+        # LineId -> index of the statement's first token; LineIds start at 1
+        self.starts: list[int] = [0]
+        # per function: the index of its func token, then of each parameter
+        self.heads: list[list[int]] = []
 
     # ---- token plumbing
 
-    def error(self, message: str, tok: Token | None = None) -> SyntaxErrorML:
-        tok = tok or self.tok
-        return SyntaxErrorML(message, tok.line, tok.col)
+    def error(self, message: str, at: int | None = None) -> SyntaxErrorML:
+        """The error at token `at`, the current one by default."""
+        line, col = self.stream.position(self.pos if at is None else at)
+        return SyntaxErrorML(message, line, col)
 
-    def advance(self) -> Token:
-        tok = self.tok
-        if tok.kind != "eof":
+    def expected(self, want: str) -> SyntaxErrorML:
+        tok = self.stream[self.pos]  # a string as its value, eof by its kind
+        return SyntaxErrorML(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
+
+    def advance(self) -> str:
+        text = self.text
+        if text:  # only eof's text is empty
             self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return tok
+            self.text = self.texts[self.pos]
+        return text
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.tok
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else tok.kind
-            raise self.error(f"expected {want!r}, found {got!r}")
+    def expect(self, text: str) -> None:
+        if self.text != text:
+            raise self.expected(text)
         self.pos += 1  # advance, inlined: what is expected is never eof
-        self.tok = self.tokens[self.pos]
-        return tok
+        self.text = self.texts[self.pos]
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tok
-        return tok.kind == kind and (text is None or tok.text == text)
+    def expect_name(self) -> str:
+        text = self.text
+        if text[:1] not in NAME_START or text in KEYWORDS:
+            raise self.expected("ident")
+        self.pos += 1
+        self.text = self.texts[self.pos]
+        return text
 
-    def int_value(self, tok: Token) -> int:
+    def int_value(self, text: str, at: int) -> int:
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # longer than int() converts
-            raise self.error(f"integer literal of {len(tok.text)} digits is too long", tok) from None
+            raise self.error(f"integer literal of {len(text)} digits is too long", at) from None
 
-    def number(self, tok: Token) -> tuple[int, bool]:
-        """The LineId and //@vuln flag of the statement starting at tok."""
-        self.positions.append((tok.line, tok.col))
-        vuln = tok.line in self.unclaimed
-        self.unclaimed.discard(tok.line)  # a marker goes to the first statement on its line
-        return len(self.positions) - 1, vuln
+    def number(self) -> tuple[int, bool]:
+        """The LineId and //@vuln flag of the statement starting at the current token."""
+        self.starts.append(self.pos)
+        vuln = False
+        if self.unclaimed:
+            line = self.stream.line(self.pos)
+            vuln = line in self.unclaimed
+            self.unclaimed.discard(line)  # a marker goes to the first statement on its line
+        return len(self.starts) - 1, vuln
 
     def nest(self, levels: int = 1) -> None:
         """Open nesting levels; the caller closes them with depth -= levels."""
@@ -125,56 +137,57 @@ class Parser:
 
     def parse_program(self) -> Program:
         functions = []
-        while self.tok.kind != "eof":
+        while self.text:
             functions.append(self.parse_function())
         if self.unclaimed:
             raise SyntaxErrorML("//@vuln marker not attached to any statement", min(self.unclaimed), 1)
         program = Program(functions)
-        validate_program(program, self.positions, self.heads)
+        validate_program(program, self)
         return program
 
     def parse_function(self) -> FunctionDef:
-        head = [self.expect("keyword", "func")]
-        name = self.expect("ident").text
-        self.expect("punct", "(")
-        head += self.parse_list(lambda: self.expect("ident"))
-        self.heads.append([(tok.line, tok.col) for tok in head])
-        return FunctionDef(name, [tok.text for tok in head[1:]], self.parse_block())
+        start = self.pos
+        self.expect("func")
+        name = self.expect_name()
+        self.expect("(")
+        params = self.parse_list(self.expect_name)
+        # the parameters are every other token from the one after "("
+        self.heads.append([start, *range(start + 3, self.pos - 1, 2)])
+        return FunctionDef(name, params, self.parse_block())
 
     def parse_list(self, item: Callable[[], object]) -> list:
         """Comma-separated items, then the closing parenthesis."""
         items = []
-        if not self.at("punct", ")"):
+        if self.text != ")":
             items.append(item())
-            while self.at("punct", ","):
+            while self.text == ",":
                 self.advance()
                 items.append(item())
-        self.expect("punct", ")")
+        self.expect(")")
         return items
 
     def parse_block(self) -> list[Stmt]:
-        self.expect("punct", "{")
+        self.expect("{")
         self.nest()
         stmts: list[Stmt] = []
-        tok = self.tok
-        while tok.kind != "punct" or tok.text != "}":
-            if tok.kind == "eof":
+        while self.text != "}":
+            if not self.text:
                 raise self.error("unterminated block")
             stmts.append(self.parse_statement())
-            tok = self.tok
         self.advance()
         self.depth -= 1
         return stmts
 
     def parse_statement(self) -> Stmt:
-        tok = self.tok
-        mark = self.number(tok)
-        if tok.kind == "ident":
+        text = self.text
+        mark = self.number()
+        keyword = _STATEMENTS.get(text)
+        if keyword is not None:
+            st = keyword(self)
+        elif text in KEYWORDS:
+            raise self.error(f"unexpected keyword {text!r}")
+        elif text[:1] in NAME_START:
             st = self.parse_simple()
-        elif tok.kind == "keyword" and tok.text in _STATEMENTS:
-            st = _STATEMENTS[tok.text](self)
-        elif tok.kind == "keyword":
-            raise self.error(f"unexpected keyword {tok.text!r}")
         else:
             raise self.error("expected a statement")
         st.line_id, st.vuln = mark
@@ -184,93 +197,96 @@ class Parser:
 
     def parse_var(self) -> Stmt:
         self.advance()
-        name = self.expect("ident").text
-        if self.at("punct", "["):
+        name = self.expect_name()
+        if self.text == "[":
             self.advance()
-            size_tok = self.expect("int")
-            self.expect("punct", "]")
-            self.expect("punct", ";")
-            size = self.int_value(size_tok)
+            at = self.pos
+            if self.text[:1] not in DIGITS:
+                raise self.expected("int")
+            size_text = self.advance()
+            self.expect("]")
+            self.expect(";")
+            size = self.int_value(size_text, at)
             if size < 1:
-                raise SyntaxErrorML("array size must be positive", size_tok.line, size_tok.col)
+                raise self.error("array size must be positive", at)
             if size > MAX_ARRAY_SIZE:
-                raise SyntaxErrorML(f"array size must be at most {MAX_ARRAY_SIZE}", size_tok.line, size_tok.col)
+                raise self.error(f"array size must be at most {MAX_ARRAY_SIZE}", at)
             return ArrayDecl(name, size)
         init = None
-        if self.at("op", "="):
+        if self.text == "=":
             self.advance()
             init = self.parse_expr()
-        self.expect("punct", ";")
+        self.expect(";")
         return VarDecl(name, init)
 
     def parse_if(self) -> Stmt:
         self.advance()
-        self.expect("punct", "(")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect("punct", ")")
+        self.expect(")")
         then_body = self.parse_block()
-        if not self.at("keyword", "else"):
+        if self.text != "else":
             return If(cond, then_body, [])
         self.advance()
         return If(cond, then_body, self.parse_block())
 
     def parse_while(self) -> Stmt:
         self.advance()
-        self.expect("punct", "(")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect("punct", ")")
+        self.expect(")")
         return While(cond, self.parse_block())
 
     def parse_for(self) -> Stmt:
         self.advance()
-        self.expect("punct", "(")
+        self.expect("(")
         init: Stmt | None = None
-        if not self.at("punct", ";"):
-            mark = self.number(self.tok)
-            declares = self.at("keyword", "var")
+        if self.text != ";":
+            mark = self.number()
+            declares = self.text == "var"
             if declares:
                 self.advance()
-            name = self.expect("ident").text
-            self.expect("op", "=")
+            name = self.expect_name()
+            self.expect("=")
             init = (VarDecl if declares else Assign)(name, self.parse_expr())
             init.line_id, init.vuln = mark
-        self.expect("punct", ";")
-        cond = None if self.at("punct", ";") else self.parse_expr()
-        self.expect("punct", ";")
+        self.expect(";")
+        cond = None if self.text == ";" else self.parse_expr()
+        self.expect(";")
         step: Stmt | None = None
-        if not self.at("punct", ")"):
-            mark = self.number(self.tok)
-            name = self.expect("ident").text
-            self.expect("op", "=")
+        if self.text != ")":
+            mark = self.number()
+            name = self.expect_name()
+            self.expect("=")
             step = Assign(name, self.parse_expr())
             step.line_id, step.vuln = mark
-        self.expect("punct", ")")
+        self.expect(")")
         return For(init, cond, step, self.parse_block())
 
     def parse_return(self) -> Stmt:
         self.advance()
-        value = None if self.at("punct", ";") else self.parse_expr()
-        self.expect("punct", ";")
+        value = None if self.text == ";" else self.parse_expr()
+        self.expect(";")
         return Return(value)
 
     def parse_simple(self) -> Stmt:
         """Assignment, array write, or call statement starting at an identifier."""
-        name = self.advance().text
-        if self.at("punct", "("):
+        name = self.advance()
+        if self.text == "(":
             call = self.parse_call(name)
-            self.expect("punct", ";")
+            self.expect(";")
             return CallStmt(call)
-        if self.at("punct", "["):
+        if self.text == "[":
             self.advance()
             index = self.parse_expr()
-            self.expect("punct", "]")
-            self.expect("op", "=")
+            self.expect("]")
+            self.expect("=")
             value = self.parse_expr()
-            self.expect("punct", ";")
+            self.expect(";")
             return ArrayAssign(name, index, value)
-        self.expect("op", "=")
+        self.expect("=")
         value = self.parse_expr()
-        self.expect("punct", ";")
+        self.expect(";")
         return Assign(name, value)
 
     def parse_call(self, name: str) -> Call:
@@ -293,59 +309,63 @@ class Parser:
         a looser one is consumed, as if each precedence had its own call.
         """
         left = self.parse_unary()
+        op = self.text
+        prec = BINARY_PREC.get(op, 0)  # 0 for `=` and every other token
+        if prec < min_prec:
+            return left
         depth, last = self.depth, min_prec
-        tok = self.tok
-        while tok.kind == "op":
-            prec = BINARY_PREC.get(tok.text, 0)
-            if prec < min_prec:
-                break
-            self.advance()
+        while prec >= min_prec:
+            self.pos += 1  # advance, inlined: an operator is never eof
+            self.text = self.texts[self.pos]
             if prec < last:
                 self.depth = depth
             last = prec
             self.nest()
-            left = BinOp(tok.text, left, self.parse_binary(prec + 1))
-            tok = self.tok
+            left = BinOp(op, left, self.parse_binary(prec + 1))
+            op = self.text
+            prec = BINARY_PREC.get(op, 0)
         self.depth = depth
         return left
 
     def parse_unary(self) -> Expr:
-        tok = self.tok
-        kind = tok.kind
-        if kind == "ident":
-            self.advance()
-            nxt = self.tok
-            if nxt.kind == "punct" and nxt.text == "(":
-                return self.parse_call(tok.text)
-            if nxt.kind == "punct" and nxt.text == "[":
+        text = self.text
+        first = text[:1]
+        if first in NAME_START and text not in KEYWORDS:
+            self.pos += 1  # advance, inlined, here and for a literal below
+            nxt = self.text = self.texts[self.pos]
+            if nxt == "(":
+                return self.parse_call(text)
+            if nxt == "[":
                 self.advance()
                 index = self.parse_expr()
-                self.expect("punct", "]")
-                return Index(tok.text, index)
-            return Var(tok.text)
-        if kind == "int":
-            self.advance()
-            return IntLit(self.int_value(tok))
-        if kind == "op" and tok.text == "-":
+                self.expect("]")
+                return Index(text, index)
+            return Var(text)
+        if first in DIGITS:
+            at = self.pos
+            self.pos += 1
+            self.text = self.texts[self.pos]
+            return IntLit(self.int_value(text, at))
+        if text == "-":
             self.advance()
             # the printer writes -e as 0 - (e), an operator and a parenthesis,
             # unless e is an integer literal
-            levels = 1 if self.tok.kind == "int" else 2
+            levels = 1 if self.text[:1] in DIGITS else 2
             self.nest(levels)
             inner = self.parse_unary()
             self.depth -= levels
             if isinstance(inner, IntLit):
                 return IntLit(-inner.value)
             return BinOp("-", IntLit(0), inner)
-        if kind == "str":
+        if first == '"':
             self.advance()
-            return StrLit(tok.text)
-        if kind == "punct" and tok.text == "(":
+            return StrLit(string_value(text))
+        if text == "(":
             self.advance()
             inner = self.parse_expr()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        raise self.error(f"expected an expression, found {tok.text or tok.kind!r}")
+        raise self.error(f"expected an expression, found {text or 'eof'!r}")
 
 
 # statement parsers by their leading keyword
@@ -360,11 +380,7 @@ def parse(source: str) -> Program:
 # --------------------------------------------------------------------------
 # static validation
 
-def validate_program(
-    program: Program,
-    positions: list[Position] | None = None,
-    heads: list[list[Position]] | None = None,
-) -> None:
+def validate_program(program: Program, parsed: Parser | None = None) -> None:
     """Enforce the language's static rules.
 
     Unique function names, declaration-before-use, no shadowing, single
@@ -372,12 +388,13 @@ def validate_program(
     (builtins included).  A for-loop is checked as its while form,
     ``nodes.desugar_for``, so its init joins the enclosing block and
     its step sees the body's declarations.  Raises UndeclaredIdentifierError
-    or ValidationErrorML at ``positions[line_id]`` of the statement, else at
-    its LineId and col 0; a function-level error at the func token or
-    parameter in ``Parser.heads``, else at (1, 1).
+    or ValidationErrorML at a statement's first token, or at the func
+    token or parameter of a function-level error, when ``parsed`` is the
+    Parser that read ``program``; else at the statement's LineId and
+    col 0, or at (1, 1).
     """
     def fail_head(message: str, k: int, at: int) -> NoReturn:
-        line, col = heads[k][at] if heads else (1, 1)
+        line, col = parsed.stream.position(parsed.heads[k][at]) if parsed else (1, 1)
         raise ValidationErrorML(message, line, col)
 
     arity: dict[str, int] = {}
@@ -392,7 +409,7 @@ def validate_program(
     declared: set[str] = set()  # the names in scope at the statement checked
 
     def fail(error: type[SourceError], message: str, st: Stmt) -> NoReturn:
-        line, col = positions[st.line_id] if positions else (st.line_id, 0)
+        line, col = parsed.stream.position(parsed.starts[st.line_id]) if parsed else (st.line_id, 0)
         raise error(message, line, col)
 
     def check_expr(e: Expr, st: Stmt) -> None:

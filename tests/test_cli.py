@@ -333,6 +333,18 @@ def test_transform_sidecar_counts_variants_made_and_inapplicable_per_kind(varian
     assert any(counts["inapplicable"] for counts in per_kind.values())
 
 
+def test_transform_refuses_a_corpus_without_untransformed_programs(tmp_path, capsys):
+    train, variants, out = tmp_path / "tr.jsonl", tmp_path / "v.jsonl", tmp_path / "v2.jsonl"
+    assert main(["gen", "--count", "10", "--seed", "1", "--out-train", str(train),
+                 "--out-test", str(tmp_path / "te.jsonl")]) == 0
+    assert main(["transform", str(train), "--ct", "ct2", "--variants-only", "--out", str(variants)]) == 0
+    assert load_corpus(variants) and all(item.kind for item in load_corpus(variants))
+    capsys.readouterr()
+    assert main(["transform", str(variants), "--ct", "ct3", "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: {variants} holds no untransformed programs to transform\n")
+    assert not out.exists()
+
+
 def test_transform_flattens_a_long_flat_body(flat_ifs_source, tmp_path):
     path, out = tmp_path / "corpus.jsonl", tmp_path / "aug.jsonl"
     program = parse(flat_ifs_source)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import pathlib
@@ -233,11 +234,11 @@ def test_validate_program_leaves_the_positions_it_is_given_unchanged() -> None:
     )
     parser = Parser(src)
     program = parser.parse_program()
-    positions, heads = list(parser.positions), [list(h) for h in parser.heads]
-    validate_program(program, parser.positions, parser.heads)
-    assert (parser.positions, parser.heads) == (positions, heads)
-    assert len(positions) == 1 + len(list(walk_program(program)))
-    assert heads == [[(1, 1), (1, 8)], [(4, 1)]]
+    starts, heads = list(parser.starts), [list(h) for h in parser.heads]
+    validate_program(program, parser)
+    assert (parser.starts, parser.heads) == (starts, heads)
+    assert len(starts) == 1 + len(list(walk_program(program)))
+    assert [[parser.stream.position(i) for i in h] for h in heads] == [[(1, 1), (1, 8)], [(4, 1)]]
 
 
 def test_vuln_marker_attaches_to_statement(demo_program) -> None:
@@ -415,7 +416,8 @@ def _parse_record(source: str) -> dict:
         program = parser.parse_program()
     except MiniLangError as exc:
         return {"error": [type(exc).__name__, exc.message, exc.line, exc.col]}
-    return {"signature": program_signature(program), "positions": parser.positions[1:]}
+    return {"signature": program_signature(program),
+            "positions": [parser.stream.position(i) for i in parser.starts[1:]]}
 
 
 def test_lex_and_parse_outcomes_are_pinned() -> None:
@@ -577,7 +579,15 @@ def _fields_of(cls: type, wanted) -> tuple[str, ...]:
     return tuple(names)
 
 
-@pytest.mark.parametrize("cls", Stmt.__subclasses__(), ids=lambda cls: cls.__name__)
+def _kinds(base: type) -> list[type]:
+    """The node classes derived from `base`.  dataclass(slots=True) replaces
+    each class it decorates, and the replaced one stays in __subclasses__()
+    until the garbage collector frees it, so collect first."""
+    gc.collect()
+    return base.__subclasses__()
+
+
+@pytest.mark.parametrize("cls", _kinds(Stmt), ids=lambda cls: cls.__name__)
 def test_slot_tables_list_every_expression_and_block_field(cls) -> None:
     exprs = _fields_of(cls, lambda t: isinstance(t, type) and issubclass(t, Expr))
     blocks = _fields_of(cls, lambda t: typing.get_origin(t) is list and typing.get_args(t) == (Stmt,))
@@ -586,7 +596,7 @@ def test_slot_tables_list_every_expression_and_block_field(cls) -> None:
 
 
 def test_slot_tables_cover_exactly_the_statement_kinds() -> None:
-    kinds = set(Stmt.__subclasses__())
+    kinds = set(_kinds(Stmt))
     assert set(EXPR_SLOTS) == kinds
     assert set(BLOCK_SLOTS) <= kinds
 
@@ -747,7 +757,7 @@ def _all_nodes(program) -> list:
 def test_every_field_of_every_node_kind_is_in_the_signature() -> None:
     program = parse(SIGNATURE_SRC)
     nodes = _all_nodes(program)
-    assert {type(n) for n in nodes} == set(Stmt.__subclasses__()) | set(Expr.__subclasses__())
+    assert {type(n) for n in nodes} == set(_kinds(Stmt)) | set(_kinds(Expr))
     base = program_signature(program)
     for node in nodes:
         for f in dataclasses.fields(node):
