@@ -127,12 +127,12 @@ class TokenStream:
     and the index of each line's first token (a line without tokens
     holds the index of the next token)."""
 
-    __slots__ = ("texts", "firsts", "lines")
+    __slots__ = ("texts", "firsts", "source")
 
-    def __init__(self, texts: list[str], firsts: list[int], lines: list[str]) -> None:
+    def __init__(self, texts: list[str], firsts: list[int], source: str) -> None:
         self.texts = texts
         self.firsts = firsts
-        self.lines = lines
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -144,7 +144,7 @@ class TokenStream:
     def position(self, index: int) -> tuple[int, int]:
         """(line, col) of token `index`, the line rescanned for the column."""
         line = self.line(index)
-        text_of_line = self.lines[line - 1]
+        text_of_line = self.source.split("\n")[line - 1]
         if index == len(self.texts) - 1:  # eof, just past the last line
             return line, len(text_of_line) + 1
         return line, _columns(text_of_line)[index - self.firsts[line - 1]][0]
@@ -156,7 +156,7 @@ class TokenStream:
     def __iter__(self) -> Iterator[Token]:
         """Every token, eof last, each line rescanned once."""
         ends = self.firsts[1:] + [len(self.texts) - 1]
-        for line, (text_of_line, first, end) in enumerate(zip(self.lines, self.firsts, ends), 1):
+        for line, (text_of_line, first, end) in enumerate(zip(self.source.split("\n"), self.firsts, ends), 1):
             for col, text in _columns(text_of_line)[:end - first]:  # not a comment
                 yield self._token(text, line, col)
         yield self[-1]
@@ -191,4 +191,4 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
             raise _first_error(lines)
     texts.append("")
     firsts = list(accumulate(map(len, per_line[:-1]), initial=0))
-    return TokenStream(texts, firsts, lines), vuln_lines
+    return TokenStream(texts, firsts, source), vuln_lines

@@ -463,14 +463,20 @@ def validate_program(program: Program, parsed: Parser | None = None) -> None:
                 check_block(getattr(st, slot))
         declared.difference_update(added)
 
-    for k, fn in enumerate(program.functions):
-        params = fn.params
-        if len(set(params)) != len(params):
-            at = next(i for i, p in enumerate(params) if p in params[:i])
-            fail_head(f"duplicate parameter in {fn.name!r}", k, 1 + at)
-        for i, p in enumerate(params):
-            if p in reserved:
-                fail_head(f"parameter {p!r} collides with a function name", k, 1 + i)
-        declared.clear()
-        declared.update(params)
-        check_block(fn.body)
+    try:
+        for k, fn in enumerate(program.functions):
+            params = fn.params
+            if len(set(params)) != len(params):
+                at = next(i for i, p in enumerate(params) if p in params[:i])
+                fail_head(f"duplicate parameter in {fn.name!r}", k, 1 + at)
+            for i, p in enumerate(params):
+                if p in reserved:
+                    fail_head(f"parameter {p!r} collides with a function name", k, 1 + i)
+            declared.clear()
+            declared.update(params)
+            check_block(fn.body)
+    finally:
+        # check_block reaches itself through its closure cell; emptying the
+        # cell frees the closures, and the parse that `fail` reads, now
+        # rather than at the next garbage collection
+        del check_block
