@@ -59,6 +59,10 @@ _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){}\[\],;+*%-]|[0-9]+|[=!<>]=?|//.*|"
 # for columns the blank run too
 _TOKENS = re.compile(r"[ \t\r]*(" + _TOKEN + ")")
 _PAIR = re.compile(r"([ \t\r]*)(" + _TOKEN + ")")
+# both scans get each line with its trailing blanks stripped: a blank
+# run that no token follows would be retried from each of its positions,
+# in time quadratic in its length
+_BLANKS = " \t\r"
 # the first characters of identifiers (and keywords) and of integer literals
 NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 DIGITS = frozenset("0123456789")
@@ -101,7 +105,7 @@ def _columns(text_of_line: str) -> list[tuple[int, str]]:
     """(column, raw text) of each match on one line, a comment included."""
     out = []
     col = 1
-    for blank, text in _PAIR.findall(text_of_line):
+    for blank, text in _PAIR.findall(text_of_line.rstrip(_BLANKS)):
         col += len(blank)
         out.append((col, text))
         col += len(text)
@@ -178,7 +182,7 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
     its first error.
     """
     lines = source.split("\n")
-    per_line = list(map(_TOKENS.findall, lines))
+    per_line = [_TOKENS.findall(text_of_line.rstrip(_BLANKS)) for text_of_line in lines]
     vuln_lines: set[int] = set()
     if "//" in source:
         for line, found in enumerate(per_line, 1):

@@ -11,8 +11,30 @@ per fixed set of rows and a batch's C is a row gather of its set's; its
 entries are small integers, exact in float64, so a gathered C is the
 array a per-batch count would build.  No (N, L, D) gathered tensor is
 built; the summation order differs from gather-and-sum by a few ulps
-(tests pin the two within 1e-12 of the largest |emb|).  The scatter
-(np.add.at over gathered positions) serves the RNN only.
+(tests pin the two within 1e-12 of the largest |emb|).
+
+The recurrence runs time-major: rnn_forward gathers E = emb[X.T]
+(L, B, D) and fills hs (L+1, B, H), so each step reads and writes one
+contiguous (B, ...) block, and both RNN kernels hand out and take
+(B, ...) transposed views of these arrays.  The token mask is built
+once per call.  Every matmul is one step's, with the (M, K, N) of a
+batch-major step: (B, D) @ (D, H) and (B, H) @ (H, H) forward;
+(D, B) @ (B, H), (H, B) @ (B, H), (B, H) @ (H, D) and (B, H) @ (H, H)
+backward, so no result depends on how BLAS blocks a larger product.
+
+A padded position keeps h.  The forward applies + b and tanh in place
+and then copies h over the step's new state where the mask is 0 (the
+in-place form of np.where(mask, new, h)); the backward computes
+1 - h**2 for every step at once, zeroes dh at padded rows with
+np.where, and carries dh past them with a second where.  Where a step
+has no padded row, the wheres are skipped.  With m in {0, 1} the blend
+m * new + (1 - m) * h that this replaces adds a product 0 * x, which
+is +0 or -0, to the kept value, so the two can differ only in the sign
+of a zero; every gradient sum (dwx, dwh, db, the embedding rows) starts
+at +0, and adding a zero of either sign to it changes no bit.
+scatter_embedding is one bincount over the flat offsets id * D + j of
+the unpadded positions, in X's row-major order: it adds each bin's
+rows in that order from 0, as np.add.at does.
 
 Token id 0 is padding and never contributes to pooling or recurrence.
 The RNN kernels step through every column of the X they are given;
@@ -55,19 +77,25 @@ def embed_mean_forward(emb: np.ndarray, C: np.ndarray, denom: np.ndarray) -> np.
 def rnn_forward(
     emb: np.ndarray, X: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The states hs (B, L+1, H), h0 = 0 first, and the gathered token
+    vectors E (B, L, D) of ids X (B, L), as (B, ...) views of time-major
+    arrays: step t reads E[:, t] and writes hs[:, t + 1], one contiguous
+    block each."""
     B, L = X.shape
-    H = wh.shape[0]
-    hs = np.zeros((B, L + 1, H), dtype=np.float64)
-    E = emb[X]
-    mask = (X != 0).astype(np.float64)
-    h = np.zeros((B, H), dtype=np.float64)
-    for t in range(L):
-        pre = E[:, t, :] @ wx + h @ wh + b
-        new = np.tanh(pre)
-        m = mask[:, t][:, None]
-        h = m * new + (1.0 - m) * h
-        hs[:, t + 1, :] = h
-    return hs, E
+    hs = np.zeros((L + 1, B, wh.shape[0]), dtype=np.float64)
+    E = emb[X.T]
+    pad = (X.T == 0)[:, :, None]
+    padded = pad.any(axis=(1, 2)).tolist()
+    steps = list(hs)
+    for t, (x, p) in enumerate(zip(E, pad)):
+        h, new = steps[t], steps[t + 1]
+        np.matmul(x, wx, out=new)
+        new += h @ wh
+        new += b
+        np.tanh(new, out=new)
+        if padded[t]:
+            np.copyto(new, h, where=p)
+    return hs.transpose(1, 0, 2), E.transpose(1, 0, 2)
 
 
 def rnn_backward(
@@ -78,28 +106,37 @@ def rnn_backward(
     wx: np.ndarray,
     wh: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """dE (B, L, D), a (B, ...) view of a time-major array, and dwx, dwh
+    and db, from the gradient dh_last of the last state and
+    rnn_forward's hs and E."""
     B, L = X.shape
-    mask = (X != 0).astype(np.float64)
+    hs, E = hs.transpose(1, 0, 2), E.transpose(1, 0, 2)
+    keep = (X.T != 0)[:, :, None]
+    padded = (~keep.all(axis=(1, 2))).tolist()
+    dtanh = hs[1:] * hs[1:]
+    np.subtract(1.0, dtanh, out=dtanh)
+    wxT, whT = wx.T, wh.T
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
     db = np.zeros(wh.shape[0], dtype=np.float64)
-    dE = np.zeros_like(E)
-    dh = dh_last.copy()
-    for t in range(L - 1, -1, -1):
-        m = mask[:, t][:, None]
-        new = hs[:, t + 1, :]
-        dnew = dh * m
-        dpre = dnew * (1.0 - new * new)
-        dwx += E[:, t, :].T @ dpre
-        dwh += hs[:, t, :].T @ dpre
-        db += dpre.sum(axis=0)
-        dE[:, t, :] = dpre @ wx.T
-        dh = dh * (1.0 - m) + dpre @ wh.T
-    return dE, dwx, dwh, db
+    dE = np.empty((L, B, wx.shape[0]), dtype=np.float64)
+    dh = dh_last
+    steps = zip(E.transpose(0, 2, 1), hs[:-1].transpose(0, 2, 1), dtanh, keep, padded, dE)
+    for xT, hT, dt, k, any_pad, de in reversed(list(steps)):
+        dpre = (np.where(k, dh, 0.0) if any_pad else dh) * dt
+        dwx += xT @ dpre
+        dwh += hT @ dpre
+        db += np.add.reduce(dpre, axis=0)
+        np.matmul(dpre, wxT, out=de)
+        dh = np.where(k, dpre @ whT, dh) if any_pad else dpre @ whT
+    return dE.transpose(1, 0, 2), dwx, dwh, db
 
 
 def scatter_embedding(dE: np.ndarray, X: np.ndarray, vocab_size: int) -> np.ndarray:
-    demb = np.zeros((vocab_size, dE.shape[2]), dtype=np.float64)
+    """The embedding gradient (vocab_size, D): each unpadded position's
+    row of dE added to its id's row, in X's row-major order from 0."""
+    D = dE.shape[2]
     mask = X != 0
-    np.add.at(demb, X[mask], dE[mask])
-    return demb
+    offsets = (X[mask][:, None] * D + np.arange(D)).ravel()
+    demb = np.bincount(offsets, weights=dE[mask].ravel(), minlength=vocab_size * D)
+    return demb.reshape(vocab_size, D)

@@ -39,10 +39,11 @@ F1 that eval would report for the model on train --val-data, None
 without it or where that F1 is undefined.  Its passes:
 
     warm-up record - one forward pass each over X and X';
-    classifier record - none: the phase's features are frozen, so the one
-        pass per round over X', X and X'' that mines X'' and that its
-        epochs train on also serves every record of the phase, which runs
-        the heads only;
+    classifier record - none: the phase's features are frozen, so the
+        features of X and X' that the round's previous record (the last
+        warm-up or feature record) measured under the same parameters,
+        and one pass per round over X'', mine X'' and serve every epoch
+        and record of the phase, which runs the heads only;
     feature record - one forward pass each over X, X' and X''.
 
 X and X' are prepared once per run, right after the parameters are
@@ -260,6 +261,7 @@ class _Trainer:
         self.Xv = prepare_ids(self.params, self.mc, Xv)
         self.opt = Adam(tc.lr)
         self.trace: list[TrainRecord] = []
+        self.measured: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ---- measurement helpers -------------------------------------------
 
@@ -267,6 +269,12 @@ class _Trainer:
         """F of X under the current feature stack; the forward cache is
         dropped at once, so no full-pool cache outlives the call."""
         return features_forward(self.params, self.mc, X)[0]
+
+    def measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """F of X and X' under the current parameters, kept as
+        self.measured for the classifier phase that may follow."""
+        self.measured = self.features(self.Xc), self.features(self.Xv)
+        return self.measured
 
     def clean_loss(self, F_clean: np.ndarray) -> float:
         """Summed CE of both heads on the clean set, given its features."""
@@ -320,8 +328,9 @@ class _Trainer:
         prev = None
         for epoch in range(self.tc.e1):
             self.joint_epoch(epoch)
-            L_c = self.clean_loss(self.features(self.Xc))
-            self.record(0, "joint", epoch, L_c, 0.0, self.discrepancy_on(self.features(self.Xv)), 0.0)
+            F_clean, F_var = self.measure()
+            L_c = self.clean_loss(F_clean)
+            self.record(0, "joint", epoch, L_c, 0.0, self.discrepancy_on(F_var), 0.0)
             if prev is not None and abs(prev - L_c) <= self.tc.tau_loss:
                 break
             prev = L_c
@@ -345,19 +354,21 @@ class _Trainer:
 
     def classifier_phase(self, rnd: int) -> tuple[PreparedIds, float]:
         """Mine X'' and run the e2 classifier epochs and their records, on
-        one forward pass each over X', X and X'' (the features stay frozen
-        through the phase); returns X'' and its share gamma of X'.
+        the features of X and X' that the last record measured under the
+        parameters the round starts from, and one forward pass over X''
+        (the features stay frozen through the phase); returns X'' and its
+        share gamma of X'.
 
         X'' is a row gather of the prepared X', forwarded itself, not cut
         from the features of X', so its rows get the features a pass over
         X'' alone gives.  The features go out of scope when the phase ends.
         """
-        F_var = self.features(self.Xv)
+        (F_clean, F_var), self.measured = self.measured, None
         p1, p2, _ = heads_forward(self.params, F_var)
         mask = hard_mask(p1, p2, self.yv, self.tc.delta)
         Xh = self.Xv[mask]
         gamma = float(mask.sum()) / len(self.Xv)
-        F_clean, F_hard = self.features(self.Xc), self.features(Xh)
+        F_hard = self.features(Xh)
         for epoch in range(self.tc.e2):
             self.classifier_epoch(F_clean, F_hard, rnd, epoch)
             L_h = self.discrepancy_on(F_hard)
@@ -376,10 +387,10 @@ class _Trainer:
     def feature_phase(self, Xh: PreparedIds, rnd: int, gamma: float) -> None:
         for epoch in range(self.tc.e3):
             self.feature_epoch(rnd, epoch)
-            # each set's features are dropped once measured
+            # the features of X'' are dropped once measured
             L_h = self.discrepancy_on(self.features(Xh))
-            L_c = self.clean_loss(self.features(self.Xc))
-            self.record(rnd, "feature", epoch, L_c, L_h, self.discrepancy_on(self.features(self.Xv)), gamma)
+            F_clean, F_var = self.measure()
+            self.record(rnd, "feature", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
 
     def run(self, rounds: int) -> TrainOutcome:
         """The warm-up, then up to `rounds` zigzag rounds."""

@@ -7,6 +7,7 @@ import hashlib
 import json
 import pathlib
 import random
+import time
 import typing
 
 import pytest
@@ -461,6 +462,20 @@ def test_lex_error_message_and_position(source, message, line, col) -> None:
     with pytest.raises(SyntaxErrorML) as exc:
         lex(source)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize(
+    "first_line",
+    ["x = 1;", "x = 1; //@vuln", "x = 1; // note", 'x = "ab', 'x = "a\\', "y = a & b;", ""],
+    ids=["tokens", "vuln-marker", "comment", "unterminated", "bad-escape", "lone-ampersand", "blank-only"],
+)
+def test_a_long_blank_tail_lexes_in_linear_time_as_the_stripped_line(first_line) -> None:
+    blanks = (" \t \r" * 50_000)[:200_000]
+    padded = first_line + blanks + "\nb = 2;"
+    start = time.perf_counter()
+    record = _lex_record(padded)
+    assert time.perf_counter() - start < 2.0
+    assert record == _lex_record(first_line + "\nb = 2;")
 
 
 @settings(derandomize=True, database=None, max_examples=300)

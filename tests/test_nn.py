@@ -223,6 +223,8 @@ RNN_CUT_BATCHES = {
     "empty": lambda X: X[:0],
     "tokens-in-column-0-only": lambda X: np.pad(X[:8, :1], ((0, 0), (0, X.shape[1] - 1))),
     "pad-column-between-tokens": lambda X: np.pad(_gap_batch(X), ((0, 0), (0, X.shape[1] - 6))),
+    # every token is id 2, so its embedding row sums hundreds of dE rows
+    "one-id-repeated": lambda X: np.where(X[:32] != 0, 2, 0),
 }
 
 
@@ -245,6 +247,80 @@ def test_rnn_cut_at_last_filled_column_changes_no_byte(batch):
         assert grads[key].tobytes() == g.tobytes(), key
     if batch == "all-padding":
         assert F.tobytes() == np.broadcast_to(np.tanh(params["f_b"]), F.shape).tobytes()
+
+
+# ---- RNN kernels against the per-step reference ---------------------------------
+
+
+def rnn_forward_reference(emb, X, wx, wh, b):
+    """The recurrence batch-major, blending each step's new state into h
+    by the token mask."""
+    B, L = X.shape
+    hs = np.zeros((B, L + 1, wh.shape[0]), dtype=np.float64)
+    E = emb[X]
+    mask = (X != 0).astype(np.float64)
+    h = np.zeros((B, wh.shape[0]), dtype=np.float64)
+    for t in range(L):
+        new = np.tanh(E[:, t, :] @ wx + h @ wh + b)
+        m = mask[:, t][:, None]
+        h = m * new + (1.0 - m) * h
+        hs[:, t + 1, :] = h
+    return hs, E
+
+
+def rnn_backward_reference(dh_last, hs, E, X, wx, wh):
+    """Backpropagation through rnn_forward_reference, one step at a time."""
+    B, L = X.shape
+    mask = (X != 0).astype(np.float64)
+    dwx, dwh = np.zeros_like(wx), np.zeros_like(wh)
+    db = np.zeros(wh.shape[0], dtype=np.float64)
+    dE = np.zeros_like(E)
+    dh = dh_last.copy()
+    for t in range(L - 1, -1, -1):
+        m = mask[:, t][:, None]
+        new = hs[:, t + 1, :]
+        dpre = dh * m * (1.0 - new * new)
+        dwx += E[:, t, :].T @ dpre
+        dwh += hs[:, t, :].T @ dpre
+        db += dpre.sum(axis=0)
+        dE[:, t, :] = dpre @ wx.T
+        dh = dh * (1.0 - m) + dpre @ wh.T
+    return dE, dwx, dwh, db
+
+
+def scatter_embedding_reference(dE, X, vocab_size):
+    """Each unpadded position's dE row added to its id's row by np.add.at."""
+    demb = np.zeros((vocab_size, dE.shape[2]), dtype=np.float64)
+    mask = X != 0
+    np.add.at(demb, X[mask], dE[mask])
+    return demb
+
+
+@pytest.mark.parametrize("batch", RNN_CUT_BATCHES)
+def test_rnn_kernels_byte_equal_the_per_step_reference(batch):
+    _, params, encoded = slice_rnn_setup()
+    X = RNN_CUT_BATCHES[batch](encoded)
+    if batch == "one-id-repeated":
+        assert np.count_nonzero(X == 2) >= 300
+    emb, wx, wh, b = params["emb"], params["r_wx"], params["r_wh"], params["r_b"]
+    mask = X != 0
+    hs, E = rnn_forward(emb, X, wx, wh, b)
+    want_hs, want_E = rnn_forward_reference(emb, X, wx, wh, b)
+    assert hs.shape == want_hs.shape and E.shape == want_E.shape
+    assert hs.tobytes() == want_hs.tobytes()
+    assert E[mask].tobytes() == want_E[mask].tobytes()
+    dh = derive_rng(7, "rnn-reference-dh").uniform(-1.0, 1.0, size=(X.shape[0], wh.shape[0]))
+    got = rnn_backward(dh, hs, E, X, wx, wh)
+    want = rnn_backward_reference(dh, want_hs, want_E, X, wx, wh)
+    assert got[0].shape == want[0].shape
+    assert got[0][mask].tobytes() == want[0][mask].tobytes()
+    for name, g, w in zip(("dwx", "dwh", "db"), got[1:], want[1:]):
+        assert g.tobytes() == w.tobytes(), name
+    V = emb.shape[0]
+    assert scatter_embedding(got[0], X, V).tobytes() == scatter_embedding_reference(want[0], X, V).tobytes()
+    # the same dE, row-major or a time-major view, scatters to the same bytes
+    dE = np.ascontiguousarray(got[0])
+    assert scatter_embedding(dE, X, V).tobytes() == scatter_embedding_reference(dE, X, V).tobytes()
 
 
 # ---- count-matrix mean pooling ------------------------------------------------

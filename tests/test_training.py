@@ -278,11 +278,44 @@ def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encode
     for rnd in (1, 2):
         n_h = round(next(rec.gamma for rec in out.trace if rec.round == rnd) * n_v)
         got = [rows for (r, _), rows in per_record if r == rnd]
-        # one pass each over X' (which also mines X''), X and X'' for the
-        # whole classifier phase; its later epochs and records forward nothing
-        assert got[: tc.e2] == [n_v + n_c + n_h] + [0] * (tc.e2 - 1)
+        # one pass over X'' for the whole classifier phase, which reads X
+        # and X' from the round's previous record; its later epochs and
+        # records forward nothing
+        assert got[: tc.e2] == [n_h] + [0] * (tc.e2 - 1)
         # each feature epoch trains on X' and is measured on X, X' and X''
         assert got[tc.e2 :] == [n_v + n_c + n_v + n_h] * tc.e3
+
+
+def test_a_zigzag_round_forwards_13_full_sets(pools, monkeypatch):
+    clean, varied, _ = pools
+    events: list = []  # each full-set forward, and each record as (round, phase)
+
+    def counting_features(self, X):
+        events.append(len(X))
+        return features(self, X)
+
+    def marking_record(self, rnd, phase, epoch, *values):
+        events.append((rnd, phase))
+        record(self, rnd, phase, epoch, *values)
+
+    features, record = _Trainer.features, _Trainer.record
+    monkeypatch.setattr(_Trainer, "features", counting_features)
+    monkeypatch.setattr(_Trainer, "record", marking_record)
+    tc = quick_config(e1=2, beta=2, e2=4, e3=4, tau_disc=0.0, tau_loss=0.0)
+    out = train_zigzag(clean, varied, train_config=tc)
+    assert out.rounds_run == 2
+    per_round, pending = {0: 0, 1: 0, 2: 0}, 0  # a forward counts for the next record's round
+    for event in events:
+        if isinstance(event, tuple):
+            per_round[event[0]] += pending
+            pending = 0
+        else:
+            pending += 1
+    assert pending == 0
+    # X and X' each warm-up epoch; X'' once per classifier phase, then X'',
+    # X and X' each feature epoch; the classifier phase reuses the X and X'
+    # of the round's previous record
+    assert per_round == {0: 2 * tc.e1, 1: 1 + 3 * tc.e3, 2: 1 + 3 * tc.e3} == {0: 4, 1: 13, 2: 13}
 
 
 @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
