@@ -4,6 +4,9 @@ Each pass must keep observable behavior (outputs + termination status)
 on the interpreter, keep the flagged statements reachable through the
 LineMap, print/parse cleanly, and be byte-deterministic per seed.
 """
+import hashlib
+import json
+
 import pytest
 
 import zigzag.transforms
@@ -564,3 +567,28 @@ def test_fragment_tokens_are_the_printed_text_lexed_and_normalized(kind, granula
                 assert normalize_tokens(f.text) == list(f.tokens), f.id
             checked += len(fragments)
     assert checked
+
+
+def test_printed_outputs_and_line_maps_are_pinned():
+    """Every pass over a generated corpus at two transform seeds, against
+    the digests the passes gave before statements were built fresh by
+    construction: one over the printed programs and one over the
+    LineMaps, inapplicable outcomes recorded in both, so either can be
+    kept alone."""
+    printed = hashlib.sha256()
+    maps = hashlib.sha256()
+    for record in generate_synthetic(40, seed=1):
+        program = parse(record.source)
+        for kind in ALL_KINDS:
+            for seed in (1, 2):
+                try:
+                    out, line_map = apply_transform(program, kind, seed)
+                except InapplicableTransform as exc:
+                    printed.update(f"inapplicable {exc}\n".encode("utf-8"))
+                    maps.update(f"inapplicable {exc}\n".encode("utf-8"))
+                    continue
+                printed.update((pretty_print(out) + "\n").encode("utf-8"))
+                pairs = sorted((k, sorted(v)) for k, v in line_map.items())
+                maps.update((json.dumps(pairs) + "\n").encode("utf-8"))
+    assert printed.hexdigest() == "ad3997b1aa8871e23837b865707f1bff20d69af1756020f913872403f2c6d199"
+    assert maps.hexdigest() == "538bf335150bf04f9b83ef8b079fb2365876b8cd69130ee0c879eb12896a445f"
