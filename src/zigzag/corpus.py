@@ -527,7 +527,10 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
 
     Bytes that are not UTF-8, and a line that is not a JSON object (a
     truncated one, or one nested too deep to decode, say), raise `error`
-    naming the file and the line.
+    naming the file and the line.  Lines end at "\n" alone and a blank
+    line holds only JSON whitespace, because a JSON string may hold
+    U+2028, U+0085 and other characters that `str.splitlines` breaks at
+    and `str.strip` removes.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -535,8 +538,8 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
     records = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip(" \t\r"):
             continue
         try:
             rec = json.loads(line)

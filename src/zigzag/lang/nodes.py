@@ -6,11 +6,16 @@ Every statement carries a LineId and a vuln flag set by a trailing
 //@vuln marker.  A LineId is not a physical line number: the statements
 of a program are numbered 1..n in the pre-order of ``walk_program``, by
 the parser as it reads each statement's first token, and by the
-transforms' ``finalize`` on a draft.  A statement built any other way is
-unnumbered, with LineId -1.  Statements also carry a transient
+transforms' ``finalize`` on a draft.  Statements also carry a transient
 ``origin`` slot used by code transformations to record which input
-statement a rewritten statement was derived from; it is None for
-freshly generated code and is not part of structural equality.
+statement a rewritten statement was derived from; it is not part of
+structural equality.
+
+A statement is built fresh: unnumbered (LineId -1), unflagged and with
+no origin.  ``derived`` is the one rewrite rule: a statement that stands
+for an input statement takes that statement's origin, through
+``source_origin``, and its flag, so a variant keeps its ground-truth
+label.
 
 The language's shared rules live here and nowhere else.
 ``BINARY_LEVELS`` states operator precedence, which the parser and the
@@ -21,9 +26,8 @@ elsewhere never decide a node's shape for themselves.  ``signature``
 derives a node's structural identity from its dataclass fields.
 ``desugar_for`` is the one meaning of ``for``: the interpreter runs, the
 validator checks and the transforms lower a for-loop as the while form
-it returns, and ``source_origin`` names the input statement a rewritten
-one descends from.  The printer, interpreter and parser keep per-kind
-code because each kind behaves differently there.
+it returns.  The printer, interpreter and parser keep per-kind code
+because each kind behaves differently there.
 """
 from __future__ import annotations
 
@@ -79,66 +83,51 @@ class Call(Expr):
 class Stmt:
     __slots__ = ("line_id", "vuln", "origin")
 
-    def __init__(self) -> None:
+    def __post_init__(self) -> None:
         self.line_id: int = -1
         self.vuln: bool = False
         self.origin: Optional[int] = None
 
 
-def _stmt_dataclass(cls):
-    """Decorator: dataclass whose init also sets the Stmt bookkeeping slots."""
-    cls = dataclass(eq=False, slots=True)(cls)
-    orig_init = cls.__init__
-
-    def __init__(self, *args, **kwargs):
-        orig_init(self, *args, **kwargs)
-        self.line_id = -1
-        self.vuln = False
-        self.origin = None
-
-    cls.__init__ = __init__
-    return cls
-
-
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class VarDecl(Stmt):
     name: str
     init: Optional[Expr] = None
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class ArrayDecl(Stmt):
     name: str
     size: int
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class Assign(Stmt):
     name: str
     value: Expr = None  # type: ignore[assignment]
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class ArrayAssign(Stmt):
     name: str
     index: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then_body: list[Stmt] = field(default_factory=list)
     else_body: list[Stmt] = field(default_factory=list)
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: list[Stmt] = field(default_factory=list)
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class For(Stmt):
     # init is a VarDecl or Assign, step an Assign; semantics are the
     # desugared form  init; while (cond) { body; step; }
@@ -148,12 +137,12 @@ class For(Stmt):
     body: list[Stmt] = field(default_factory=list)
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class Return(Stmt):
     value: Optional[Expr] = None
 
 
-@_stmt_dataclass
+@dataclass(eq=False, slots=True)
 class CallStmt(Stmt):
     call: Call = None  # type: ignore[assignment]
 
@@ -321,29 +310,36 @@ def flagged_lines(program: Program) -> set[int]:
 
 
 # --------------------------------------------------------------------------
-# the meaning of for
+# rewrites: derived statements and the meaning of for
 
 def source_origin(st: Stmt) -> Optional[int]:
     """Input LineId a statement descends from, chaining through drafts.
 
-    Statements that were never numbered (generated, line_id < 1) have no
-    origin; mapping them would invent LineMap keys.
+    Statements that were never numbered (built fresh, line_id < 1) have
+    no origin; mapping them would invent LineMap keys.
     """
     if st.origin is not None:
         return st.origin
     return st.line_id if st.line_id >= 1 else None
 
 
+def derived(new: Stmt, src: Stmt) -> Stmt:
+    """Book ``new`` as the rewrite of ``src``: it takes src's origin and
+    vuln flag.  Returns ``new``."""
+    new.origin = source_origin(src)
+    new.vuln = src.vuln
+    return new
+
+
 def desugar_for(st: For) -> list[Stmt]:
     """The meaning of a for-loop: ``init; while (cond) { body; step; }``.
 
-    A missing condition is 1; the while keeps the for's LineId, origin
-    and flag.  The parts are reused, not copied.
+    A missing condition is 1; the while is derived from the for and keeps
+    its LineId.  The parts are reused, not copied.
     """
     loop = While(IntLit(1) if st.cond is None else st.cond, st.body + ([st.step] if st.step is not None else []))
+    derived(loop, st)
     loop.line_id = st.line_id
-    loop.origin = source_origin(st)
-    loop.vuln = st.vuln
     return ([st.init] if st.init is not None else []) + [loop]
 
 

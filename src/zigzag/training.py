@@ -153,19 +153,21 @@ _PHASES = ("joint", "classifier", "feature")
 
 
 def _record_fault(rec: TrainRecord) -> Optional[str]:
-    """What is wrong with a loaded record's field types, or None."""
+    """What is wrong with a loaded record's field types or ranges, or None."""
     for name in ("round", "epoch"):
         value = getattr(rec, name)
-        if type(value) is not int:
-            return f"{name} must be an integer, got {value!r}"
+        if type(value) is not int or value < 0:
+            return f"{name} must be a non-negative integer, got {value!r}"
     if rec.phase not in _PHASES:
         return f"phase must be one of {', '.join(_PHASES)}, got {rec.phase!r}"
     for name in ("L_c", "L_h", "mean_disc", "gamma"):
         value = getattr(rec, name)
-        if type(value) is not float or not math.isfinite(value):
-            return f"{name} must be a finite float, got {value!r}"
-    if rec.val_f1 is not None and type(rec.val_f1) is not float:
-        return f"val_f1 must be a float or null, got {rec.val_f1!r}"
+        if type(value) is not float or not 0.0 <= value < math.inf:
+            return f"{name} must be a finite non-negative float, got {value!r}"
+    if rec.gamma > 1.0:
+        return f"gamma must be a share of at most 1, got {rec.gamma!r}"
+    if rec.val_f1 is not None and (type(rec.val_f1) is not float or not 0.0 <= rec.val_f1 <= 1.0):
+        return f"val_f1 must be a float in [0, 1] or null, got {rec.val_f1!r}"
     return None
 
 

@@ -2,10 +2,10 @@
 
 A pass receives a parsed program whose statements carry LineIds and
 returns a draft program in which every statement's ``origin`` slot
-names the input statement it was derived from (None for generated
-scaffolding), and no LineId.  ``finalize`` numbers the draft in the
-walk that builds the LineMap original-LineId -> set of new LineIds,
-then validates it.
+names the input statement it was derived from (``nodes.derived``), or
+None, as built, for scaffolding the pass adds, and no LineId.
+``finalize`` numbers the draft in the walk that builds the LineMap
+original-LineId -> set of new LineIds, then validates it.
 
 A pass copies its input once, with ``clone_program``, and never mutates
 the input.  From then on it moves the statements and expressions of
@@ -15,7 +15,6 @@ node of the output appears twice or is shared with the input;
 """
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
 from ..lang.nodes import (
@@ -39,15 +38,13 @@ from ..lang.nodes import (
     Var,
     VarDecl,
     While,
+    derived,
     expr_names,
-    source_origin,
     stmt_expressions,
     walk_program,
     walk_statements,
 )
 from ..lang.parser import validate_program
-
-log = logging.getLogger("zigzag.transforms")
 
 LineMap = dict[int, set[int]]
 
@@ -86,12 +83,6 @@ def clone_expr(e: Expr) -> Expr:
     raise TypeError(f"unknown expression node {t.__name__}")
 
 
-def _book(new: Stmt, src: Stmt) -> Stmt:
-    new.vuln = src.vuln
-    new.origin = source_origin(src)
-    return new
-
-
 def clone_stmt(st: Stmt) -> Stmt:
     t = type(st)
     if t is VarDecl:
@@ -123,7 +114,7 @@ def clone_stmt(st: Stmt) -> Stmt:
         new = CallStmt(clone_expr(st.call))  # type: ignore[arg-type]
     else:
         raise TypeError(f"unknown statement node {t.__name__}")
-    return _book(new, st)
+    return derived(new, st)
 
 
 def clone_program(program: Program) -> Program:
@@ -133,13 +124,6 @@ def clone_program(program: Program) -> Program:
         FunctionDef(fn.name, list(fn.params), [clone_stmt(s) for s in fn.body])
         for fn in program.functions
     ])
-
-
-def generated(st: Stmt) -> Stmt:
-    """Mark a freshly built statement as transform scaffolding."""
-    st.origin = None
-    st.vuln = False
-    return st
 
 
 # --------------------------------------------------------------------------

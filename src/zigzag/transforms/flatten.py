@@ -33,11 +33,12 @@ from ..lang.nodes import (
     VarDecl,
     While,
     child_blocks,
+    derived,
     desugar_for,
     source_origin,
     walk_statements,
 )
-from .base import InapplicableTransform, Namer, clone_program, generated
+from .base import InapplicableTransform, Namer, clone_program
 
 
 def has_control_flow(fn: FunctionDef) -> bool:
@@ -86,16 +87,14 @@ class _Lowerer:
         lit = IntLit(target)
         if target != self.EXIT:
             self.jumps.append((lit, target))
-        return generated(Assign(self.pc, lit))
+        return Assign(self.pc, lit)
 
     def jump(self, block: int, target: int) -> None:
         self.blocks[block].append(self._jump_stmt(target))
 
     def cond_jump(self, block: int, cond, then_target: int, else_target: int, src: Stmt) -> None:
         st = If(cond, [self._jump_stmt(then_target)], [self._jump_stmt(else_target)])
-        st.origin = source_origin(src)
-        st.vuln = src.vuln
-        self.blocks[block].append(st)
+        self.blocks[block].append(derived(st, src))
 
     def compile(self, stmts: list[Stmt], block: int, follow: int, hoist: dict[str, Stmt]) -> None:
         """Emit stmts into `block`, ending with a jump to `follow`."""
@@ -107,13 +106,13 @@ class _Lowerer:
                 work.extend(reversed(desugar_for(st)))
             elif isinstance(st, VarDecl):
                 if st.name not in hoist:
+                    # origin only: the reset below carries the flag, so one
+                    # flagged input gives one flagged output statement
                     decl = VarDecl(st.name)
                     decl.origin = source_origin(st)
                     hoist[st.name] = decl
                 reset = Assign(st.name, st.init if st.init is not None else IntLit(0))
-                reset.origin = source_origin(st)
-                reset.vuln = st.vuln
-                self.blocks[cur].append(reset)
+                self.blocks[cur].append(derived(reset, st))
             elif isinstance(st, ArrayDecl):
                 if st.name not in hoist:
                     hoist[st.name] = st
@@ -135,17 +134,14 @@ class _Lowerer:
                 self.compile(st.body, body_b, header, hoist)
                 cur = cont
             elif isinstance(st, Return):
-                if st.value is not None:
-                    ret = Assign(self.ret, st.value)
-                    ret.origin = source_origin(st)
-                    ret.vuln = st.vuln
-                    self.blocks[cur].append(ret)
-                    exit_jump = self._jump_stmt(self.EXIT)
-                    exit_jump.origin = ret.origin
+                exit_jump = self._jump_stmt(self.EXIT)
+                if st.value is None:
+                    derived(exit_jump, st)
                 else:
-                    exit_jump = self._jump_stmt(self.EXIT)
+                    self.blocks[cur].append(derived(Assign(self.ret, st.value), st))
+                    # origin only, for the same reason as a hoisted declaration:
+                    # the assignment above carries the flag
                     exit_jump.origin = source_origin(st)
-                    exit_jump.vuln = st.vuln
                 self.blocks[cur].append(exit_jump)
                 if not work:
                     return  # the exit jump ends the list; no jump to follow
@@ -160,12 +156,11 @@ def _dispatch_tree(pc: str, ids: list[int], blocks: dict[int, list[Stmt]]) -> li
     if len(ids) == 1:
         return blocks[ids[0]]
     mid = ids[len(ids) // 2]
-    node = If(
+    return [If(
         BinOp("<", Var(pc), IntLit(mid)),
         _dispatch_tree(pc, ids[: len(ids) // 2], blocks),
         _dispatch_tree(pc, ids[len(ids) // 2 :], blocks),
-    )
-    return [generated(node)]
+    )]
 
 
 def flatten_function(fn: FunctionDef, rng: np.random.Generator, namer: Namer) -> FunctionDef:
@@ -184,14 +179,14 @@ def flatten_function(fn: FunctionDef, rng: np.random.Generator, namer: Namer) ->
     numbered = {new_id[old]: stmts for old, stmts in enumerate(lower.blocks)}
 
     body: list[Stmt] = list(hoist.values())
-    body.append(generated(VarDecl(pc, IntLit(new_id[entry]))))
-    body.append(generated(VarDecl(ret, IntLit(0))))
+    body.append(VarDecl(pc, IntLit(new_id[entry])))
+    body.append(VarDecl(ret, IntLit(0)))
     loop = While(
         BinOp(">=", Var(pc), IntLit(0)),
         _dispatch_tree(pc, sorted(numbered), numbered),
     )
-    body.append(generated(loop))
-    body.append(generated(Return(Var(ret))))
+    body.append(loop)
+    body.append(Return(Var(ret)))
     return FunctionDef(fn.name, list(fn.params), body)
 
 

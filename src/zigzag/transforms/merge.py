@@ -28,7 +28,7 @@ from ..lang.nodes import (
     map_stmt_exprs,
     walk_program,
 )
-from .base import ENTRY_NAME, InapplicableTransform, Namer, clone_program, generated
+from .base import ENTRY_NAME, InapplicableTransform, Namer, clone_program
 from .flatten import flatten_function, flattenable
 
 
@@ -39,14 +39,11 @@ def _merge_pair(f: FunctionDef, g: FunctionDef, namer: Namer, index: int) -> Fun
     carriers = [namer.fresh(f"c{index}_") for _ in range(max(len(f.params), len(g.params)))]
 
     def branch(fn: FunctionDef) -> list:
-        binds = [
-            generated(VarDecl(param, Var(carrier)))
-            for param, carrier in zip(fn.params, carriers)
-        ]
+        binds = [VarDecl(param, Var(carrier)) for param, carrier in zip(fn.params, carriers)]
         return binds + fn.body
 
     dispatch = If(BinOp("==", Var(sel), IntLit(0)), branch(f), branch(g))
-    return FunctionDef(merged_name, [sel] + carriers, [generated(dispatch)])
+    return FunctionDef(merged_name, [sel] + carriers, [dispatch])
 
 
 def _merge_all(program: Program, rng: np.random.Generator) -> tuple[Program, list[str]]:

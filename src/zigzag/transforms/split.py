@@ -40,7 +40,7 @@ from ..lang.nodes import (
     walk_expr,
     walk_program,
 )
-from .base import InapplicableTransform, Namer, clone_program, generated, mentioned_names
+from .base import InapplicableTransform, Namer, clone_program, mentioned_names
 
 _RUN_KINDS = (Assign, ArrayAssign, CallStmt)
 
@@ -88,7 +88,7 @@ def _split_function(fn: FunctionDef, rng: np.random.Generator, namer: Namer) -> 
         body = list(chunk)
         if i + 1 < len(chunks):
             call = Call(names[i + 1], [Var(v) for v in live_at[i + 1]])
-            body.append(generated(Return(call)))
+            body.append(Return(call))
         params = list(fn.params) if i == 0 else live_at[i]
         out.append(FunctionDef(names[i], params, body))
     return out
@@ -201,16 +201,16 @@ def _outline_run(
         name = namer.fresh(base)
         body: list[Stmt] = []
         if written is not None and written not in params:
-            body.append(generated(VarDecl(written)))
+            body.append(VarDecl(written))
         body.extend(part)
         if written is not None:
-            body.append(generated(Return(Var(written))))
+            body.append(Return(Var(written)))
         functions.append(FunctionDef(name, list(params), body))
         call = Call(name, [Var(p) for p in params])
         if written is not None:
-            replacement.append(generated(Assign(written, call)))
+            replacement.append(Assign(written, call))
         else:
-            replacement.append(generated(CallStmt(call)))
+            replacement.append(CallStmt(call))
     return replacement, functions
 
 

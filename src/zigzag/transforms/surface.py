@@ -25,13 +25,7 @@ from ..lang.nodes import (
     map_stmt_exprs,
     walk_program,
 )
-from .base import (
-    ENTRY_NAME,
-    InapplicableTransform,
-    Namer,
-    clone_program,
-    generated,
-)
+from .base import ENTRY_NAME, InapplicableTransform, Namer, clone_program
 
 
 def _split_points(rng: np.random.Generator, length: int) -> list[int]:
@@ -60,7 +54,7 @@ def pass_ct1(program: Program, rng: np.random.Generator) -> Program:
         if type(e) is not StrLit:
             return e
         name = namer.fresh("s")
-        ret = generated(Return(_builder_body(e.value, _split_points(rng, len(e.value)))))
+        ret = Return(_builder_body(e.value, _split_points(rng, len(e.value))))
         builders.append(FunctionDef(name, [], [ret]))
         return Call(name, [])
 

@@ -130,6 +130,28 @@ def test_read_corpus_checks_the_header_count_after_the_last_record(tmp_path):
         list(read_corpus(path))
 
 
+def test_read_corpus_splits_lines_at_newlines_only(tmp_path):
+    """U+2028 and U+0085 are line breaks to `str.splitlines` but may stand
+    raw in a JSON string; a record holding them loads, and a broken line
+    after it, or a line holding one such character alone, is reported at
+    its own number."""
+    corpus = generate_synthetic(3, 0.5, seed=8)
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["provenance"]["note"] = "a\u2028b\u0085c"
+    lines[1] = json.dumps(rec, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_corpus(path)[0].provenance["note"] == "a\u2028b\u0085c"
+    raw_control = lines[2].replace('"id": "', '"id": "\x1c', 1)
+    assert raw_control != lines[2]
+    for broken in (lines[2][:-9], raw_control, "\u2028", "\x1c"):
+        path.write_text("\n".join([*lines[:2], broken, *lines[3:]]) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"c\.jsonl:3: not valid JSON"):
+            load_corpus(path)
+
+
 def test_load_rejects_tampered_labels(tmp_path):
     corpus = generate_synthetic(3, 0.5, seed=8)
     path = tmp_path / "c.jsonl"

@@ -496,17 +496,28 @@ def test_trace_round_trip(tmp_path, pools):
 FIELD_DAMAGE = {
     "round-string": ("round", "x"),
     "round-bool": ("round", True),
+    "round-negative": ("round", -4),
     "epoch-float": ("epoch", 1.0),
+    "epoch-negative": ("epoch", -1),
     "phase-int": ("phase", 3),
     "phase-unknown": ("phase", "warm-up"),
     "L_c-string": ("L_c", "nan"),
     "L_c-nan": ("L_c", math.nan),
+    "L_c-negative": ("L_c", -1.0),
     "L_h-infinite": ("L_h", math.inf),
     "mean_disc-null": ("mean_disc", None),
+    "L_h-negative": ("L_h", -0.5),
     "mean_disc-int": ("mean_disc", 0),
+    "mean_disc-negative": ("mean_disc", -3.0),
     "gamma-bool": ("gamma", True),
+    "gamma-above-one": ("gamma", 7.0),
+    "gamma-negative": ("gamma", -0.25),
     "val_f1-string": ("val_f1", "0.5"),
     "val_f1-bool": ("val_f1", False),
+    "val_f1-nan": ("val_f1", math.nan),
+    "val_f1-infinite": ("val_f1", math.inf),
+    "val_f1-above-one": ("val_f1", 2.5),
+    "val_f1-negative": ("val_f1", -1.0),
 }
 
 
