@@ -17,21 +17,45 @@ The recurrence runs time-major: rnn_forward gathers E = emb[X.T]
 (L, B, D) and fills hs (L+1, B, H), so each step reads and writes one
 contiguous (B, ...) block, and both RNN kernels hand out and take
 (B, ...) transposed views of these arrays.  The token mask is built
-once per call.  Every matmul is one step's, with the (M, K, N) of a
-batch-major step: (B, D) @ (D, H) and (B, H) @ (H, H) forward;
-(D, B) @ (B, H), (H, B) @ (B, H), (B, H) @ (H, D) and (B, H) @ (H, H)
-backward, so no result depends on how BLAS blocks a larger product.
+once per call, and so is a (B, H) copy of b: numpy adds a broadcast
+(H,) row one short row at a time, at over twice the cost of adding a
+whole block.  A step's turn of a time loop runs only what needs the step
+before it: + h @ wh, + b, tanh and the carry forward; dpre_t =
+dh * dt_t, kept in one (L, B, H) array, dpre_t @ wh.T and the carry
+backward.  The rest runs once per call, outside the loop: the input
+projection E @ wx, written into hs[1:] before the forward loop, and
+dwx, dwh and dE after the backward loop, each one stacked np.matmul
+over the L steps.  numpy hands each item of a stacked matmul to BLAS
+as a product of its own, and item t is step t's product, with step t's
+shapes, so it has the bytes a per-step matmul gives.  Every matmul is
+one step's, with the (M, K, N) of a batch-major step: (B, D) @ (D, H)
+and (B, H) @ (H, H) forward; (D, B) @ (B, H), (H, B) @ (B, H),
+(B, H) @ (H, D) and (B, H) @ (H, H) backward, so no result depends on
+how BLAS blocks a larger product.
 
 A padded position keeps h.  The forward applies + b and tanh in place
 and then copies h over the step's new state where the mask is 0 (the
-in-place form of np.where(mask, new, h)); the backward computes
-1 - h**2 for every step at once, zeroes dh at padded rows with
-np.where, and carries dh past them with a second where.  Where a step
-has no padded row, the wheres are skipped.  With m in {0, 1} the blend
-m * new + (1 - m) * h that this replaces adds a product 0 * x, which
-is +0 or -0, to the kept value, so the two can differ only in the sign
-of a zero; every gradient sum (dwx, dwh, db, the embedding rows) starts
-at +0, and adding a zero of either sign to it changes no bit.
+in-place form of np.where(mask, new, h)).  The backward folds the mask
+into dt = (1 - h**2) * mask once per call, so dpre_t = dh * dt_t is a
+zero at a padded row, and copies dh over dpre_t @ wh.T at padded rows in
+the same way.  Where a step has no padded row, the copy is skipped.
+With m in {0, 1} a blend such as m * new + (1 - m) * h, which the copies
+replace, adds a product 0 * x, which is +0 or -0, to the kept value, so
+the two can differ only in the sign of a zero.  The folded mask is the
+one other place a zero's sign can move: 1 - h**2 >= +0, so dt is +0 at a
+padded row, and dh * (+0) is -0 where dh's sign bit is set, where a
+per-step loop's masked dh gave +0 * dt = +0.  That zero sits in a padded
+row of dpre and reaches nothing that is kept.  A row of dE or of dpre_t
+@ wh.T is made from the same row of dpre alone; a padded row of dE is
+never scattered, and the copy puts dh back in a padded row of dpre_t @
+wh.T.  In step t's item of dwx, dwh or db a padded row adds zeros, which
+leave a nonzero partial sum as it is and change a zero one at most in
+its sign.  The items are summed last step first, from +0, as a per-step
+loop of += adds them (np.add.reduce over the leading axis of a reversed
+view adds its items one at a time in the view's order).  Every gradient
+sum (dwx, dwh, db, the embedding rows) starts at +0 and so never holds
+-0 (x + -x is +0 under round to nearest): adding a zero of either sign
+to it changes no bit.
 scatter_embedding is one bincount over the flat offsets id * D + j of
 the unpadded positions, in X's row-major order: it adds each bin's
 rows in that order from 0, as np.add.at does.
@@ -86,12 +110,13 @@ def rnn_forward(
     E = emb[X.T]
     pad = (X.T == 0)[:, :, None]
     padded = pad.any(axis=(1, 2)).tolist()
+    bias = np.broadcast_to(b, hs.shape[1:]).copy()
+    np.matmul(E, wx, out=hs[1:])
     steps = list(hs)
-    for t, (x, p) in enumerate(zip(E, pad)):
+    for t, p in enumerate(pad):
         h, new = steps[t], steps[t + 1]
-        np.matmul(x, wx, out=new)
         new += h @ wh
-        new += b
+        new += bias
         np.tanh(new, out=new)
         if padded[t]:
             np.copyto(new, h, where=p)
@@ -108,28 +133,44 @@ def rnn_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """dE (B, L, D), a (B, ...) view of a time-major array, and dwx, dwh
     and db, from the gradient dh_last of the last state and
-    rnn_forward's hs and E."""
-    B, L = X.shape
+    rnn_forward's hs and E.
+
+    The loop runs the steps last first and does only what the next step
+    needs: dpre_t = dh * dt_t into the kept dpre, then dh = dpre_t @ wh.T,
+    with dh copied back at padded rows.  After it, dwx, dwh and dE are
+    stacked matmuls over dpre whose item t is step t's E_t.T @ dpre_t,
+    h_t.T @ dpre_t or dpre_t @ wx.T, and db's item t is step t's sum of
+    dpre_t over its rows.  The items of dwx, dwh and db are summed last
+    step first, from +0.  The mask folded into dt can leave -0 in a
+    padded row of dpre where a per-step loop had +0; the module
+    docstring says why no kept output can tell.
+    """
     hs, E = hs.transpose(1, 0, 2), E.transpose(1, 0, 2)
-    keep = (X.T != 0)[:, :, None]
-    padded = (~keep.all(axis=(1, 2))).tolist()
-    dtanh = hs[1:] * hs[1:]
-    np.subtract(1.0, dtanh, out=dtanh)
-    wxT, whT = wx.T, wh.T
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(wh.shape[0], dtype=np.float64)
-    dE = np.empty((L, B, wx.shape[0]), dtype=np.float64)
+    pad = (X.T == 0)[:, :, None]
+    padded = pad.any(axis=(1, 2)).tolist()
+    dt = hs[1:] * hs[1:]
+    np.subtract(1.0, dt, out=dt)
+    dt *= ~pad
+    whT = wh.T
+    dpre = np.empty_like(dt)
     dh = dh_last
-    steps = zip(E.transpose(0, 2, 1), hs[:-1].transpose(0, 2, 1), dtanh, keep, padded, dE)
-    for xT, hT, dt, k, any_pad, de in reversed(list(steps)):
-        dpre = (np.where(k, dh, 0.0) if any_pad else dh) * dt
-        dwx += xT @ dpre
-        dwh += hT @ dpre
-        db += np.add.reduce(dpre, axis=0)
-        np.matmul(dpre, wxT, out=de)
-        dh = np.where(k, dpre @ whT, dh) if any_pad else dpre @ whT
+    for t in reversed(range(X.shape[1])):
+        np.multiply(dh, dt[t], out=dpre[t])
+        carried = dpre[t] @ whT
+        if padded[t]:
+            np.copyto(carried, dh, where=pad[t])
+        dh = carried
+    dwx = _last_step_first(np.matmul(E.transpose(0, 2, 1), dpre))
+    dwh = _last_step_first(np.matmul(hs[:-1].transpose(0, 2, 1), dpre))
+    db = _last_step_first(np.add.reduce(dpre, axis=1))
+    dE = np.matmul(dpre, wx.T)
     return dE.transpose(1, 0, 2), dwx, dwh, db
+
+
+def _last_step_first(items: np.ndarray) -> np.ndarray:
+    """The sum of per-step items (L, ...), added one at a time from +0,
+    the last step's first."""
+    return np.add.reduce(items[::-1], axis=0, initial=0.0)
 
 
 def scatter_embedding(dE: np.ndarray, X: np.ndarray, vocab_size: int) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Numeric checks for the model: gradients, determinism, losses, serialization."""
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import zigzag.nn
-from zigzag.corpus import generate_synthetic
+import zigzag.nn.model
+from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import extract_fragments
 from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
@@ -29,6 +32,7 @@ from zigzag.nn.model import (
 )
 from zigzag.nn.optim import Adam, TrainingDiverged
 from zigzag.seeds import derive_rng
+from zigzag.training import TrainConfig, train_zigzag
 
 VOCAB = 12
 TINY_VOCAB = {f"t{i}": i for i in range(2, VOCAB)}  # ids 2..11, one per emb row past PAD/UNK
@@ -216,8 +220,19 @@ def _gap_batch(X):
     return gap
 
 
+def _full_set_batch(X):
+    """320 rows by 48 columns of X's token ids, each row padding after a
+    drawn length (0 to 48): the size of a whole set the trainer measures."""
+    rng = derive_rng(7, "rnn-full-set")
+    batch = rng.choice(X[X != 0], size=(320, 48))
+    batch[np.arange(48) >= rng.integers(0, 49, size=(320, 1))] = 0
+    return batch
+
+
 RNN_CUT_BATCHES = {
     "encoded": lambda X: X[:32],
+    "full-set": _full_set_batch,
+    "one-row": lambda X: X[:1],
     "five-extra-pad-columns": lambda X: np.pad(X[:32], ((0, 0), (0, 5))),
     "all-padding": lambda X: np.zeros_like(X[:4]),
     "empty": lambda X: X[:0],
@@ -321,6 +336,30 @@ def test_rnn_kernels_byte_equal_the_per_step_reference(batch):
     # the same dE, row-major or a time-major view, scatters to the same bytes
     dE = np.ascontiguousarray(got[0])
     assert scatter_embedding(dE, X, V).tobytes() == scatter_embedding_reference(dE, X, V).tobytes()
+
+
+def test_slice_rnn_zigzag_run_byte_equals_one_on_the_per_step_reference(tmp_path, monkeypatch):
+    corpus = generate_synthetic(12, seed=3)
+    pairs = [(c, c.program()) for c in corpus if c.split == "train"]
+    clean = [f for item, program in pairs for f in extract_fragments(item, "slice", program)]
+    varied = [f for item in augment_corpus(pairs, ("ct2", "ct7"), seed=5) if item.kind
+              for f in extract_fragments(item, "slice")]
+    model_config = {"encoder": "rnn", "granularity": "slice"}
+    train_config = TrainConfig(e1=3, beta=2, e2=2, e3=2, seed=7)
+
+    def run(name):
+        outcome = train_zigzag(clean, varied, model_config, train_config)
+        save_model(outcome.model, tmp_path / name)
+        return (tmp_path / name).read_bytes(), [asdict(rec) for rec in outcome.trace]
+
+    got = run("kernels.zzm")
+    monkeypatch.setattr(zigzag.nn.model, "rnn_forward", rnn_forward_reference)
+    monkeypatch.setattr(zigzag.nn.model, "rnn_backward", rnn_backward_reference)
+    monkeypatch.setattr(zigzag.nn.model, "scatter_embedding", scatter_embedding_reference)
+    want = run("reference.zzm")
+    assert {rec["round"] for rec in got[1]} == {0, 1, 2}  # the warm-up, then both rounds
+    assert got[0] == want[0]
+    assert got[1] == want[1]
 
 
 # ---- count-matrix mean pooling ------------------------------------------------
