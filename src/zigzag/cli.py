@@ -13,6 +13,18 @@ any artifact can be regenerated from the file sitting beside it.  The
 seed resolution order is: --seed, then a config-file `seed` entry,
 then 0.
 
+gen, transform and train take --config, a file of `key = value` lines
+(`#` starts a comment).  Each command reads its own keys:
+
+    gen        seed, count, vuln
+    transform  seed, ct
+    train      seed, granularity, every field of training.TrainConfig
+               (converted to the type of its default), and the model's
+               encoder and sizes (nn.model.SIZE_KEYS, length included)
+
+A key its command does not read, a line without `=`, or a value its
+key's type does not parse exits 2 and names the file and line.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 training divergence.
 """
 from __future__ import annotations
@@ -30,30 +42,30 @@ from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus
 from .encoding import EncodingError, count_truncated
 from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
-from .nn.model import ModelError, load_model, make_config, model_fingerprint, save_model
+from .nn.model import SIZE_KEYS, ModelError, load_model, make_config, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
 from .training import TrainConfig, TrainingError, save_trace, train_original, train_zigzag
 from .transforms import TransformError, resolve_kinds
 
 log = logging.getLogger("zigzag")
 
-_INT_KEYS = {
-    "seed", "count", "beta", "e1", "e2", "e3", "batch_size",
-    "emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length",
-}
-_FLOAT_KEYS = {"vuln", "delta", "lr", "tau_disc", "tau_loss"}
-_STR_KEYS = {"ct", "granularity", "encoder"}
-_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+_TRAIN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_MODEL_KEYS = {"encoder": str, **dict.fromkeys(SIZE_KEYS, int)}
 
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-_MODEL_KEYS = ("encoder", "emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length")
+# per command, the config-file keys it reads and the type each value converts to
+_CONFIG_KEYS = {
+    "gen": {"seed": int, "count": int, "vuln": float},
+    "transform": {"seed": int, "ct": str},
+    "train": {"seed": int, "granularity": str, **_TRAIN_FIELDS, **_MODEL_KEYS},
+}
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    keys = _CONFIG_KEYS[command]
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -66,15 +78,10 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r} ({command} reads {', '.join(keys)})")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = keys[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return values
@@ -82,7 +89,7 @@ def _parse_config_file(path: str) -> dict:
 
 def _load_run_config(args) -> dict:
     if getattr(args, "config", None):
-        return _parse_config_file(args.config)
+        return _parse_config_file(args.config, args.command)
     return {}
 
 
@@ -170,7 +177,7 @@ def cmd_transform(args) -> None:
 def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, int]:
     """The train config, the model config the command passes on, and the
     token length the model will keep."""
-    tc = TrainConfig(seed=seed, **{k: config[k] for k in _TRAIN_KEYS if k in config})
+    tc = TrainConfig(**{k: config[k] for k in _TRAIN_FIELDS if k in config} | {"seed": seed})
     mc = {k: config[k] for k in _MODEL_KEYS if k in config}
     mc["granularity"] = _pick(args, config, "granularity", "function")
     try:

@@ -49,6 +49,21 @@ class Confusion:
             self.tp + other.tp, self.fn + other.fn, self.fp + other.fp, self.tn + other.tn
         )
 
+    @property
+    def fpr(self) -> Optional[Fraction]:
+        denom = self.fp + self.tn
+        return Fraction(self.fp, denom) if denom else None
+
+    @property
+    def fnr(self) -> Optional[Fraction]:
+        denom = self.tp + self.fn
+        return Fraction(self.fn, denom) if denom else None
+
+    @property
+    def f1(self) -> Optional[Fraction]:
+        denom = 2 * self.tp + self.fp + self.fn
+        return Fraction(2 * self.tp, denom) if denom else None
+
 
 def confusion_from(y_true: Sequence[int], y_pred: Sequence[int]) -> Confusion:
     if len(y_true) != len(y_pred):
@@ -66,32 +81,14 @@ def confusion_from(y_true: Sequence[int], y_pred: Sequence[int]) -> Confusion:
     return Confusion(tp, fn, fp, tn)
 
 
-def false_positive_rate(c: Confusion) -> Optional[Fraction]:
-    denom = c.fp + c.tn
-    return Fraction(c.fp, denom) if denom else None
-
-
-def false_negative_rate(c: Confusion) -> Optional[Fraction]:
-    denom = c.tp + c.fn
-    return Fraction(c.fn, denom) if denom else None
-
-
-def f1_score(c: Confusion) -> Optional[Fraction]:
-    denom = 2 * c.tp + c.fp + c.fn
-    if denom == 0:
-        return None
-    return Fraction(2 * c.tp, denom)
-
-
-def format_metric(value: Optional[Fraction], digits: int = 10) -> str:
-    """Decimal rendering with `digits` significant digits; exact rationals in,
+def format_metric(value: Optional[Fraction]) -> str:
+    """Decimal rendering with 10 significant digits; exact rationals in,
     shortest faithful string out."""
     if value is None:
         return "n/a"
     if value == 0:
         return "0"
-    text = f"{float(value):.{digits}g}"
-    return text
+    return f"{float(value):.10g}"
 
 
 @dataclass(slots=True)
@@ -100,18 +97,6 @@ class EvalRow:
     programs: int
     functions: int
     confusion: Confusion
-
-    @property
-    def fpr(self) -> Optional[Fraction]:
-        return false_positive_rate(self.confusion)
-
-    @property
-    def fnr(self) -> Optional[Fraction]:
-        return false_negative_rate(self.confusion)
-
-    @property
-    def f1(self) -> Optional[Fraction]:
-        return f1_score(self.confusion)
 
 
 # one line of the report text, filled from a record of to_records
@@ -161,9 +146,9 @@ class EvalReport:
                 "programs": r.programs,
                 "functions": r.functions,
                 **asdict(r.confusion),
-                "fpr": format_metric(r.fpr),
-                "fnr": format_metric(r.fnr),
-                "f1": format_metric(r.f1),
+                "fpr": format_metric(r.confusion.fpr),
+                "fnr": format_metric(r.confusion.fnr),
+                "f1": format_metric(r.confusion.f1),
             }
             for r in self.rows
         ]
@@ -338,10 +323,7 @@ def compare_reports(reports: Sequence[EvalReport], names: Sequence[str]) -> dict
     digests = {r.corpus_digest for r in reports}
     if len(digests) != 1:
         raise EvaluationError("reports describe different corpora; refusing to compare")
-    f1s = []
-    for r in reports:
-        value = r.row(TOTAL_ROW).f1
-        f1s.append(value)
+    f1s = [r.row(TOTAL_ROW).confusion.f1 for r in reports]
     comparable = [f if f is not None else Fraction(0) for f in f1s]
     ordered = all(b >= a for a, b in zip(comparable, comparable[1:]))
     return {

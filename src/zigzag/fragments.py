@@ -51,9 +51,7 @@ class FragmentError(Exception):
 @dataclass(slots=True)
 class Fragment:
     id: str
-    program_id: str
     function: str
-    granularity: str
     tokens: tuple[str, ...]
     label: int
     split: str
@@ -136,9 +134,7 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
             out.append(
                 Fragment(
                     id=f"{item.id}/{fn.name}",
-                    program_id=item.id,
                     function=fn.name,
-                    granularity=granularity,
                     tokens=function_tokens(fn),
                     label=labels[fn.name],
                     split=item.split,
@@ -151,9 +147,7 @@ def extract_fragments(item: CorpusProgram, granularity: str, program: Optional[P
             out.append(
                 Fragment(
                     id=f"{item.id}/{fn.name}/s{k}",
-                    program_id=item.id,
                     function=fn.name,
-                    granularity=granularity,
                     tokens=statement_tokens(stmts),
                     label=label,
                     split=item.split,

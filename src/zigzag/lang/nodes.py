@@ -359,8 +359,3 @@ def signature(node, with_flags: bool = True):
     if with_flags and isinstance(node, Stmt):
         sig += (node.vuln,)
     return sig
-
-
-def program_signature(program: Program, with_flags: bool = True) -> tuple:
-    """Structural identity of a program, ignoring LineIds (and optionally flags)."""
-    return signature(program, with_flags)

@@ -59,6 +59,9 @@ DEFAULT_LENGTH = {FUNCTION_GRANULARITY: 128, SLICE_GRANULARITY: 64}
 
 _REQUIRED_KEYS = (*DEFAULT_CONFIG, "length")
 
+# the config's sizes, each an integer >= 1
+SIZE_KEYS = ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length")
+
 # the two classifier heads on one feature stack
 HEADS = ("c1", "c2")
 
@@ -80,7 +83,7 @@ def make_config(**overrides) -> dict:
     if config["granularity"] not in GRANULARITIES:
         raise ModelError(f"unknown granularity {config['granularity']!r}")
     config.setdefault("length", DEFAULT_LENGTH[config["granularity"]])
-    for key in ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length"):
+    for key in SIZE_KEYS:
         if type(config[key]) is not int or config[key] < 1:
             raise ModelError(f"{key} must be an integer >= 1, got {config[key]!r}")
     if not isinstance(config["delta"], float) or not 0.0 < config["delta"] < 1.0:

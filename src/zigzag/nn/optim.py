@@ -36,6 +36,11 @@ class TrainingDiverged(Exception):
 # names; a plain tuple, since a NamedTuple class adds about 1 ms to import
 _Run = tuple[int, int, int, int, tuple[str, ...]]
 
+# the moment decay rates and the denominator's floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def _first_non_finite(names: tuple[str, ...], arrays: dict[str, np.ndarray], what: str) -> TrainingDiverged:
     bad = next(n for n in names if not np.isfinite(arrays[n]).all())
@@ -43,11 +48,8 @@ def _first_non_finite(names: tuple[str, ...], arrays: dict[str, np.ndarray], wha
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def __init__(self, lr: float) -> None:
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._params: dict[str, np.ndarray] | None = None
         self._runs: dict[tuple[str, ...], list[_Run]] = {}
 
@@ -101,21 +103,21 @@ class Adam:
             t[i] += 1
         counts = t[first:last]
         if counts.count(counts[0]) == len(counts):
-            c1 = 1.0 - self.beta1 ** counts[0]
-            c2 = 1.0 - self.beta2 ** counts[0]
+            c1 = 1.0 - BETA1 ** counts[0]
+            c2 = 1.0 - BETA2 ** counts[0]
         else:
             # each tensor's own Python-float correction, repeated over its
             # elements; an array power might round differently
             sizes = self._sizes[first:last]
-            c1 = np.repeat([1.0 - self.beta1**n for n in counts], sizes)
-            c2 = np.repeat([1.0 - self.beta2**n for n in counts], sizes)
+            c1 = np.repeat([1.0 - BETA1**n for n in counts], sizes)
+            c2 = np.repeat([1.0 - BETA2**n for n in counts], sizes)
         m = self._m[lo:hi]
         v = self._v[lo:hi]
-        m[:] = self.beta1 * m + (1.0 - self.beta1) * g
-        v[:] = self.beta2 * v + (1.0 - self.beta2) * g * g
+        m[:] = BETA1 * m + (1.0 - BETA1) * g
+        v[:] = BETA2 * v + (1.0 - BETA2) * g * g
         mhat = m / c1
         vhat = v / c2
         p = self._flat[lo:hi]
-        p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        p -= self.lr * mhat / (np.sqrt(vhat) + EPS)
         if not np.isfinite(p).all():
             raise _first_non_finite(names, self._params, "parameter")

@@ -293,7 +293,7 @@ class _Trainer:
     def val_f1(self) -> Optional[float]:
         if self.val is None:
             return None
-        f1 = self.val.score(DetectorModel(self.mc, self.vocab, self.params))[-1].f1  # the Total row's
+        f1 = self.val.score(DetectorModel(self.mc, self.vocab, self.params))[-1].confusion.f1  # the Total row's
         return None if f1 is None else float(f1)
 
     def record(self, rnd: int, phase: str, epoch: int, L_c: float, L_h: float, disc: float, gamma: float) -> None:

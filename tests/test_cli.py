@@ -17,7 +17,7 @@ from zigzag.fragments import extract_fragments
 from zigzag.lang import lexer, parse
 from zigzag.lang.parser import Parser
 from zigzag.nn.model import DetectorModel, init_params, load_model, make_config, model_fingerprint, save_model
-from zigzag.training import load_trace
+from zigzag.training import TrainConfig, load_trace
 
 
 def test_pipeline_runs_and_parses_each_record_once_per_command(tmp_path, monkeypatch):
@@ -417,6 +417,53 @@ def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and what in err and err.count("\n") == 1
     assert not (tmp_path / "m.zzm").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("gen", "count = 4\ne1 = 3\n"),
+        ("transform", "ct = ct2\ngranularity = slice\n"),
+        ("train", "e1 = 1\ncount = 5\n"),
+        ("train", "e1 = 1\nvuln = 0.9\n"),
+        ("train", "e1 = 1\nct = all\n"),
+    ],
+    ids=["gen-e1", "transform-granularity", "train-count", "train-vuln", "train-ct"],
+)
+def test_config_key_its_command_does_not_read_exits_2(command, config, small_corpora, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    key = config.splitlines()[1].split(" = ")[0]
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", "--out-train", str(out / "train.jsonl"), "--out-test", str(out / "test.jsonl")],
+        "transform": ["transform", str(small_corpora["train"]), "--out", str(out / "aug.jsonl")],
+        "train": ["train", "--mode", "original", "--data", str(small_corpora["train"]),
+                  "--out-model", str(out / "m.zzm"), "--out-trace", str(out / "t.jsonl")],
+    }[command]
+    out.mkdir()
+    capsys.readouterr()
+    assert main(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: unknown config key {key!r} ({command} reads seed, ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_every_train_config_field_reaches_the_sidecar(small_corpora, tmp_path):
+    values = {"delta": 0.45, "beta": 2, "e1": 2, "e2": 2, "e3": 1, "batch_size": 16, "lr": 0.003,
+              "seed": 5, "tau_disc": 0.002, "tau_loss": 0.0005}
+    defaults = dataclasses.asdict(TrainConfig())
+    assert sorted(values) == sorted(defaults)
+    assert all(value != defaults[key] for key, value in values.items())
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    argv = ["train", "--mode", "zigzag", "--data", str(small_corpora["train_aug"]), "--config", str(config),
+            "--out-model", str(tmp_path / "m.zzm"), "--out-trace", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 0
+    sidecar = json.loads((tmp_path / "m.zzm.config.json").read_text())
+    assert sidecar["train_config"] == values
+    assert sidecar["seed"] == 5
 
 
 def _edit_report(path, edit) -> None:

@@ -148,7 +148,7 @@ def test_function_fragments_carry_labels_and_split():
     frags = [f for item in corpus for f in extract_fragments(item, "function")]
     by_prog = {}
     for f in frags:
-        by_prog.setdefault(f.program_id, []).append(f)
+        by_prog.setdefault(f.id.split("/", 1)[0], []).append(f)
     for item in corpus:
         mine = by_prog[item.id]
         assert {f.function for f in mine} == set(item.labels)
@@ -161,7 +161,7 @@ def test_slice_fragments_flag_vulnerable_programs():
     corpus = generate_synthetic(10, 0.5, seed=23)
     frags = [f for item in corpus for f in extract_fragments(item, "slice")]
     for item in corpus:
-        mine = [f for f in frags if f.program_id == item.id]
+        mine = [f for f in frags if f.id.split("/", 1)[0] == item.id]
         assert mine, "every program has at least one array-indexing statement"
         assert any(f.label for f in mine) == item.vulnerable
 
@@ -205,7 +205,7 @@ def test_normalize_collapses_strings():
 
 def test_vocab_orders_by_frequency_then_text():
     frags = [
-        Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 1 + 1 + 2;\n}\n")), 0, "train")
+        Fragment("a", "f", tuple(normalize_tokens("func f() {\n    return 1 + 1 + 2;\n}\n")), 0, "train")
     ]
     vocab = build_vocab(frags)
     assert min(vocab.values()) == 2
@@ -215,14 +215,14 @@ def test_vocab_orders_by_frequency_then_text():
 
 
 def test_vocab_rejects_non_training_fragments():
-    frag = Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "test")
+    frag = Fragment("a", "f", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "test")
     with pytest.raises(EncodingError):
         build_vocab([frag])
 
 
 def test_encode_pads_truncates_and_maps_unknowns():
     vocab = {"func": 2, "(": 3, ")": 4, "{": 5, "}": 6}
-    frag = Fragment("a", "p", "f", "function", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "train")
+    frag = Fragment("a", "f", tuple(normalize_tokens("func f() {\n    return 0;\n}\n")), 0, "train")
 
     def encode(length):
         X, _ = encode_fragments([frag], vocab, length)

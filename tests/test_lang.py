@@ -52,7 +52,7 @@ from zigzag.lang.nodes import (
     Var,
     flagged_lines,
     map_expr,
-    program_signature,
+    signature,
     stmt_expressions,
     walk_expr,
     walk_program,
@@ -262,7 +262,7 @@ def test_dangling_vuln_marker_rejected() -> None:
 def test_print_parse_round_trip(demo_program) -> None:
     text = pretty_print(demo_program)
     again = parse(text)
-    assert program_signature(again) == program_signature(demo_program)
+    assert signature(again) == signature(demo_program)
     assert pretty_print(again) == text
 
 
@@ -279,14 +279,14 @@ def test_parens_minimal_but_sufficient() -> None:
     text = pretty_print(p)
     assert "(1 + 2) * 3" in text
     assert "(5 - 3)" in text
-    assert program_signature(parse(text), with_flags=False) == program_signature(p, with_flags=False)
+    assert signature(parse(text), with_flags=False) == signature(p, with_flags=False)
 
 
 def test_negative_literals_round_trip() -> None:
     p = parse("func main() { var x = -5; output(x * -1); }")
     text = pretty_print(p)
     assert "-5" in text
-    assert program_signature(parse(text)) == program_signature(p)
+    assert signature(parse(text)) == signature(p)
 
 
 def test_for_header_sub_statements_get_ids() -> None:
@@ -334,7 +334,7 @@ def test_tokenize_of_ast_matches_text(demo_source, demo_program) -> None:
 
 def test_string_escapes_round_trip() -> None:
     p = parse('func main() { output("a\\"b\\\\c\\nd"); }')
-    assert program_signature(parse(pretty_print(p))) == program_signature(p)
+    assert signature(parse(pretty_print(p))) == signature(p)
 
 
 # ---- lexer -------------------------------------------------------------------
@@ -417,7 +417,7 @@ def _parse_record(source: str) -> dict:
         program = parser.parse_program()
     except MiniLangError as exc:
         return {"error": [type(exc).__name__, exc.message, exc.line, exc.col]}
-    return {"signature": program_signature(program),
+    return {"signature": signature(program),
             "positions": [parser.stream.position(i) for i in parser.starts[1:]]}
 
 
@@ -568,7 +568,7 @@ def test_the_deepest_program_of_each_form_prints_to_one_that_parses(source, deep
     program = parse(source(deepest))
     with pytest.raises(SyntaxErrorML, match=f"nesting deeper than {MAX_DEPTH} levels"):
         parse(source(deepest + 1))
-    assert program_signature(parse(pretty_print(program))) == program_signature(program)
+    assert signature(parse(pretty_print(program))) == signature(program)
 
 
 @settings(derandomize=True, database=None, max_examples=300)
@@ -660,7 +660,7 @@ _OPERATOR_TREES = st.recursive(
 def test_printed_operator_trees_parse_back_to_the_same_tree(tree) -> None:
     program = parse("func main() { var a = 1; var b = 2; var c[3]; output(0); }")
     program.function("main").body[-1].call.args = [tree]
-    assert program_signature(parse(pretty_print(program))) == program_signature(program)
+    assert signature(parse(pretty_print(program))) == signature(program)
 
 
 @settings(derandomize=True, database=None, max_examples=300)
@@ -678,7 +678,7 @@ def test_token_walk_is_the_printed_text_lexed_and_normalized(tree) -> None:
     tokens = function_tokens(main)
     assert list(tokens) == normalize_tokens(text)
     assert list(statement_tokens(main.body[-1:])) == normalize_tokens(text.splitlines()[-2])
-    fragment = Fragment("p/main", "p", "main", "function", tokens, 0, "train")
+    fragment = Fragment("p/main", "main", tokens, 0, "train")
     assert normalize_tokens(fragment.text) == list(tokens)
 
 
@@ -773,24 +773,24 @@ def test_every_field_of_every_node_kind_is_in_the_signature() -> None:
     program = parse(SIGNATURE_SRC)
     nodes = _all_nodes(program)
     assert {type(n) for n in nodes} == set(_kinds(Stmt)) | set(_kinds(Expr))
-    base = program_signature(program)
+    base = signature(program)
     for node in nodes:
         for f in dataclasses.fields(node):
             old = getattr(node, f.name)
             setattr(node, f.name, _changed(old))
-            assert program_signature(program) != base, (type(node).__name__, f.name)
+            assert signature(program) != base, (type(node).__name__, f.name)
             setattr(node, f.name, old)
-    assert program_signature(program) == base
+    assert signature(program) == base
 
 
 def test_a_flag_is_in_the_signature_only_with_flags() -> None:
     program = parse(SIGNATURE_SRC)
-    with_flags, without = program_signature(program), program_signature(program, with_flags=False)
+    with_flags, without = signature(program), signature(program, with_flags=False)
     for stmt in walk_program(program):
         stmt.vuln = True
-        assert program_signature(program) != with_flags, type(stmt).__name__
-        assert program_signature(program, with_flags=False) == without
+        assert signature(program) != with_flags, type(stmt).__name__
+        assert signature(program, with_flags=False) == without
         stmt.vuln = False
         stmt.line_id += 100
         stmt.origin = 7
-        assert program_signature(program) == with_flags
+        assert signature(program) == with_flags

@@ -199,10 +199,12 @@ def uncut_rnn_pass(params: dict, X: np.ndarray, dF: np.ndarray) -> tuple[np.ndar
 
 
 def slice_rnn_setup(length: int = 64):
-    """An RNN model and the encoded slice fragments of a small corpus."""
-    fragments = [f for item in generate_synthetic(8, 0.5, seed=3) for f in extract_fragments(item, "slice")]
+    """An RNN model and the encoded slice fragments of a small corpus: at
+    least the 32 rows that RNN_CUT_BATCHES cut with X[:32]."""
+    fragments = [f for item in generate_synthetic(16, 0.5, seed=3) for f in extract_fragments(item, "slice")]
     vocab = build_vocab(f for f in fragments if f.split == "train")
     X, _ = encode_fragments(fragments, vocab, length)
+    assert X.shape[0] >= 32
     config = make_config(encoder="rnn", granularity="slice", length=length)
     params = init_params(config, max(vocab.values()) + 1, 7)
     rng = derive_rng(7, "rnn-cut")
@@ -554,8 +556,10 @@ def test_non_finite_parameter_names_the_first_tensor_in_buffer_order():
 class _PerTensorAdam:
     """The per-tensor Adam loop the flat buffer replaced, kept as the reference."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        self.lr, self.beta1, self.beta2, self.eps = float(lr), beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float) -> None:
+        self.lr = float(lr)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}

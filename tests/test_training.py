@@ -454,9 +454,7 @@ def test_rejects_non_training_fragments(pools):
     tampered = [*clean]
     tampered[0] = type(clean[0])(
         id=clean[0].id,
-        program_id=clean[0].program_id,
         function=clean[0].function,
-        granularity=clean[0].granularity,
         tokens=clean[0].tokens,
         label=clean[0].label,
         split="test",

@@ -21,7 +21,7 @@ from zigzag.lang.nodes import (
     Program,
     collect_line_ids,
     flagged_lines,
-    program_signature,
+    signature,
     stmt_expressions,
     walk_expr,
     walk_program,
@@ -434,7 +434,7 @@ def test_resolve_kinds_accepts_lists_sets_and_all():
 
 def _what_a_pass_reads(program):
     return (
-        program_signature(program),
+        signature(program),
         [(st.line_id, st.vuln, st.origin) for st in walk_program(program)],
     )
 
