@@ -12,13 +12,20 @@ embedding's rows and, for the mean encoder, builds C and n.  A training
 set is prepared once per run and its batches are row gathers of it; an
 id array given to features_forward is prepared there, on every call.
 Each head is a small tanh MLP ending in a sigmoid.  The two heads c1
-and c2 always run as a pair on one F: heads_forward and heads_backward
-are the only way training and prediction reach them, and heads_backward
-sums the two heads' feature gradients.  binary_prediction is the one
-threshold rule.  Everything is float64 and functional: forward passes
-return caches, backward passes return gradient dicts keyed like the
-parameter dict, so freezing a subsystem means not asking for its
-gradients.
+and c2 always run as a pair on one F, in one stacked pass:
+heads_forward stacks each layer's two tensors per call, so one matmul
+per layer, one tanh and one sigmoid serve both heads, and its P holds
+the two heads' probabilities as rows.  Item k of a stacked matmul is
+head k's product with head k's shapes, so the pair has the bytes of two
+per-head passes.  heads_forward and heads_backward are the only way
+training and prediction reach the heads.  heads_backward sums the two
+heads' feature gradients, and computes only what its caller asks for:
+a feature step takes dF alone, a classifier step the head gradients
+alone.  head_forward and head_backward run one head as a stack of one,
+through the same code.  binary_prediction is the one threshold rule.
+Everything is float64 and functional: forward passes return caches,
+backward passes return gradient dicts keyed like the parameter dict, so
+freezing a subsystem means not asking for its gradients.
 
 Serialization is a fixed binary layout (magic, length-prefixed
 canonical JSON header, raw little-endian float64 tensors in sorted name
@@ -139,12 +146,10 @@ def init_params(config: dict, vocab_size: int, seed: int) -> dict[str, np.ndarra
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere, so no
+    exp overflows: e = e^-|z| is e^-z or e^z exactly."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_token_ids(X: np.ndarray, rows: int) -> None:
@@ -244,46 +249,70 @@ def features_backward(params: dict, config: dict, cache: dict, dF: np.ndarray) -
     return grads
 
 
+def heads_forward(params: dict, F: np.ndarray, heads: tuple[str, ...] = HEADS) -> tuple[np.ndarray, dict]:
+    """The heads on the same features F (N, feature_dim), as one stacked
+    pass: P (len(heads), N), row k head k's probability, and the cache.
+
+    Each layer's tensors are stacked per call, (2, ...) for the pair, so
+    one tanh, one sigmoid and one matmul per layer serve both heads.  Item
+    k of a stacked matmul has head k's own (M, K, N), and numpy hands each
+    item to BLAS as a product of its own, so the result has the bytes of a
+    per-head pass; every other step is elementwise or sums along N.
+    """
+    W1, B1, W2, B2 = (np.array([params[f"{head}_{name}"] for head in heads]) for name in ("w1", "b1", "w2", "b2"))
+    # + b and tanh in place: over a full set, a fresh (2, N, hidden)
+    # temporary per step costs more than the step
+    h1 = F @ W1
+    h1 += B1[:, None, :]
+    np.tanh(h1, out=h1)
+    z = h1 @ W2
+    z += B2[:, None, :]
+    P = _sigmoid(z)[:, :, 0]
+    return P, {"heads": heads, "F": F, "h1": h1, "P": P, "W1": W1, "W2": W2}
+
+
+def heads_backward(
+    cache: dict, dP: np.ndarray, *, head_grads: bool = True, feature_grad: bool = True
+) -> tuple[dict[str, np.ndarray] | None, np.ndarray | None]:
+    """Back through heads_forward, given dP = dL/dP of P's shape: the
+    heads' weight gradients, keyed like the parameters (c1's first), and
+    dF, the sum of the heads' feature gradients.  A step that updates
+    only the features asks for dF only (head_grads=False), one that
+    updates only the heads for the weight gradients only
+    (feature_grad=False); what is not asked for is None."""
+    P, h1, W2 = cache["P"], cache["h1"], cache["W2"]
+    dz = (dP * P * (1.0 - P))[:, :, None]
+    dpre1 = (dz @ W2.transpose(0, 2, 1)) * (1.0 - h1 * h1)
+    grads = dF = None
+    if head_grads:
+        dW1 = cache["F"].T @ dpre1
+        db1 = dpre1.sum(axis=1)
+        dW2 = h1.transpose(0, 2, 1) @ dz
+        db2 = dz.sum(axis=1)
+        grads = {}
+        for k, head in enumerate(cache["heads"]):
+            grads.update({f"{head}_w1": dW1[k], f"{head}_b1": db1[k], f"{head}_w2": dW2[k], f"{head}_b2": db2[k]})
+    if feature_grad:
+        dFs = dpre1 @ cache["W1"].transpose(0, 2, 1)
+        dF = dFs[0] if len(dFs) == 1 else dFs[0] + dFs[1]
+    return grads, dF
+
+
 def head_forward(params: dict, head: str, F: np.ndarray) -> tuple[np.ndarray, dict]:
-    h1 = np.tanh(F @ params[f"{head}_w1"] + params[f"{head}_b1"])
-    z = h1 @ params[f"{head}_w2"] + params[f"{head}_b2"]
-    p = _sigmoid(z).ravel()
-    return p, {"F": F, "h1": h1, "p": p}
+    """One head alone: heads_forward over a stack of one."""
+    P, cache = heads_forward(params, F, (head,))
+    return P[0], cache
 
 
 def head_backward(
     params: dict, head: str, cache: dict, dp: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    p = cache["p"]
-    h1 = cache["h1"]
-    F = cache["F"]
-    dz = (dp * p * (1.0 - p))[:, None]
-    grads = {
-        f"{head}_w2": h1.T @ dz,
-        f"{head}_b2": dz.sum(axis=0),
-    }
-    dh1 = dz @ params[f"{head}_w2"].T
-    dpre1 = dh1 * (1.0 - h1 * h1)
-    grads[f"{head}_w1"] = F.T @ dpre1
-    grads[f"{head}_b1"] = dpre1.sum(axis=0)
-    dF = dpre1 @ params[f"{head}_w1"].T
-    return grads, dF
-
-
-def heads_forward(params: dict, F: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[dict, dict]]:
-    """Both heads on the same features: p1, p2 and the pair's cache."""
-    p1, h1 = head_forward(params, "c1", F)
-    p2, h2 = head_forward(params, "c2", F)
-    return p1, p2, (h1, h2)
-
-
-def heads_backward(
-    params: dict, cache: tuple[dict, dict], dp1: np.ndarray, dp2: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Both heads' gradients in one dict, c1's first, and dF1 + dF2."""
-    g1, dF1 = head_backward(params, "c1", cache[0], dp1)
-    g2, dF2 = head_backward(params, "c2", cache[1], dp2)
-    return {**g1, **g2}, dF1 + dF2
+    """One head alone: heads_backward over the stack of one that
+    head_forward cached, which holds the weights it ran with, so params
+    is not read; the signature is the one perfbench's sweep calls."""
+    if cache["heads"] != (head,):
+        raise ModelError(f"a cache of heads {cache['heads']} is not head {head!r}'s")
+    return heads_backward(cache, dp[None])
 
 
 def binary_prediction(p: np.ndarray, delta: float) -> np.ndarray:
@@ -306,7 +335,7 @@ class DetectorModel:
 
     def predict_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F, _ = features_forward(self.params, self.config, X)
-        p1, p2, _ = heads_forward(self.params, F)
+        p1, p2 = heads_forward(self.params, F)[0]
         return p1, p2
 
     def fused_proba(self, X: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ phase freezes parameters simply by not computing their gradients. The
 keys of a step fall into runs of tensors that sit next to each other in
 the buffer; `init_params` lays out the feature tensors and then the two
 heads, so a joint, classifier or feature step of the trainer is one run.
-Each run is updated by one vectorized pass over its slice, with the
-per-element arithmetic of a per-tensor loop. Each tensor keeps its own
-step count, and its bias corrections stay the Python floats
+Each run is updated by one vectorized pass over its slice, in place,
+with the per-element arithmetic of a per-tensor loop: every product and
+sum in the same order, so the bytes are the loop's. Each tensor keeps
+its own step count, and its bias corrections stay the Python floats
 `1.0 - beta**t`.
 
 Non-finite gradients or parameters abort the run instead of silently
@@ -89,7 +90,7 @@ class Adam:
             runs = self._runs[keys] = self._plan(keys)
         flat_grads = []
         for *_, names in runs:
-            g = np.concatenate([grads[n] for n in names], axis=None)
+            g = np.concatenate([grads[n] for n in names], axis=None, dtype=np.float64)
             if not np.isfinite(g).all():
                 raise _first_non_finite(names, grads, "gradient")
             flat_grads.append(g)
@@ -111,13 +112,26 @@ class Adam:
             sizes = self._sizes[first:last]
             c1 = np.repeat([1.0 - BETA1**n for n in counts], sizes)
             c2 = np.repeat([1.0 - BETA2**n for n in counts], sizes)
+        # in place, each product and sum of the textbook rule in its order:
+        # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g,
+        # p -= (lr (m / c1)) / (sqrt(v / c2) + eps); g is this step's own
+        # concatenation, so it holds the update at the end
         m = self._m[lo:hi]
         v = self._v[lo:hi]
-        m[:] = BETA1 * m + (1.0 - BETA1) * g
-        v[:] = BETA2 * v + (1.0 - BETA2) * g * g
-        mhat = m / c1
-        vhat = v / c2
+        gg = (1.0 - BETA2) * g
+        gg *= g
+        v *= BETA2
+        v += gg
+        g *= 1.0 - BETA1
+        m *= BETA1
+        m += g
+        np.divide(m, c1, out=g)
+        g *= self.lr
+        np.divide(v, c2, out=gg)
+        np.sqrt(gg, out=gg)
+        gg += EPS
+        g /= gg
         p = self._flat[lo:hi]
-        p -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+        p -= g
         if not np.isfinite(p).all():
             raise _first_non_finite(names, self._params, "parameter")

@@ -1,10 +1,16 @@
 """Training schemes for the detector.
 
 Two entry points share one trainer: one setup, one joint warm-up, one
-Adam optimizer.  The detector's two heads c1 and c2 run as one pair on
-one F, through nn.model.heads_forward and heads_backward, so no phase
-here names a head; the threshold rule is nn.model.binary_prediction,
-which this module re-exports.
+Adam optimizer, which updates the parameters in place.  The detector's
+two heads c1 and c2 run as one stacked pair on one F, through
+nn.model.heads_forward and heads_backward, so no phase here names a
+head: each loss is one call over the pair's (2, N) probabilities, and
+each step asks heads_backward for what it updates (a joint step for
+the head gradients and dF, a classifier step for the head gradients, a
+feature step for dF).  A step takes its loss's gradient alone
+(bce_grad, discrepancy_grad); only the records compute loss values.
+The threshold rule is nn.model.binary_prediction, which this module
+re-exports.
 
 * train_original: one feature stack and two heads fit jointly by summed
   cross entropy on whatever fragments it is given.  Adversarial
@@ -56,7 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -67,7 +73,7 @@ from .encoding import build_vocab, encode_fragments
 from .evaluation import encode_corpus
 from .fragments import Fragment
 from .lang.nodes import Program
-from .nn.losses import bce_loss, discrepancy_loss
+from .nn.losses import bce_grad, bce_loss, discrepancy_grad, discrepancy_loss
 from .nn.model import (
     DetectorModel,
     PreparedIds,
@@ -104,14 +110,13 @@ class TrainConfig:
     tau_loss: float = 1e-3
 
     def validate(self) -> None:
-        for name in ("beta", "e1", "e2", "e3", "batch_size", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TrainingError(f"{name} must be an integer, got {value!r}")
-        for name in ("delta", "lr", "tau_disc", "tau_loss"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise TrainingError(f"{name} must be a real number, got {value!r}")
+        # each field's type is its default's: an integer, or a real that is not a bool
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if type(field.default) is int and type(value) is not int:
+                raise TrainingError(f"{field.name} must be an integer, got {value!r}")
+            if type(field.default) is float and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
+                raise TrainingError(f"{field.name} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise TrainingError("delta must be in (0, 1)")
         for name in ("beta", "e1", "e2", "e3", "batch_size"):
@@ -280,15 +285,13 @@ class _Trainer:
 
     def clean_loss(self, F_clean: np.ndarray) -> float:
         """Summed CE of both heads on the clean set, given its features."""
-        p1, p2, _ = heads_forward(self.params, F_clean)
-        return bce_loss(p1, self.yc)[0] + bce_loss(p2, self.yc)[0]
+        return bce_loss(heads_forward(self.params, F_clean)[0], self.yc)[0]
 
     def discrepancy_on(self, F: np.ndarray) -> float:
         """Mean |c1 - c2| over the rows of the features F; 0 when empty."""
         if len(F) == 0:
             return 0.0
-        p1, p2, _ = heads_forward(self.params, F)
-        return discrepancy_loss(p1, p2)[0]
+        return discrepancy_loss(heads_forward(self.params, F)[0])[0]
 
     def val_f1(self) -> Optional[float]:
         if self.val is None:
@@ -321,9 +324,10 @@ class _Trainer:
         for batch in self._batches(len(self.Xc), "joint", 0, epoch):
             Xb, yb = self.Xc[batch], self.yc[batch]
             F, fc = features_forward(self.params, self.mc, Xb)
-            p1, p2, hc = heads_forward(self.params, F)
-            grads, dF = heads_backward(self.params, hc, bce_loss(p1, yb)[1], bce_loss(p2, yb)[1])
-            self.opt.step(self.params, {**grads, **features_backward(self.params, self.mc, fc, dF)})
+            P, hc = heads_forward(self.params, F)
+            grads, dF = heads_backward(hc, bce_grad(P, yb))
+            grads.update(features_backward(self.params, self.mc, fc, dF))
+            self.opt.step(self.params, grads)
 
     def warm_up(self) -> None:
         """Joint CE on X for up to e1 epochs, until L_c moves by at most tau_loss."""
@@ -343,14 +347,12 @@ class _Trainer:
         hard_order = derive_rng(self.tc.seed, "hard", rnd, epoch).permutation(len(F_hard))
         hard_chunks = np.array_split(hard_order, len(clean_batches))
         for batch, hard in zip(clean_batches, hard_chunks):
-            yb = self.yc[batch]
-            p1, p2, hc = heads_forward(self.params, F_clean[batch])
-            grads, _ = heads_backward(self.params, hc, bce_loss(p1, yb)[1], bce_loss(p2, yb)[1])
+            P, hc = heads_forward(self.params, F_clean[batch])
+            grads, _ = heads_backward(hc, bce_grad(P, self.yc[batch]), feature_grad=False)
             if len(hard):
-                q1, q2, hc = heads_forward(self.params, F_hard[hard])
-                _, dq1, dq2 = discrepancy_loss(q1, q2)
+                Q, hc = heads_forward(self.params, F_hard[hard])
                 # maximize the discrepancy on hard examples
-                hard_grads, _ = heads_backward(self.params, hc, -dq1, -dq2)
+                hard_grads, _ = heads_backward(hc, -discrepancy_grad(Q), feature_grad=False)
                 grads = {k: g + hard_grads[k] for k, g in grads.items()}
             self.opt.step(self.params, grads)
 
@@ -366,7 +368,7 @@ class _Trainer:
         X'' alone gives.  The features go out of scope when the phase ends.
         """
         (F_clean, F_var), self.measured = self.measured, None
-        p1, p2, _ = heads_forward(self.params, F_var)
+        p1, p2 = heads_forward(self.params, F_var)[0]
         mask = hard_mask(p1, p2, self.yv, self.tc.delta)
         Xh = self.Xv[mask]
         gamma = float(mask.sum()) / len(self.Xv)
@@ -381,9 +383,8 @@ class _Trainer:
         """Feature stack only, on X'; head parameters are never updated."""
         for batch in self._batches(len(self.Xv), "feature", rnd, epoch):
             F, fc = features_forward(self.params, self.mc, self.Xv[batch])
-            p1, p2, hc = heads_forward(self.params, F)
-            _, dp1, dp2 = discrepancy_loss(p1, p2)
-            _, dF = heads_backward(self.params, hc, dp1, dp2)
+            P, hc = heads_forward(self.params, F)
+            _, dF = heads_backward(hc, discrepancy_grad(P), head_grads=False)
             self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF))
 
     def feature_phase(self, Xh: PreparedIds, rnd: int, gamma: float) -> None:

@@ -8,11 +8,12 @@ import pytest
 
 import zigzag.nn
 import zigzag.nn.model
+import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, encode_fragments
 from zigzag.fragments import extract_fragments
 from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
-from zigzag.nn.losses import EPS, bce_loss, discrepancy_loss
+from zigzag.nn.losses import EPS, bce_grad, bce_loss, discrepancy_grad, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
     ModelError,
@@ -32,7 +33,7 @@ from zigzag.nn.model import (
 )
 from zigzag.nn.optim import Adam, TrainingDiverged
 from zigzag.seeds import derive_rng
-from zigzag.training import TrainConfig, train_zigzag
+from zigzag.training import TrainConfig, train_original, train_zigzag
 
 VOCAB = 12
 TINY_VOCAB = {f"t{i}": i for i in range(2, VOCAB)}  # ids 2..11, one per emb row past PAD/UNK
@@ -62,28 +63,25 @@ def tiny_setup(encoder: str, seed: int = 5, pad_from: int = LENGTH):
 
 def total_bce(params, config, X, y) -> float:
     F, _ = features_forward(params, config, X)
-    p1, p2, _ = heads_forward(params, F)
-    return bce_loss(p1, y)[0] + bce_loss(p2, y)[0]
+    return bce_loss(heads_forward(params, F)[0], y)[0]
 
 
 def grads_bce(params, config, X, y) -> dict:
     F, fc = features_forward(params, config, X)
-    p1, p2, hc = heads_forward(params, F)
-    grads, dF = heads_backward(params, hc, bce_loss(p1, y)[1], bce_loss(p2, y)[1])
+    P, hc = heads_forward(params, F)
+    grads, dF = heads_backward(hc, bce_loss(P, y)[1])
     return {**grads, **features_backward(params, config, fc, dF)}
 
 
 def total_disc(params, config, X) -> float:
     F, _ = features_forward(params, config, X)
-    p1, p2, _ = heads_forward(params, F)
-    return discrepancy_loss(p1, p2)[0]
+    return discrepancy_loss(heads_forward(params, F)[0])[0]
 
 
 def grads_disc(params, config, X) -> dict:
     F, fc = features_forward(params, config, X)
-    p1, p2, hc = heads_forward(params, F)
-    _, d1, d2 = discrepancy_loss(p1, p2)
-    grads, dF = heads_backward(params, hc, d1, d2)
+    P, hc = heads_forward(params, F)
+    grads, dF = heads_backward(hc, discrepancy_loss(P)[1])
     return {**grads, **features_backward(params, config, fc, dF)}
 
 
@@ -127,8 +125,7 @@ def test_bce_gradients_match_finite_differences(encoder, pad_from):
 def test_discrepancy_gradients_match_finite_differences(encoder, pad_from):
     config, params, X, y = tiny_setup(encoder, pad_from=pad_from)
     F, _ = features_forward(params, config, X)
-    p1, _ = head_forward(params, "c1", F)
-    p2, _ = head_forward(params, "c2", F)
+    p1, p2 = heads_forward(params, F)[0]
     # keep well away from the |p1 - p2| kink so central differences are valid
     assert np.abs(p1 - p2).min() > 1e-3
     grads = grads_disc(params, config, X)
@@ -136,36 +133,166 @@ def test_discrepancy_gradients_match_finite_differences(encoder, pad_from):
     assert worst <= 1e-4
 
 
+def sigmoid_reference(z):
+    """The logistic function by a masked exp per sign of z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def head_forward_reference(params, head, F):
+    """One head's forward pass, as it ran before the pair was stacked."""
+    h1 = np.tanh(F @ params[f"{head}_w1"] + params[f"{head}_b1"])
+    z = h1 @ params[f"{head}_w2"] + params[f"{head}_b2"]
+    p = sigmoid_reference(z).ravel()
+    return p, {"F": F, "h1": h1, "p": p}
+
+
+def head_backward_reference(params, head, cache, dp):
+    """Back through head_forward_reference."""
+    p = cache["p"]
+    h1 = cache["h1"]
+    F = cache["F"]
+    dz = (dp * p * (1.0 - p))[:, None]
+    grads = {
+        f"{head}_w2": h1.T @ dz,
+        f"{head}_b2": dz.sum(axis=0),
+    }
+    dh1 = dz @ params[f"{head}_w2"].T
+    dpre1 = dh1 * (1.0 - h1 * h1)
+    grads[f"{head}_w1"] = F.T @ dpre1
+    grads[f"{head}_b1"] = dpre1.sum(axis=0)
+    dF = dpre1 @ params[f"{head}_w1"].T
+    return grads, dF
+
+
+def heads_forward_reference(params, F):
+    """heads_forward's contract, one head at a time."""
+    (p1, c1), (p2, c2) = (head_forward_reference(params, head, F) for head in ("c1", "c2"))
+    return np.array((p1, p2)), {"params": params, "pair": (c1, c2)}
+
+
+def heads_backward_reference(cache, dP, *, head_grads=True, feature_grad=True):
+    """heads_backward's contract, one head at a time."""
+    (g1, dF1), (g2, dF2) = (
+        head_backward_reference(cache["params"], head, c, dp) for head, c, dp in zip(("c1", "c2"), cache["pair"], dP)
+    )
+    return ({**g1, **g2} if head_grads else None), (dF1 + dF2 if feature_grad else None)
+
+
+def bce_loss_reference(p, y):
+    """One head's cross entropy, as it ran before the pair was stacked."""
+    n = max(len(p), 1)
+    pc = np.clip(p, EPS, 1.0 - EPS)
+    loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean()) if len(p) else 0.0
+    inside = (p > EPS) & (p < 1.0 - EPS)
+    dp = np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0) / n
+    return loss, dp
+
+
+def pair_bce_loss_reference(P, y):
+    (l1, d1), (l2, d2) = (bce_loss_reference(p, y) for p in P)
+    return l1 + l2, np.array((d1, d2))
+
+
+def pair_discrepancy_loss_reference(P):
+    p1, p2 = P
+    n = max(len(p1), 1)
+    diff = p1 - p2
+    loss = float(np.abs(diff).mean()) if len(p1) else 0.0
+    sign = np.sign(diff)
+    return loss, np.array((sign / n, -sign / n))
+
+
+def assert_pair_equals_reference(params, F, y):
+    """heads_forward and heads_backward, in each of their three asks, and
+    the one-head calls give the reference's bytes, for the dP of a joint,
+    a classifier and a feature step."""
+    P, pair = heads_forward(params, F)
+    want_P, want_pair = heads_forward_reference(params, F)
+    assert P.shape == want_P.shape and P.tobytes() == want_P.tobytes()
+    _, dD = discrepancy_loss(P)
+    for dP in (bce_loss(P, y)[1], -dD, dD):
+        want, want_dF = heads_backward_reference(want_pair, dP)
+        grads, dF = heads_backward(pair, dP)
+        assert list(grads) == heads_keys()
+        assert all(grads[k].shape == want[k].shape and grads[k].tobytes() == want[k].tobytes() for k in want)
+        assert dF.tobytes() == want_dF.tobytes()
+        only_grads, none = heads_backward(pair, dP, feature_grad=False)
+        none_too, only_dF = heads_backward(pair, dP, head_grads=False)
+        assert none is None and none_too is None
+        assert all(only_grads[k].tobytes() == grads[k].tobytes() for k in grads)
+        assert only_dF.tobytes() == dF.tobytes()
+        for k, head in enumerate(("c1", "c2")):
+            p, cache = head_forward(params, head, F)
+            g, dF_head = head_backward(params, head, cache, dP[k])
+            want_g, want_dF_head = head_backward_reference(params, head, want_pair["pair"][k], dP[k])
+            assert p.tobytes() == want_P[k].tobytes()
+            assert sorted(g) == sorted(want_g) and all(g[n].tobytes() == want_g[n].tobytes() for n in g)
+            assert dF_head.tobytes() == want_dF_head.tobytes()
+
+
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])
 def test_head_pair_equals_two_single_head_calls(encoder):
     config, params, X, y = tiny_setup(encoder)
     F, _ = features_forward(params, config, X)
-    p1, p2, pair = heads_forward(params, F)
-    q1, h1 = head_forward(params, "c1", F)
-    q2, h2 = head_forward(params, "c2", F)
-    assert (p1.tobytes(), p2.tobytes()) == (q1.tobytes(), q2.tobytes())
-
-    def single(dp1, dp2):
-        g1, dF1 = head_backward(params, "c1", h1, dp1)
-        g2, dF2 = head_backward(params, "c2", h2, dp2)
-        return {**g1, **g2}, dF1 + dF2
-
-    _, d1, d2 = discrepancy_loss(p1, p2)
-    clean = (bce_loss(p1, y)[1], bce_loss(p2, y)[1])
-    for dp1, dp2 in (clean, (-d1, -d2)):
-        grads, dF = heads_backward(params, pair, dp1, dp2)
-        want, want_dF = single(dp1, dp2)
-        assert list(grads) == list(want) and set(grads) == set(heads_keys())
-        assert all(grads[k].tobytes() == want[k].tobytes() for k in want)
-        assert dF.tobytes() == want_dF.tobytes()
+    assert_pair_equals_reference(params, F, y)
     # a classifier step's gradient: clean CE plus the negated discrepancy,
-    # merged once, against the per-head accumulation it replaced
-    clean_g, hard_g = (heads_backward(params, pair, *dp)[0] for dp in (clean, (-d1, -d2)))
+    # merged once, against the reference's per-head accumulation
+    P, pair = heads_forward(params, F)
+    clean_g, hard_g = (heads_backward(pair, dP)[0] for dP in (bce_loss(P, y)[1], -discrepancy_loss(P)[1]))
+    want_pair = heads_forward_reference(params, F)[1]
     merged: dict = {}
-    for k, g in (*single(*clean)[0].items(), *single(-d1, -d2)[0].items()):
-        merged[k] = merged.get(k, 0.0) + g
-    assert list(merged) == list(clean_g)
+    for dP in (bce_loss(P, y)[1], -discrepancy_loss(P)[1]):
+        for k, g in heads_backward_reference(want_pair, dP)[0].items():
+            merged[k] = merged.get(k, 0.0) + g
+    assert sorted(merged) == sorted(clean_g)
     assert all((clean_g[k] + hard_g[k]).tobytes() == merged[k].tobytes() for k in merged)
+
+
+def test_sigmoid_byte_equals_the_masked_reference_and_never_overflows():
+    z = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf],
+        derive_rng(4, "sigmoid").normal(scale=30.0, size=997),
+    ])[:, None]
+    with np.errstate(over="raise"):
+        got = zigzag.nn.model._sigmoid(z)
+        want = sigmoid_reference(z)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 900])
+@pytest.mark.parametrize("head_hidden", [1, 16])
+def test_stacked_head_pair_byte_equals_the_per_head_reference(rows, head_hidden):
+    params = init_params(make_config(head_hidden=head_hidden), VOCAB, 11)
+    rng = derive_rng(11, "head-pair", rows, head_hidden)
+    F = np.tanh(rng.normal(scale=1.5, size=(rows, params["f_w"].shape[1])))
+    y = rng.integers(0, 2, size=rows).astype(np.float64)
+    assert_pair_equals_reference(params, F, y)
+
+
+def test_pair_losses_equal_the_per_head_losses():
+    rng = derive_rng(3, "pair-losses")
+    P = rng.uniform(size=(2, 33))
+    P[0, :3] = (0.0, 1.0, 0.5)  # clamped on both sides, and an exact half
+    P[1, 4] = P[0, 4]  # a tie
+    y = rng.integers(0, 2, size=33).astype(np.float64)
+    for k in (0, 1):
+        loss, dp = bce_loss(P[k], y)
+        want_loss, want_dp = bce_loss_reference(P[k], y)
+        assert loss == want_loss and dp.tobytes() == want_dp.tobytes() == bce_grad(P[k], y).tobytes()
+    for got, want in ((bce_loss(P, y), pair_bce_loss_reference(P, y)),
+                      (discrepancy_loss(P), pair_discrepancy_loss_reference(P))):
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    assert bce_grad(P, y).tobytes() == pair_bce_loss_reference(P, y)[1].tobytes()
+    assert discrepancy_grad(P).tobytes() == pair_discrepancy_loss_reference(P)[1].tobytes()
+    with pytest.raises(ValueError):
+        bce_loss(P, y[:-1])
+    with pytest.raises(ValueError):
+        discrepancy_loss(P[0])
 
 
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])
@@ -489,10 +616,10 @@ def test_bce_clamps_and_zeroes_gradient_outside():
 
 
 def test_discrepancy_golden():
-    loss, d1, d2 = discrepancy_loss(np.array([0.8, 0.2]), np.array([0.6, 0.2]))
+    loss, dP = discrepancy_loss(np.array([[0.8, 0.2], [0.6, 0.2]]))
     assert loss == pytest.approx(0.1)
-    assert d1.tolist() == [0.5, 0.0]  # sign / n; ties get subgradient zero
-    assert d2.tolist() == [-0.5, 0.0]
+    assert dP[0].tolist() == [0.5, 0.0]  # sign / n; ties get subgradient zero
+    assert dP[1].tolist() == [-0.5, 0.0]
 
 
 # ---- optimizer -----------------------------------------------------------------
@@ -584,7 +711,7 @@ def test_flat_adam_is_byte_identical_to_the_per_tensor_loop(encoder):
     config = make_config(encoder=encoder, emb_dim=4, feature_dim=6, head_hidden=5, rnn_hidden=5)
     params = init_params(config, VOCAB, 3)
     reference = {k: v.copy() for k, v in params.items()}
-    heads = [f"{h}_{p}" for h in ("c1", "c2") for p in ("w2", "b2", "w1", "b1")]  # head_backward's order
+    heads = [f"{h}_{p}" for h in ("c1", "c2") for p in ("w2", "b2", "w1", "b1")]  # the reference's order
     features = [k for k in reversed(params) if not k.startswith("c")]
     # per-tensor step counts diverge, and the last joint step spans tensors
     # whose counts differ (heads 6, features 5)
@@ -597,6 +724,40 @@ def test_flat_adam_is_byte_identical_to_the_per_tensor_loop(encoder):
         ref.step(reference, grads)
         for k in params:
             assert params[k].tobytes() == reference[k].tobytes(), k
+
+
+@pytest.mark.parametrize("mode", ["conventional", "zigzag"])
+def test_function_mean_run_byte_equals_one_on_the_per_head_reference(tmp_path, monkeypatch, mode):
+    corpus = generate_synthetic(12, seed=3)
+    pairs = [(c, c.program()) for c in corpus if c.split == "train"]
+    clean = [f for item, program in pairs for f in extract_fragments(item, "function", program)]
+    varied = [f for item in augment_corpus(pairs, ("ct2", "ct7"), seed=5) if item.kind
+              for f in extract_fragments(item, "function")]
+    train_config = TrainConfig(e1=3, beta=2, e2=2, e3=2, seed=7)
+
+    def run(name):
+        if mode == "zigzag":
+            outcome = train_zigzag(clean, varied, None, train_config)
+        else:
+            outcome = train_original([*clean, *varied], None, train_config)
+        save_model(outcome.model, tmp_path / name)
+        return (tmp_path / name).read_bytes(), [asdict(rec) for rec in outcome.trace]
+
+    got = run("stacked.zzm")
+    monkeypatch.setattr(zigzag.training, "heads_forward", heads_forward_reference)
+    monkeypatch.setattr(zigzag.training, "heads_backward", heads_backward_reference)
+    monkeypatch.setattr(zigzag.training, "Adam", _PerTensorAdam)
+    # each head's loss on its own, and the loss value computed with each gradient
+    monkeypatch.setattr(zigzag.training, "bce_loss", pair_bce_loss_reference)
+    monkeypatch.setattr(zigzag.training, "bce_grad", lambda P, y: pair_bce_loss_reference(P, y)[1])
+    monkeypatch.setattr(zigzag.training, "discrepancy_loss", pair_discrepancy_loss_reference)
+    monkeypatch.setattr(zigzag.training, "discrepancy_grad", lambda P: pair_discrepancy_loss_reference(P)[1])
+    want = run("reference.zzm")
+    if mode == "zigzag":
+        assert {rec["round"] for rec in got[1]} == {0, 1, 2}  # the warm-up, then both rounds
+        assert all(0.0 < rec["gamma"] for rec in got[1] if rec["round"])  # every round has a hard set
+    assert got[0] == want[0]
+    assert got[1] == want[1]
 
 
 # ---- model container ------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -352,7 +352,7 @@ def test_final_trace_record_equals_the_returned_model_on_x_and_x_prime(pools):
     last = out.trace[-1]
     assert last.phase == "feature"
     assert last.L_c == bce_loss(p1, yc)[0] + bce_loss(p2, yc)[0]
-    assert last.mean_disc == discrepancy_loss(q1, q2)[0]
+    assert last.mean_disc == discrepancy_loss(np.array((q1, q2)))[0]
 
 
 def test_validation_corpus_without_transformed_programs_raises(pools):
@@ -475,6 +475,13 @@ def test_rejects_non_training_fragments(pools):
 def test_config_validation_rejects(overrides):
     with pytest.raises(TrainingError):
         quick_config(**overrides).validate()
+
+
+@pytest.mark.parametrize("name", [field.name for field in fields(TrainConfig)])
+@pytest.mark.parametrize("value", [None, True, "1", 1.5j], ids=["none", "bool", "text", "complex"])
+def test_config_validation_names_each_wrongly_typed_field(name, value):
+    with pytest.raises(TrainingError, match=f"^{name} must be an? (integer|real number), got "):
+        quick_config(**{name: value}).validate()
 
 
 def test_config_validation_accepts_zero_stop_thresholds():
