@@ -68,6 +68,12 @@ def build_vocab(fragments: Iterable[Fragment]) -> dict[str, int]:
     return {tok: i + 2 for i, (tok, _) in enumerate(ordered)}
 
 
+def embedding_rows(vocab: dict[str, int]) -> int:
+    """Rows of an embedding over vocab's ids: one per id up to the largest,
+    PAD_ID and UNK_ID included, so 2 for an empty vocabulary."""
+    return max(vocab.values(), default=1) + 1
+
+
 def encode_fragments(
     fragments: Sequence[Fragment], vocab: dict[str, int], length: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,19 @@ all-padding columns after it would leave h as it is.  prepare_ids
 readies a set of id rows once: it checks the ids against the
 embedding's rows and, for the mean encoder, builds C and n.  A training
 set is prepared once per run and its batches are row gathers of it; an
-id array given to features_forward is prepared there, on every call.
+id array given to features or features_forward is prepared there, on
+every call.
+The feature stack has two entry points.  features(params, config, X)
+returns F alone, for passes that take no gradient (trace measurement,
+mining, DetectorModel.predict_proba); the RNN keeps only its last state
+there.  features_forward returns F and the cache that
+features_backward needs, for training steps.  Both give the same bytes.
+A training step may hand features_forward a kernels.Buffers that lives
+for the whole run, so the RNN's per-batch arrays are allocated once; its
+cache then holds views of those buffers, which the next forward pass on
+them overwrites, so each forward pass moves the buffers' stamp, the
+cache records it, and features_backward raises ModelError on a cache
+whose stamp is no longer the buffers'.
 Each head is a small tanh MLP ending in a sigmoid.  The two heads c1
 and c2 always run as a pair on one F, in one stacked pass:
 heads_forward stacks each layer's two tensors per call, so one matmul
@@ -42,9 +54,19 @@ import hashlib
 
 import numpy as np
 
+from ..encoding import embedding_rows
 from ..fragments import FUNCTION_GRANULARITY, GRANULARITIES, SLICE_GRANULARITY
 from ..seeds import derive_rng
-from .kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
+from .kernels import (
+    Buffers,
+    embed_mean_forward,
+    fresh,
+    rnn_backward,
+    rnn_forward,
+    rnn_last_state,
+    scatter_embedding,
+    token_counts,
+)
 
 MAGIC = b"ZZM1"
 FORMAT_VERSION = 1
@@ -197,41 +219,87 @@ def prepare_ids(params: dict, config: dict, X: np.ndarray) -> PreparedIds:
     return PreparedIds(X, rows)
 
 
-def features_forward(params: dict, config: dict, X: np.ndarray | PreparedIds) -> tuple[np.ndarray, dict]:
-    """Feature vectors F (N, feature_dim) and the cache for the backward pass.
-
-    X holds (N, L) token ids encoded with the model's own vocabulary, so
-    every id lies in [0, emb rows), either as an array, which is prepared
-    here (prepare_ids checks its range), or as a set prepare_ids readied
-    for parameters of the same embedding rows and encoder.  This is the
-    one entry point to the embedding kernels for training, mining and
-    prediction.
-    """
+def _ready(params: dict, config: dict, X: np.ndarray | PreparedIds) -> PreparedIds:
+    """X prepared for params and config: an array is prepared here, a
+    prepared set is checked to fit them."""
     ids = X if isinstance(X, PreparedIds) else prepare_ids(params, config, X)
     if ids.emb_rows != params["emb"].shape[0] or (ids.C is None) != (config["encoder"] == "rnn"):
         raise ModelError(
             f"ids prepared for {ids.emb_rows} embedding rows and the {'rnn' if ids.C is None else 'mean'} "
             f"encoder do not fit {params['emb'].shape[0]} rows and the {config['encoder']} encoder"
         )
+    return ids
+
+
+def _filled(X: np.ndarray) -> np.ndarray:
+    """X cut after the last column that holds a token in any row: past it
+    every step of the recurrence carries h unchanged and adds exact zeros
+    to every gradient, so the cut is byte-identical."""
+    filled = np.flatnonzero((X != 0).any(axis=0))
+    return X[:, : filled[-1] + 1 if filled.size else 0]
+
+
+def _feature_layer(params: dict, enc: np.ndarray) -> np.ndarray:
+    return np.tanh(enc @ params["f_w"] + params["f_b"])
+
+
+def features(params: dict, config: dict, X: np.ndarray | PreparedIds) -> np.ndarray:
+    """Feature vectors F (N, feature_dim), with no cache: the entry point
+    of passes that take no gradient (trace measurement, mining and
+    prediction).  X is as for features_forward.  F has the bytes
+    features_forward gives; the RNN keeps only its last state
+    (kernels.rnn_last_state), where features_forward keeps every step's
+    state and token vectors for the backward pass."""
+    if config["encoder"] == "mean":
+        return features_forward(params, config, X)[0]
+    X = _filled(_ready(params, config, X).X)
+    enc = rnn_last_state(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
+    return _feature_layer(params, enc)
+
+
+def features_forward(
+    params: dict, config: dict, X: np.ndarray | PreparedIds, buffers: Buffers | None = None
+) -> tuple[np.ndarray, dict]:
+    """Feature vectors F (N, feature_dim) and the cache for the backward
+    pass: the entry point of training steps.
+
+    X holds (N, L) token ids encoded with the model's own vocabulary, so
+    every id lies in [0, emb rows), either as an array, which is prepared
+    here (prepare_ids checks its range), or as a set prepare_ids readied
+    for parameters of the same embedding rows and encoder.  The RNN takes
+    its per-batch arrays from buffers when given, and fresh ones
+    otherwise; the cache then holds views of those buffers, valid until
+    the next forward pass on them (features_backward checks the stamp).
+    The mean encoder takes no buffers.
+    """
+    ids = _ready(params, config, X)
     if config["encoder"] == "mean":
         enc = embed_mean_forward(params["emb"], ids.C, ids.denom)
         cache: dict = {"C": ids.C, "denom": ids.denom}
     else:
-        # the recurrence stops at the last column that holds a token in any
-        # row: past it every step carries h unchanged and adds exact zeros
-        # to every gradient, so the cut is byte-identical
-        filled = np.flatnonzero((ids.X != 0).any(axis=0))
-        X = ids.X[:, : filled[-1] + 1 if filled.size else 0]
-        hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
+        X = _filled(ids.X)
+        hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"], buffers or fresh)
         enc = hs[:, -1, :]
-        cache = {"X": X, "hs": hs, "E": E}
-    F = np.tanh(enc @ params["f_w"] + params["f_b"])
+        cache = {"X": X, "hs": hs, "E": E, "buffers": buffers}
+        if buffers is not None:
+            buffers.stamp += 1
+            cache["stamp"] = buffers.stamp
+    F = _feature_layer(params, enc)
     cache["enc"] = enc
     cache["F"] = F
     return F, cache
 
 
 def features_backward(params: dict, config: dict, cache: dict, dF: np.ndarray) -> dict[str, np.ndarray]:
+    """The feature stack's gradients from dF and features_forward's cache.
+    The RNN's arrays come from the cache's buffers, when it has them, and
+    a cache whose buffers a later forward pass has reused raises
+    ModelError."""
+    buffers = cache.get("buffers")
+    if buffers is not None and buffers.stamp != cache["stamp"]:
+        raise ModelError(
+            f"a forward cache of stamp {cache['stamp']} is stale: forward pass {buffers.stamp} has reused its buffers"
+        )
     F = cache["F"]
     dpre = dF * (1.0 - F * F)
     grads = {"f_w": cache["enc"].T @ dpre, "f_b": dpre.sum(axis=0)}
@@ -241,11 +309,12 @@ def features_backward(params: dict, config: dict, cache: dict, dF: np.ndarray) -
         grads["emb"] = cache["C"].T @ (denc / cache["denom"][:, None])
     else:
         X = cache["X"]
-        dE, dwx, dwh, db = rnn_backward(denc, cache["hs"], cache["E"], X, params["r_wx"], params["r_wh"])
+        alloc = buffers or fresh
+        dE, dwx, dwh, db = rnn_backward(denc, cache["hs"], cache["E"], X, params["r_wx"], params["r_wh"], alloc)
         grads["r_wx"] = dwx
         grads["r_wh"] = dwh
         grads["r_b"] = db
-        grads["emb"] = scatter_embedding(dE, X, params["emb"].shape[0])
+        grads["emb"] = scatter_embedding(dE, X, params["emb"].shape[0], alloc)
     return grads
 
 
@@ -331,11 +400,10 @@ class DetectorModel:
 
     @property
     def vocab_size(self) -> int:
-        return max(self.vocab.values(), default=1) + 1
+        return embedding_rows(self.vocab)
 
     def predict_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F, _ = features_forward(self.params, self.config, X)
-        p1, p2 = heads_forward(self.params, F)[0]
+        p1, p2 = heads_forward(self.params, features(self.params, self.config, X))[0]
         return p1, p2
 
     def fused_proba(self, X: np.ndarray) -> np.ndarray:

@@ -55,7 +55,11 @@ without it or where that F1 is undefined.  Its passes:
 X and X' are prepared once per run, right after the parameters are
 initialized (nn.model.prepare_ids: one id range check per set and, for
 the mean encoder, one token-count matrix per set); every batch, X'' and
-every pass above gathers rows of them and counts no token again.
+every pass above gathers rows of them and counts no token again.  The
+passes above take no gradient and run through nn.model.features, which
+keeps no cache; the joint and feature steps run features_forward on
+one nn.kernels.Buffers per run, so the RNN's per-batch arrays are
+allocated once, and each step's backward runs before the next forward.
 """
 from __future__ import annotations
 
@@ -69,16 +73,18 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import CorpusProgram, read_json_lines, write_json_lines
-from .encoding import build_vocab, encode_fragments
+from .encoding import build_vocab, embedding_rows, encode_fragments
 from .evaluation import encode_corpus
 from .fragments import Fragment
 from .lang.nodes import Program
 from .nn.losses import bce_grad, bce_loss, discrepancy_grad, discrepancy_loss
+from .nn.kernels import Buffers
 from .nn.model import (
     DetectorModel,
     PreparedIds,
     binary_prediction,
     feature_keys,
+    features,
     features_backward,
     features_forward,
     heads_backward,
@@ -221,10 +227,10 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
 
 class _Trainer:
     """One run: the prepared sets X and X', the validation corpus as eval
-    encodes it, the parameters and one Adam. On the first step the Adam
-    moves the parameters into one flat buffer, features first and then
-    the heads, so a joint, classifier or feature step updates one slice
-    of it. Its moment history and per-tensor step counts carry across
+    encodes it, the parameters, one Adam and the Buffers of its joint and
+    feature steps. On the first step the Adam moves the parameters into
+    one flat buffer, features first and then the heads, so a joint,
+    classifier or feature step updates one slice of it. Its moment history and per-tensor step counts carry across
     phase switches and damp the discrepancy tug-of-war."""
 
     def __init__(
@@ -263,19 +269,20 @@ class _Trainer:
             self.val = encode_corpus(val_programs, self.mc["granularity"], vocab, length)
             if not self.val.transformed:
                 raise TrainingError(f"{val_source} holds no transformed programs: its Total row is empty")
-        self.params = init_params(self.mc, max(vocab.values(), default=1) + 1, tc.seed)
+        self.params = init_params(self.mc, embedding_rows(vocab), tc.seed)
         self.Xc = prepare_ids(self.params, self.mc, Xc)
         self.Xv = prepare_ids(self.params, self.mc, Xv)
         self.opt = Adam(tc.lr)
+        self.buffers = Buffers()
         self.trace: list[TrainRecord] = []
         self.measured: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # ---- measurement helpers -------------------------------------------
 
     def features(self, X: PreparedIds) -> np.ndarray:
-        """F of X under the current feature stack; the forward cache is
-        dropped at once, so no full-pool cache outlives the call."""
-        return features_forward(self.params, self.mc, X)[0]
+        """F of X under the current feature stack, by the pass that keeps
+        no cache."""
+        return features(self.params, self.mc, X)
 
     def measure(self) -> tuple[np.ndarray, np.ndarray]:
         """F of X and X' under the current parameters, kept as
@@ -323,7 +330,7 @@ class _Trainer:
     def joint_epoch(self, epoch: int) -> None:
         for batch in self._batches(len(self.Xc), "joint", 0, epoch):
             Xb, yb = self.Xc[batch], self.yc[batch]
-            F, fc = features_forward(self.params, self.mc, Xb)
+            F, fc = features_forward(self.params, self.mc, Xb, self.buffers)
             P, hc = heads_forward(self.params, F)
             grads, dF = heads_backward(hc, bce_grad(P, yb))
             grads.update(features_backward(self.params, self.mc, fc, dF))
@@ -382,7 +389,7 @@ class _Trainer:
     def feature_epoch(self, rnd: int, epoch: int) -> None:
         """Feature stack only, on X'; head parameters are never updated."""
         for batch in self._batches(len(self.Xv), "feature", rnd, epoch):
-            F, fc = features_forward(self.params, self.mc, self.Xv[batch])
+            F, fc = features_forward(self.params, self.mc, self.Xv[batch], self.buffers)
             P, hc = heads_forward(self.params, F)
             _, dF = heads_backward(hc, discrepancy_grad(P), head_grads=False)
             self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF))

@@ -22,7 +22,7 @@ from zigzag.evaluation import (
     load_report,
     total_row,
 )
-from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.encoding import build_vocab, embedding_rows, encode_fragments
 from zigzag.fragments import GRANULARITIES, extract_fragments
 from zigzag.nn.model import DetectorModel, init_params, make_config
 
@@ -133,7 +133,7 @@ def test_one_forward_pass_per_bucket_matches_per_program_prediction(granularity,
     ]
     config = make_config(emb_dim=4, feature_dim=6, head_hidden=5, granularity=granularity, length=32)
     vocab = build_vocab(train)
-    model = DetectorModel(config, vocab, init_params(config, max(vocab.values()) + 1, 3))
+    model = DetectorModel(config, vocab, init_params(config, embedding_rows(vocab), 3))
     # threshold halfway between two middle probabilities: about half the
     # fragments come out positive, none sits on the threshold
     every = [f for item in items for f in extract_fragments(item, granularity)]

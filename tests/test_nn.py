@@ -1,6 +1,7 @@
 """Numeric checks for the model: gradients, determinism, losses, serialization."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,13 +11,14 @@ import zigzag.nn
 import zigzag.nn.model
 import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
-from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.encoding import build_vocab, embedding_rows, encode_fragments
 from zigzag.fragments import extract_fragments
-from zigzag.nn.kernels import embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
+from zigzag.nn.kernels import Buffers, embed_mean_forward, rnn_backward, rnn_forward, scatter_embedding, token_counts
 from zigzag.nn.losses import EPS, bce_grad, bce_loss, discrepancy_grad, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
     ModelError,
+    features,
     features_backward,
     features_forward,
     head_backward,
@@ -333,7 +335,7 @@ def slice_rnn_setup(length: int = 64):
     X, _ = encode_fragments(fragments, vocab, length)
     assert X.shape[0] >= 32
     config = make_config(encoder="rnn", granularity="slice", length=length)
-    params = init_params(config, max(vocab.values()) + 1, 7)
+    params = init_params(config, embedding_rows(vocab), 7)
     rng = derive_rng(7, "rnn-cut")
     for key in ("r_b", "f_b"):  # nonzero biases, so a masked step would show
         params[key] = rng.uniform(-0.5, 0.5, size=params[key].shape)
@@ -482,13 +484,111 @@ def test_slice_rnn_zigzag_run_byte_equals_one_on_the_per_step_reference(tmp_path
         return (tmp_path / name).read_bytes(), [asdict(rec) for rec in outcome.trace]
 
     got = run("kernels.zzm")
-    monkeypatch.setattr(zigzag.nn.model, "rnn_forward", rnn_forward_reference)
-    monkeypatch.setattr(zigzag.nn.model, "rnn_backward", rnn_backward_reference)
-    monkeypatch.setattr(zigzag.nn.model, "scatter_embedding", scatter_embedding_reference)
+    # the references allocate their own arrays, so the kernels' alloc is dropped
+    monkeypatch.setattr(zigzag.nn.model, "rnn_forward", lambda *args: rnn_forward_reference(*args[:5]))
+    monkeypatch.setattr(zigzag.nn.model, "rnn_last_state", lambda *args: rnn_forward_reference(*args)[0][:, -1])
+    monkeypatch.setattr(zigzag.nn.model, "rnn_backward", lambda *args: rnn_backward_reference(*args[:6]))
+    monkeypatch.setattr(zigzag.nn.model, "scatter_embedding", lambda *args: scatter_embedding_reference(*args[:3]))
     want = run("reference.zzm")
     assert {rec["round"] for rec in got[1]} == {0, 1, 2}  # the warm-up, then both rounds
     assert got[0] == want[0]
     assert got[1] == want[1]
+
+
+# ---- the no-cache pass and run-long buffers --------------------------------------
+
+
+@pytest.mark.parametrize("batch", [*RNN_CUT_BATCHES, "mean"])
+def test_features_byte_equal_features_forward(batch):
+    if batch == "mean":
+        config, params, X, _ = tiny_setup("mean")
+    else:
+        config, params, encoded = slice_rnn_setup()
+        X = RNN_CUT_BATCHES[batch](encoded)
+    F = features(params, config, X)
+    assert F.shape == (X.shape[0], config["feature_dim"])
+    assert F.tobytes() == features_forward(params, config, X)[0].tobytes()
+    assert features(params, config, prepare_ids(params, config, X)).tobytes() == F.tobytes()
+
+
+def _resized_batches(X):
+    """Batches whose (B, L) grows and shrinks: 32, 31 and 1 rows, cut at
+    several lengths, all-padding and empty rows, and a 320-row set."""
+    short = X[:31].copy()
+    short[:, 10:] = 0
+    return [X[:1], X[:32], np.zeros_like(X[:4]), X[5:36], X[:0], _full_set_batch(X), short, X[:32], X[36:37]]
+
+
+def test_training_steps_on_shared_buffers_byte_equal_steps_on_fresh_arrays():
+    config, params, encoded = slice_rnn_setup()
+    buffers = Buffers()
+    for i, X in enumerate(_resized_batches(encoded)):
+        dF = derive_rng(7, "buffered-step", i).uniform(-1.0, 1.0, size=(X.shape[0], config["feature_dim"]))
+        F, cache = features_forward(params, config, X, buffers)
+        grads = features_backward(params, config, cache, dF)
+        want_F, want_cache = features_forward(params, config, X)
+        want = features_backward(params, config, want_cache, dF)
+        assert F.tobytes() == want_F.tobytes(), i
+        assert list(grads) == list(want)
+        for key, g in want.items():
+            assert grads[key].shape == g.shape and grads[key].tobytes() == g.tobytes(), (i, key)
+    assert buffers.stamp == i + 1
+
+
+def test_a_cache_whose_buffers_a_later_forward_reused_raises():
+    config, params, encoded = slice_rnn_setup()
+    buffers = Buffers()
+    dF = np.ones((8, config["feature_dim"]))
+    _, stale = features_forward(params, config, encoded[:8], buffers)
+    _, cache = features_forward(params, config, encoded[8:16], buffers)
+    with pytest.raises(ModelError, match="stale"):
+        features_backward(params, config, stale, dF)
+    features_backward(params, config, cache, dF)
+    # a fresh cache owns its arrays and never goes stale
+    _, own = features_forward(params, config, encoded[:8])
+    features_forward(params, config, encoded[8:16], buffers)
+    features_backward(params, config, own, dF)
+
+
+def _peak_bytes(call) -> int:
+    """The most bytes that call held at once beyond what was held before
+    it; numpy reports its data allocations to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_no_cache_rnn_pass_keeps_a_small_part_of_the_states():
+    config, params, encoded = slice_rnn_setup()
+    rng = derive_rng(7, "rnn-memory")
+    X = rng.choice(encoded[encoded != 0], size=(2000, 64))
+    X[np.arange(64) >= rng.integers(0, 65, size=(2000, 1))] = 0
+    X[0] = X[0, 0]  # one full row, so no column is cut
+    N, L = X.shape
+    kept = (L + 1) * N * config["rnn_hidden"] * 8  # rnn_forward's hs
+    got = {}
+    assert _peak_bytes(lambda: got.update(cached=features_forward(params, config, X)[0])) > kept
+    assert _peak_bytes(lambda: got.update(uncached=features(params, config, X))) < kept / 8
+    # one step per block at this size
+    assert got["uncached"].tobytes() == got["cached"].tobytes()
+
+
+def test_a_second_training_step_on_warm_buffers_allocates_no_large_array():
+    config, params, encoded = slice_rnn_setup()
+    X = encoded[:32]
+    dF = np.ones((32, config["feature_dim"]))
+
+    def step(buffers=None):
+        features_backward(params, config, features_forward(params, config, X, buffers)[1], dF)
+
+    buffers = Buffers()
+    step(buffers)
+    assert _peak_bytes(step) >= 64 * 1024  # the arrays a step without buffers allocates
+    assert _peak_bytes(lambda: step(buffers)) < 64 * 1024
 
 
 # ---- count-matrix mean pooling ------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import zigzag.nn.model
 import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
-from zigzag.encoding import build_vocab, encode_fragments
+from zigzag.encoding import build_vocab, embedding_rows, encode_fragments
 from zigzag.evaluation import encode_corpus
 from zigzag.fragments import extract_fragments
 from zigzag.nn.kernels import embed_mean_forward, rnn_forward, token_counts
@@ -20,6 +20,7 @@ from zigzag.nn.model import (
     DetectorModel,
     ModelError,
     feature_keys,
+    features,
     features_forward,
     head_forward,
     head_keys,
@@ -130,7 +131,7 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
     clean, varied, _ = pools
     mc = make_config(encoder=encoder)
     own = build_vocab(clean)
-    model = DetectorModel(config=mc, vocab=own, params=init_params(mc, max(own.values()) + 1, 7))
+    model = DetectorModel(config=mc, vocab=own, params=init_params(mc, embedding_rows(own), 7))
     rows = model.params["emb"].shape[0]
     # ids from a clean+variant vocabulary given to a model sized for clean only
     X_foreign, _ = encode_fragments(varied, build_vocab(clean + varied), mc["length"])
@@ -246,18 +247,22 @@ def test_zigzag_trace_schema_and_dynamics(pools):
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])
 def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encoder, monkeypatch):
     clean, varied, _ = pools
-    events: list = []  # rows given to features_forward, and each record as a marker
+    events: list = []  # rows given to either forward entry, and each record as a marker
 
-    def counting_forward(params, config, X):
-        events.append(len(X))
-        return features_forward(params, config, X)
+    def counting(forward):
+        def counted(params, config, X, *args):
+            events.append(len(X))
+            return forward(params, config, X, *args)
+        return counted
 
     def marking_record(self, rnd, phase, epoch, *values):
         events.append((rnd, phase))
         record(self, rnd, phase, epoch, *values)
 
     record = _Trainer.record
-    monkeypatch.setattr(zigzag.training, "features_forward", counting_forward)
+    # training steps forward through features_forward, full-set passes through features
+    monkeypatch.setattr(zigzag.training, "features_forward", counting(features_forward))
+    monkeypatch.setattr(zigzag.training, "features", counting(features))
     monkeypatch.setattr(_Trainer, "record", marking_record)
     tc = quick_config(e1=2, beta=2, e2=3, e3=2, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, model_config={"encoder": encoder}, train_config=tc)
@@ -290,16 +295,17 @@ def test_a_zigzag_round_forwards_13_full_sets(pools, monkeypatch):
     clean, varied, _ = pools
     events: list = []  # each full-set forward, and each record as (round, phase)
 
-    def counting_features(self, X):
+    def counting_features(params, config, X):
         events.append(len(X))
-        return features(self, X)
+        return features(params, config, X)
 
     def marking_record(self, rnd, phase, epoch, *values):
         events.append((rnd, phase))
         record(self, rnd, phase, epoch, *values)
 
-    features, record = _Trainer.features, _Trainer.record
-    monkeypatch.setattr(_Trainer, "features", counting_features)
+    record = _Trainer.record
+    # the no-cache entry, which the trainer's full-set passes call
+    monkeypatch.setattr(zigzag.training, "features", counting_features)
     monkeypatch.setattr(_Trainer, "record", marking_record)
     tc = quick_config(e1=2, beta=2, e2=4, e3=4, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, train_config=tc)
