@@ -47,6 +47,16 @@ def test_generated_records_are_pinned():
     assert digest.hexdigest() == "0cf160c1e1b39fe63c2bf8cc3f925956e0530e9cd90a882311b288d66a588c71"
 
 
+def test_saved_corpus_bytes_are_pinned(tmp_path):
+    """The file save_corpus writes for the set above, header included,
+    against the digest it gave while it still named each key by hand."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, generate_synthetic(40, seed=1))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2f19cc1c8a3cfc8f92b3f2af7ee9ffdd8757f349f802c77eb09d41a8bbf5b69a"
+    )
+
+
 def test_split_depends_only_on_id():
     corpus = generate_synthetic(30, 0.4, seed=2)
     for p in corpus:
