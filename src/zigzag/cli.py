@@ -19,7 +19,7 @@ gen, transform and train take --config, a file of `key = value` lines
     gen        seed, count, vuln
     transform  seed, ct
     train      seed, granularity, every field of training.TrainConfig
-               (converted to the type of its default), and the model's
+               (converted to its annotated type), and the model's
                encoder and sizes (nn.model.SIZE_KEYS, length included)
 
 A key its command does not read, a line without `=`, or a value its
@@ -38,7 +38,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .corpus import CorpusError, augment_corpus, generate_synthetic, read_corpus, save_corpus
+from .corpus import CorpusError, augment_corpus, field_types, generate_synthetic, read_corpus, save_corpus
 from .encoding import EncodingError, count_truncated
 from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
@@ -49,7 +49,7 @@ from .transforms import TransformError, resolve_kinds
 
 log = logging.getLogger("zigzag")
 
-_TRAIN_FIELDS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_TRAIN_FIELDS = field_types(TrainConfig)
 _MODEL_KEYS = {"encoder": str, **dict.fromkeys(SIZE_KEYS, int)}
 
 # per command, the config-file keys it reads and the type each value converts to

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .lang import MiniLangError, interpret, parse, pretty_print
 from .lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
@@ -48,7 +50,7 @@ class CorpusProgram:
     source: str
     split: str
     labels: dict[str, int]
-    witness_inputs: Optional[list[int]]
+    witness_inputs: Optional[list[int]] = None
     provenance: dict = field(default_factory=dict)
 
     def program(self) -> Program:
@@ -502,17 +504,8 @@ def augment_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], kinds: Iterab
 def save_corpus(path: str | Path, programs: Iterable[CorpusProgram]) -> None:
     items = list(programs)
     header = {"version": CORPUS_VERSION, "kind": "program-corpus", "count": len(items)}
-    write_json_lines(path, [header] + [
-        {
-            "id": item.id,
-            "split": item.split,
-            "source": item.source,
-            "labels": item.labels,
-            "witness_inputs": item.witness_inputs,
-            "provenance": item.provenance,
-        }
-        for item in items
-    ])
+    keys = field_types(CorpusProgram)
+    write_json_lines(path, [header] + [{key: getattr(item, key) for key in keys} for item in items])
 
 
 def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
@@ -551,14 +544,63 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
     return records
 
 
+@cache
+def _field_tests(cls: type) -> tuple[tuple[str, Any, Callable[[Any], bool]], ...]:
+    """Each field of dataclass `cls` with its resolved annotation and a test for it."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], _fits(hints[f.name])) for f in fields(cls))
+
+
+def field_types(cls: type) -> dict[str, Any]:
+    """Each field of dataclass `cls`, in order, with its resolved annotation."""
+    return {name: annotation for name, annotation, _ in _field_tests(cls)}
+
+
+def _fits(annotation: Any) -> Callable[[Any], bool]:
+    """A test of whether a value fits `annotation`: int takes exactly an
+    int (not a bool), a union any member's value, list[T] and dict[K, V]
+    a list or dict whose every item fits, a dataclass an instance whose
+    fields fit, and any other class an instance (float a float)."""
+    origin, tests = get_origin(annotation), tuple(map(_fits, get_args(annotation)))
+    if origin is Union or origin is types.UnionType:
+        return lambda value: any(test(value) for test in tests)
+    if origin is list:
+        return lambda value: isinstance(value, list) and all(map(tests[0], value))
+    if origin is dict:
+        key, item = tests
+        return lambda value: isinstance(value, dict) and all(map(key, value)) and all(map(item, value.values()))
+    if annotation is int:
+        return lambda value: type(value) is int
+    if is_dataclass(annotation):
+        return lambda value: isinstance(value, annotation) and type_fault(value) is None
+    # isinstance itself, bound to the class: no Python frame per value
+    return annotation.__instancecheck__
+
+
+def type_fault(record: Any) -> Optional[str]:
+    """The first field of dataclass instance `record` whose value does not
+    fit its annotation, as "<field> must be of type <T>, got <value!r>",
+    or None; a dataclass field that holds its type names its own field."""
+    for name, annotation, fits in _field_tests(type(record)):
+        value = getattr(record, name)
+        if not fits(value):
+            if is_dataclass(annotation) and isinstance(value, annotation):
+                return type_fault(value)
+            # as the annotation reads: int, dict[str, int], Optional[list[int]]
+            shown = repr(annotation).replace("typing.", "") if get_args(annotation) else annotation.__name__
+            return f"{name} must be of type {shown}, got {value!r}"
+    return None
+
+
 def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     """Each record of a corpus file with the parse that checked it.
 
-    A record must have a string id that no earlier record has, string
-    source, split "train" or "test", integer labels that match the flags
-    in its source, witness_inputs null or a list of integers, a
-    provenance object, and a source that parses; anything else raises
-    CorpusError naming the file and the record.  Each parse is yielded once and kept nowhere, so a caller
+    A record holds CorpusProgram's fields by name, each of the type its
+    annotation names (witness_inputs and provenance may be left out).
+    Its id must be one no earlier record has, its split "train" or
+    "test", and its source must parse to functions whose flags match its
+    labels; anything else raises CorpusError naming the file and the
+    record.  Each parse is yielded once and kept nowhere, so a caller
     that drops it holds one program's tree at a time.
     """
     records = read_json_lines(path, CorpusError)
@@ -567,41 +609,29 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     header = records[0]
     if header.get("version") != CORPUS_VERSION or header.get("kind") != "program-corpus":
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
+    keys = field_types(CorpusProgram)
     seen: set[str] = set()
     for rec in records[1:]:
         try:
-            item = CorpusProgram(
-                id=rec["id"],
-                source=rec["source"],
-                split=rec["split"],
-                labels=rec["labels"],
-                witness_inputs=rec.get("witness_inputs"),
-                provenance=rec.get("provenance", {}),
-            )
-        except KeyError as exc:
-            raise CorpusError(f"{path}: record missing key {exc}") from None
+            item = CorpusProgram(**{key: rec[key] for key in keys if key in rec})
+        except TypeError:  # a key without a default is missing; those come first
+            missing = next(key for key in keys if key not in rec)
+            raise CorpusError(f"{path}: record missing key {missing!r}") from None
         where = f"{path}: record {item.id!r}"
-        for name in ("id", "source", "split"):
-            if not isinstance(getattr(item, name), str):
-                raise CorpusError(f"{where}: {name!r} is not a string")
+        fault = type_fault(item)
+        if fault:
+            raise CorpusError(f"{where}: {fault}")
         if item.id in seen:
             raise CorpusError(f"{where}: id repeats an earlier record's")
         seen.add(item.id)
         if item.split not in ("train", "test"):
             raise CorpusError(f"{where}: 'split' is {item.split!r}, neither 'train' nor 'test'")
-        if not isinstance(item.labels, dict) or not all(type(v) is int for v in item.labels.values()):
-            raise CorpusError(f"{where}: 'labels' is not an object of integers")
-        witness = item.witness_inputs
-        if witness is not None and not (isinstance(witness, list) and all(type(v) is int for v in witness)):
-            raise CorpusError(f"{where}: 'witness_inputs' is neither null nor a list of integers")
-        if not isinstance(item.provenance, dict):
-            raise CorpusError(f"{where}: 'provenance' is not an object")
         try:
             program = item.program()
         except MiniLangError as exc:
             raise CorpusError(f"{where}: source does not parse: {exc}") from None
         if function_labels(program) != item.labels:
-            raise CorpusError(f"{item.id}: labels do not match source flags")
+            raise CorpusError(f"{where}: labels do not match source flags")
         yield item, program
     if len(records) - 1 != header.get("count"):
         raise CorpusError(f"{path}: header count {header.get('count')} != {len(records) - 1} records")

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines, write_json_lines
+from .corpus import CorpusProgram, read_json_lines, type_fault, write_json_lines
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
@@ -163,15 +163,14 @@ class EvalReport:
         write_json_lines(path, [header, *self.to_records()])
 
 
-_COUNT_KEYS = ("programs", "functions", "tp", "fn", "fp", "tn")
-_HEADER_KEYS = ("granularity", "corpus_digest", "model_digest")
 _METRIC_KEYS = ("fpr", "fnr", "f1")
 
 
 def load_report(path) -> EvalReport:
-    """A saved report; its header needs string granularity and digests,
-    and every row a string name of its own and non-negative integer
-    counts.  It needs an n/a and a Total row, Total must be the
+    """A saved report: a header and one record per row, as save writes
+    them, whose values are of the types EvalReport, EvalRow and Confusion
+    annotate.  Every row needs a name of its own and non-negative
+    counts, there must be an n/a and a Total row, Total must be the
     total_row of the others, and each row's fpr, fnr and f1 must be the
     strings its counts render.  Else EvaluationError names the file and
     the header or row."""
@@ -184,31 +183,28 @@ def load_report(path) -> EvalReport:
     try:
         rows: dict[str, EvalRow] = {}
         for rec in records[1:]:
-            name = rec["row"]
-            if not isinstance(name, str):
-                raise EvaluationError(f"{path}: row {name!r}: 'row' is not a string")
-            if name in rows:
-                raise EvaluationError(f"{path}: row {name!r} appears twice")
-            counts = [rec[k] for k in _COUNT_KEYS]
-            for key, value in zip(_COUNT_KEYS, counts):
-                if type(value) is not int:
-                    raise EvaluationError(f"{path}: row {name!r}: {key!r} is not an integer")
-                if value < 0:
-                    raise EvaluationError(f"{path}: row {name!r}: {key!r} is negative")
-            programs, functions, *confusion = counts
-            rows[name] = EvalRow(name, programs, functions, Confusion(*confusion))
-        strings = {key: header[key] for key in _HEADER_KEYS}
-        for key, value in strings.items():
-            if not isinstance(value, str):
-                raise EvaluationError(f"{path}: header: {key!r} is not a string")
+            counts = {f.name: rec[f.name] for f in fields(Confusion)}
+            row = EvalRow(rec["row"], rec["programs"], rec["functions"], Confusion(**counts))
+            fault = type_fault(row)
+            if fault:
+                raise EvaluationError(f"{path}: row {row.name!r}: {fault}")
+            if row.name in rows:
+                raise EvaluationError(f"{path}: row {row.name!r} appears twice")
+            for key in ("programs", "functions", *counts):
+                if rec[key] < 0:
+                    raise EvaluationError(f"{path}: row {row.name!r}: {key!r} is negative")
+            rows[row.name] = row
+        report = EvalReport(header["granularity"], list(rows.values()), header["corpus_digest"], header["model_digest"])
     except KeyError as exc:
         raise EvaluationError(f"{path}: record missing key {exc}") from None
+    fault = type_fault(report)
+    if fault:
+        raise EvaluationError(f"{path}: header: {fault}")
     for name in (ORIGINAL_ROW, TOTAL_ROW):
         if name not in rows:
             raise EvaluationError(f"{path}: no row {name!r}")
     if rows[TOTAL_ROW] != total_row([r for name, r in rows.items() if name not in (ORIGINAL_ROW, TOTAL_ROW)]):
         raise EvaluationError(f"{path}: row {TOTAL_ROW!r} is not the sum of the transformed rows")
-    report = EvalReport(rows=list(rows.values()), **strings)
     for saved, rendered in zip(records[1:], report.to_records()):
         for key in _METRIC_KEYS:
             if saved.get(key) != rendered[key]:

@@ -64,7 +64,6 @@ allocated once, and each step's backward runs before the next forward.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -72,7 +71,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines, write_json_lines
+from .corpus import CorpusProgram, read_json_lines, type_fault, write_json_lines
 from .encoding import build_vocab, embedding_rows, encode_fragments
 from .evaluation import encode_corpus
 from .fragments import Fragment
@@ -116,13 +115,9 @@ class TrainConfig:
     tau_loss: float = 1e-3
 
     def validate(self) -> None:
-        # each field's type is its default's: an integer, or a real that is not a bool
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if type(field.default) is int and type(value) is not int:
-                raise TrainingError(f"{field.name} must be an integer, got {value!r}")
-            if type(field.default) is float and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
-                raise TrainingError(f"{field.name} must be a real number, got {value!r}")
+        fault = type_fault(self)  # each field's type is its annotation's
+        if fault:
+            raise TrainingError(fault)
         if not 0.0 < self.delta < 1.0:
             raise TrainingError("delta must be in (0, 1)")
         for name in ("beta", "e1", "e2", "e3", "batch_size"):
@@ -164,21 +159,19 @@ _PHASES = ("joint", "classifier", "feature")
 
 
 def _record_fault(rec: TrainRecord) -> Optional[str]:
-    """What is wrong with a loaded record's field types or ranges, or None."""
-    for name in ("round", "epoch"):
-        value = getattr(rec, name)
-        if type(value) is not int or value < 0:
-            return f"{name} must be a non-negative integer, got {value!r}"
+    """What is wrong with the ranges of a loaded record whose types fit,
+    or None: every number it holds is finite and >= 0, gamma and val_f1
+    at most 1."""
     if rec.phase not in _PHASES:
         return f"phase must be one of {', '.join(_PHASES)}, got {rec.phase!r}"
-    for name in ("L_c", "L_h", "mean_disc", "gamma"):
+    for field in fields(rec):
+        value = getattr(rec, field.name)
+        if isinstance(value, (int, float)) and not 0 <= value < math.inf:
+            return f"{field.name} must be finite and >= 0, got {value!r}"
+    for name in ("gamma", "val_f1"):
         value = getattr(rec, name)
-        if type(value) is not float or not 0.0 <= value < math.inf:
-            return f"{name} must be a finite non-negative float, got {value!r}"
-    if rec.gamma > 1.0:
-        return f"gamma must be a share of at most 1, got {rec.gamma!r}"
-    if rec.val_f1 is not None and (type(rec.val_f1) is not float or not 0.0 <= rec.val_f1 <= 1.0):
-        return f"val_f1 must be a float in [0, 1] or null, got {rec.val_f1!r}"
+        if value is not None and value > 1.0:
+            return f"{name} must be at most 1, got {value!r}"
     return None
 
 
@@ -189,7 +182,7 @@ def load_trace(path: str | Path) -> list[TrainRecord]:
             record = TrainRecord(**rec)
         except TypeError as exc:  # a missing or unknown key
             raise TrainingError(f"{path}: trace record {number}: {exc}") from None
-        fault = _record_fault(record)
+        fault = type_fault(record) or _record_fault(record)
         if fault:
             raise TrainingError(f"{path}: trace record {number}: {fault}")
         out.append(record)
@@ -230,8 +223,9 @@ class _Trainer:
     encodes it, the parameters, one Adam and the Buffers of its joint and
     feature steps. On the first step the Adam moves the parameters into
     one flat buffer, features first and then the heads, so a joint,
-    classifier or feature step updates one slice of it. Its moment history and per-tensor step counts carry across
-    phase switches and damp the discrepancy tug-of-war."""
+    classifier or feature step updates one slice of it. Its moment
+    history and per-tensor step counts carry across phase switches and
+    damp the discrepancy tug-of-war."""
 
     def __init__(
         self,

@@ -541,7 +541,7 @@ def test_contradictory_report_exits_3_naming_the_file_and_row(case, tmp_path, de
 
 @pytest.mark.parametrize(
     "field, value, what",
-    [("tp", "3", "row 'Total': 'tp' is not an integer"), ("row", 5, "row 5: 'row' is not a string")],
+    [("tp", "3", "row 'Total': tp must be of type int, got '3'"), ("row", 5, "row 5: name must be of type str, got 5")],
     ids=["tp-string", "row-int"],
 )
 def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, tmp_path, demo_source, capsys):
@@ -559,7 +559,8 @@ def test_wrongly_typed_report_header_field_exits_3_naming_the_file(field, value,
     for name in ("base.jsonl", "report.jsonl"):
         _edit_report(tmp_path / name, lambda header, rows: header.update({field: value}))
     assert main(compare_argv) == 3
-    assert capsys.readouterr().err == f"error: {tmp_path / 'base.jsonl'}: header: {field!r} is not a string\n"
+    what = f"header: {field} must be of type str, got {value!r}"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'base.jsonl'}: {what}\n"
 
 
 @pytest.mark.parametrize(
@@ -590,24 +591,25 @@ def test_model_tensors_that_do_not_fit_the_config_exit_3(case, tmp_path, demo_so
 @pytest.mark.parametrize(
     "field, value, what",
     [
-        ("labels", [0], "'labels' is not an object of integers"),
-        ("source", 5, "'source' is not a string"),
-        ("labels", {"main": "x"}, "'labels' is not an object of integers"),
-        ("labels", {"main": None}, "'labels' is not an object of integers"),
-        ("id", 7, "'id' is not a string"),
-        ("witness_inputs", 5, "'witness_inputs' is neither null nor a list of integers"),
-        ("witness_inputs", [3, "4"], "'witness_inputs' is neither null nor a list of integers"),
-        ("witness_inputs", [True], "'witness_inputs' is neither null nor a list of integers"),
-        ("provenance", [], "'provenance' is not an object"),
-        ("provenance", "base", "'provenance' is not an object"),
-        ("split", 5, "'split' is not a string"),
+        ("labels", [0], "labels must be of type dict[str, int], got [0]"),
+        ("source", 5, "source must be of type str, got 5"),
+        ("labels", {"main": "x"}, "labels must be of type dict[str, int], got {'main': 'x'}"),
+        ("labels", {"main": None}, "labels must be of type dict[str, int], got {'main': None}"),
+        ("id", 7, "id must be of type str, got 7"),
+        ("witness_inputs", 5, "witness_inputs must be of type Optional[list[int]], got 5"),
+        ("witness_inputs", [3, "4"], "witness_inputs must be of type Optional[list[int]], got [3, '4']"),
+        ("witness_inputs", [True], "witness_inputs must be of type Optional[list[int]], got [True]"),
+        ("provenance", [], "provenance must be of type dict, got []"),
+        ("provenance", "base", "provenance must be of type dict, got 'base'"),
+        ("split", 5, "split must be of type str, got 5"),
         ("split", "Train", "'split' is 'Train', neither 'train' nor 'test'"),
         ("split", "", "'split' is '', neither 'train' nor 'test'"),
+        ("labels", {"main": 1}, "labels do not match source flags"),
     ],
     ids=[
         "labels-list", "source-int", "label-string", "label-null", "id-int",
         "witness-int", "witness-string-entry", "witness-bool-entry", "provenance-list", "provenance-string",
-        "split-int", "split-capitalized", "split-empty",
+        "split-int", "split-capitalized", "split-empty", "labels-mismatch",
     ],
 )
 def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what, tmp_path, capsys):

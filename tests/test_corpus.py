@@ -176,6 +176,18 @@ def test_load_rejects_tampered_labels(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(CorpusProgram)])
+def test_each_wrongly_typed_record_field_raises_corpus_error_naming_it(name, tmp_path):
+    """A field holding a list of its valid value fits no annotation but a
+    list of that value's type, so every field, one added later too, is
+    checked here with no edit to this test."""
+    item = next(p for p in generate_synthetic(4, 0.5, seed=8) if p.witness_inputs)
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, [dataclasses.replace(item, **{name: [getattr(item, name)]})])
+    with pytest.raises(CorpusError, match=f": record .*: {name} must be of type "):
+        load_corpus(path)
+
+
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"version": 99}\n')

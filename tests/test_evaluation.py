@@ -1,6 +1,8 @@
 """Metric, report, and comparison tests."""
 from __future__ import annotations
 
+import json
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +240,40 @@ def test_load_report_rejects_foreign_file(tmp_path):
     path = tmp_path / "nope.jsonl"
     path.write_text('{"kind":"something-else"}\n')
     with pytest.raises(EvaluationError):
+        load_report(path)
+
+
+# a saved row holds EvalRow's fields, its name under "row" and its
+# confusion's own fields in the confusion's place
+ROW_FIELDS = [f.name for f in fields(EvalRow) if f.name != "confusion"] + [f.name for f in fields(Confusion)]
+# the header holds the report's fields but its rows and its unsaved counters
+HEADER_FIELDS = [f.name for f in fields(EvalReport) if f.name not in ("rows", "buckets")]
+
+
+def _saved_report(tmp_path, edit):
+    path = tmp_path / "report.jsonl"
+    fake_report((1, 3)).save(path)
+    header, *rows = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(header, rows)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in (header, *rows)))
+    return path
+
+
+@pytest.mark.parametrize("name", ROW_FIELDS)
+def test_each_wrongly_typed_row_field_raises_evaluation_error_naming_it(name, tmp_path):
+    """A field holding a list of its valid value fits no annotation but a
+    list of that value's type, so every field of EvalRow and Confusion,
+    one added later too, is checked here with no edit to this test."""
+    key = "row" if name == "name" else name
+    path = _saved_report(tmp_path, lambda header, rows: rows[1].update({key: [rows[1][key]]}))
+    with pytest.raises(EvaluationError, match=f": row .*: {name} must be of type "):
+        load_report(path)
+
+
+@pytest.mark.parametrize("name", HEADER_FIELDS)
+def test_each_wrongly_typed_header_field_raises_evaluation_error_naming_it(name, tmp_path):
+    path = _saved_report(tmp_path, lambda header, rows: header.update({name: [header[name]]}))
+    with pytest.raises(EvaluationError, match=f": header: {name} must be of type "):
         load_report(path)
 
 

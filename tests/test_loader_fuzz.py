@@ -3,6 +3,8 @@ error, whatever the bytes.  The CLI maps those errors to exit 3, so an
 untyped error here would be a traceback there."""
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -87,3 +89,24 @@ def test_mutated_valid_files_load_or_raise_the_loaders_error(kind, data, valid, 
     if data.draw(st.booleans(), label="cut"):
         raw = raw[: data.draw(st.integers(0, len(raw)), label="keep")]
     _load(kind, bytes(raw), tmp_path / "fuzzed")
+
+
+# any JSON value: null, booleans, numbers (NaN and the infinities too,
+# which json writes and reads back), strings, arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@FUZZ
+@given(kind=st.sampled_from(("corpus", "report", "trace")), data=st.data())
+def test_one_key_set_to_any_json_value_loads_or_raises_the_loaders_error(kind, data, valid, tmp_path):
+    """Byte edits seldom leave well-formed JSON that holds a wrongly typed
+    value, least of all a nested one such as labels {"main": [1]}; here
+    one key of one record, header included, takes any JSON value."""
+    records = [json.loads(line) for line in valid[kind].decode("utf-8").splitlines()]
+    record = data.draw(st.sampled_from(records), label="record")
+    record[data.draw(st.sampled_from(sorted(record)), label="key")] = data.draw(JSON_VALUES, label="value")
+    _load(kind, "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8"), tmp_path / "fuzzed")

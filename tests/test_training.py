@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -486,7 +486,7 @@ def test_config_validation_rejects(overrides):
 @pytest.mark.parametrize("name", [field.name for field in fields(TrainConfig)])
 @pytest.mark.parametrize("value", [None, True, "1", 1.5j], ids=["none", "bool", "text", "complex"])
 def test_config_validation_names_each_wrongly_typed_field(name, value):
-    with pytest.raises(TrainingError, match=f"^{name} must be an? (integer|real number), got "):
+    with pytest.raises(TrainingError, match=f"^{name} must be of type (int|float), got "):
         quick_config(**{name: value}).validate()
 
 
@@ -501,6 +501,23 @@ def test_trace_round_trip(tmp_path, pools):
     save_trace(path, out.trace)
     loaded = load_trace(path)
     assert [asdict(r) for r in loaded] == [asdict(r) for r in out.trace]
+
+
+@pytest.fixture(scope="module")
+def trained_record(pools):
+    return train_original(pools[0], train_config=quick_config(e1=1), val_programs=pools[2]).trace[-1]
+
+
+@pytest.mark.parametrize("name", [field.name for field in fields(TrainRecord)])
+def test_each_wrongly_typed_trace_field_raises_training_error_naming_it(name, trained_record, tmp_path):
+    """A field holding a list of its valid value fits no annotation but a
+    list of that value's type, so every field, one added later too, is
+    checked here with no edit to this test."""
+    path = tmp_path / "trace.jsonl"
+    save_trace(path, [trained_record, replace(trained_record, **{name: [getattr(trained_record, name)]})])
+    with pytest.raises(TrainingError) as exc:
+        load_trace(path)
+    assert str(exc.value).startswith(f"{path}: trace record 2: {name} must be of type ")
 
 
 # one field of a record set to a value of the wrong type, or not finite
