@@ -515,33 +515,32 @@ def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_json_lines(path: str | Path, error: type[Exception]) -> list[dict]:
-    """The JSON objects on the non-blank lines of a file.
+def read_json_lines(path: str | Path, error: type[Exception]) -> Iterator[dict]:
+    """The JSON objects on the non-blank lines of a file, read and
+    yielded a line at a time, so no caller holds the file's text.
 
-    Bytes that are not UTF-8, and a line that is not a JSON object (a
-    truncated one, or one nested too deep to decode, say), raise `error`
-    naming the file and the line.  Lines end at "\n" alone and a blank
-    line holds only JSON whitespace, because a JSON string may hold
-    U+2028, U+0085 and other characters that `str.splitlines` breaks at
-    and `str.strip` removes.
+    A line that is not a JSON object (a truncated one, or one nested too
+    deep to decode, say) raises `error` naming the file and the line,
+    once the objects of the lines before it are yielded; bytes that are
+    not UTF-8 raise it naming the file when the read reaches them.  Lines
+    end at "\n" alone and a blank line holds only JSON whitespace,
+    because a JSON string may hold U+2028, U+0085 and other characters
+    that `str.splitlines` breaks at and `str.strip` removes.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip(" \t\r\n"):
+                    continue
+                try:
+                    rec = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise error(f"{path}:{number}: not valid JSON ({exc})") from None
+                if not isinstance(rec, dict):
+                    raise error(f"{path}:{number}: not a JSON object")
+                yield rec
+    except UnicodeDecodeError as exc:  # from the file's decoder, as it reads on
         raise error(f"{path}: not UTF-8 text ({exc})") from None
-    records = []
-    for number, line in enumerate(text.split("\n"), 1):
-        if not line.strip(" \t\r"):
-            continue
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}:{number}: not valid JSON ({exc})") from None
-        if not isinstance(rec, dict):
-            raise error(f"{path}:{number}: not a JSON object")
-        records.append(rec)
-    return records
 
 
 @cache
@@ -593,28 +592,39 @@ def type_fault(record: Any) -> Optional[str]:
 
 
 def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
-    """Each record of a corpus file with the parse that checked it.
+    """Each record of a corpus file with the parse that checked it, read,
+    checked and yielded one at a time.
 
-    A record holds CorpusProgram's fields by name, each of the type its
-    annotation names (witness_inputs and provenance may be left out).
-    Its id must be one no earlier record has, its split "train" or
-    "test", and its source must parse to functions whose flags match its
-    labels; anything else raises CorpusError naming the file and the
-    record.  Each parse is yielded once and kept nowhere, so a caller
-    that drops it holds one program's tree at a time.
+    The header's version and count are ints, the count checked against
+    the records after the last one.  A record holds CorpusProgram's
+    fields by name and no other key, each of the type its annotation
+    names (witness_inputs and provenance may be left out).  Its id must
+    be one no earlier record has, its split "train" or "test", and its
+    source must parse to functions whose flags match its labels;
+    anything else raises CorpusError naming the file and the record,
+    once the records before it are yielded, so of two faults the first
+    in the file is the one named.  Neither the file's text nor a
+    record's parse is kept, so a caller that drops each parse holds one
+    program's tree at a time.
     """
     records = read_json_lines(path, CorpusError)
-    if not records:
+    header = next(records, None)
+    if header is None:
         raise CorpusError(f"{path}: empty corpus file")
-    header = records[0]
-    if header.get("version") != CORPUS_VERSION or header.get("kind") != "program-corpus":
+    version, count = header.get("version"), header.get("count")
+    if type(version) is not int or version != CORPUS_VERSION or header.get("kind") != "program-corpus":
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
+    if type(count) is not int:
+        raise CorpusError(f"{path}: header count must be of type int, got {count!r}")
     keys = field_types(CorpusProgram)
     seen: set[str] = set()
-    for rec in records[1:]:
+    for rec in records:
         try:
-            item = CorpusProgram(**{key: rec[key] for key in keys if key in rec})
-        except TypeError:  # a key without a default is missing; those come first
+            item = CorpusProgram(**rec)
+        except TypeError:  # a key that is no field, or a missing one without a default
+            unknown = sorted(rec.keys() - keys)
+            if unknown:
+                raise CorpusError(f"{path}: record {rec.get('id')!r}: unknown key {unknown[0]!r}") from None
             missing = next(key for key in keys if key not in rec)
             raise CorpusError(f"{path}: record missing key {missing!r}") from None
         where = f"{path}: record {item.id!r}"
@@ -633,8 +643,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         if function_labels(program) != item.labels:
             raise CorpusError(f"{where}: labels do not match source flags")
         yield item, program
-    if len(records) - 1 != header.get("count"):
-        raise CorpusError(f"{path}: header count {header.get('count')} != {len(records) - 1} records")
+    if len(seen) != count:
+        raise CorpusError(f"{path}: header count {count} != {len(seen)} records")
 
 
 def load_corpus(path: str | Path) -> list[CorpusProgram]:

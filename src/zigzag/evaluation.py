@@ -174,7 +174,7 @@ def load_report(path) -> EvalReport:
     total_row of the others, and each row's fpr, fnr and f1 must be the
     strings its counts render.  Else EvaluationError names the file and
     the header or row."""
-    records = read_json_lines(path, EvaluationError)
+    records = list(read_json_lines(path, EvaluationError))
     if not records:
         raise EvaluationError(f"{path}: empty report")
     header = records[0]

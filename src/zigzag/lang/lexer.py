@@ -3,9 +3,12 @@
 ``lex`` returns a ``TokenStream``: the raw text of every token in one
 flat list (``texts``, ending with the eof token's empty text) and the
 index of each line's first token (``firsts``).  No token spans a
-newline, so the source is scanned a line at a time, one ``findall``
-per line; a comment can only be a line's last match, and is dropped
-there.  Nothing else is built per token: a token's kind comes from its
+newline, so the source is scanned a line at a time.  A line's texts
+depend on that line alone, and programs and their variants repeat
+lines, so a bounded cache keeps the texts of recent distinct lines and
+each is scanned by one ``findall`` only when it is not there.  A
+comment can only be a line's last match, and is dropped there.
+Nothing else is built per token: a token's kind comes from its
 first character (and ``KEYWORDS``), its line from a bisect over
 ``firsts``, and its column from a rescan of that one line, computed
 only when asked for.  The parser reads ``texts`` by index, and a raw
@@ -38,6 +41,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Iterator
 
@@ -59,9 +63,9 @@ _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){}\[\],;+*%-]|[0-9]+|[=!<>]=?|//.*|"
 # for columns the blank run too
 _TOKENS = re.compile(r"[ \t\r]*(" + _TOKEN + ")")
 _PAIR = re.compile(r"([ \t\r]*)(" + _TOKEN + ")")
-# both scans get each line with its trailing blanks stripped: a blank
-# run that no token follows would be retried from each of its positions,
-# in time quadratic in its length
+# both scans get each line with its trailing blanks stripped (the cached
+# scan its leading ones too): a blank run that no token follows would be
+# retried from each of its positions, in time quadratic in its length
 _BLANKS = " \t\r"
 # the first characters of identifiers (and keywords) and of integer literals
 NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -172,22 +176,40 @@ class TokenStream:
         return self._token(self.texts[index], *self.position(index))
 
 
+# The most distinct lines whose texts `_scan` keeps, the least recently
+# used dropped first.  Programs and their variants repeat lines: the
+# count-400 pinned pipeline's train and test corpora (gen --count 400
+# --seed 1, md5 on train, all on test) hold 240,395 lines, 2,869 of them
+# distinct once their blanks are stripped (4,213 with leading blanks).
+_SCAN_CACHE_LINES = 4096
+
+
+@lru_cache(maxsize=_SCAN_CACHE_LINES)
+def _scan(line: str) -> tuple[str, ...]:
+    """The raw texts of one line stripped of its blanks, a comment
+    included; leading blanks make no token, so lines that differ only in
+    indent share one entry.  The tuple is shared by every source that
+    holds the line, so no caller changes it."""
+    return tuple(_TOKENS.findall(line))
+
+
 def lex(source: str) -> tuple[TokenStream, set[int]]:
     """The token stream of `source`, and the lines holding `//@vuln`.
 
-    One scan per line yields the line's raw texts; the stream keeps them
-    in one list, with the count of texts before each line.  No line or
-    column is computed here: ``TokenStream.position`` computes one when
-    a caller asks.  A source that does not lex raises SyntaxErrorML at
-    its first error.
+    Each line's raw texts come from ``_scan``, which scans a distinct
+    line once; the stream keeps them in one list, with the count of
+    texts before each line.  No line or column is computed here:
+    ``TokenStream.position`` computes one when a caller asks.  A source
+    that does not lex raises SyntaxErrorML at its first error.
     """
     lines = source.split("\n")
-    per_line = [_TOKENS.findall(text_of_line.rstrip(_BLANKS)) for text_of_line in lines]
+    per_line = [_scan(text_of_line.strip(_BLANKS)) for text_of_line in lines]
     vuln_lines: set[int] = set()
     if "//" in source:
         for line, found in enumerate(per_line, 1):
             if found and found[-1][:2] == "//":
-                if found.pop()[2:].strip() == "@vuln":
+                per_line[line - 1] = found[:-1]
+                if found[-1][2:].strip() == "@vuln":
                     vuln_lines.add(line)
     texts = list(chain.from_iterable(per_line))
     for text in set(texts):

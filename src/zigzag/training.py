@@ -177,7 +177,8 @@ def _record_fault(rec: TrainRecord) -> Optional[str]:
 
 def load_trace(path: str | Path) -> list[TrainRecord]:
     out = []
-    for number, rec in enumerate(read_json_lines(path, TrainingError), 1):
+    # every line decoded first, so a broken line is named before a bad record
+    for number, rec in enumerate(list(read_json_lines(path, TrainingError)), 1):
         try:
             record = TrainRecord(**rec)
         except TypeError as exc:  # a missing or unknown key

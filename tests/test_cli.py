@@ -624,6 +624,33 @@ def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what
     assert capsys.readouterr().err == f"error: {path}: record {record!r}: {what}\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, what",
+    [("version", True, "not a corpus file or unsupported version"),
+     ("count", 3.0, "header count must be of type int, got 3.0")],
+    ids=["version-true", "count-float"],
+)
+def test_corpus_header_number_that_is_no_int_exits_3(key, value, what, tmp_path, capsys):
+    """`true == 1` and `3.0 == 3`, so only a type test refuses these."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(path, generate_synthetic(3, 0.5, seed=1))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {what}\n"
+
+
+def test_corpus_record_with_a_misspelt_key_exits_3_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    item = next(p for p in generate_synthetic(3, 0.5, seed=1) if p.witness_inputs)
+    save_corpus(path, [item])
+    path.write_text(path.read_text().replace('"witness_inputs":', '"witness_input":'))
+    assert main(["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")]) == 3
+    assert capsys.readouterr().err == f"error: {path}: record {item.id!r}: unknown key 'witness_input'\n"
+
+
 # a JSON array nested deeper than json.loads decodes
 DEEP_JSON = "[" * 200_000
 

@@ -140,11 +140,33 @@ def test_read_corpus_checks_the_header_count_after_the_last_record(tmp_path):
         list(read_corpus(path))
 
 
+def test_read_corpus_yields_the_records_before_a_truncated_line(tmp_path):
+    """Records are read and checked one at a time: those before a broken
+    line are yielded, and of two faults the first in the file is named."""
+    corpus = generate_synthetic(5, 0.4, seed=8)
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, corpus)
+    lines = path.read_text().splitlines()
+    lines[4] = lines[4][:-9]  # line 5: the fourth record, truncated
+    path.write_text("\n".join(lines) + "\n")
+    reader = read_corpus(path)
+    assert [next(reader)[0] for _ in range(3)] == corpus[:3]
+    with pytest.raises(CorpusError, match=r"c\.jsonl:5: not valid JSON"):
+        next(reader)
+    rec = json.loads(lines[2])
+    rec["split"] = 5  # line 3, a fault before the truncated line
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=f"record {rec['id']!r}: split must be of type str"):
+        load_corpus(path)
+
+
 def test_read_corpus_splits_lines_at_newlines_only(tmp_path):
     """U+2028 and U+0085 are line breaks to `str.splitlines` but may stand
     raw in a JSON string; a record holding them loads, and a broken line
     after it, or a line holding one such character alone, is reported at
-    its own number."""
+    its own number.  A lone CR, a line break to universal-newline
+    reading, joins two records into one line that is not JSON."""
     corpus = generate_synthetic(3, 0.5, seed=8)
     path = tmp_path / "c.jsonl"
     save_corpus(path, corpus)
@@ -156,7 +178,7 @@ def test_read_corpus_splits_lines_at_newlines_only(tmp_path):
     assert load_corpus(path)[0].provenance["note"] == "a\u2028b\u0085c"
     raw_control = lines[2].replace('"id": "', '"id": "\x1c', 1)
     assert raw_control != lines[2]
-    for broken in (lines[2][:-9], raw_control, "\u2028", "\x1c"):
+    for broken in (lines[2][:-9], raw_control, "\u2028", "\x1c", lines[2] + "\r" + lines[2]):
         path.write_text("\n".join([*lines[:2], broken, *lines[3:]]) + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=r"c\.jsonl:3: not valid JSON"):
             load_corpus(path)

@@ -28,6 +28,7 @@ from zigzag.lang import (
     pretty_print,
     validate_program,
 )
+from zigzag.lang import lexer
 from zigzag.lang.lexer import lex
 from zigzag.lang.parser import MAX_ARRAY_SIZE, MAX_DEPTH, Parser
 from zigzag.lang.printer import function_tokens, statement_tokens
@@ -488,6 +489,36 @@ def test_lex_returns_tokens_or_raises_syntax_error(text) -> None:
     assert tokens[-1].kind == "eof"
     positions = [(t.line, t.col) for t in tokens]
     assert positions == sorted(set(positions))
+
+
+def test_a_line_cached_at_one_indent_lexes_alike_at_another() -> None:
+    """Both sources scan `a[i] = 1; //@vuln` from one cache entry: each
+    drops the marker from its own copy of the texts and keeps its own
+    marker line, and a third source lexed after them is unchanged."""
+    flagged = "func f(a, i) {\n    a[i] = 1; //@vuln\n}"
+    plain = "a[i] = 1; //@vuln\nfunc f(a, i) {\n        a[i] = 1;\n}"
+    before = lex(flagged)
+    tokens, vuln_lines = lex(plain)
+    assert vuln_lines == {1}
+    line = ["a", "[", "i", "]", "=", "1", ";"]
+    assert before[0].texts[8:15] == tokens.texts[:7] == tokens.texts[15:22] == line
+    after = lex(flagged)
+    assert (after[0].texts, after[0].firsts, after[1]) == (before[0].texts, before[0].firsts, {2})
+    assert [(t.line, t.col) for t in after[0]] == [(t.line, t.col) for t in before[0]]
+
+
+def test_a_bad_character_after_a_cached_line_is_named_at_its_position() -> None:
+    lex("x = 1;")
+    with pytest.raises(SyntaxErrorML) as exc:
+        lex("y = 2;\n\t  x = 1; @")
+    assert (exc.value.message, exc.value.line, exc.value.col) == ("unexpected character '@'", 2, 11)
+
+
+def test_the_line_cache_stays_within_its_bound() -> None:
+    bound = lexer._scan.cache_info().maxsize
+    assert bound == lexer._SCAN_CACHE_LINES
+    lex("\n".join(f"v{n} = {n};" for n in range(bound + 100)))
+    assert lexer._scan.cache_info().currsize == bound
 
 
 def _main(body: str) -> str:
