@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import types
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
@@ -65,6 +65,13 @@ class CorpusProgram:
     @property
     def vulnerable(self) -> bool:
         return any(self.labels.values())
+
+
+@dataclass(slots=True)
+class CorpusHeader:
+    version: int
+    kind: str
+    count: int
 
 
 def function_labels(program: Program) -> dict[str, int]:
@@ -558,8 +565,8 @@ def field_types(cls: type) -> dict[str, Any]:
 def _fits(annotation: Any) -> Callable[[Any], bool]:
     """A test of whether a value fits `annotation`: int takes exactly an
     int (not a bool), a union any member's value, list[T] and dict[K, V]
-    a list or dict whose every item fits, a dataclass an instance whose
-    fields fit, and any other class an instance (float a float)."""
+    a list or dict whose every item fits, and any other class an
+    instance (float a float)."""
     origin, tests = get_origin(annotation), tuple(map(_fits, get_args(annotation)))
     if origin is Union or origin is types.UnionType:
         return lambda value: any(test(value) for test in tests)
@@ -570,8 +577,6 @@ def _fits(annotation: Any) -> Callable[[Any], bool]:
         return lambda value: isinstance(value, dict) and all(map(key, value)) and all(map(item, value.values()))
     if annotation is int:
         return lambda value: type(value) is int
-    if is_dataclass(annotation):
-        return lambda value: isinstance(value, annotation) and type_fault(value) is None
     # isinstance itself, bound to the class: no Python frame per value
     return annotation.__instancecheck__
 
@@ -579,58 +584,66 @@ def _fits(annotation: Any) -> Callable[[Any], bool]:
 def type_fault(record: Any) -> Optional[str]:
     """The first field of dataclass instance `record` whose value does not
     fit its annotation, as "<field> must be of type <T>, got <value!r>",
-    or None; a dataclass field that holds its type names its own field."""
+    or None."""
     for name, annotation, fits in _field_tests(type(record)):
         value = getattr(record, name)
         if not fits(value):
-            if is_dataclass(annotation) and isinstance(value, annotation):
-                return type_fault(value)
             # as the annotation reads: int, dict[str, int], Optional[list[int]]
             shown = repr(annotation).replace("typing.", "") if get_args(annotation) else annotation.__name__
             return f"{name} must be of type {shown}, got {value!r}"
     return None
 
 
+def typed_record(cls: type, rec: dict, error: type[Exception], where: str) -> Any:
+    """Dataclass `cls` built from `rec`, a decoded record keyed by its
+    fields' names, or `error("<where>: ...")` at the first of: a key that
+    is no field ("unknown key 'k'"), a field with no default and no key
+    ("missing key 'k'"), a value that does not fit its annotation (as
+    type_fault words it).  The keys are diagnosed only when the
+    constructor fails, so a valid record costs it and type_fault."""
+    try:
+        item = cls(**rec)
+    except TypeError:  # a key that is no field, or a field with no default left out
+        names = field_types(cls)
+        unknown = [key for key in rec if key not in names]
+        if unknown:
+            raise error(f"{where}: unknown key {unknown[0]!r}") from None
+        missing = [f.name for f in fields(cls)
+                   if f.name not in rec and f.default is MISSING and f.default_factory is MISSING]
+        raise error(f"{where}: missing key {missing[0]!r}") from None
+    fault = type_fault(item)
+    if fault:
+        raise error(f"{where}: {fault}")
+    return item
+
+
 def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     """Each record of a corpus file with the parse that checked it, read,
     checked and yielded one at a time.
 
-    The header's version and count are ints, the count checked against
-    the records after the last one.  A record holds CorpusProgram's
-    fields by name and no other key, each of the type its annotation
-    names (witness_inputs and provenance may be left out).  Its id must
-    be one no earlier record has, its split "train" or "test", and its
-    source must parse to functions whose flags match its labels;
-    anything else raises CorpusError naming the file and the record,
-    once the records before it are yielded, so of two faults the first
-    in the file is the one named.  Neither the file's text nor a
-    record's parse is kept, so a caller that drops each parse holds one
-    program's tree at a time.
+    typed_record reads the header, of this version and kind, as a
+    CorpusHeader, whose count is checked after the last record, and each
+    record as a CorpusProgram.  A record's id must be one no earlier
+    record has, its split "train" or "test", and its source must parse
+    to functions whose flags match its labels; anything else raises
+    CorpusError naming the file and the header or record, once the
+    records before it are yielded, so of two faults the first in the
+    file is the one named.  Neither the file's text nor a record's parse
+    is kept, so a caller that drops each parse holds one program's tree
+    at a time.
     """
     records = read_json_lines(path, CorpusError)
-    header = next(records, None)
-    if header is None:
+    rec = next(records, None)
+    if rec is None:
         raise CorpusError(f"{path}: empty corpus file")
-    version, count = header.get("version"), header.get("count")
-    if type(version) is not int or version != CORPUS_VERSION or header.get("kind") != "program-corpus":
+    # what kind of file this is, before what its header holds
+    if rec.get("kind") != "program-corpus" or rec.get("version") != CORPUS_VERSION:
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
-    if type(count) is not int:
-        raise CorpusError(f"{path}: header count must be of type int, got {count!r}")
-    keys = field_types(CorpusProgram)
+    header = typed_record(CorpusHeader, rec, CorpusError, f"{path}: header")
     seen: set[str] = set()
     for rec in records:
-        try:
-            item = CorpusProgram(**rec)
-        except TypeError:  # a key that is no field, or a missing one without a default
-            unknown = sorted(rec.keys() - keys)
-            if unknown:
-                raise CorpusError(f"{path}: record {rec.get('id')!r}: unknown key {unknown[0]!r}") from None
-            missing = next(key for key in keys if key not in rec)
-            raise CorpusError(f"{path}: record missing key {missing!r}") from None
-        where = f"{path}: record {item.id!r}"
-        fault = type_fault(item)
-        if fault:
-            raise CorpusError(f"{where}: {fault}")
+        where = f"{path}: record {rec.get('id')!r}"
+        item = typed_record(CorpusProgram, rec, CorpusError, where)
         if item.id in seen:
             raise CorpusError(f"{where}: id repeats an earlier record's")
         seen.add(item.id)
@@ -643,8 +656,8 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         if function_labels(program) != item.labels:
             raise CorpusError(f"{where}: labels do not match source flags")
         yield item, program
-    if len(seen) != count:
-        raise CorpusError(f"{path}: header count {count} != {len(seen)} records")
+    if len(seen) != header.count:
+        raise CorpusError(f"{path}: header count {header.count} != {len(seen)} records")
 
 
 def load_corpus(path: str | Path) -> list[CorpusProgram]:

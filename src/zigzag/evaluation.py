@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines, type_fault, write_json_lines
+from .corpus import CorpusProgram, read_json_lines, typed_record, write_json_lines
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
@@ -166,50 +166,64 @@ class EvalReport:
 _METRIC_KEYS = ("fpr", "fnr", "f1")
 
 
+@dataclass(slots=True)
+class ReportHeader:
+    kind: str
+    granularity: str
+    corpus_digest: str
+    model_digest: str
+
+
+@dataclass(slots=True)
+class SavedRow:
+    """A report row as to_records renders it."""
+
+    row: str
+    programs: int
+    functions: int
+    tp: int
+    fn: int
+    fp: int
+    tn: int
+    fpr: str
+    fnr: str
+    f1: str
+
+
 def load_report(path) -> EvalReport:
-    """A saved report: a header and one record per row, as save writes
-    them, whose values are of the types EvalReport, EvalRow and Confusion
-    annotate.  Every row needs a name of its own and non-negative
-    counts, there must be an n/a and a Total row, Total must be the
-    total_row of the others, and each row's fpr, fnr and f1 must be the
-    strings its counts render.  Else EvaluationError names the file and
-    the header or row."""
+    """A saved report: a ReportHeader and one SavedRow per row, as save
+    writes them, each read by typed_record.  Every row needs a name of
+    its own and non-negative counts, there must be an n/a and a Total
+    row, Total must be the total_row of the others, and each row's fpr,
+    fnr and f1 must be the strings its counts render.  Else
+    EvaluationError names the file and the header or row."""
     records = list(read_json_lines(path, EvaluationError))
     if not records:
         raise EvaluationError(f"{path}: empty report")
-    header = records[0]
-    if header.get("kind") != "eval-report":
+    if records[0].get("kind") != "eval-report":
         raise EvaluationError(f"{path}: not an evaluation report")
-    try:
-        rows: dict[str, EvalRow] = {}
-        for rec in records[1:]:
-            counts = {f.name: rec[f.name] for f in fields(Confusion)}
-            row = EvalRow(rec["row"], rec["programs"], rec["functions"], Confusion(**counts))
-            fault = type_fault(row)
-            if fault:
-                raise EvaluationError(f"{path}: row {row.name!r}: {fault}")
-            if row.name in rows:
-                raise EvaluationError(f"{path}: row {row.name!r} appears twice")
-            for key in ("programs", "functions", *counts):
-                if rec[key] < 0:
-                    raise EvaluationError(f"{path}: row {row.name!r}: {key!r} is negative")
-            rows[row.name] = row
-        report = EvalReport(header["granularity"], list(rows.values()), header["corpus_digest"], header["model_digest"])
-    except KeyError as exc:
-        raise EvaluationError(f"{path}: record missing key {exc}") from None
-    fault = type_fault(report)
-    if fault:
-        raise EvaluationError(f"{path}: header: {fault}")
+    header = typed_record(ReportHeader, records[0], EvaluationError, f"{path}: header")
+    rows: dict[str, EvalRow] = {}
+    for rec in records[1:]:
+        line = typed_record(SavedRow, rec, EvaluationError, f"{path}: row {rec.get('row')!r}")
+        if line.row in rows:
+            raise EvaluationError(f"{path}: row {line.row!r} appears twice")
+        for key in ("programs", "functions", "tp", "fn", "fp", "tn"):
+            if getattr(line, key) < 0:
+                raise EvaluationError(f"{path}: row {line.row!r}: {key!r} is negative")
+        confusion = Confusion(line.tp, line.fn, line.fp, line.tn)
+        rows[line.row] = EvalRow(line.row, line.programs, line.functions, confusion)
     for name in (ORIGINAL_ROW, TOTAL_ROW):
         if name not in rows:
             raise EvaluationError(f"{path}: no row {name!r}")
     if rows[TOTAL_ROW] != total_row([r for name, r in rows.items() if name not in (ORIGINAL_ROW, TOTAL_ROW)]):
         raise EvaluationError(f"{path}: row {TOTAL_ROW!r} is not the sum of the transformed rows")
+    report = EvalReport(header.granularity, list(rows.values()), header.corpus_digest, header.model_digest)
     for saved, rendered in zip(records[1:], report.to_records()):
         for key in _METRIC_KEYS:
-            if saved.get(key) != rendered[key]:
+            if saved[key] != rendered[key]:
                 raise EvaluationError(
-                    f"{path}: row {rendered['row']!r}: {key!r} is {saved.get(key)!r}, "
+                    f"{path}: row {rendered['row']!r}: {key!r} is {saved[key]!r}, "
                     f"but its counts give {rendered[key]!r}"
                 )
     return report

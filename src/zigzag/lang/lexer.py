@@ -17,9 +17,9 @@ no string equals an operator, a keyword or a punctuation mark.
 
 A source is valid when every character outside blanks, strings and
 comments belongs to a token; the scan's last alternative takes any
-other character alone.  So a source whose texts hold a one-character
-text that is no token is rescanned line by line, only to name the
-first error with its line and column.
+other character alone.  So the scan refuses a line whose texts hold a
+one-character text that is no token, and a source that holds one is
+rescanned line by line, only to name the first error and its column.
 
 Indexing, iterating or slicing a ``TokenStream`` gives ``Token``
 objects, with string literals decoded.  Lines and columns count
@@ -184,13 +184,21 @@ class TokenStream:
 _SCAN_CACHE_LINES = 4096
 
 
+class _LoneCharacter(Exception):
+    """A line holds a character that no token takes."""
+
+
 @lru_cache(maxsize=_SCAN_CACHE_LINES)
 def _scan(line: str) -> tuple[str, ...]:
     """The raw texts of one line stripped of its blanks, a comment
     included; leading blanks make no token, so lines that differ only in
     indent share one entry.  The tuple is shared by every source that
-    holds the line, so no caller changes it."""
-    return tuple(_TOKENS.findall(line))
+    holds the line, so no caller changes it.  A line that holds a lone
+    character raises _LoneCharacter, which is not cached."""
+    texts = tuple(_TOKENS.findall(line))
+    if any(len(text) == 1 and text not in _SINGLE_TOKENS for text in texts):
+        raise _LoneCharacter
+    return texts
 
 
 def lex(source: str) -> tuple[TokenStream, set[int]]:
@@ -203,7 +211,10 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
     that does not lex raises SyntaxErrorML at its first error.
     """
     lines = source.split("\n")
-    per_line = [_scan(text_of_line.strip(_BLANKS)) for text_of_line in lines]
+    try:
+        per_line = [_scan(text_of_line.strip(_BLANKS)) for text_of_line in lines]
+    except _LoneCharacter:
+        raise _first_error(lines) from None
     vuln_lines: set[int] = set()
     if "//" in source:
         for line, found in enumerate(per_line, 1):
@@ -212,9 +223,6 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
                 if found[-1][2:].strip() == "@vuln":
                     vuln_lines.add(line)
     texts = list(chain.from_iterable(per_line))
-    for text in set(texts):
-        if len(text) == 1 and text not in _SINGLE_TOKENS:
-            raise _first_error(lines)
     texts.append("")
     firsts = list(accumulate(map(len, per_line[:-1]), initial=0))
     return TokenStream(texts, firsts, source), vuln_lines

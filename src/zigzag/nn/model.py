@@ -39,6 +39,9 @@ Everything is float64 and functional: forward passes return caches,
 backward passes return gradient dicts keyed like the parameter dict, so
 freezing a subsystem means not asking for its gradients.
 
+A config is a dict of ModelConfig's fields; make_config and load_model
+read it through corpus.typed_record, then check names and ranges.
+
 Serialization is a fixed binary layout (magic, length-prefixed
 canonical JSON header, raw little-endian float64 tensors in sorted name
 order) so that equal models produce byte-identical files.
@@ -54,6 +57,7 @@ import hashlib
 
 import numpy as np
 
+from ..corpus import field_types, typed_record
 from ..encoding import embedding_rows
 from ..fragments import FUNCTION_GRANULARITY, GRANULARITIES, SLICE_GRANULARITY
 from ..seeds import derive_rng
@@ -71,22 +75,26 @@ from .kernels import (
 MAGIC = b"ZZM1"
 FORMAT_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "encoder": "mean",
-    "emb_dim": 16,
-    "feature_dim": 32,
-    "head_hidden": 16,
-    "rnn_hidden": 24,
-    "granularity": FUNCTION_GRANULARITY,
-    "delta": 0.4,
-    "fusion": "c1",
-}
+
+@dataclass(slots=True, kw_only=True)
+class ModelConfig:
+    """A model's config and its defaults; the length's is by granularity
+    (DEFAULT_LENGTH), so it has none here."""
+
+    encoder: str = "mean"
+    emb_dim: int = 16
+    feature_dim: int = 32
+    head_hidden: int = 16
+    rnn_hidden: int = 24
+    granularity: str = FUNCTION_GRANULARITY
+    delta: float = 0.4
+    fusion: str = "c1"
+    length: int
+
 
 # tokens kept per fragment when the config names no length; a slice is a
 # few statements of one function
 DEFAULT_LENGTH = {FUNCTION_GRANULARITY: 128, SLICE_GRANULARITY: 64}
-
-_REQUIRED_KEYS = (*DEFAULT_CONFIG, "length")
 
 # the config's sizes, each an integer >= 1
 SIZE_KEYS = ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length")
@@ -100,24 +108,27 @@ class ModelError(Exception):
 
 
 def make_config(**overrides) -> dict:
-    config = dict(DEFAULT_CONFIG)
-    for key, value in overrides.items():
-        if key not in _REQUIRED_KEYS:
-            raise ModelError(f"unknown config key {key!r}")
-        config[key] = value
-    if config["encoder"] not in ("mean", "rnn"):
-        raise ModelError(f"unknown encoder {config['encoder']!r}")
-    if config["fusion"] not in ("c1", "mean"):
-        raise ModelError(f"unknown fusion {config['fusion']!r}")
-    if config["granularity"] not in GRANULARITIES:
-        raise ModelError(f"unknown granularity {config['granularity']!r}")
-    config.setdefault("length", DEFAULT_LENGTH[config["granularity"]])
+    """ModelConfig's defaults and `overrides`, checked as a saved config
+    is; a granularity that names none takes the function length here and
+    fails its own check."""
+    slices = overrides.get("granularity") == SLICE_GRANULARITY
+    overrides.setdefault("length", DEFAULT_LENGTH[SLICE_GRANULARITY if slices else FUNCTION_GRANULARITY])
+    return _checked_config(overrides, "model config")
+
+
+def _checked_config(rec: dict, where: str) -> dict:
+    """`rec` read by typed_record as a ModelConfig, as a dict; its names
+    must be known, its sizes >= 1 and its delta in (0, 1)."""
+    config = typed_record(ModelConfig, rec, ModelError, where)
+    for key, names in (("encoder", ("mean", "rnn")), ("fusion", ("c1", "mean")), ("granularity", GRANULARITIES)):
+        if getattr(config, key) not in names:
+            raise ModelError(f"{where}: unknown {key} {getattr(config, key)!r}")
     for key in SIZE_KEYS:
-        if type(config[key]) is not int or config[key] < 1:
-            raise ModelError(f"{key} must be an integer >= 1, got {config[key]!r}")
-    if not isinstance(config["delta"], float) or not 0.0 < config["delta"] < 1.0:
-        raise ModelError(f"delta must be a float in (0, 1), got {config['delta']!r}")
-    return config
+        if getattr(config, key) < 1:
+            raise ModelError(f"{where}: {key} must be an integer >= 1, got {getattr(config, key)!r}")
+    if not 0.0 < config.delta < 1.0:
+        raise ModelError(f"{where}: delta must be a float in (0, 1), got {config.delta!r}")
+    return {key: getattr(config, key) for key in field_types(ModelConfig)}
 
 
 def feature_keys(config: dict) -> list[str]:
@@ -455,17 +466,11 @@ def load_model(path: str | Path) -> DetectorModel:
         raise ModelError(f"{path}: malformed header ({exc!r})") from None
     if version != FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format {version}")
-    missing = [k for k in _REQUIRED_KEYS if k not in config]
-    if missing:
-        raise ModelError(f"{path}: config missing keys {missing}")
+    config = _checked_config(config, f"{path}: model config")
     # build_vocab's ids; checked before the embedding's row count is read from them
     if sorted(v for v in vocab.values() if type(v) is int) != list(range(2, len(vocab) + 2)):
         raise ModelError(f"{path}: vocabulary ids are not the integers 2..{len(vocab) + 1}")
     model = DetectorModel(config=config, vocab=vocab, params={})
-    try:
-        make_config(**config)
-    except (ModelError, TypeError) as exc:
-        raise ModelError(f"{path}: bad model config ({exc})") from None
     # the tensors the config and vocabulary call for, in the order saved;
     # nothing is allocated until the file is known to hold them
     want = sorted(param_shapes(config, model.vocab_size).items())

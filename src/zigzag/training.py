@@ -71,7 +71,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines, type_fault, write_json_lines
+from .corpus import CorpusProgram, read_json_lines, type_fault, typed_record, write_json_lines
 from .encoding import build_vocab, embedding_rows, encode_fragments
 from .evaluation import encode_corpus
 from .fragments import Fragment
@@ -176,16 +176,16 @@ def _record_fault(rec: TrainRecord) -> Optional[str]:
 
 
 def load_trace(path: str | Path) -> list[TrainRecord]:
+    """Each record of a trace file as a TrainRecord, read by typed_record
+    and range-checked by _record_fault; TrainingError names the record."""
     out = []
     # every line decoded first, so a broken line is named before a bad record
     for number, rec in enumerate(list(read_json_lines(path, TrainingError)), 1):
-        try:
-            record = TrainRecord(**rec)
-        except TypeError as exc:  # a missing or unknown key
-            raise TrainingError(f"{path}: trace record {number}: {exc}") from None
-        fault = type_fault(record) or _record_fault(record)
+        where = f"{path}: trace record {number}"
+        record = typed_record(TrainRecord, rec, TrainingError, where)
+        fault = _record_fault(record)
         if fault:
-            raise TrainingError(f"{path}: trace record {number}: {fault}")
+            raise TrainingError(f"{where}: {fault}")
         out.append(record)
     return out
 

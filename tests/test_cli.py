@@ -366,9 +366,9 @@ TENSOR_EDITS = {
 # model header edits -> the header itself is invalid; none allocates a tensor
 HEADER_EDITS = {
     "granularity-line": (lambda m: m.config.update(granularity="line"), "unknown granularity 'line'"),
-    "delta-string": (lambda m: m.config.update(delta="x"), "delta must be a float in (0, 1), got 'x'"),
+    "delta-string": (lambda m: m.config.update(delta="x"), "model config: delta must be of type float, got 'x'"),
     "length-negative": (lambda m: m.config.update(length=-5), "length must be an integer >= 1, got -5"),
-    "length-string": (lambda m: m.config.update(length="7"), "length must be an integer >= 1, got '7'"),
+    "length-string": (lambda m: m.config.update(length="7"), "model config: length must be of type int, got '7'"),
     "vocab-id-huge": (lambda m: m.vocab.update(func=10**15), "vocabulary ids are not the integers 2..2"),
 }
 
@@ -541,7 +541,7 @@ def test_contradictory_report_exits_3_naming_the_file_and_row(case, tmp_path, de
 
 @pytest.mark.parametrize(
     "field, value, what",
-    [("tp", "3", "row 'Total': tp must be of type int, got '3'"), ("row", 5, "row 5: name must be of type str, got 5")],
+    [("tp", "3", "row 'Total': tp must be of type int, got '3'"), ("row", 5, "row 5: row must be of type str, got 5")],
     ids=["tp-string", "row-int"],
 )
 def test_wrongly_typed_report_field_exits_3_naming_the_row(field, value, what, tmp_path, demo_source, capsys):
@@ -626,8 +626,8 @@ def test_wrongly_typed_corpus_field_exits_3_naming_the_record(field, value, what
 
 @pytest.mark.parametrize(
     "key, value, what",
-    [("version", True, "not a corpus file or unsupported version"),
-     ("count", 3.0, "header count must be of type int, got 3.0")],
+    [("version", True, "header: version must be of type int, got True"),
+     ("count", 3.0, "header: count must be of type int, got 3.0")],
     ids=["version-true", "count-float"],
 )
 def test_corpus_header_number_that_is_no_int_exits_3(key, value, what, tmp_path, capsys):

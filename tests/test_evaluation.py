@@ -15,6 +15,7 @@ from zigzag.evaluation import (
     EvalRow,
     EvaluationError,
     ORIGINAL_ROW,
+    SavedRow,
     TOTAL_ROW,
     compare_reports,
     confusion_from,
@@ -243,9 +244,9 @@ def test_load_report_rejects_foreign_file(tmp_path):
         load_report(path)
 
 
-# a saved row holds EvalRow's fields, its name under "row" and its
-# confusion's own fields in the confusion's place
-ROW_FIELDS = [f.name for f in fields(EvalRow) if f.name != "confusion"] + [f.name for f in fields(Confusion)]
+# a saved row holds EvalRow's fields, its name under "row", its
+# confusion's own fields in the confusion's place and the rendered metrics
+ROW_FIELDS = [f.name for f in fields(SavedRow)]
 # the header holds the report's fields but its rows and its unsaved counters
 HEADER_FIELDS = [f.name for f in fields(EvalReport) if f.name not in ("rows", "buckets")]
 
@@ -262,10 +263,9 @@ def _saved_report(tmp_path, edit):
 @pytest.mark.parametrize("name", ROW_FIELDS)
 def test_each_wrongly_typed_row_field_raises_evaluation_error_naming_it(name, tmp_path):
     """A field holding a list of its valid value fits no annotation but a
-    list of that value's type, so every field of EvalRow and Confusion,
-    one added later too, is checked here with no edit to this test."""
-    key = "row" if name == "name" else name
-    path = _saved_report(tmp_path, lambda header, rows: rows[1].update({key: [rows[1][key]]}))
+    list of that value's type, so every field of SavedRow, one added
+    later too, is checked here with no edit to this test."""
+    path = _saved_report(tmp_path, lambda header, rows: rows[1].update({name: [rows[1][name]]}))
     with pytest.raises(EvaluationError, match=f": row .*: {name} must be of type "):
         load_report(path)
 

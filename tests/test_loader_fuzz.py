@@ -1,6 +1,8 @@
-"""Loader fuzz: each file loader reads a file or raises its own typed
-error, whatever the bytes.  The CLI maps those errors to exit 3, so an
-untyped error here would be a traceback there."""
+"""Loader boundaries: each file loader reads a file or raises its own
+typed error, whatever the bytes.  The CLI maps those errors to exit 3,
+so an untyped error here would be a traceback there.  Every loader reads
+its records through corpus.typed_record, so an unknown key, a missing
+required key and a wrongly typed value are worded alike at each."""
 from __future__ import annotations
 
 import json
@@ -8,6 +10,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from zigzag.cli import main
 from zigzag.corpus import CorpusError, generate_synthetic, load_corpus, save_corpus
 from zigzag.evaluation import Confusion, EvalReport, EvalRow, EvaluationError, load_report
 from zigzag.nn.model import DetectorModel, ModelError, init_params, load_model, make_config, save_model
@@ -100,13 +103,107 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _records(kind: str, raw: bytes) -> list[dict]:
+    """The records of a file of `kind`: its JSON lines, header included,
+    or a model's config alone."""
+    if kind == "model":
+        return [json.loads(raw[12 : 12 + int.from_bytes(raw[4:12], "little")])["config"]]
+    return [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+
+
+def _rewritten(kind: str, raw: bytes, records: list[dict]) -> bytes:
+    """`raw` holding `records` in place of its own: a model's header blob
+    is rewritten with its new length, the tensors kept."""
+    if kind == "model":
+        size = int.from_bytes(raw[4:12], "little")
+        header = json.loads(raw[12 : 12 + size])
+        header["config"] = records[0]
+        blob = json.dumps(header).encode("utf-8")
+        return raw[:4] + len(blob).to_bytes(8, "little") + blob + raw[12 + size :]
+    return "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+
+
 @FUZZ
-@given(kind=st.sampled_from(("corpus", "report", "trace")), data=st.data())
+@given(kind=st.sampled_from(sorted(LOADERS)), data=st.data())
 def test_one_key_set_to_any_json_value_loads_or_raises_the_loaders_error(kind, data, valid, tmp_path):
     """Byte edits seldom leave well-formed JSON that holds a wrongly typed
     value, least of all a nested one such as labels {"main": [1]}; here
-    one key of one record, header included, takes any JSON value."""
-    records = [json.loads(line) for line in valid[kind].decode("utf-8").splitlines()]
+    one key of one record, header and model config included, takes any
+    JSON value."""
+    records = _records(kind, valid[kind])
     record = data.draw(st.sampled_from(records), label="record")
     record[data.draw(st.sampled_from(sorted(record)), label="key")] = data.draw(JSON_VALUES, label="value")
-    _load(kind, "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8"), tmp_path / "fuzzed")
+    _load(kind, _rewritten(kind, valid[kind], records), tmp_path / "fuzzed")
+
+
+@FUZZ
+@given(kind=st.sampled_from(sorted(LOADERS)), data=st.data())
+def test_one_key_inserted_or_dropped_loads_or_raises_the_loaders_error(kind, data, valid, tmp_path):
+    """One record, header and model config included, gains a key with
+    any JSON value or loses one of its keys."""
+    records = _records(kind, valid[kind])
+    record = data.draw(st.sampled_from(records), label="record")
+    if data.draw(st.booleans(), label="insert"):
+        record[data.draw(st.text(max_size=8), label="key")] = data.draw(JSON_VALUES, label="value")
+    else:
+        del record[data.draw(st.sampled_from(sorted(record)), label="key")]
+    _load(kind, _rewritten(kind, valid[kind], records), tmp_path / "fuzzed")
+
+
+# boundary -> (file kind, the record's index in the file (a model has its
+# config alone), the name its errors give it, a key it needs, and a key
+# with a value of the wrong type and that key's type as the error shows it)
+BOUNDARIES = {
+    "corpus-header": ("corpus", 0, "header", "count", ("count", "3", "int")),
+    "corpus-record": ("corpus", 1, "record 'p0000'", "labels", ("source", 5, "str")),
+    "trace-record": ("trace", 0, "trace record 1", "L_c", ("epoch", 1.0, "int")),
+    "report-header": ("report", 0, "header", "corpus_digest", ("granularity", 5, "str")),
+    "report-row": ("report", 1, "row 'n/a'", "programs", ("tp", "1", "int")),
+    "model-config": ("model", 0, "model config", "length", ("emb_dim", 4.0, "int")),
+}
+FAULTS = ("unknown-key", "missing-key", "wrong-type")
+
+
+def _damaged(valid, tmp_path, boundary: str, fault: str):
+    """A file whose boundary record holds `fault`, and the error's message."""
+    kind, index, where, needed, (key, value, shown) = BOUNDARIES[boundary]
+    records = _records(kind, valid[kind])
+    if fault == "unknown-key":
+        records[index]["bogus"] = 1
+        what = "unknown key 'bogus'"
+    elif fault == "missing-key":
+        del records[index][needed]
+        what = f"missing key {needed!r}"
+    else:
+        records[index][key] = value
+        what = f"{key} must be of type {shown}, got {value!r}"
+    path = tmp_path / kind
+    path.write_bytes(_rewritten(kind, valid[kind], records))
+    return path, f"{path}: {where}: {what}"
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_each_boundary_raises_its_own_error_in_one_wording(boundary, fault, valid, tmp_path):
+    path, message = _damaged(valid, tmp_path, boundary, fault)
+    loader, error = LOADERS[BOUNDARIES[boundary][0]]
+    with pytest.raises(error) as exc:
+        loader(path)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("boundary", sorted(b for b in BOUNDARIES if not b.startswith("trace")))
+def test_each_boundary_exits_3_through_the_command_that_reads_it(boundary, fault, valid, tmp_path, capsys):
+    path, message = _damaged(valid, tmp_path, boundary, fault)
+    good = tmp_path / "good"
+    good.write_bytes(valid[BOUNDARIES[boundary][0]])
+    (tmp_path / "corpus.jsonl").write_bytes(valid["corpus"])
+    argv = {
+        "corpus": ["transform", str(path), "--ct", "ct2", "--out", str(tmp_path / "aug.jsonl")],
+        "report": ["compare", str(path), str(good)],
+        "model": ["eval", "--model", str(path), "--corpus", str(tmp_path / "corpus.jsonl"),
+                  "--out", str(tmp_path / "out.jsonl")],
+    }[BOUNDARIES[boundary][0]]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")

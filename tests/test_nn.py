@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from zigzag.nn.kernels import Buffers, embed_mean_forward, rnn_backward, rnn_for
 from zigzag.nn.losses import EPS, bce_grad, bce_loss, discrepancy_grad, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
+    ModelConfig,
     ModelError,
     features,
     features_backward,
@@ -940,6 +941,15 @@ def test_make_config_validation():
         make_config(encoder="transformer")
     with pytest.raises(ModelError):
         make_config(fusion="max")
+
+
+@pytest.mark.parametrize("name", [field.name for field in fields(ModelConfig)])
+@pytest.mark.parametrize("value", [None, True, "1", 1.5j], ids=["none", "bool", "text", "complex"])
+def test_make_config_names_each_wrongly_typed_field(name, value):
+    """A name field given "1" names no encoder, fusion or granularity;
+    every other value fits no annotation."""
+    with pytest.raises(ModelError, match=f"^model config: ({name} must be of type |unknown {name} )"):
+        make_config(**{name: value})
 
 
 def test_make_config_length_defaults_by_granularity():
