@@ -20,7 +20,7 @@ gen, transform and train take --config, a file of `key = value` lines
     transform  seed, ct
     train      seed, granularity, every field of training.TrainConfig
                (converted to its annotated type), and the model's
-               encoder and sizes (nn.model.SIZE_KEYS, length included)
+               encoder and sizes (nn.model.ModelConfig's int fields)
 
 A key its command does not read, a line without `=`, or a value its
 key's type does not parse exits 2 and names the file and line.
@@ -42,7 +42,7 @@ from .corpus import CorpusError, augment_corpus, field_types, generate_synthetic
 from .encoding import EncodingError, count_truncated
 from .evaluation import EvaluationError, compare_reports, evaluate_detector, load_report
 from .fragments import GRANULARITIES, extract_fragments
-from .nn.model import SIZE_KEYS, ModelError, load_model, make_config, model_fingerprint, save_model
+from .nn.model import ModelConfig, ModelError, load_model, make_config, model_fingerprint, save_model
 from .nn.optim import TrainingDiverged
 from .training import TrainConfig, TrainingError, save_trace, train_original, train_zigzag
 from .transforms import TransformError, resolve_kinds
@@ -50,7 +50,7 @@ from .transforms import TransformError, resolve_kinds
 log = logging.getLogger("zigzag")
 
 _TRAIN_FIELDS = field_types(TrainConfig)
-_MODEL_KEYS = {"encoder": str, **dict.fromkeys(SIZE_KEYS, int)}
+_MODEL_KEYS = {k: t for k, t in field_types(ModelConfig).items() if k == "encoder" or t is int}
 
 # per command, the config-file keys it reads and the type each value converts to
 _CONFIG_KEYS = {
@@ -222,22 +222,14 @@ def cmd_train(args) -> None:
 
     if tested:
         log.warning("train ignores %d test-split programs", tested)
-    if args.mode == "original":
-        if ignored:
-            log.warning("original mode ignores %d transformed variant programs", ignored)
-        outcome = train_original(
-            clean, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
-        )
-    elif args.mode == "conventional":
-        if not varied:
-            log.warning("conventional mode without variants is identical to original mode")
-        outcome = train_original(
-            clean + varied, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
-        )
-    else:
-        outcome = train_zigzag(
-            clean, varied, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source
-        )
+    if ignored:  # only original mode ignores variants, so its varied is empty
+        log.warning("original mode ignores %d transformed variant programs", ignored)
+    if args.mode == "conventional" and not varied:
+        log.warning("conventional mode without variants is identical to original mode")
+    # zigzag mode keeps the variants apart; the others train on all fragments
+    data = (clean, varied) if args.mode == "zigzag" else (clean + varied,)
+    fit = train_zigzag if args.mode == "zigzag" else train_original
+    outcome = fit(*data, model_config=mc, train_config=tc, val_programs=val_programs, val_source=val_source)
 
     save_model(outcome.model, args.out_model)
     save_trace(args.out_trace, outcome.trace)

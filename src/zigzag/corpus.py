@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import types
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
@@ -510,7 +510,7 @@ def augment_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], kinds: Iterab
 
 def save_corpus(path: str | Path, programs: Iterable[CorpusProgram]) -> None:
     items = list(programs)
-    header = {"version": CORPUS_VERSION, "kind": "program-corpus", "count": len(items)}
+    header = asdict(CorpusHeader(CORPUS_VERSION, "program-corpus", len(items)))
     keys = field_types(CorpusProgram)
     write_json_lines(path, [header] + [{key: getattr(item, key) for key in keys} for item in items])
 
@@ -605,12 +605,11 @@ def typed_record(cls: type, rec: dict, error: type[Exception], where: str) -> An
         item = cls(**rec)
     except TypeError:  # a key that is no field, or a field with no default left out
         names = field_types(cls)
-        unknown = [key for key in rec if key not in names]
-        if unknown:
-            raise error(f"{where}: unknown key {unknown[0]!r}") from None
-        missing = [f.name for f in fields(cls)
-                   if f.name not in rec and f.default is MISSING and f.default_factory is MISSING]
-        raise error(f"{where}: missing key {missing[0]!r}") from None
+        unknown = [f"unknown key {key!r}" for key in rec if key not in names]
+        # a dataclass puts its fields with no default first, so the first
+        # one left out has none
+        missing = [f"missing key {name!r}" for name in names if name not in rec]
+        raise error(f"{where}: {(unknown + missing)[0]}") from None
     fault = type_fault(item)
     if fault:
         raise error(f"{where}: {fault}")

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusProgram, read_json_lines, typed_record, write_json_lines
+from .corpus import CorpusProgram, field_types, read_json_lines, typed_record, write_json_lines
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
@@ -68,17 +69,9 @@ class Confusion:
 def confusion_from(y_true: Sequence[int], y_pred: Sequence[int]) -> Confusion:
     if len(y_true) != len(y_pred):
         raise EvaluationError("label/prediction length mismatch")
-    tp = fn = fp = tn = 0
-    for t, p in zip(y_true, y_pred):
-        if t and p:
-            tp += 1
-        elif t and not p:
-            fn += 1
-        elif not t and p:
-            fp += 1
-        else:
-            tn += 1
-    return Confusion(tp, fn, fp, tn)
+    # (label, prediction) pairs, any truthy value as True
+    counts = Counter(zip(map(bool, y_true), map(bool, y_pred)))
+    return Confusion(counts[True, True], counts[True, False], counts[False, True], counts[False, False])
 
 
 def format_metric(value: Optional[Fraction]) -> str:
@@ -103,6 +96,21 @@ class EvalRow:
 _LINE = "{row:<8} {programs:>6} {functions:>6} {tp:>5} {fn:>5} {fp:>5} {tn:>5} {fpr:>13} {fnr:>13} {f1:>13}"
 _TITLES = dict(row="row", programs="progs", functions="funcs", tp="TP", fn="FN", fp="FP", tn="TN",
                fpr="FPR", fnr="FNR", f1="F1")
+_METRIC_KEYS = ("fpr", "fnr", "f1")
+
+
+@dataclass(slots=True)
+class ReportHeader:
+    kind: str
+    granularity: str
+    corpus_digest: str
+    model_digest: str
+
+
+# a report row as to_records renders it: its name, its counts and its metrics
+SavedRow = make_dataclass("SavedRow", [("row", str), ("programs", int), ("functions", int),
+                                       *((f.name, int) for f in fields(Confusion)),
+                                       *((key, str) for key in _METRIC_KEYS)], slots=True)
 
 
 def total_row(kinds: Sequence[EvalRow]) -> EvalRow:
@@ -139,55 +147,17 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_records(self) -> list[dict]:
-        """One record per row; FPR, FNR and F1 are rendered here only."""
+        """One SavedRow per row, as a dict; FPR, FNR and F1 are rendered
+        here only."""
         return [
-            {
-                "row": r.name,
-                "programs": r.programs,
-                "functions": r.functions,
-                **asdict(r.confusion),
-                "fpr": format_metric(r.confusion.fpr),
-                "fnr": format_metric(r.confusion.fnr),
-                "f1": format_metric(r.confusion.f1),
-            }
+            asdict(SavedRow(r.name, r.programs, r.functions, **asdict(r.confusion),
+                            **{key: format_metric(getattr(r.confusion, key)) for key in _METRIC_KEYS}))
             for r in self.rows
         ]
 
     def save(self, path) -> None:
-        header = {
-            "kind": "eval-report",
-            "granularity": self.granularity,
-            "corpus_digest": self.corpus_digest,
-            "model_digest": self.model_digest,
-        }
-        write_json_lines(path, [header, *self.to_records()])
-
-
-_METRIC_KEYS = ("fpr", "fnr", "f1")
-
-
-@dataclass(slots=True)
-class ReportHeader:
-    kind: str
-    granularity: str
-    corpus_digest: str
-    model_digest: str
-
-
-@dataclass(slots=True)
-class SavedRow:
-    """A report row as to_records renders it."""
-
-    row: str
-    programs: int
-    functions: int
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-    fpr: str
-    fnr: str
-    f1: str
+        header = ReportHeader("eval-report", self.granularity, self.corpus_digest, self.model_digest)
+        write_json_lines(path, [asdict(header), *self.to_records()])
 
 
 def load_report(path) -> EvalReport:
@@ -208,8 +178,8 @@ def load_report(path) -> EvalReport:
         line = typed_record(SavedRow, rec, EvaluationError, f"{path}: row {rec.get('row')!r}")
         if line.row in rows:
             raise EvaluationError(f"{path}: row {line.row!r} appears twice")
-        for key in ("programs", "functions", "tp", "fn", "fp", "tn"):
-            if getattr(line, key) < 0:
+        for key, annotation in field_types(SavedRow).items():
+            if annotation is int and getattr(line, key) < 0:
                 raise EvaluationError(f"{path}: row {line.row!r}: {key!r} is negative")
         confusion = Confusion(line.tp, line.fn, line.fp, line.tn)
         rows[line.row] = EvalRow(line.row, line.programs, line.functions, confusion)

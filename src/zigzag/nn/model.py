@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, make_dataclass
 from pathlib import Path
 
 import hashlib
@@ -76,28 +76,17 @@ MAGIC = b"ZZM1"
 FORMAT_VERSION = 1
 
 
-@dataclass(slots=True, kw_only=True)
-class ModelConfig:
-    """A model's config and its defaults; the length's is by granularity
-    (DEFAULT_LENGTH), so it has none here."""
-
-    encoder: str = "mean"
-    emb_dim: int = 16
-    feature_dim: int = 32
-    head_hidden: int = 16
-    rnn_hidden: int = 24
-    granularity: str = FUNCTION_GRANULARITY
-    delta: float = 0.4
-    fusion: str = "c1"
-    length: int
-
+# what make_config takes for a field the call leaves out, but the length
+_DEFAULTS = {"encoder": "mean", "emb_dim": 16, "feature_dim": 32, "head_hidden": 16, "rnn_hidden": 24,
+             "granularity": FUNCTION_GRANULARITY, "delta": 0.4, "fusion": "c1"}
+# a model's config: a field of its default's type per default, and the
+# length; every field required of a saved config, each int one a size >= 1
+ModelConfig = make_dataclass(
+    "ModelConfig", [*((key, type(value)) for key, value in _DEFAULTS.items()), ("length", int)], slots=True)
 
 # tokens kept per fragment when the config names no length; a slice is a
 # few statements of one function
 DEFAULT_LENGTH = {FUNCTION_GRANULARITY: 128, SLICE_GRANULARITY: 64}
-
-# the config's sizes, each an integer >= 1
-SIZE_KEYS = ("emb_dim", "feature_dim", "head_hidden", "rnn_hidden", "length")
 
 # the two classifier heads on one feature stack
 HEADS = ("c1", "c2")
@@ -108,12 +97,12 @@ class ModelError(Exception):
 
 
 def make_config(**overrides) -> dict:
-    """ModelConfig's defaults and `overrides`, checked as a saved config
-    is; a granularity that names none takes the function length here and
-    fails its own check."""
+    """_DEFAULTS, the granularity's DEFAULT_LENGTH and `overrides`,
+    checked as a saved config is; a granularity that names none takes the
+    function length here and fails its own check."""
     slices = overrides.get("granularity") == SLICE_GRANULARITY
-    overrides.setdefault("length", DEFAULT_LENGTH[SLICE_GRANULARITY if slices else FUNCTION_GRANULARITY])
-    return _checked_config(overrides, "model config")
+    length = DEFAULT_LENGTH[SLICE_GRANULARITY if slices else FUNCTION_GRANULARITY]
+    return _checked_config({**_DEFAULTS, "length": length, **overrides}, "model config")
 
 
 def _checked_config(rec: dict, where: str) -> dict:
@@ -123,12 +112,12 @@ def _checked_config(rec: dict, where: str) -> dict:
     for key, names in (("encoder", ("mean", "rnn")), ("fusion", ("c1", "mean")), ("granularity", GRANULARITIES)):
         if getattr(config, key) not in names:
             raise ModelError(f"{where}: unknown {key} {getattr(config, key)!r}")
-    for key in SIZE_KEYS:
-        if getattr(config, key) < 1:
+    for key, annotation in field_types(ModelConfig).items():
+        if annotation is int and getattr(config, key) < 1:
             raise ModelError(f"{where}: {key} must be an integer >= 1, got {getattr(config, key)!r}")
     if not 0.0 < config.delta < 1.0:
         raise ModelError(f"{where}: delta must be a float in (0, 1), got {config.delta!r}")
-    return {key: getattr(config, key) for key in field_types(ModelConfig)}
+    return asdict(config)
 
 
 def feature_keys(config: dict) -> list[str]:

@@ -6,6 +6,7 @@ required key and a wrongly typed value are worded alike at each."""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from zigzag.cli import main
 from zigzag.corpus import CorpusError, generate_synthetic, load_corpus, save_corpus
 from zigzag.evaluation import Confusion, EvalReport, EvalRow, EvaluationError, load_report
-from zigzag.nn.model import DetectorModel, ModelError, init_params, load_model, make_config, save_model
+from zigzag.nn.model import DetectorModel, ModelConfig, ModelError, init_params, load_model, make_config, save_model
 from zigzag.training import TrainingError, TrainRecord, load_trace, save_trace
 
 # file kind -> (loader, the error it may raise)
@@ -159,7 +160,7 @@ BOUNDARIES = {
     "trace-record": ("trace", 0, "trace record 1", "L_c", ("epoch", 1.0, "int")),
     "report-header": ("report", 0, "header", "corpus_digest", ("granularity", 5, "str")),
     "report-row": ("report", 1, "row 'n/a'", "programs", ("tp", "1", "int")),
-    "model-config": ("model", 0, "model config", "length", ("emb_dim", 4.0, "int")),
+    "model-config": ("model", 0, "model config", "delta", ("emb_dim", 4.0, "int")),
 }
 FAULTS = ("unknown-key", "missing-key", "wrong-type")
 
@@ -190,6 +191,18 @@ def test_each_boundary_raises_its_own_error_in_one_wording(boundary, fault, vali
     with pytest.raises(error) as exc:
         loader(path)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ModelConfig)])
+def test_a_saved_model_config_without_any_one_key_raises_model_error(key, valid, tmp_path):
+    """make_config fills in the keys a call leaves out; load_model, none."""
+    records = _records("model", valid["model"])
+    del records[0][key]
+    path = tmp_path / "model"
+    path.write_bytes(_rewritten("model", valid["model"], records))
+    with pytest.raises(ModelError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: model config: missing key {key!r}"
 
 
 @pytest.mark.parametrize("fault", FAULTS)
