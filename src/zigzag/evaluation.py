@@ -1,9 +1,10 @@
 """Detector evaluation: exact-rational metrics and per-transform rows.
 
 encode_corpus cuts and encodes a corpus once per bucket (untransformed
-programs, then each transform kind); EncodedCorpus.score scores it under
-a model's current parameters, one forward pass per bucket, as eval does
-once and training does after every epoch.  Counts are per function: a
+programs, then each transform kind) and finds each bucket's distinct
+rows once; EncodedCorpus.score scores it under a model's current
+parameters, one forward pass per bucket over its distinct rows, as eval
+does once and training does after every epoch.  Counts are per function: a
 function is predicted positive when any of its fragments (its one
 function fragment, or any of its slices) is, and functions without
 slices are predicted negative.  Total sums the transformed rows
@@ -28,7 +29,7 @@ from .corpus import CorpusProgram, field_types, read_json_lines, typed_record, w
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import Fragment, extract_fragments
 from .lang.nodes import Program
-from .nn.model import DetectorModel, model_fingerprint
+from .nn.model import DetectorModel, DistinctRows, distinct_rows, model_fingerprint
 
 ORIGINAL_ROW = "n/a"
 TOTAL_ROW = "Total"
@@ -212,9 +213,10 @@ class EncodedCorpus:
     # per bucket: fragments, fragments longer than the length, and unknown
     # tokens in what was kept
     counters: dict[str, dict[str, int]]
-    # per bucket, untransformed first: its name, its encoded fragments and,
-    # per program, the function labels and each fragment's function
-    buckets: list[tuple[str, np.ndarray, list[tuple[dict[str, int], tuple[str, ...]]]]]
+    # per bucket, untransformed first: its name, its encoded fragments as
+    # their distinct rows, found once here rather than at every scoring,
+    # and, per program, the function labels and each fragment's function
+    buckets: list[tuple[str, DistinctRows, list[tuple[dict[str, int], tuple[str, ...]]]]]
 
     @property
     def transformed(self) -> int:
@@ -223,7 +225,8 @@ class EncodedCorpus:
 
     def score(self, model: DetectorModel) -> list[EvalRow]:
         """The n/a row, one row per kind and the Total row under `model`:
-        one forward pass per bucket, then counts per function."""
+        one forward pass per bucket, over its distinct rows, then counts
+        per function."""
         rows = []
         for name, X, programs in self.buckets:
             preds = iter(model.predict(X))
@@ -268,7 +271,7 @@ def encode_corpus(
             "unk_tokens": int(np.count_nonzero(X == UNK_ID)),
         }
         programs = [(item.labels, tuple(frag.function for frag in frags)) for item, frags in bucket]
-        buckets.append((name, X, programs))
+        buckets.append((name, distinct_rows(X), programs))
     return EncodedCorpus(digest, counters, buckets)
 
 

@@ -7,16 +7,20 @@ matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
 only the RNN scatters per-token gradients into the embedding.  The
 recurrence runs to the batch's last column that holds a token; the
 all-padding columns after it would leave h as it is.  prepare_ids
-readies a set of id rows once: it checks the ids against the
-embedding's rows and, for the mean encoder, builds C and n.  A training
-set is prepared once per run and its batches are row gathers of it; an
-id array given to features or features_forward is prepared there, on
-every call.
+readies a set of id rows once: it finds the set's distinct rows
+(distinct_rows), checks their ids against the embedding's rows and, for
+the mean encoder, builds their C and n.  A training set is prepared once
+per run and its batches are gathers through its row index; an id array
+given to features or features_forward is prepared there, on every call.
 The feature stack has two entry points.  features(params, config, X)
 returns F alone, for passes that take no gradient (trace measurement,
-mining, DetectorModel.predict_proba); the RNN keeps only its last state
-there.  features_forward returns F and the cache that
-features_backward needs, for training steps.  Both give the same bytes.
+mining, DetectorModel.predict_proba): it forwards each distinct row
+once and gathers F back to every row, and the RNN keeps only its last
+state there.  features_forward returns F and the cache that
+features_backward needs, for training steps, and forwards every row of
+its batch, repeats included.  Both give the same bytes: a row's features
+do not depend on the other rows of a pass of two rows or more (see
+features for the premise and the test that pins it).
 A training step may hand features_forward a kernels.Buffers that lives
 for the whole run, so the RNN's per-batch arrays are allocated once; its
 cache then holds views of those buffers, which the next forward pass on
@@ -41,6 +45,9 @@ freezing a subsystem means not asking for its gradients.
 
 A config is a dict of ModelConfig's fields; make_config and load_model
 read it through corpus.typed_record, then check names and ranges.
+load_model reads a file's header the same way, as a ModelHeader whose
+tensor specs are TensorSpecs, and checks by hand only the format
+version, the vocabulary's ids and the tensor layout.
 
 Serialization is a fixed binary layout (magic, length-prefixed
 canonical JSON header, raw little-endian float64 tensors in sorted name
@@ -186,42 +193,88 @@ def _check_token_ids(X: np.ndarray, rows: int) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class PreparedIds:
-    """(N, L) token ids as prepare_ids readies them: X checked against an
-    embedding of emb_rows rows and, for the mean encoder, its count
-    matrix C and per-row token counts denom (None for the RNN).  Indexing
-    gathers rows of all three, so a batch or subset needs no new count."""
+class DistinctRows:
+    """(N, L) token ids as their distinct rows, in the order of first
+    appearance, and each row's index into them: row i is
+    distinct[index[i]].  Indexing gathers the index alone, so a batch or
+    subset copies no row."""
 
-    X: np.ndarray
+    distinct: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows) -> "DistinctRows":
+        return DistinctRows(self.distinct, self.index[rows])
+
+
+def distinct_rows(X: np.ndarray) -> DistinctRows:
+    """X's distinct rows, found by one dict over the rows' bytes.  Neither
+    this nor features sorts: numpy's first sort in a process maps its
+    sort kernels' code, about half a megabyte of resident memory."""
+    ids: dict[bytes, int] = {}  # a row's bytes -> its distinct row
+    first: list[int] = []  # where each distinct row first appears
+    index = []
+    for i, row in enumerate(X):
+        j = ids.setdefault(row.tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+        index.append(j)
+    return DistinctRows(X[np.array(first, dtype=np.intp)], np.array(index, dtype=np.intp))
+
+
+@dataclass(frozen=True, slots=True)
+class PreparedIds:
+    """Token ids as prepare_ids readies them: their DistinctRows, checked
+    against an embedding of emb_rows rows and, for the mean encoder, the
+    count matrix C and per-row token counts denom of the distinct rows
+    (None for the RNN).  Indexing gathers the index alone, so a batch or
+    subset needs no new count and copies no row.  Each distinct row is
+    kept once: its features do not depend on the other rows of a pass
+    (the premise features states, pinned by tests/test_nn.py's
+    test_features_of_distinct_rows_byte_equal_a_pass_over_every_row)."""
+
+    rows: DistinctRows
     emb_rows: int
     C: np.ndarray | None = None
     denom: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.X)
+        return len(self.rows)
 
     def __getitem__(self, rows) -> "PreparedIds":
-        if self.C is None:
-            return PreparedIds(self.X[rows], self.emb_rows)
-        return PreparedIds(self.X[rows], self.emb_rows, self.C[rows], self.denom[rows])
+        return PreparedIds(self.rows[rows], self.emb_rows, self.C, self.denom)
 
 
-def prepare_ids(params: dict, config: dict, X: np.ndarray) -> PreparedIds:
-    """X ready for features_forward under any parameters with the same
-    embedding rows and encoder.  The id range is checked here, before any
-    kernel reads an id: an id outside [0, emb rows) raises ModelError (the
-    count matrix would count an id >= emb rows in the next row's columns).
-    The mean encoder's counts are built here, once for all of X."""
+def _counts(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X's ids checked against the embedding's rows, before any kernel
+    reads one: an id outside [0, emb rows) raises ModelError (the count
+    matrix would count an id >= emb rows in the next row's columns).
+    Then the mean encoder's count matrix C and per-row token counts
+    denom of X, or () for the RNN."""
     rows = params["emb"].shape[0]
     _check_token_ids(X, rows)
-    if config["encoder"] == "mean":
-        return PreparedIds(X, rows, *token_counts(X, rows))
-    return PreparedIds(X, rows)
+    return token_counts(X, rows) if config["encoder"] == "mean" else ()
 
 
-def _ready(params: dict, config: dict, X: np.ndarray | PreparedIds) -> PreparedIds:
-    """X prepared for params and config: an array is prepared here, a
-    prepared set is checked to fit them."""
+def prepare_ids(params: dict, config: dict, X: np.ndarray | DistinctRows) -> PreparedIds:
+    """X ready for features and features_forward under any parameters with
+    the same embedding rows and encoder.  An array's distinct rows are
+    found here (distinct_rows), so the id range check and the mean
+    encoder's counts (_counts) run once per distinct row, and features
+    forwards each distinct row once: a row's features do not depend on
+    the other rows of its pass (the premise features states, which
+    tests/test_nn.py's
+    test_features_of_distinct_rows_byte_equal_a_pass_over_every_row
+    pins)."""
+    rows = X if isinstance(X, DistinctRows) else distinct_rows(X)
+    return PreparedIds(rows, params["emb"].shape[0], *_counts(params, config, rows.distinct))
+
+
+def _ready(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedIds) -> PreparedIds:
+    """X prepared for params and config: an array or DistinctRows is
+    prepared here, a prepared set is checked to fit them."""
     ids = X if isinstance(X, PreparedIds) else prepare_ids(params, config, X)
     if ids.emb_rows != params["emb"].shape[0] or (ids.C is None) != (config["encoder"] == "rnn"):
         raise ModelError(
@@ -229,6 +282,17 @@ def _ready(params: dict, config: dict, X: np.ndarray | PreparedIds) -> PreparedI
             f"encoder do not fit {params['emb'].shape[0]} rows and the {config['encoder']} encoder"
         )
     return ids
+
+
+def _every_row(params: dict, config: dict, X: np.ndarray | PreparedIds) -> tuple[np.ndarray, tuple]:
+    """Every row of X as a training step forwards it, repeated rows too:
+    its ids and, for the mean encoder, their counts (as _counts gives
+    them).  A prepared set gathers both through its index; an array is
+    checked and counted as it is."""
+    if not isinstance(X, PreparedIds):
+        return X, _counts(params, config, X)
+    ids, rows = _ready(params, config, X), X.rows.index
+    return ids.rows.distinct[rows], () if ids.C is None else (ids.C[rows], ids.denom[rows])
 
 
 def _filled(X: np.ndarray) -> np.ndarray:
@@ -243,18 +307,47 @@ def _feature_layer(params: dict, enc: np.ndarray) -> np.ndarray:
     return np.tanh(enc @ params["f_w"] + params["f_b"])
 
 
-def features(params: dict, config: dict, X: np.ndarray | PreparedIds) -> np.ndarray:
+def features(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedIds) -> np.ndarray:
     """Feature vectors F (N, feature_dim), with no cache: the entry point
     of passes that take no gradient (trace measurement, mining and
-    prediction).  X is as for features_forward.  F has the bytes
-    features_forward gives; the RNN keeps only its last state
+    prediction).  X is as for features_forward, or a DistinctRows.
+
+    Only the distinct rows that X's index reaches are forwarded, once
+    each, and F is gathered back to every row.  This rests on a premise:
+    a row's features do not depend on which other rows share its pass,
+    so F has the bytes features_forward gives over every row.  It holds
+    for a pass of two rows or more whose products each have more than
+    one output column (emb_dim, rnn_hidden and feature_dim above 1):
+    numpy hands those to BLAS's matrix product, which gives a row the
+    same bytes beside any other rows, under 1 and 2 BLAS threads alike.
+    A one-row product, or one with a single output column, goes to the
+    matrix-vector kernel, whose bytes differ, and a row's bytes there
+    can depend on its neighbours: so a pass of many copies of one row
+    forwards two, and the heads, whose last layer has one output column,
+    always run over every row.  tests/test_nn.py's
+    test_features_of_distinct_rows_byte_equal_a_pass_over_every_row
+    pins the premise.  The RNN keeps only its last state
     (kernels.rnn_last_state), where features_forward keeps every step's
     state and token vectors for the backward pass."""
+    ids = _ready(params, config, X)
+    reached = np.zeros(len(ids.rows.distinct), dtype=bool)
+    reached[ids.rows.index] = True
+    if len(ids.rows) > 1 and np.count_nonzero(reached) == 1:
+        # numpy hands a one-row product to BLAS's matrix-vector kernel,
+        # whose bytes differ from a row of a matrix product: many copies
+        # of one row forward two of it
+        used = np.repeat(np.flatnonzero(reached), 2)
+    elif reached.all():
+        used = slice(None)  # every distinct row, in order: a view, no copy
+    else:
+        used = np.flatnonzero(reached)
     if config["encoder"] == "mean":
-        return features_forward(params, config, X)[0]
-    X = _filled(_ready(params, config, X).X)
-    enc = rnn_last_state(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
-    return _feature_layer(params, enc)
+        enc = embed_mean_forward(params["emb"], ids.C[used], ids.denom[used])
+    else:
+        X = _filled(ids.rows.distinct[used])
+        enc = rnn_last_state(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
+    # a distinct row's place among the forwarded ones, for every row
+    return _feature_layer(params, enc)[(np.cumsum(reached) - 1)[ids.rows.index]]
 
 
 def features_forward(
@@ -266,18 +359,21 @@ def features_forward(
     X holds (N, L) token ids encoded with the model's own vocabulary, so
     every id lies in [0, emb rows), either as an array, which is prepared
     here (prepare_ids checks its range), or as a set prepare_ids readied
-    for parameters of the same embedding rows and encoder.  The RNN takes
-    its per-batch arrays from buffers when given, and fresh ones
-    otherwise; the cache then holds views of those buffers, valid until
-    the next forward pass on them (features_backward checks the stamp).
-    The mean encoder takes no buffers.
+    for parameters of the same embedding rows and encoder.  Every row is
+    forwarded, repeated rows too, so each gradient sums the rows of the
+    batch in their order (_every_row).  The RNN takes its per-batch
+    arrays from buffers when given, and fresh ones otherwise; the cache
+    then holds views of those buffers, valid until the next forward pass
+    on them (features_backward checks the stamp).  The mean encoder takes
+    no buffers.
     """
-    ids = _ready(params, config, X)
+    X, counts = _every_row(params, config, X)
     if config["encoder"] == "mean":
-        enc = embed_mean_forward(params["emb"], ids.C, ids.denom)
-        cache: dict = {"C": ids.C, "denom": ids.denom}
+        C, denom = counts
+        enc = embed_mean_forward(params["emb"], C, denom)
+        cache: dict = {"C": C, "denom": denom}
     else:
-        X = _filled(ids.X)
+        X = _filled(X)
         hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"], buffers or fresh)
         enc = hs[:, -1, :]
         cache = {"X": X, "hs": hs, "E": E, "buffers": buffers}
@@ -402,22 +498,38 @@ class DetectorModel:
     def vocab_size(self) -> int:
         return embedding_rows(self.vocab)
 
-    def predict_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def predict_proba(self, X: np.ndarray | DistinctRows) -> tuple[np.ndarray, np.ndarray]:
         p1, p2 = heads_forward(self.params, features(self.params, self.config, X))[0]
         return p1, p2
 
-    def fused_proba(self, X: np.ndarray) -> np.ndarray:
+    def fused_proba(self, X: np.ndarray | DistinctRows) -> np.ndarray:
         p1, p2 = self.predict_proba(X)
         if self.config["fusion"] == "mean":
             return (p1 + p2) / 2.0
         return p1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray | DistinctRows) -> np.ndarray:
         return binary_prediction(self.fused_proba(X), self.config["delta"])
 
 
 # --------------------------------------------------------------------------
 # serialization
+
+@dataclass(slots=True)
+class TensorSpec:
+    name: str
+    shape: list[int]
+
+
+@dataclass(slots=True)
+class ModelHeader:
+    """A model file's header; its config is read as a ModelConfig after it."""
+
+    format: int
+    config: dict
+    vocab: dict[str, int]
+    tensors: list[dict]
+
 
 def _serialize(model: DetectorModel) -> bytes:
     names = sorted(model.params)
@@ -439,6 +551,10 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
+    """A saved model: the magic, then the header of this format, read by
+    typed_record as a ModelHeader with its config (_checked_config) and
+    tensor specs, then the tensors the layout names.  Anything else
+    raises ModelError naming the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ModelError(f"{path}: not a model file")
@@ -446,22 +562,25 @@ def load_model(path: str | Path) -> DetectorModel:
     if len(raw) < 12 + size:
         raise ModelError(f"{path}: file ends inside the {size}-byte header")
     try:
-        header = json.loads(raw[12 : 12 + size].decode("utf-8"))
-        version = header.get("format")
-        config = dict(header["config"])
-        layout = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
-        vocab = dict(header["vocab"])
-    except (ValueError, RecursionError, KeyError, AttributeError, TypeError) as exc:
+        rec = json.loads(raw[12 : 12 + size].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"{path}: malformed header ({exc!r})") from None
-    if version != FORMAT_VERSION:
-        raise ModelError(f"{path}: unsupported format {version}")
-    config = _checked_config(config, f"{path}: model config")
+    if not isinstance(rec, dict):
+        raise ModelError(f"{path}: header is not a JSON object")
+    # what format this file is, before what its header holds
+    if rec.get("format") != FORMAT_VERSION:
+        raise ModelError(f"{path}: unsupported format {rec.get('format')}")
+    header = typed_record(ModelHeader, rec, ModelError, f"{path}: header")
+    config = _checked_config(header.config, f"{path}: model config")
+    vocab = header.vocab
     # build_vocab's ids; checked before the embedding's row count is read from them
-    if sorted(v for v in vocab.values() if type(v) is int) != list(range(2, len(vocab) + 2)):
+    if sorted(vocab.values()) != list(range(2, len(vocab) + 2)):
         raise ModelError(f"{path}: vocabulary ids are not the integers 2..{len(vocab) + 1}")
     model = DetectorModel(config=config, vocab=vocab, params={})
     # the tensors the config and vocabulary call for, in the order saved;
     # nothing is allocated until the file is known to hold them
+    specs = [typed_record(TensorSpec, spec, ModelError, f"{path}: tensor {i}") for i, spec in enumerate(header.tensors)]
+    layout = [(spec.name, tuple(spec.shape)) for spec in specs]
     want = sorted(param_shapes(config, model.vocab_size).items())
     if layout != want:
         raise ModelError(f"{path}: tensors {layout} do not fit the config and vocabulary, which call for {want}")

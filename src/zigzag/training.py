@@ -20,8 +20,8 @@ re-exports.
 * train_zigzag: decoupled robust training.  After the joint warm-up on
   the clean set X, it alternates two phases for up to beta rounds:
 
-    classifier phase - features frozen bit for bit; the phase's pass
-        over X' also mines the hard set X'' under the parameters at the
+    classifier phase - features frozen bit for bit; the last record's
+        features of X' mine the hard set X'' under the parameters at the
         start of the round; the heads then minimize L_c(X) - L_h(X''),
         i.e. stay right on clean data while driving their disagreement
         up on hard examples;
@@ -47,19 +47,32 @@ without it or where that F1 is undefined.  Its passes:
     warm-up record - one forward pass each over X and X';
     classifier record - none: the phase's features are frozen, so the
         features of X and X' that the round's previous record (the last
-        warm-up or feature record) measured under the same parameters,
-        and one pass per round over X'', mine X'' and serve every epoch
-        and record of the phase, which runs the heads only;
-    feature record - one forward pass each over X, X' and X''.
+        warm-up or feature record) measured under the same parameters
+        mine X'' and serve every epoch and record of the phase, which
+        runs the heads only;
+    feature record - one forward pass each over X and X'.
+
+X'' is a mask over the rows of X', so its features are the rows
+F_var[mask] of the record's pass over X', not a pass of their own: a
+row's features do not depend on the other rows of a pass of two rows or
+more (the premise nn.model.features states).  A zigzag run so makes
+2 * e1 + 2 * e3 * rounds passes that take no gradient.  The exception is
+an X'' of one row, which each record of its round forwards alone: the
+features of X'' are those of a pass over X'' alone, and a one-row pass
+runs another BLAS kernel, whose bytes differ.
 
 X and X' are prepared once per run, right after the parameters are
-initialized (nn.model.prepare_ids: one id range check per set and, for
-the mean encoder, one token-count matrix per set); every batch, X'' and
-every pass above gathers rows of them and counts no token again.  The
-passes above take no gradient and run through nn.model.features, which
-keeps no cache; the joint and feature steps run features_forward on
-one nn.kernels.Buffers per run, so the RNN's per-batch arrays are
-allocated once, and each step's backward runs before the next forward.
+initialized (nn.model.prepare_ids: one search for the set's distinct
+rows, one id range check per set and, for the mean encoder, one
+token-count matrix per set, each over the distinct rows); every batch
+gathers rows of them through their row index and counts no token again.
+The passes above take no gradient and run through nn.model.features,
+which keeps no cache and forwards each distinct row of a set once.  The
+joint and feature steps run features_forward, which forwards every row
+of its batch, repeats included, so each gradient sums the batch's rows
+in order.  They run on one nn.kernels.Buffers per run, so the RNN's
+per-batch arrays are allocated once, and each step's backward runs
+before the next forward.
 """
 from __future__ import annotations
 
@@ -149,6 +162,9 @@ class TrainOutcome:
     trace: list[TrainRecord]
     rounds_run: int
     stopped_early: bool
+    # each row of X, then of X', as an index into its set's distinct
+    # encoded rows (nn.model.DistinctRows.index)
+    row_index: tuple[np.ndarray, np.ndarray]
 
 
 def save_trace(path: str | Path, trace: Sequence[TrainRecord]) -> None:
@@ -285,6 +301,17 @@ class _Trainer:
         self.measured = self.features(self.Xc), self.features(self.Xv)
         return self.measured
 
+    def hard_features(self, F_var: np.ndarray, hard: np.ndarray) -> np.ndarray:
+        """F of X'', the rows of X' where `hard` holds, as a pass over X''
+        alone gives it.  Those are its rows of F_var, the pass over X'
+        under the same parameters, when X'' holds two rows or more: a
+        row's features do not depend on the other rows of such a pass.  A
+        one-row pass runs BLAS's matrix-vector kernel, whose bytes differ
+        (nn.model.features), so a single hard row is forwarded alone."""
+        if np.count_nonzero(hard) == 1:
+            return self.features(self.Xv[hard])
+        return F_var[hard]
+
     def clean_loss(self, F_clean: np.ndarray) -> float:
         """Summed CE of both heads on the clean set, given its features."""
         return bce_loss(heads_forward(self.params, F_clean)[0], self.yc)[0]
@@ -358,28 +385,27 @@ class _Trainer:
                 grads = {k: g + hard_grads[k] for k, g in grads.items()}
             self.opt.step(self.params, grads)
 
-    def classifier_phase(self, rnd: int) -> tuple[PreparedIds, float]:
+    def classifier_phase(self, rnd: int) -> tuple[np.ndarray, float]:
         """Mine X'' and run the e2 classifier epochs and their records, on
         the features of X and X' that the last record measured under the
-        parameters the round starts from, and one forward pass over X''
-        (the features stay frozen through the phase); returns X'' and its
-        share gamma of X'.
+        parameters the round starts from (the features stay frozen through
+        the phase); returns X'' as a mask over the rows of X' and its share
+        gamma of X'.
 
-        X'' is a row gather of the prepared X', forwarded itself, not cut
-        from the features of X', so its rows get the features a pass over
-        X'' alone gives.  The features go out of scope when the phase ends.
+        X'' is a row subset of X', so its features are read from that
+        measurement (hard_features).  The features go out of scope when
+        the phase ends.
         """
         (F_clean, F_var), self.measured = self.measured, None
         p1, p2 = heads_forward(self.params, F_var)[0]
         mask = hard_mask(p1, p2, self.yv, self.tc.delta)
-        Xh = self.Xv[mask]
         gamma = float(mask.sum()) / len(self.Xv)
-        F_hard = self.features(Xh)
+        F_hard = self.hard_features(F_var, mask)
         for epoch in range(self.tc.e2):
             self.classifier_epoch(F_clean, F_hard, rnd, epoch)
             L_h = self.discrepancy_on(F_hard)
             self.record(rnd, "classifier", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
-        return Xh, gamma
+        return mask, gamma
 
     def feature_epoch(self, rnd: int, epoch: int) -> None:
         """Feature stack only, on X'; head parameters are never updated."""
@@ -389,12 +415,13 @@ class _Trainer:
             _, dF = heads_backward(hc, discrepancy_grad(P), head_grads=False)
             self.opt.step(self.params, features_backward(self.params, self.mc, fc, dF))
 
-    def feature_phase(self, Xh: PreparedIds, rnd: int, gamma: float) -> None:
+    def feature_phase(self, hard: np.ndarray, rnd: int, gamma: float) -> None:
+        """The e3 feature epochs and their records; X'' is the mask `hard`
+        over the rows of X', so its features are read from the X' pass."""
         for epoch in range(self.tc.e3):
             self.feature_epoch(rnd, epoch)
-            # the features of X'' are dropped once measured
-            L_h = self.discrepancy_on(self.features(Xh))
             F_clean, F_var = self.measure()
+            L_h = self.discrepancy_on(self.hard_features(F_var, hard))
             self.record(rnd, "feature", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
 
     def run(self, rounds: int) -> TrainOutcome:
@@ -408,7 +435,10 @@ class _Trainer:
             # losses and gradients finite; the overflow on the way is the sign
             raise TrainingDiverged(str(exc)) from None
         model = DetectorModel(config=self.mc, vocab=self.vocab, params=self.params)
-        return TrainOutcome(model=model, trace=self.trace, rounds_run=rounds_run, stopped_early=stopped_early)
+        return TrainOutcome(
+            model=model, trace=self.trace, rounds_run=rounds_run, stopped_early=stopped_early,
+            row_index=(self.Xc.rows.index, self.Xv.rows.index),
+        )
 
     def zigzag_rounds(self, rounds: int) -> tuple[int, bool]:
         """Rounds run and whether the stop rule ended them before `rounds`."""
@@ -416,9 +446,9 @@ class _Trainer:
         prev_disc, prev_loss = self.trace[-1].mean_disc, self.trace[-1].L_c
         for rnd in range(1, rounds + 1):
             with _frozen(self.params, feature_keys(self.mc), "classifier phase"):
-                Xh, gamma = self.classifier_phase(rnd)
+                hard, gamma = self.classifier_phase(rnd)
             with _frozen(self.params, heads_keys(), "feature phase"):
-                self.feature_phase(Xh, rnd, gamma)
+                self.feature_phase(hard, rnd, gamma)
             disc, loss = self.trace[-1].mean_disc, self.trace[-1].L_c
             if abs(prev_disc - disc) <= self.tc.tau_disc and abs(prev_loss - loss) <= self.tc.tau_loss:
                 return rnd, rnd < rounds

@@ -450,6 +450,29 @@ def test_config_key_its_command_does_not_read_exits_2(command, config, small_cor
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["original", "conventional", "zigzag"])
+def test_train_sidecar_counts_the_distinct_rows_of_clean_and_variant_fragments(mode, small_corpora, tmp_path):
+    """Variants that repeat their original's source encode to its rows, so
+    the variants hold no row the clean fragments do not."""
+    originals = [item for item in load_corpus(small_corpora["train"]) if item.kind is None]
+    repeats = [dataclasses.replace(item, id=f"{item.id}::{kind}") for kind in ("ct2", "ct7") for item in originals]
+    data = tmp_path / "repeats.jsonl"
+    save_corpus(data, originals + repeats)
+    model = tmp_path / "m.zzm"
+    assert main(["train", "--mode", mode, "--data", str(data), "--config", str(small_corpora["config"]),
+                 "--seed", "1", "--out-model", str(model), "--out-trace", str(tmp_path / "t.jsonl")]) == 0
+    sidecar = json.loads((tmp_path / "m.zzm.config.json").read_text())
+    length = sidecar["model_config"]["length"]
+    clean = [f for item in originals for f in extract_fragments(item, "function")]
+    distinct = len({f.tokens[:length] for f in clean})
+    assert sidecar["clean_fragments"] == len(clean) and sidecar["distinct_clean_fragments"] == distinct
+    if mode == "original":
+        assert sidecar["variant_fragments"] == sidecar["distinct_variant_fragments"] == 0
+    else:
+        assert sidecar["variant_fragments"] == 2 * len(clean)
+        assert sidecar["distinct_variant_fragments"] == distinct
+
+
 def test_every_train_config_field_reaches_the_sidecar(small_corpora, tmp_path):
     values = {"delta": 0.45, "beta": 2, "e1": 2, "e2": 2, "e3": 1, "batch_size": 16, "lr": 0.003,
               "seed": 5, "tau_disc": 0.002, "tau_loss": 0.0005}

@@ -106,9 +106,11 @@ JSON_VALUES = st.recursive(
 
 def _records(kind: str, raw: bytes) -> list[dict]:
     """The records of a file of `kind`: its JSON lines, header included,
-    or a model's config alone."""
+    or a model's header and the config it holds, one object, so an edit
+    of the config is an edit of the header."""
     if kind == "model":
-        return [json.loads(raw[12 : 12 + int.from_bytes(raw[4:12], "little")])["config"]]
+        header = json.loads(raw[12 : 12 + int.from_bytes(raw[4:12], "little")])
+        return [header, header["config"]]
     return [json.loads(line) for line in raw.decode("utf-8").splitlines()]
 
 
@@ -117,9 +119,7 @@ def _rewritten(kind: str, raw: bytes, records: list[dict]) -> bytes:
     is rewritten with its new length, the tensors kept."""
     if kind == "model":
         size = int.from_bytes(raw[4:12], "little")
-        header = json.loads(raw[12 : 12 + size])
-        header["config"] = records[0]
-        blob = json.dumps(header).encode("utf-8")
+        blob = json.dumps(records[0]).encode("utf-8")
         return raw[:4] + len(blob).to_bytes(8, "little") + blob + raw[12 + size :]
     return "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
 
@@ -152,15 +152,17 @@ def test_one_key_inserted_or_dropped_loads_or_raises_the_loaders_error(kind, dat
 
 
 # boundary -> (file kind, the record's index in the file (a model has its
-# config alone), the name its errors give it, a key it needs, and a key
-# with a value of the wrong type and that key's type as the error shows it)
+# header, then its config), the name its errors give it, a key it needs,
+# and a key with a value of the wrong type and that key's type as the
+# error shows it)
 BOUNDARIES = {
     "corpus-header": ("corpus", 0, "header", "count", ("count", "3", "int")),
     "corpus-record": ("corpus", 1, "record 'p0000'", "labels", ("source", 5, "str")),
     "trace-record": ("trace", 0, "trace record 1", "L_c", ("epoch", 1.0, "int")),
     "report-header": ("report", 0, "header", "corpus_digest", ("granularity", 5, "str")),
     "report-row": ("report", 1, "row 'n/a'", "programs", ("tp", "1", "int")),
-    "model-config": ("model", 0, "model config", "delta", ("emb_dim", 4.0, "int")),
+    "model-header": ("model", 0, "header", "tensors", ("vocab", 5, "dict[str, int]")),
+    "model-config": ("model", 1, "model config", "delta", ("emb_dim", 4.0, "int")),
 }
 FAULTS = ("unknown-key", "missing-key", "wrong-type")
 
@@ -197,7 +199,7 @@ def test_each_boundary_raises_its_own_error_in_one_wording(boundary, fault, vali
 def test_a_saved_model_config_without_any_one_key_raises_model_error(key, valid, tmp_path):
     """make_config fills in the keys a call leaves out; load_model, none."""
     records = _records("model", valid["model"])
-    del records[0][key]
+    del records[1][key]
     path = tmp_path / "model"
     path.write_bytes(_rewritten("model", valid["model"], records))
     with pytest.raises(ModelError) as exc:
@@ -220,3 +222,32 @@ def test_each_boundary_exits_3_through_the_command_that_reads_it(boundary, fault
     }[BOUNDARIES[boundary][0]]
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda header: header.update(config=[[k, v] for k, v in header["config"].items()]),
+     "header: config must be of type dict, got [["),
+    (lambda header: header["tensors"][0].pop("shape"), "tensor 0: missing key 'shape'"),
+    (lambda header: header["tensors"][1].update(shape=[4, "6"]), "tensor 1: shape must be of type list[int], got [4, '6']"),
+    (lambda header: header.update(tensors=[5]), "header: tensors must be of type list[dict], got [5]"),
+    (lambda header: header.update(format=2), "unsupported format 2"),
+], ids=["config-as-pairs", "tensor-without-shape", "tensor-shape-string", "tensor-not-an-object", "format-2"])
+def test_a_model_header_is_read_as_typed_records(edit, what, valid, tmp_path):
+    records = _records("model", valid["model"])
+    edit(records[0])
+    path = tmp_path / "model"
+    path.write_bytes(_rewritten("model", valid["model"], records))
+    with pytest.raises(ModelError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: {what}")
+
+
+def test_a_model_header_that_is_no_json_object_raises_model_error(valid, tmp_path):
+    raw = valid["model"]
+    size = int.from_bytes(raw[4:12], "little")
+    blob = b"[1, 2]"
+    path = tmp_path / "model"
+    path.write_bytes(raw[:4] + len(blob).to_bytes(8, "little") + blob + raw[12 + size :])
+    with pytest.raises(ModelError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: header is not a JSON object"

@@ -19,6 +19,7 @@ from zigzag.nn.model import (
     DetectorModel,
     ModelConfig,
     ModelError,
+    distinct_rows,
     features,
     features_backward,
     features_forward,
@@ -510,6 +511,67 @@ def test_features_byte_equal_features_forward(batch):
     assert F.shape == (X.shape[0], config["feature_dim"])
     assert F.tobytes() == features_forward(params, config, X)[0].tobytes()
     assert features(params, config, prepare_ids(params, config, X)).tobytes() == F.tobytes()
+
+
+def test_distinct_rows_are_in_first_appearance_order_and_index_every_row():
+    X = np.array([[3, 0], [2, 2], [3, 0], [0, 0], [2, 2], [3, 1]], dtype=np.int32)
+    rows = distinct_rows(X)
+    assert rows.distinct.tolist() == [[3, 0], [2, 2], [0, 0], [3, 1]]
+    assert rows.index.tolist() == [0, 1, 0, 2, 1, 3]
+    assert len(rows) == 6 and len(rows[[1, 4]]) == 2 and rows[[1, 4]].distinct is rows.distinct
+    empty = distinct_rows(X[:0])
+    assert empty.distinct.shape == (0, 2) and len(empty) == 0
+
+
+def _repeated_rows(source: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """n rows in a drawn order, each one of about n / 3 rows of source's
+    token ids that pad after a drawn length, so most rows repeat."""
+    rng = derive_rng(seed, "repeated-rows", n)
+    length = source.shape[1]
+    pool = rng.choice(source[source != 0], size=(max(1, n // 3), length))
+    pool[np.arange(length) >= rng.integers(0, length + 1, size=(len(pool), 1))] = 0
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 900, 2500])
+@pytest.mark.parametrize("encoder", ["mean", "rnn"])
+def test_features_of_distinct_rows_byte_equal_a_pass_over_every_row(encoder, n):
+    """The premise of the passes that take no gradient: a row's features
+    do not depend on which other rows share a pass of two rows or more,
+    so features forwards each distinct row once."""
+    config, params, encoded = slice_rnn_setup()
+    if encoder == "mean":
+        config = make_config(encoder="mean", granularity="slice", length=config["length"])
+        params = init_params(config, params["emb"].shape[0], 7)
+
+    def every_row(X):
+        """F of every row of X, repeats included, through the unchanged kernels."""
+        if encoder == "mean":
+            enc = embed_mean_forward(params["emb"], *token_counts(X, params["emb"].shape[0]))
+        else:
+            enc = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])[0][:, -1]
+        return np.tanh(enc @ params["f_w"] + params["f_b"])
+
+    X = _repeated_rows(encoded, n, 7)
+    F_all = every_row(X)
+    prepared = prepare_ids(params, config, X)
+    if n > 1:
+        assert len(prepared.rows.distinct) < n
+    for ids in (X, prepared):
+        assert features(params, config, ids).tobytes() == F_all.tobytes()
+    # n copies of one row: a one-row pass would take other bytes
+    same = X[np.zeros(n, dtype=np.intp)]
+    assert features(params, config, same).tobytes() == every_row(same).tobytes()
+    # a subset of two rows or more, as X'' is mined from X': its rows of
+    # the pass over the whole set are the features, and so the head
+    # outputs, that a pass over the subset alone gives
+    mask = derive_rng(7, "premise-subset", n).uniform(size=n) < 0.4
+    mask[:2] = True
+    F_hard = every_row(X[mask])
+    assert F_all[mask].tobytes() == F_hard.tobytes()
+    for subset in (X[mask], prepared[mask]):
+        assert features(params, config, subset).tobytes() == F_hard.tobytes()
+    assert heads_forward(params, F_all[mask])[0].tobytes() == heads_forward(params, F_hard)[0].tobytes()
 
 
 def _resized_batches(X):

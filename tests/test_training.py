@@ -12,13 +12,13 @@ import zigzag.nn.model
 import zigzag.training
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.encoding import build_vocab, embedding_rows, encode_fragments
-from zigzag.evaluation import encode_corpus
 from zigzag.fragments import extract_fragments
-from zigzag.nn.kernels import embed_mean_forward, rnn_forward, token_counts
+from zigzag.nn.kernels import embed_mean_forward, rnn_forward, rnn_last_state, token_counts
 from zigzag.nn.losses import bce_loss, discrepancy_loss
 from zigzag.nn.model import (
     DetectorModel,
     ModelError,
+    PreparedIds,
     feature_keys,
     features,
     features_forward,
@@ -100,27 +100,31 @@ def test_hard_mask_matches_bruteforce():
 
 def test_each_round_mines_the_hard_set_from_x_prime_at_the_round_start(pools, monkeypatch):
     clean, varied, _ = pools
-    rounds = []  # (parameters at the start of the round, trainer, X'', gamma)
+    rounds = []  # (parameters at the start of the round, trainer, X'' as a mask over X', gamma)
 
     def spying_phase(self, rnd):
         start = {k: v.copy() for k, v in self.params.items()}
-        Xh, gamma = classifier_phase(self, rnd)
-        rounds.append((start, self, Xh, gamma))
-        return Xh, gamma
+        hard, gamma = classifier_phase(self, rnd)
+        rounds.append((start, self, hard, gamma))
+        return hard, gamma
 
     classifier_phase = _Trainer.classifier_phase
     monkeypatch.setattr(_Trainer, "classifier_phase", spying_phase)
     tc = quick_config(e1=3, beta=2, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, train_config=tc)
     assert out.rounds_run == len(rounds) == 2
+    Xv, _ = encode_fragments(varied, out.model.vocab, out.model.config["length"])
     masks = []
-    for params, trainer, Xh, gamma in rounds:
-        F, _ = features_forward(params, trainer.mc, trainer.Xv)
+    for params, trainer, hard, gamma in rounds:
+        F, _ = features_forward(params, trainer.mc, Xv)
         p1, _ = head_forward(params, "c1", F)
         p2, _ = head_forward(params, "c2", F)
         mask = hard_mask(p1, p2, trainer.yv, tc.delta)
-        assert np.array_equal(Xh.X, trainer.Xv.X[mask])
+        assert np.array_equal(hard, mask)
         assert gamma == mask.sum() / len(mask)
+        # the rows of X'' in the pass over X' are the features that a pass
+        # over X'' alone gives, which the phase no longer pays for
+        assert F[mask].tobytes() == features_forward(params, trainer.mc, Xv[mask])[0].tobytes()
         masks.append(mask)
     # neither all-hard nor all-easy, so the agreement is not vacuous
     assert any(mask.any() and not mask.all() for mask in masks)
@@ -164,6 +168,22 @@ def test_token_ids_outside_the_model_vocab_raise_model_error(pools, encoder):
 def make_trainer(pools, **cfg) -> _Trainer:
     clean, varied, _ = pools
     return _Trainer(clean, varied, None, quick_config(**cfg), None, fusion="mean")
+
+
+def test_hard_features_are_those_of_a_pass_over_the_hard_set_alone(pools):
+    trainer = make_trainer(pools)
+    F_var = trainer.features(trainer.Xv)
+    Xv = trainer.Xv.rows.distinct[trainer.Xv.rows.index]
+    rng = derive_rng(3, "hard-features")
+    for size in (0, 1, 2, 17, len(Xv)):
+        hard = np.zeros(len(Xv), dtype=bool)
+        hard[rng.choice(len(Xv), size, replace=False)] = True
+        want = features_forward(trainer.params, trainer.mc, Xv[hard])[0]
+        assert trainer.hard_features(F_var, hard).tobytes() == want.tobytes(), size
+    # why one hard row is forwarded alone: a one-row pass gives a row
+    # other bytes than a pass over X' does
+    one_row = [features_forward(trainer.params, trainer.mc, Xv[i : i + 1])[0][0] for i in range(len(Xv))]
+    assert (np.array(one_row) != F_var).any()
 
 
 def test_classifier_epoch_keeps_features_frozen(pools):
@@ -244,15 +264,21 @@ def test_zigzag_trace_schema_and_dynamics(pools):
         assert len(gammas) == 1
 
 
+def _distinct(fragments, model) -> int:
+    """How many distinct rows the fragments encode to under the model's vocabulary."""
+    X, _ = encode_fragments(fragments, model.vocab, model.config["length"])
+    return len({row.tobytes() for row in X})
+
+
 @pytest.mark.parametrize("encoder", ["mean", "rnn"])
 def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encoder, monkeypatch):
     clean, varied, _ = pools
-    events: list = []  # rows given to either forward entry, and each record as a marker
+    events: list = []  # rows each encoder kernel is given, and each record as a marker
 
-    def counting(forward):
-        def counted(params, config, X, *args):
-            events.append(len(X))
-            return forward(params, config, X, *args)
+    def counting(kernel, rows_of):
+        def counted(*args):
+            events.append(len(rows_of(*args)))
+            return kernel(*args)
         return counted
 
     def marking_record(self, rnd, phase, epoch, *values):
@@ -260,14 +286,19 @@ def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encode
         record(self, rnd, phase, epoch, *values)
 
     record = _Trainer.record
-    # training steps forward through features_forward, full-set passes through features
-    monkeypatch.setattr(zigzag.training, "features_forward", counting(features_forward))
-    monkeypatch.setattr(zigzag.training, "features", counting(features))
+    # training steps and passes that take no gradient, as the kernels see them:
+    # the mean pools C's rows, the RNN steps X's rows (rnn_last_state takes no gradient)
+    for name, kernel, rows_of in (("embed_mean_forward", embed_mean_forward, lambda emb, C, denom: C),
+                                  ("rnn_forward", rnn_forward, lambda emb, X, *rest: X),
+                                  ("rnn_last_state", rnn_last_state, lambda emb, X, *rest: X)):
+        monkeypatch.setattr(zigzag.nn.model, name, counting(kernel, rows_of))
     monkeypatch.setattr(_Trainer, "record", marking_record)
     tc = quick_config(e1=2, beta=2, e2=3, e3=2, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, model_config={"encoder": encoder}, train_config=tc)
     assert out.rounds_run == 2
     n_c, n_v = len(clean), len(varied)
+    u_c, u_v = _distinct(clean, out.model), _distinct(varied, out.model)
+    assert 1 < u_c < n_c and 1 < u_v < n_v  # the sets repeat rows
 
     # rows forwarded before each record, keyed by the record's (round, phase)
     per_record, rows = [], 0
@@ -278,24 +309,25 @@ def test_zigzag_forwards_frozen_features_once_per_classifier_phase(pools, encode
         else:
             rows += event
     assert rows == 0
-    # each warm-up epoch trains on X and is measured on X and X'
-    assert [rows for (rnd, _), rows in per_record if rnd == 0] == [2 * n_c + n_v] * tc.e1
+    # each warm-up epoch trains on every row of X and measures the
+    # distinct rows of X and X'
+    assert [rows for (rnd, _), rows in per_record if rnd == 0] == [n_c + u_c + u_v] * tc.e1
     for rnd in (1, 2):
-        n_h = round(next(rec.gamma for rec in out.trace if rec.round == rnd) * n_v)
         got = [rows for (r, _), rows in per_record if r == rnd]
-        # one pass over X'' for the whole classifier phase, which reads X
-        # and X' from the round's previous record; its later epochs and
-        # records forward nothing
-        assert got[: tc.e2] == [n_h] + [0] * (tc.e2 - 1)
-        # each feature epoch trains on X' and is measured on X, X' and X''
-        assert got[tc.e2 :] == [n_v + n_c + n_v + n_h] * tc.e3
+        # the classifier phase reads X and X' from the round's previous
+        # record and X'' from X''s rows: it forwards nothing
+        assert got[: tc.e2] == [0] * tc.e2
+        # each feature epoch trains on every row of X' and measures the
+        # distinct rows of X and X', X'' among them
+        assert got[tc.e2 :] == [n_v + u_c + u_v] * tc.e3
 
 
-def test_a_zigzag_round_forwards_13_full_sets(pools, monkeypatch):
+def test_a_zigzag_round_forwards_8_full_sets(pools, monkeypatch):
     clean, varied, _ = pools
     events: list = []  # each full-set forward, and each record as (round, phase)
 
     def counting_features(params, config, X):
+        assert isinstance(X, PreparedIds) and len(X) in (len(clean), len(varied)), "not a whole prepared set"
         events.append(len(X))
         return features(params, config, X)
 
@@ -318,10 +350,10 @@ def test_a_zigzag_round_forwards_13_full_sets(pools, monkeypatch):
         else:
             pending += 1
     assert pending == 0
-    # X and X' each warm-up epoch; X'' once per classifier phase, then X'',
-    # X and X' each feature epoch; the classifier phase reuses the X and X'
-    # of the round's previous record
-    assert per_round == {0: 2 * tc.e1, 1: 1 + 3 * tc.e3, 2: 1 + 3 * tc.e3} == {0: 4, 1: 13, 2: 13}
+    # X and X' each warm-up and each feature epoch; the classifier phase
+    # reuses the X and X' of the round's previous record, and X'' is read
+    # from the rows of X' in every record: 2 * e1 + 2 * e3 * rounds passes
+    assert per_round == {0: 2 * tc.e1, 1: 2 * tc.e3, 2: 2 * tc.e3} == {0: 4, 1: 8, 2: 8}
 
 
 @pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
@@ -337,13 +369,16 @@ def test_zigzag_counts_the_tokens_of_x_and_x_prime_once(pools, with_val, monkeyp
     tc = quick_config(e1=2, beta=2, e2=2, e3=2, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, train_config=tc, val_programs=val if with_val else None)
     assert out.rounds_run == 2 and len(out.trace) == 2 + 2 * (2 + 2)
-    # X, then X': once per run, not per pass; the validation buckets are
-    # counted where each record scores them
-    expected = [len(clean), len(varied)]
+    # the distinct rows of X, then of X': once per run, not per pass; the
+    # validation buckets' distinct rows are counted where each record
+    # scores them
+    expected = [_distinct(clean, out.model), _distinct(varied, out.model)]
+    assert expected[0] < len(clean) and expected[1] < len(varied)
     if with_val:
-        buckets = encode_corpus(val, "function", out.model.vocab, out.model.config["length"]).buckets
-        expected += [len(X) for _, X, _ in buckets] * len(out.trace)
-        assert len(buckets) == 3
+        buckets = {kind: [] for kind in (None, "ct2", "ct7")}
+        for item, program in val:
+            buckets[item.kind].extend(extract_fragments(item, "function", program))
+        expected += [_distinct(fragments, out.model) for fragments in buckets.values()] * len(out.trace)
     assert counted == expected
 
 
