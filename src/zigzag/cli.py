@@ -67,6 +67,7 @@ class UsageError(Exception):
 def _parse_config_file(path: str, command: str) -> dict:
     keys = _CONFIG_KEYS[command]
     values: dict = {}
+    set_at: dict[str, int] = {}  # each key's line
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -80,6 +81,9 @@ def _parse_config_file(path: str, command: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r} ({command} reads {', '.join(keys)})")
+        if key in set_at:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is set twice, on lines {set_at[key]} and {lineno}")
+        set_at[key] = lineno
         try:
             values[key] = keys[key](value)
         except ValueError:

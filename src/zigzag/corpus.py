@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import types
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -522,14 +523,43 @@ def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+class _RepeatedKey(Exception):
+    """The first key that one decoded JSON object holds twice."""
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The dict of one decoded JSON object's pairs; a key it holds twice
+    raises _RepeatedKey, where json.loads would keep the last value."""
+    rec = dict(pairs)
+    if len(rec) < len(pairs):
+        raise _RepeatedKey(next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1))
+    return rec
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(data: str | bytes, error: type[Exception], where: str) -> Any:
+    """`data` (bytes read as UTF-8) decoded as JSON, or error("<where>:
+    ...") when it is no JSON text or one of its objects, at any depth,
+    holds a key twice."""
+    try:
+        return _DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
+    except _RepeatedKey as exc:
+        raise error(f"{where}: repeated key {exc.args[0]!r}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not valid JSON ({exc})") from None
+
+
 def read_json_lines(path: str | Path, error: type[Exception]) -> Iterator[dict]:
     """The JSON objects on the non-blank lines of a file, read and
     yielded a line at a time, so no caller holds the file's text.
 
-    A line that is not a JSON object (a truncated one, or one nested too
-    deep to decode, say) raises `error` naming the file and the line,
-    once the objects of the lines before it are yielded; bytes that are
-    not UTF-8 raise it naming the file when the read reaches them.  Lines
+    A line that is not a JSON object (a truncated one, one nested too
+    deep to decode or one that holds a key twice, say: decode_json)
+    raises `error` naming the file and the line, once the objects of the
+    lines before it are yielded; bytes that are not UTF-8 raise it
+    naming the file when the read reaches them.  Lines
     end at "\n" alone and a blank line holds only JSON whitespace,
     because a JSON string may hold U+2028, U+0085 and other characters
     that `str.splitlines` breaks at and `str.strip` removes.
@@ -539,10 +569,7 @@ def read_json_lines(path: str | Path, error: type[Exception]) -> Iterator[dict]:
             for number, line in enumerate(fh, 1):
                 if not line.strip(" \t\r\n"):
                     continue
-                try:
-                    rec = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise error(f"{path}:{number}: not valid JSON ({exc})") from None
+                rec = decode_json(line, error, f"{path}:{number}")
                 if not isinstance(rec, dict):
                     raise error(f"{path}:{number}: not a JSON object")
                 yield rec

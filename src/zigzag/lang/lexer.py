@@ -60,9 +60,8 @@ _STRING_PREFIX = r'"(?:[^"\\\n]|\\[nt"\\])*'
 _TOKEN = (r"[A-Za-z_][A-Za-z0-9_]*|[(){}\[\],;+*%-]|[0-9]+|[=!<>]=?|//.*|"
           + _STRING_PREFIX + r'"|&&|\|\||[^ \t\r]')
 # a blank run, then one token; the scan keeps the token, and the rescan
-# for columns the blank run too
+# for columns where it starts
 _TOKENS = re.compile(r"[ \t\r]*(" + _TOKEN + ")")
-_PAIR = re.compile(r"([ \t\r]*)(" + _TOKEN + ")")
 # both scans get each line with its trailing blanks stripped (the cached
 # scan its leading ones too): a blank run that no token follows would be
 # retried from each of its positions, in time quadratic in its length
@@ -107,13 +106,7 @@ def kind_of(text: str) -> str:
 
 def _columns(text_of_line: str) -> list[tuple[int, str]]:
     """(column, raw text) of each match on one line, a comment included."""
-    out = []
-    col = 1
-    for blank, text in _PAIR.findall(text_of_line.rstrip(_BLANKS)):
-        col += len(blank)
-        out.append((col, text))
-        col += len(text)
-    return out
+    return [(m.start(1) + 1, m.group(1)) for m in _TOKENS.finditer(text_of_line.rstrip(_BLANKS))]
 
 
 def _first_error(lines: list[str]) -> SyntaxErrorML:

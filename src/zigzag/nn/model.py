@@ -64,7 +64,7 @@ import hashlib
 
 import numpy as np
 
-from ..corpus import field_types, typed_record
+from ..corpus import decode_json, field_types, typed_record
 from ..encoding import embedding_rows
 from ..fragments import FUNCTION_GRANULARITY, GRANULARITIES, SLICE_GRANULARITY
 from ..seeds import derive_rng
@@ -312,17 +312,17 @@ def features(params: dict, config: dict, X: np.ndarray | DistinctRows | Prepared
     of passes that take no gradient (trace measurement, mining and
     prediction).  X is as for features_forward, or a DistinctRows.
 
-    Only the distinct rows that X's index reaches are forwarded, once
-    each, and F is gathered back to every row.  This rests on a premise:
-    a row's features do not depend on which other rows share its pass,
-    so F has the bytes features_forward gives over every row.  It holds
-    for a pass of two rows or more whose products each have more than
-    one output column (emb_dim, rnn_hidden and feature_dim above 1):
-    numpy hands those to BLAS's matrix product, which gives a row the
-    same bytes beside any other rows, under 1 and 2 BLAS threads alike.
-    A one-row product, or one with a single output column, goes to the
+    Every distinct row of X's set is forwarded once, and F is gathered
+    back to every row through X's index.  This rests on a premise: a
+    row's features do not depend on which other rows share its pass, so
+    F has the bytes features_forward gives over every row.  It holds for
+    a pass of two rows or more whose products each have more than one
+    output column (emb_dim, rnn_hidden and feature_dim above 1): numpy
+    hands those to BLAS's matrix product, which gives a row the same
+    bytes beside any other rows, under 1 and 2 BLAS threads alike.  A
+    one-row product, or one with a single output column, goes to the
     matrix-vector kernel, whose bytes differ, and a row's bytes there
-    can depend on its neighbours: so a pass of many copies of one row
+    can depend on its neighbours: so a set of many copies of one row
     forwards two, and the heads, whose last layer has one output column,
     always run over every row.  tests/test_nn.py's
     test_features_of_distinct_rows_byte_equal_a_pass_over_every_row
@@ -330,24 +330,16 @@ def features(params: dict, config: dict, X: np.ndarray | DistinctRows | Prepared
     (kernels.rnn_last_state), where features_forward keeps every step's
     state and token vectors for the backward pass."""
     ids = _ready(params, config, X)
-    reached = np.zeros(len(ids.rows.distinct), dtype=bool)
-    reached[ids.rows.index] = True
-    if len(ids.rows) > 1 and np.count_nonzero(reached) == 1:
-        # numpy hands a one-row product to BLAS's matrix-vector kernel,
-        # whose bytes differ from a row of a matrix product: many copies
-        # of one row forward two of it
-        used = np.repeat(np.flatnonzero(reached), 2)
-    elif reached.all():
-        used = slice(None)  # every distinct row, in order: a view, no copy
-    else:
-        used = np.flatnonzero(reached)
+    rows = ids.rows
+    # numpy hands a one-row product to BLAS's matrix-vector kernel, whose
+    # bytes differ from a row of a matrix product
+    used = [0, 0] if len(rows.distinct) == 1 < len(rows) else slice(None)
     if config["encoder"] == "mean":
         enc = embed_mean_forward(params["emb"], ids.C[used], ids.denom[used])
     else:
-        X = _filled(ids.rows.distinct[used])
+        X = _filled(rows.distinct[used])
         enc = rnn_last_state(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
-    # a distinct row's place among the forwarded ones, for every row
-    return _feature_layer(params, enc)[(np.cumsum(reached) - 1)[ids.rows.index]]
+    return _feature_layer(params, enc)[rows.index]
 
 
 def features_forward(
@@ -551,20 +543,17 @@ def save_model(model: DetectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    """A saved model: the magic, then the header of this format, read by
-    typed_record as a ModelHeader with its config (_checked_config) and
-    tensor specs, then the tensors the layout names.  Anything else
-    raises ModelError naming the file."""
+    """A saved model: the magic, then the header of this format, decoded
+    by corpus.decode_json and read by typed_record as a ModelHeader with
+    its config (_checked_config) and tensor specs, then the tensors the
+    layout names.  Anything else raises ModelError naming the file."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ModelError(f"{path}: not a model file")
     size = int.from_bytes(raw[4:12], "little")
     if len(raw) < 12 + size:
         raise ModelError(f"{path}: file ends inside the {size}-byte header")
-    try:
-        rec = json.loads(raw[12 : 12 + size].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ModelError(f"{path}: malformed header ({exc!r})") from None
+    rec = decode_json(raw[12 : 12 + size], ModelError, f"{path}: header")
     if not isinstance(rec, dict):
         raise ModelError(f"{path}: header is not a JSON object")
     # what format this file is, before what its header holds

@@ -56,10 +56,7 @@ X'' is a mask over the rows of X', so its features are the rows
 F_var[mask] of the record's pass over X', not a pass of their own: a
 row's features do not depend on the other rows of a pass of two rows or
 more (the premise nn.model.features states).  A zigzag run so makes
-2 * e1 + 2 * e3 * rounds passes that take no gradient.  The exception is
-an X'' of one row, which each record of its round forwards alone: the
-features of X'' are those of a pass over X'' alone, and a one-row pass
-runs another BLAS kernel, whose bytes differ.
+2 * e1 + 2 * e3 * rounds passes that take no gradient.
 
 X and X' are prepared once per run, right after the parameters are
 initialized (nn.model.prepare_ids: one search for the set's distinct
@@ -301,17 +298,6 @@ class _Trainer:
         self.measured = self.features(self.Xc), self.features(self.Xv)
         return self.measured
 
-    def hard_features(self, F_var: np.ndarray, hard: np.ndarray) -> np.ndarray:
-        """F of X'', the rows of X' where `hard` holds, as a pass over X''
-        alone gives it.  Those are its rows of F_var, the pass over X'
-        under the same parameters, when X'' holds two rows or more: a
-        row's features do not depend on the other rows of such a pass.  A
-        one-row pass runs BLAS's matrix-vector kernel, whose bytes differ
-        (nn.model.features), so a single hard row is forwarded alone."""
-        if np.count_nonzero(hard) == 1:
-            return self.features(self.Xv[hard])
-        return F_var[hard]
-
     def clean_loss(self, F_clean: np.ndarray) -> float:
         """Summed CE of both heads on the clean set, given its features."""
         return bce_loss(heads_forward(self.params, F_clean)[0], self.yc)[0]
@@ -392,15 +378,14 @@ class _Trainer:
         the phase); returns X'' as a mask over the rows of X' and its share
         gamma of X'.
 
-        X'' is a row subset of X', so its features are read from that
-        measurement (hard_features).  The features go out of scope when
-        the phase ends.
+        X'' is a row subset of X', so its features are its rows of that
+        measurement.  The features go out of scope when the phase ends.
         """
         (F_clean, F_var), self.measured = self.measured, None
         p1, p2 = heads_forward(self.params, F_var)[0]
         mask = hard_mask(p1, p2, self.yv, self.tc.delta)
         gamma = float(mask.sum()) / len(self.Xv)
-        F_hard = self.hard_features(F_var, mask)
+        F_hard = F_var[mask]
         for epoch in range(self.tc.e2):
             self.classifier_epoch(F_clean, F_hard, rnd, epoch)
             L_h = self.discrepancy_on(F_hard)
@@ -421,7 +406,7 @@ class _Trainer:
         for epoch in range(self.tc.e3):
             self.feature_epoch(rnd, epoch)
             F_clean, F_var = self.measure()
-            L_h = self.discrepancy_on(self.hard_features(F_var, hard))
+            L_h = self.discrepancy_on(F_var[hard])
             self.record(rnd, "feature", epoch, self.clean_loss(F_clean), L_h, self.discrepancy_on(F_var), gamma)
 
     def run(self, rounds: int) -> TrainOutcome:

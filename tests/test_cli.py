@@ -401,9 +401,10 @@ def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
         ("lr = nan", "lr must be > 0, got nan"),
         ("tau_disc = nan", "tau_disc must be finite and >= 0, got nan"),
         ("tau_loss = -1", "tau_loss must be finite and >= 0, got -1.0"),
+        ("e1 = 30", ":2: config key 'e1' is set twice, on lines 1 and 2"),
     ],
     ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with", "mode",
-         "lr-negative", "lr-zero", "lr-nan", "tau_disc-nan", "tau_loss-negative"],
+         "lr-negative", "lr-zero", "lr-nan", "tau_disc-nan", "tau_loss-negative", "e1-twice"],
 )
 def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"

@@ -2,7 +2,9 @@
 typed error, whatever the bytes.  The CLI maps those errors to exit 3,
 so an untyped error here would be a traceback there.  Every loader reads
 its records through corpus.typed_record, so an unknown key, a missing
-required key and a wrongly typed value are worded alike at each."""
+required key and a wrongly typed value are worded alike at each, and
+decodes them through corpus.decode_json, which refuses a key written
+twice."""
 from __future__ import annotations
 
 import json
@@ -114,14 +116,15 @@ def _records(kind: str, raw: bytes) -> list[dict]:
     return [json.loads(line) for line in raw.decode("utf-8").splitlines()]
 
 
-def _rewritten(kind: str, raw: bytes, records: list[dict]) -> bytes:
+def _rewritten(kind: str, raw: bytes, records: list[dict], edit=lambda text: text) -> bytes:
     """`raw` holding `records` in place of its own: a model's header blob
-    is rewritten with its new length, the tensors kept."""
+    is rewritten with its new length, the tensors kept.  `edit` rewrites
+    each record's JSON text (a model's header, a line of the others)."""
     if kind == "model":
         size = int.from_bytes(raw[4:12], "little")
-        blob = json.dumps(records[0]).encode("utf-8")
+        blob = edit(json.dumps(records[0])).encode("utf-8")
         return raw[:4] + len(blob).to_bytes(8, "little") + blob + raw[12 + size :]
-    return "".join(json.dumps(rec) + "\n" for rec in records).encode("utf-8")
+    return "".join(edit(json.dumps(rec)) + "\n" for rec in records).encode("utf-8")
 
 
 @FUZZ
@@ -164,25 +167,37 @@ BOUNDARIES = {
     "model-header": ("model", 0, "header", "tensors", ("vocab", 5, "dict[str, int]")),
     "model-config": ("model", 1, "model config", "delta", ("emb_dim", 4.0, "int")),
 }
-FAULTS = ("unknown-key", "missing-key", "wrong-type")
+FAULTS = ("unknown-key", "missing-key", "wrong-type", "repeated-key")
+# the key a repeated-key fault adds, renamed in the file's text to the
+# key it repeats
+STAND_IN = "repeated-key-stand-in"
 
 
 def _damaged(valid, tmp_path, boundary: str, fault: str):
     """A file whose boundary record holds `fault`, and the error's message."""
     kind, index, where, needed, (key, value, shown) = BOUNDARIES[boundary]
     records = _records(kind, valid[kind])
+    path = tmp_path / kind
+    place = f"{path}: {where}"
+    edit = lambda text: text  # noqa: E731
     if fault == "unknown-key":
         records[index]["bogus"] = 1
         what = "unknown key 'bogus'"
     elif fault == "missing-key":
         del records[index][needed]
         what = f"missing key {needed!r}"
-    else:
+    elif fault == "wrong-type":
         records[index][key] = value
         what = f"{key} must be of type {shown}, got {value!r}"
-    path = tmp_path / kind
-    path.write_bytes(_rewritten(kind, valid[kind], records))
-    return path, f"{path}: {where}: {what}"
+    else:
+        # a dict holds a key once, so the text gets its second copy; the
+        # decoder names the line, or a model's header, its config included
+        records[index][STAND_IN] = records[index][needed]
+        edit = lambda text: text.replace(json.dumps(STAND_IN), json.dumps(needed))  # noqa: E731
+        place = f"{path}: header" if kind == "model" else f"{path}:{index + 1}"
+        what = f"repeated key {needed!r}"
+    path.write_bytes(_rewritten(kind, valid[kind], records, edit))
+    return path, f"{place}: {what}"
 
 
 @pytest.mark.parametrize("fault", FAULTS)

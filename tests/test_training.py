@@ -170,20 +170,27 @@ def make_trainer(pools, **cfg) -> _Trainer:
     return _Trainer(clean, varied, None, quick_config(**cfg), None, fusion="mean")
 
 
-def test_hard_features_are_those_of_a_pass_over_the_hard_set_alone(pools):
-    trainer = make_trainer(pools)
-    F_var = trainer.features(trainer.Xv)
+def test_hard_features_are_the_hard_rows_of_the_x_prime_pass(pools, monkeypatch):
+    """The classifier phase reads the features of X'' as its rows F_var[mask]
+    of the X' pass, whatever the size of X''; from two rows on they are
+    also those that a pass over X'' alone gives."""
+    trainer = make_trainer(pools, e2=1)
     Xv = trainer.Xv.rows.distinct[trainer.Xv.rows.index]
     rng = derive_rng(3, "hard-features")
+    seen = []  # the F_hard of each classifier epoch
+    monkeypatch.setattr(_Trainer, "classifier_epoch", lambda self, F_clean, F_hard, rnd, epoch: seen.append(F_hard))
     for size in (0, 1, 2, 17, len(Xv)):
         hard = np.zeros(len(Xv), dtype=bool)
         hard[rng.choice(len(Xv), size, replace=False)] = True
-        want = features_forward(trainer.params, trainer.mc, Xv[hard])[0]
-        assert trainer.hard_features(F_var, hard).tobytes() == want.tobytes(), size
-    # why one hard row is forwarded alone: a one-row pass gives a row
-    # other bytes than a pass over X' does
-    one_row = [features_forward(trainer.params, trainer.mc, Xv[i : i + 1])[0][0] for i in range(len(Xv))]
-    assert (np.array(one_row) != F_var).any()
+        monkeypatch.setattr(zigzag.training, "hard_mask", lambda p1, p2, y, delta: hard)
+        _, F_var = trainer.measure()
+        mask, gamma = trainer.classifier_phase(1)
+        assert mask is hard and gamma == size / len(Xv)
+        F_hard = seen.pop()
+        assert F_hard.tobytes() == F_var[hard].tobytes(), size
+        if size >= 2:
+            assert F_hard.tobytes() == features_forward(trainer.params, trainer.mc, Xv[hard])[0].tobytes(), size
+    assert not seen
 
 
 def test_classifier_epoch_keeps_features_frozen(pools):
