@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import CorpusProgram, field_types, read_json_lines, typed_record, write_json_lines
 from .encoding import UNK_ID, count_truncated, encode_fragments
-from .fragments import Fragment, extract_fragments
+from .fragments import GRANULARITIES, Fragment, extract_fragments
 from .lang.nodes import Program
 from .nn.model import DetectorModel, DistinctRows, distinct_rows, model_fingerprint
 
@@ -163,17 +163,20 @@ class EvalReport:
 
 def load_report(path) -> EvalReport:
     """A saved report: a ReportHeader and one SavedRow per row, as save
-    writes them, each read by typed_record.  Every row needs a name of
-    its own and non-negative counts, there must be an n/a and a Total
-    row, Total must be the total_row of the others, and each row's fpr,
-    fnr and f1 must be the strings its counts render.  Else
-    EvaluationError names the file and the header or row."""
+    writes them, each read by typed_record.  The header must name one of
+    GRANULARITIES.  Every row needs a name of its own and non-negative
+    counts, there must be an n/a and a Total row, Total must be the
+    total_row of the others, each row's functions must be the sum of its
+    confusion, and its fpr, fnr and f1 the strings its counts render.
+    Else EvaluationError names the file and the header or row."""
     records = list(read_json_lines(path, EvaluationError))
     if not records:
         raise EvaluationError(f"{path}: empty report")
     if records[0].get("kind") != "eval-report":
         raise EvaluationError(f"{path}: not an evaluation report")
     header = typed_record(ReportHeader, records[0], EvaluationError, f"{path}: header")
+    if header.granularity not in GRANULARITIES:
+        raise EvaluationError(f"{path}: header: unknown granularity {header.granularity!r}")
     rows: dict[str, EvalRow] = {}
     for rec in records[1:]:
         line = typed_record(SavedRow, rec, EvaluationError, f"{path}: row {rec.get('row')!r}")
@@ -189,6 +192,12 @@ def load_report(path) -> EvalReport:
             raise EvaluationError(f"{path}: no row {name!r}")
     if rows[TOTAL_ROW] != total_row([r for name, r in rows.items() if name not in (ORIGINAL_ROW, TOTAL_ROW)]):
         raise EvaluationError(f"{path}: row {TOTAL_ROW!r} is not the sum of the transformed rows")
+    for r in rows.values():
+        counted = sum(asdict(r.confusion).values())
+        if r.functions != counted:
+            raise EvaluationError(
+                f"{path}: row {r.name!r}: 'functions' is {r.functions}, but its confusion counts {counted}"
+            )
     report = EvalReport(header.granularity, list(rows.values()), header.corpus_digest, header.model_digest)
     for saved, rendered in zip(records[1:], report.to_records()):
         for key in _METRIC_KEYS:

@@ -136,13 +136,14 @@ def fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
 
 class Buffers:
-    """Named arrays that live as long as this object, for the RNN
-    kernels' per-batch arrays over a run of batches.  Called as
-    buffers(name, shape, dtype), it returns the first prod(shape) items of
-    the flat array it keeps under name, as shape, and replaces that array
-    with one of the asked size when it is too small; the next call under
-    the same name overwrites what the last handed out.  stamp counts the
-    forward passes run on them (nn.model.features_forward moves it)."""
+    """Named arrays that live as long as this object, for the RNN's
+    per-batch arrays over a run of batches: a batch's ids and the
+    kernels' arrays.  Called as buffers(name, shape, dtype), it returns
+    the first prod(shape) items of the flat array it keeps under name, as
+    shape, and replaces that array with one of the asked size when it is
+    too small; the next call under the same name overwrites what the last
+    handed out.  stamp counts the forward passes run on them
+    (nn.model.features_forward moves it)."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}

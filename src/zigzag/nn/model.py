@@ -18,15 +18,14 @@ mining, DetectorModel.predict_proba): it forwards each distinct row
 once and gathers F back to every row, and the RNN keeps only its last
 state there.  features_forward returns F and the cache that
 features_backward needs, for training steps, and forwards every row of
-its batch, repeats included.  Both give the same bytes: a row's features
-do not depend on the other rows of a pass of two rows or more (see
-features for the premise and the test that pins it).
+its batch, repeats included.  Both give the same bytes, by the premise
+features states.
 A training step may hand features_forward a kernels.Buffers that lives
-for the whole run, so the RNN's per-batch arrays are allocated once; its
-cache then holds views of those buffers, which the next forward pass on
-them overwrites, so each forward pass moves the buffers' stamp, the
-cache records it, and features_backward raises ModelError on a cache
-whose stamp is no longer the buffers'.
+for the whole run, so the RNN's per-batch arrays, the batch's ids among
+them, are allocated once; its cache then holds views of those buffers,
+which the next forward pass on them overwrites, so each forward pass
+moves the buffers' stamp, the cache records it, and features_backward
+raises ModelError on a cache whose stamp is no longer the buffers'.
 Each head is a small tanh MLP ending in a sigmoid.  The two heads c1
 and c2 always run as a pair on one F, in one stacked pass:
 heads_forward stacks each layer's two tensors per call, so one matmul
@@ -87,9 +86,14 @@ FORMAT_VERSION = 1
 _DEFAULTS = {"encoder": "mean", "emb_dim": 16, "feature_dim": 32, "head_hidden": 16, "rnn_hidden": 24,
              "granularity": FUNCTION_GRANULARITY, "delta": 0.4, "fusion": "c1"}
 # a model's config: a field of its default's type per default, and the
-# length; every field required of a saved config, each int one a size >= 1
+# length; every field required of a saved config, each int a size >= 1,
+# or >= 2 where _LEAST_SIZE says so
 ModelConfig = make_dataclass(
     "ModelConfig", [*((key, type(value)) for key, value in _DEFAULTS.items()), ("length", int)], slots=True)
+# the sizes that are a feature-stack product's output columns: at 1,
+# numpy hands the product to the matrix-vector kernel and the premise
+# features states fails
+_LEAST_SIZE = {"emb_dim": 2, "rnn_hidden": 2, "feature_dim": 2}
 
 # tokens kept per fragment when the config names no length; a slice is a
 # few statements of one function
@@ -114,14 +118,16 @@ def make_config(**overrides) -> dict:
 
 def _checked_config(rec: dict, where: str) -> dict:
     """`rec` read by typed_record as a ModelConfig, as a dict; its names
-    must be known, its sizes >= 1 and its delta in (0, 1)."""
+    must be known, its sizes >= 1 (>= 2 for _LEAST_SIZE's) and its delta
+    in (0, 1)."""
     config = typed_record(ModelConfig, rec, ModelError, where)
     for key, names in (("encoder", ("mean", "rnn")), ("fusion", ("c1", "mean")), ("granularity", GRANULARITIES)):
         if getattr(config, key) not in names:
             raise ModelError(f"{where}: unknown {key} {getattr(config, key)!r}")
     for key, annotation in field_types(ModelConfig).items():
-        if annotation is int and getattr(config, key) < 1:
-            raise ModelError(f"{where}: {key} must be an integer >= 1, got {getattr(config, key)!r}")
+        least = _LEAST_SIZE.get(key, 1)
+        if annotation is int and getattr(config, key) < least:
+            raise ModelError(f"{where}: {key} must be an integer >= {least}, got {getattr(config, key)!r}")
     if not 0.0 < config.delta < 1.0:
         raise ModelError(f"{where}: delta must be a float in (0, 1), got {config.delta!r}")
     return asdict(config)
@@ -181,17 +187,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _check_token_ids(X: np.ndarray, rows: int) -> None:
-    if X.size == 0:
-        return
-    lo = int(X.min())
-    hi = int(X.max())
-    if lo < 0:
-        raise ModelError(f"token id {lo} is negative; ids must lie in [0, {rows})")
-    if hi >= rows:
-        raise ModelError(f"token id {hi} is out of range for an embedding of {rows} rows")
-
-
 @dataclass(frozen=True, slots=True)
 class DistinctRows:
     """(N, L) token ids as their distinct rows, in the order of first
@@ -231,9 +226,7 @@ class PreparedIds:
     count matrix C and per-row token counts denom of the distinct rows
     (None for the RNN).  Indexing gathers the index alone, so a batch or
     subset needs no new count and copies no row.  Each distinct row is
-    kept once: its features do not depend on the other rows of a pass
-    (the premise features states, pinned by tests/test_nn.py's
-    test_features_of_distinct_rows_byte_equal_a_pass_over_every_row)."""
+    kept once, by the premise features states."""
 
     rows: DistinctRows
     emb_rows: int
@@ -247,29 +240,23 @@ class PreparedIds:
         return PreparedIds(self.rows[rows], self.emb_rows, self.C, self.denom)
 
 
-def _counts(params: dict, config: dict, X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """X's ids checked against the embedding's rows, before any kernel
-    reads one: an id outside [0, emb rows) raises ModelError (the count
-    matrix would count an id >= emb rows in the next row's columns).
-    Then the mean encoder's count matrix C and per-row token counts
-    denom of X, or () for the RNN."""
-    rows = params["emb"].shape[0]
-    _check_token_ids(X, rows)
-    return token_counts(X, rows) if config["encoder"] == "mean" else ()
-
-
 def prepare_ids(params: dict, config: dict, X: np.ndarray | DistinctRows) -> PreparedIds:
     """X ready for features and features_forward under any parameters with
     the same embedding rows and encoder.  An array's distinct rows are
-    found here (distinct_rows), so the id range check and the mean
-    encoder's counts (_counts) run once per distinct row, and features
-    forwards each distinct row once: a row's features do not depend on
-    the other rows of its pass (the premise features states, which
-    tests/test_nn.py's
-    test_features_of_distinct_rows_byte_equal_a_pass_over_every_row
-    pins)."""
+    found here (distinct_rows).  This is the one place ids are checked
+    and counted, once per distinct row: an id outside [0, emb rows)
+    raises ModelError before any kernel reads one (the count matrix
+    would count an id >= emb rows in the next row's columns), and the
+    mean encoder's count matrix C and token counts denom follow."""
     rows = X if isinstance(X, DistinctRows) else distinct_rows(X)
-    return PreparedIds(rows, params["emb"].shape[0], *_counts(params, config, rows.distinct))
+    emb_rows, ids = params["emb"].shape[0], rows.distinct
+    if ids.size:
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < 0:
+            raise ModelError(f"token id {lo} is negative; ids must lie in [0, {emb_rows})")
+        if hi >= emb_rows:
+            raise ModelError(f"token id {hi} is out of range for an embedding of {emb_rows} rows")
+    return PreparedIds(rows, emb_rows, *(token_counts(ids, emb_rows) if config["encoder"] == "mean" else ()))
 
 
 def _ready(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedIds) -> PreparedIds:
@@ -282,17 +269,6 @@ def _ready(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedId
             f"encoder do not fit {params['emb'].shape[0]} rows and the {config['encoder']} encoder"
         )
     return ids
-
-
-def _every_row(params: dict, config: dict, X: np.ndarray | PreparedIds) -> tuple[np.ndarray, tuple]:
-    """Every row of X as a training step forwards it, repeated rows too:
-    its ids and, for the mean encoder, their counts (as _counts gives
-    them).  A prepared set gathers both through its index; an array is
-    checked and counted as it is."""
-    if not isinstance(X, PreparedIds):
-        return X, _counts(params, config, X)
-    ids, rows = _ready(params, config, X), X.rows.index
-    return ids.rows.distinct[rows], () if ids.C is None else (ids.C[rows], ids.denom[rows])
 
 
 def _filled(X: np.ndarray) -> np.ndarray:
@@ -315,20 +291,22 @@ def features(params: dict, config: dict, X: np.ndarray | DistinctRows | Prepared
     Every distinct row of X's set is forwarded once, and F is gathered
     back to every row through X's index.  This rests on a premise: a
     row's features do not depend on which other rows share its pass, so
-    F has the bytes features_forward gives over every row.  It holds for
-    a pass of two rows or more whose products each have more than one
-    output column (emb_dim, rnn_hidden and feature_dim above 1): numpy
-    hands those to BLAS's matrix product, which gives a row the same
-    bytes beside any other rows, under 1 and 2 BLAS threads alike.  A
-    one-row product, or one with a single output column, goes to the
-    matrix-vector kernel, whose bytes differ, and a row's bytes there
-    can depend on its neighbours: so a set of many copies of one row
+    F has the bytes features_forward gives over every row.  A one-row
+    product, or one with a single output column, goes to BLAS's
+    matrix-vector kernel, whose bytes differ from a matrix product's and
+    can depend on a row's neighbours: so a config's emb_dim, rnn_hidden
+    and feature_dim must be at least 2, a set of many copies of one row
     forwards two, and the heads, whose last layer has one output column,
-    always run over every row.  tests/test_nn.py's
+    always run over every row.  Past that the premise is one of the BLAS
+    matrix product's, not of the sizes alone: under OpenBLAS 0.3.31's
+    Haswell kernels, at 1 and 2 threads, a product whose output columns
+    number 1, 2 or 3 mod 8 gives a row bytes that depend on the pass's
+    row count, so sizes such as 2, 3, 9 or 17 break it there; the
+    default sizes keep it.  tests/test_nn.py's
     test_features_of_distinct_rows_byte_equal_a_pass_over_every_row
-    pins the premise.  The RNN keeps only its last state
-    (kernels.rnn_last_state), where features_forward keeps every step's
-    state and token vectors for the backward pass."""
+    pins the premise at the default sizes.  The RNN keeps only its last
+    state (kernels.rnn_last_state), where features_forward keeps every
+    step's state and token vectors for the backward pass."""
     ids = _ready(params, config, X)
     rows = ids.rows
     # numpy hands a one-row product to BLAS's matrix-vector kernel, whose
@@ -352,21 +330,28 @@ def features_forward(
     every id lies in [0, emb rows), either as an array, which is prepared
     here (prepare_ids checks its range), or as a set prepare_ids readied
     for parameters of the same embedding rows and encoder.  Every row is
-    forwarded, repeated rows too, so each gradient sums the rows of the
-    batch in their order (_every_row).  The RNN takes its per-batch
-    arrays from buffers when given, and fresh ones otherwise; the cache
+    forwarded, repeated rows too, gathered through the set's index, so
+    each gradient sums the rows of the batch in their order.  The RNN
+    gathers the batch's ids into buffers, when given, and takes its other
+    per-batch arrays from them too, and fresh ones otherwise; the cache
     then holds views of those buffers, valid until the next forward pass
     on them (features_backward checks the stamp).  The mean encoder takes
     no buffers.
     """
-    X, counts = _every_row(params, config, X)
+    ids = _ready(params, config, X)
+    rows = ids.rows.index
     if config["encoder"] == "mean":
-        C, denom = counts
+        C, denom = ids.C[rows], ids.denom[rows]
         enc = embed_mean_forward(params["emb"], C, denom)
         cache: dict = {"C": C, "denom": denom}
     else:
+        alloc = buffers or fresh
+        distinct = ids.rows.distinct
+        X = alloc("ids", (len(rows), distinct.shape[1]), distinct.dtype)
+        # rows index distinct by construction; "clip" lets take write into X directly
+        np.take(distinct, rows, axis=0, out=X, mode="clip")
         X = _filled(X)
-        hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"], buffers or fresh)
+        hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"], alloc)
         enc = hs[:, -1, :]
         cache = {"X": X, "hs": hs, "E": E, "buffers": buffers}
         if buffers is not None:

@@ -53,9 +53,8 @@ without it or where that F1 is undefined.  Its passes:
     feature record - one forward pass each over X and X'.
 
 X'' is a mask over the rows of X', so its features are the rows
-F_var[mask] of the record's pass over X', not a pass of their own: a
-row's features do not depend on the other rows of a pass of two rows or
-more (the premise nn.model.features states).  A zigzag run so makes
+F_var[mask] of the record's pass over X', not a pass of their own, by
+the premise nn.model.features states.  A zigzag run so makes
 2 * e1 + 2 * e3 * rounds passes that take no gradient.
 
 X and X' are prepared once per run, right after the parameters are
@@ -68,8 +67,8 @@ which keeps no cache and forwards each distinct row of a set once.  The
 joint and feature steps run features_forward, which forwards every row
 of its batch, repeats included, so each gradient sums the batch's rows
 in order.  They run on one nn.kernels.Buffers per run, so the RNN's
-per-batch arrays are allocated once, and each step's backward runs
-before the next forward.
+per-batch arrays, the batch's ids among them, are allocated once, and
+each step's backward runs before the next forward.
 """
 from __future__ import annotations
 

@@ -387,6 +387,20 @@ def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
     assert what in err
 
 
+def test_a_saved_model_whose_feature_dim_is_1_exits_3(tmp_path, demo_source, capsys):
+    """Its tensors fit its config; the size itself is refused, as train
+    refuses it (nn.model.features' premise fails at 1)."""
+    eval_argv, _ = _write_inputs(tmp_path, demo_source)
+    path = tmp_path / "model.zzm"
+    model = load_model(path)
+    model.config["feature_dim"] = 1
+    model.params = init_params(model.config, model.vocab_size, 0)
+    save_model(model, path)
+    assert main(eval_argv) == 3
+    assert capsys.readouterr().err == f"error: {path}: model config: feature_dim must be an integer >= 2, got 1\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "line, what",
     [
@@ -402,9 +416,13 @@ def test_invalid_model_header_exits_3(case, tmp_path, demo_source, capsys):
         ("tau_disc = nan", "tau_disc must be finite and >= 0, got nan"),
         ("tau_loss = -1", "tau_loss must be finite and >= 0, got -1.0"),
         ("e1 = 30", ":2: config key 'e1' is set twice, on lines 1 and 2"),
+        ("emb_dim = 1", "emb_dim must be an integer >= 2, got 1"),
+        ("rnn_hidden = 1", "rnn_hidden must be an integer >= 2, got 1"),
+        ("feature_dim = 1", "feature_dim must be an integer >= 2, got 1"),
     ],
     ids=["length-negative", "length-zero", "granularity-line", "optimizer", "mine_with", "mode",
-         "lr-negative", "lr-zero", "lr-nan", "tau_disc-nan", "tau_loss-negative", "e1-twice"],
+         "lr-negative", "lr-zero", "lr-nan", "tau_disc-nan", "tau_loss-negative", "e1-twice",
+         "emb_dim-one", "rnn_hidden-one", "feature_dim-one"],
 )
 def test_bad_train_config_exits_2(line, what, tmp_path, capsys):
     train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
@@ -505,8 +523,8 @@ def _add_one(row: int, key: str):
     return lambda header, rows: rows[row].update({key: rows[row][key] + 1})
 
 
-# a report whose rows contradict each other -> what load_report says of it;
-# the rows are n/a, ct1 and Total
+# a report whose rows contradict each other, or break a rule its writer
+# keeps -> what load_report says of it; the rows are n/a, ct1 and Total
 CONTRADICTIONS = {
     "negative-fn": (_set(1, "fn", -5), "row 'ct1': 'fn' is negative"),
     "negative-fn-and-inflated-tp": (
@@ -521,6 +539,10 @@ CONTRADICTIONS = {
     "second-ct1": (lambda header, rows: rows.insert(2, dict(rows[1])), "row 'ct1' appears twice"),
     "no-n/a": (lambda header, rows: rows.pop(0), "no row 'n/a'"),
     "no-total": (lambda header, rows: rows.pop(2), "no row 'Total'"),
+    "granularity-banana": (
+        lambda header, rows: header.update(granularity="banana"), "header: unknown granularity 'banana'"
+    ),
+    "n/a-functions": (_add_one(0, "functions"), "row 'n/a': 'functions' is 3, but its confusion counts 2"),
 }
 
 

@@ -574,6 +574,26 @@ def test_features_of_distinct_rows_byte_equal_a_pass_over_every_row(encoder, n):
     assert heads_forward(params, F_all[mask])[0].tobytes() == heads_forward(params, F_hard)[0].tobytes()
 
 
+# a size at 1 and the encoder it breaks the premise with; whether a draw
+# shows it depends on the data, so the draw below is pinned to one that does
+SIZE_ONE = [("feature_dim", "mean"), ("feature_dim", "rnn"), ("rnn_hidden", "rnn"), ("emb_dim", "mean")]
+
+
+@pytest.mark.parametrize("key,encoder", SIZE_ONE, ids=[f"{key}-{encoder}" for key, encoder in SIZE_ONE])
+def test_a_size_of_one_breaks_the_premise_and_a_config_refuses_it(key, encoder):
+    """A product with one output column goes to the matrix-vector kernel,
+    where a row's bytes depend on its pass: 1000 rows drawn from 50."""
+    rng = derive_rng(7, "size-one-premise")
+    pool = rng.integers(1, 40, size=(50, 20))
+    pool[np.arange(20) >= rng.integers(1, 21, size=(50, 1))] = 0
+    X = pool[rng.integers(0, 50, size=1000)]
+    config = {**make_config(encoder=encoder, length=20), key: 1}  # built past the check that refuses it
+    params = init_params(config, 40, 2)
+    assert features(params, config, X).tobytes() != features_forward(params, config, X)[0].tobytes()
+    with pytest.raises(ModelError, match=f"^model config: {key} must be an integer >= 2, got 1$"):
+        make_config(encoder=encoder, length=20, **{key: 1})
+
+
 def _resized_batches(X):
     """Batches whose (B, L) grows and shrinks: 32, 31 and 1 rows, cut at
     several lengths, all-padding and empty rows, and a 320-row set."""
@@ -640,9 +660,12 @@ def test_the_no_cache_rnn_pass_keeps_a_small_part_of_the_states():
     assert got["uncached"].tobytes() == got["cached"].tobytes()
 
 
-def test_a_second_training_step_on_warm_buffers_allocates_no_large_array():
+@pytest.mark.parametrize("prepared", [False, True], ids=["array", "prepared"])
+def test_a_second_training_step_on_warm_buffers_allocates_no_large_array(prepared):
+    """A warm step on an array and on a batch of a prepared set, as the
+    trainer steps: the batch's ids are gathered into the buffers too."""
     config, params, encoded = slice_rnn_setup()
-    X = encoded[:32]
+    X = prepare_ids(params, config, encoded[:32]) if prepared else encoded[:32]
     dF = np.ones((32, config["feature_dim"]))
 
     def step(buffers=None):
