@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Union, get_args,
 from .lang import MiniLangError, interpret, parse, pretty_print
 from .lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
 from .lang.nodes import Program, flagged_lines, walk_statements
+from .lang.parser import StatementMemo
 from .seeds import derive_rng, derive_seed
 from .transforms import InapplicableTransform, apply_transform
 
@@ -654,9 +655,12 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
     to functions whose flags match its labels; anything else raises
     CorpusError naming the file and the header or record, once the
     records before it are yielded, so of two faults the first in the
-    file is the one named.  Neither the file's text nor a record's parse
-    is kept, so a caller that drops each parse holds one program's tree
-    at a time.
+    file is the one named.  The file's text is not kept.  The records
+    are parsed through one statement memo (``lang.parser``), so a line
+    that recurs in the file is parsed once: the parses of one read share
+    expression nodes, and the memo holds them until the read ends.  No
+    caller changes a parse, and a pass copies its input first, so each
+    parse is the one ``parse(item.source)`` gives.
     """
     records = read_json_lines(path, CorpusError)
     rec = next(records, None)
@@ -667,6 +671,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         raise CorpusError(f"{path}: not a corpus file or unsupported version")
     header = typed_record(CorpusHeader, rec, CorpusError, f"{path}: header")
     seen: set[str] = set()
+    lines: StatementMemo = {}
     for rec in records:
         where = f"{path}: record {rec.get('id')!r}"
         item = typed_record(CorpusProgram, rec, CorpusError, where)
@@ -676,7 +681,7 @@ def read_corpus(path: str | Path) -> Iterator[tuple[CorpusProgram, Program]]:
         if item.split not in ("train", "test"):
             raise CorpusError(f"{where}: 'split' is {item.split!r}, neither 'train' nor 'test'")
         try:
-            program = item.program()
+            program = parse(item.source, lines)
         except MiniLangError as exc:
             raise CorpusError(f"{where}: source does not parse: {exc}") from None
         if function_labels(program) != item.labels:

@@ -1,13 +1,16 @@
 """Tokenizer for the mini language.
 
 ``lex`` returns a ``TokenStream``: the raw text of every token in one
-flat list (``texts``, ending with the eof token's empty text) and the
-index of each line's first token (``firsts``).  No token spans a
-newline, so the source is scanned a line at a time.  A line's texts
-depend on that line alone, and programs and their variants repeat
-lines, so a bounded cache keeps the texts of recent distinct lines and
-each is scanned by one ``findall`` only when it is not there.  A
-comment can only be a line's last match, and is dropped there.
+flat list (``texts``, ending with the eof token's empty text), the
+index of each line's first token (``firsts``) and each line's texts as
+a tuple (``lines``).  No token spans a newline, so the source is
+scanned a line at a time.  A line's texts depend on that line alone,
+and programs and their variants repeat lines, so a bounded cache keeps
+the texts of recent distinct lines and each is scanned by one
+``findall`` only when it is not there.  A comment can only be a line's
+last match, and is dropped there.  A line without a comment keeps in
+``lines`` the tuple the cache holds, shared by every source with that
+line; the parser's statement memo (``parser.parse``) keys on them.
 Nothing else is built per token: a token's kind comes from its
 first character (and ``KEYWORDS``), its line from a bisect over
 ``firsts``, and its column from a rescan of that one line, computed
@@ -125,14 +128,16 @@ def _first_error(lines: list[str]) -> SyntaxErrorML:
 
 class TokenStream:
     """The tokens of one source: raw texts, ending with eof's empty text,
-    and the index of each line's first token (a line without tokens
-    holds the index of the next token)."""
+    the index of each line's first token (a line without tokens holds
+    the index of the next token), and each line's texts, a comment
+    dropped, as a tuple no caller changes."""
 
-    __slots__ = ("texts", "firsts", "source")
+    __slots__ = ("texts", "firsts", "lines", "source")
 
-    def __init__(self, texts: list[str], firsts: list[int], source: str) -> None:
+    def __init__(self, texts: list[str], firsts: list[int], lines: list[tuple[str, ...]], source: str) -> None:
         self.texts = texts
         self.firsts = firsts
+        self.lines = lines
         self.source = source
 
     def __len__(self) -> int:
@@ -199,7 +204,8 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
 
     Each line's raw texts come from ``_scan``, which scans a distinct
     line once; the stream keeps them in one list, with the count of
-    texts before each line.  No line or column is computed here:
+    texts before each line, and keeps each line's tuple, which the
+    parser's statement memo reads.  No line or column is computed here:
     ``TokenStream.position`` computes one when a caller asks.  A source
     that does not lex raises SyntaxErrorML at its first error.
     """
@@ -218,4 +224,4 @@ def lex(source: str) -> tuple[TokenStream, set[int]]:
     texts = list(chain.from_iterable(per_line))
     texts.append("")
     firsts = list(accumulate(map(len, per_line[:-1]), initial=0))
-    return TokenStream(texts, firsts, source), vuln_lines
+    return TokenStream(texts, firsts, per_line, source), vuln_lines

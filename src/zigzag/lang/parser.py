@@ -15,9 +15,26 @@ arity).  A (line, col) is computed from a token index only for an
 error.  Transform outputs that never existed as text can be checked
 with ``validate_program``.  Any failure, nesting deeper than
 ``MAX_DEPTH`` included, raises a ``MiniLangError``.
+
+A parse may be given a memo of simple statements (``parse(source,
+lines)``), which a caller keeps across the sources of one corpus, whose
+variants repeat most of their originals' lines.  A simple statement is
+a ``var``, an assignment, an array write, a call or a ``return``.  The
+memo keys a statement by its line's token texts (the lexer's shared
+tuple) and the block depth at its first token, so the ``MAX_DEPTH``
+check sees the same depth, and it holds only a statement that starts at
+its line's first token and ends at its line's last token, so its parse
+read that line alone.  On a later hit the parser builds a fresh
+statement of the stored kind over the first parse's expression nodes,
+numbers and flags it as it would a parsed one, and moves to the next
+line's first token.  A miss, and every ``if``, ``while`` and ``for``,
+is parsed as without a memo, and so is every error.  The parses of one
+memo share expression nodes: no caller changes a parse, and a pass
+copies its input first (``transforms.base.clone_program``).
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, NoReturn
 
 from .errors import SourceError, SyntaxErrorML, UndeclaredIdentifierError, ValidationErrorML
@@ -42,6 +59,7 @@ from .nodes import (
     KEYWORDS,
     Program,
     Return,
+    SimpleStmt,
     Stmt,
     StrLit,
     Var,
@@ -66,10 +84,20 @@ MAX_DEPTH = 40
 # array, takes about 16 MB.
 MAX_ARRAY_SIZE = 10_000
 
+# the fields of each simple statement kind, in its constructor's order
+_SIMPLE_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in SimpleStmt}
+
+# a statement memo: (line's token texts, depth) -> (kind, field values)
+StatementMemo = dict[tuple[tuple[str, ...], int], tuple[type, tuple]]
+
 
 class Parser:
-    def __init__(self, source: str) -> None:
+    def __init__(self, source: str, lines: StatementMemo | None = None) -> None:
         self.stream, self.unclaimed = lex(source)  # unclaimed: //@vuln lines no statement took yet
+        self.memo = lines
+        if lines is not None:
+            # index of a line's first token -> the line's texts, for each line with a token
+            self.line_at = {first: texts for first, texts in zip(self.stream.firsts, self.stream.lines) if texts}
         self.texts = self.stream.texts
         self.pos = 0
         self.text = self.texts[0]  # the current token's raw text, moved by advance and expect
@@ -180,6 +208,19 @@ class Parser:
 
     def parse_statement(self) -> Stmt:
         text = self.text
+        start, line = self.pos, None
+        if self.memo is not None:
+            line = self.line_at.get(start)
+            if line is not None:
+                key = (line, self.depth)
+                hit = self.memo.get(key)
+                if hit is not None:
+                    kind, values = hit
+                    st = kind(*values)
+                    st.line_id, st.vuln = self.number()
+                    self.pos = start + len(line)  # the next line's first token
+                    self.text = self.texts[self.pos]
+                    return st
         mark = self.number()
         keyword = _STATEMENTS.get(text)
         if keyword is not None:
@@ -191,6 +232,8 @@ class Parser:
         else:
             raise self.error("expected a statement")
         st.line_id, st.vuln = mark
+        if line is not None and self.pos - start == len(line) and type(st) in _SIMPLE_FIELDS:
+            self.memo[key] = (type(st), tuple(getattr(st, name) for name in _SIMPLE_FIELDS[type(st)]))
         return st
 
     # each parse_<keyword> starts at its keyword, which parse_statement saw
@@ -372,9 +415,11 @@ class Parser:
 _STATEMENTS = {kw: getattr(Parser, f"parse_{kw}") for kw in ("var", "if", "while", "for", "return")}
 
 
-def parse(source: str) -> Program:
-    """Parse, number, flag, and validate a program from source text."""
-    return Parser(source).parse_program()
+def parse(source: str, lines: StatementMemo | None = None) -> Program:
+    """Parse, number, flag, and validate a program from source text,
+    through the statement memo `lines` when given (see the module
+    docstring); the program is the same with or without it."""
+    return Parser(source, lines).parse_program()
 
 
 # --------------------------------------------------------------------------

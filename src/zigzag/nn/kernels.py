@@ -140,10 +140,10 @@ class Buffers:
     per-batch arrays over a run of batches: a batch's ids and the
     kernels' arrays.  Called as buffers(name, shape, dtype), it returns
     the first prod(shape) items of the flat array it keeps under name, as
-    shape, and replaces that array with one of the asked size when it is
-    too small; the next call under the same name overwrites what the last
-    handed out.  stamp counts the forward passes run on them
-    (nn.model.features_forward moves it)."""
+    shape, and replaces that array with one of the asked size and dtype
+    when it is too small or of another dtype; the next call under the
+    same name overwrites what the last handed out.  stamp counts the
+    forward passes run on them (nn.model.features_forward moves it)."""
 
     def __init__(self) -> None:
         self._flat: dict[str, np.ndarray] = {}
@@ -152,7 +152,7 @@ class Buffers:
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
-        if flat is None or flat.size < size:
+        if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 

@@ -2,10 +2,12 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from zigzag.corpus import (
+    SELF_CHECK_FUEL,
     CorpusError,
     CorpusProgram,
     assign_split,
@@ -17,9 +19,12 @@ from zigzag.corpus import (
     save_corpus,
     transform_variant,
 )
-from zigzag.lang import interpret, parse, pretty_print
+from zigzag.fragments import GRANULARITIES, extract_fragments
+from zigzag.lang import MiniLangError, interpret, parse, pretty_print
 from zigzag.lang.interp import COMPLETED, OUT_OF_BOUNDS, RUNTIME_ERROR
-from zigzag.lang.nodes import Call, flagged_lines, stmt_expressions, walk_expr, walk_program
+from zigzag.lang.nodes import Call, flagged_lines, signature, stmt_expressions, walk_expr, walk_program
+from zigzag.lang.parser import MAX_DEPTH
+from zigzag.transforms import ALL_KINDS, InapplicableTransform, apply_transform
 
 
 def test_vulnerable_count_is_exact():
@@ -264,3 +269,134 @@ def test_generation_rejects_bad_arguments():
         generate_synthetic(0, 0.5, seed=0)
     with pytest.raises(CorpusError):
         generate_synthetic(5, 1.5, seed=0)
+
+
+# --------------------------------------------------------------------------
+# the statement memo of read_corpus
+
+def _statement_marks(program):
+    return [(type(st).__name__, st.line_id, st.vuln) for st in walk_program(program)]
+
+
+def _assert_parsed_as_plain(pairs) -> None:
+    for item, program in pairs:
+        plain = parse(item.source)
+        assert signature(program) == signature(plain), item.id
+        assert _statement_marks(program) == _statement_marks(plain), item.id
+
+
+def _save_mains(path, **sources) -> None:
+    """One-function records, unflagged, by id."""
+    save_corpus(path, [CorpusProgram(id=rid, source=source, split="train", labels={"main": 0})
+                       for rid, source in sources.items()])
+
+
+@pytest.fixture(scope="module")
+def augmented_path(tmp_path_factory):
+    """Two generated corpora, each augmented with every ct kind, in one file."""
+    corpus = []
+    for seed in (1, 2):
+        originals = [dataclasses.replace(p, id=f"s{seed}-{p.id}") for p in generate_synthetic(10, 0.5, seed=seed)]
+        corpus += augment_corpus([(p, p.program()) for p in originals], ALL_KINDS, seed)
+    path = tmp_path_factory.mktemp("memo") / "aug.jsonl"
+    save_corpus(path, corpus)
+    return path
+
+
+def _shared_expressions(programs) -> int:
+    """The expression nodes that more than one statement holds."""
+    holders = Counter(id(e) for program in programs for st in walk_program(program) for e in stmt_expressions(st))
+    return sum(1 for n in holders.values() if n > 1)
+
+
+def test_read_corpus_parses_equal_the_plain_parse_of_each_source(augmented_path):
+    pairs = list(read_corpus(augmented_path))
+    assert {item.kind for item, _ in pairs} == {None, *ALL_KINDS}
+    _assert_parsed_as_plain(pairs)
+    # the memo was used: repeated lines share the first parse's expressions
+    assert _shared_expressions(program for _, program in pairs) > 0
+
+
+def test_a_line_holding_more_or_less_than_one_statement_parses_as_plain(tmp_path):
+    """A line holding two statements, and the first line of a statement
+    over two lines, recur in a later record, the second with another
+    second line; neither is memoized."""
+    first = "func main() {\n    var x = 0;\n    x = 1; x = 2;\n    x = x +\n        1;\n    return x;\n}\n"
+    later = "func main() {\n    var x = 0;\n    x = 1; x = 2;\n    x = 1;\n    x = x +\n        2 * x;\n    return x;\n}\n"
+    path = tmp_path / "c.jsonl"
+    _save_mains(path, first=first, later=later)
+    _assert_parsed_as_plain(read_corpus(path))
+
+
+def test_consumers_leave_the_shared_parses_of_one_read_as_parsed(augmented_path):
+    """Every ct pass on every original, fragments at both granularities and
+    a run of each program on its benign inputs leave every parse of the
+    read, and so every expression two parses share, as it was."""
+    pairs = list(read_corpus(augmented_path))
+    before = [signature(program) for _, program in pairs]
+    by_id = {item.id: item for item, _ in pairs}
+    for item, program in pairs:
+        if item.kind is None:
+            for kind in ALL_KINDS:
+                try:
+                    apply_transform(program, kind, 5)
+                except InapplicableTransform:
+                    pass
+        for granularity in GRANULARITIES:
+            extract_fragments(item, granularity, program)
+        base = by_id[item.provenance.get("base", item.id)]
+        run = interpret(program, "main", list(base.provenance["benign_inputs"]), fuel=SELF_CHECK_FUEL)
+        assert run.status == COMPLETED, item.id
+    assert [signature(program) for _, program in pairs] == before
+
+
+def _parse_error(source: str) -> str:
+    with pytest.raises(MiniLangError) as caught:
+        parse(source)
+    return str(caught.value)
+
+
+def test_a_memoized_line_that_recurs_too_deep_raises_the_plain_parsers_error(tmp_path):
+    """The deepest statement a function body holds, memoized there, then met
+    one block deeper, where the plain parser refuses it."""
+    # a body statement is at depth 1, its expression one more, each parenthesis one more
+    line = "x = " + "(" * (MAX_DEPTH - 2) + "1" + ")" * (MAX_DEPTH - 2) + ";"
+    shallow = f"func main() {{\n    var x = 0;\n    {line}\n    return x;\n}}\n"
+    deep = f"func main() {{\n    var x = 0;\n    if (x) {{\n        {line}\n    }}\n    return x;\n}}\n"
+    message = _parse_error(deep)
+    assert f"nesting deeper than {MAX_DEPTH} levels" in message
+    path = tmp_path / "c.jsonl"
+    _save_mains(path, shallow=shallow, deep=deep)
+    reader = read_corpus(path)
+    assert next(reader)[0].id == "shallow"
+    with pytest.raises(CorpusError) as caught:
+        next(reader)
+    assert str(caught.value) == f"{path}: record 'deep': source does not parse: {message}"
+
+
+def _broken_copies(source: str) -> dict[str, str]:
+    """Sources that fail to parse, each a small edit of `source`; the lines
+    they keep were parsed, and memoized, in `source`."""
+    lines = source.split("\n")
+    decl = next(i for i, text in enumerate(lines) if text.strip().startswith("var ") and "[" not in text)
+    simple = max(i for i, text in enumerate(lines) if text.strip().endswith(";"))
+    return {
+        "undeclared": "\n".join(lines[:decl] + lines[decl + 1:]),
+        "truncated": "\n".join(lines[:simple] + [lines[simple][:-1]] + lines[simple + 1:]),
+        "junk-after": "\n".join(lines[:simple] + [lines[simple] + " )"] + lines[simple + 1:]),
+        "long-literal": source.replace("return 0;", "return " + "9" * 5000 + ";", 1),
+        "unclosed": "\n".join(lines[:-2]),
+        "stray-marker": source.replace("\n", "\n//@vuln\n", 1),
+    }
+
+
+@pytest.mark.parametrize("fault", ["undeclared", "truncated", "junk-after", "long-literal", "unclosed", "stray-marker"])
+def test_a_bad_record_after_records_that_warmed_the_memo_raises_the_plain_error(fault, tmp_path):
+    warm = generate_synthetic(6, 0.5, seed=3)
+    source = _broken_copies(warm[0].source)[fault]
+    message = _parse_error(source)
+    path = tmp_path / "c.jsonl"
+    save_corpus(path, warm + [CorpusProgram(id="bad", source=source, split="train", labels=warm[0].labels)])
+    with pytest.raises(CorpusError) as caught:
+        list(read_corpus(path))
+    assert str(caught.value) == f"{path}: record 'bad': source does not parse: {message}"

@@ -618,6 +618,20 @@ def test_training_steps_on_shared_buffers_byte_equal_steps_on_fresh_arrays():
     assert buffers.stamp == i + 1
 
 
+def test_buffers_hand_out_the_dtype_asked_for_under_a_name_that_held_another():
+    buffers = Buffers()
+    small = buffers("ids", (4, 8), np.int32)
+    assert small.dtype == np.int32
+    wide = buffers("ids", (2, 8), np.int64)
+    assert wide.dtype == np.int64 and wide.shape == (2, 8)
+    # an id past int32's range survives a gather into the handed-out array
+    ids = np.array([[2**40] * 8, [3] * 8], dtype=np.int64)
+    np.take(ids, [1, 0], axis=0, out=wide)
+    assert wide[1, 0] == 2**40
+    # an array of the asked dtype and a large enough size is reused
+    assert np.shares_memory(buffers("ids", (1, 8), np.int64), wide)
+
+
 def test_a_cache_whose_buffers_a_later_forward_reused_raises():
     config, params, encoded = slice_rnn_setup()
     buffers = Buffers()
