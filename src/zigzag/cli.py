@@ -192,16 +192,6 @@ def _train_configs(args, config: dict, seed: int) -> tuple[TrainConfig, dict, in
     return tc, mc, length
 
 
-def _distinct_fragments(row_index, clean: int) -> tuple[int, int]:
-    """How many distinct encoded rows the clean fragments hold, and how
-    many the variant fragments the model trained on hold, read from the
-    trainer's row index (TrainOutcome.row_index): X holds the clean
-    fragments first and, in conventional mode, the variants after them;
-    zigzag mode holds the variants in X' alone."""
-    index, variant_index = row_index
-    return len(set(index[:clean].tolist())), sum(len(set(rows.tolist())) for rows in (index[clean:], variant_index))
-
-
 def cmd_train(args) -> None:
     config = _load_run_config(args)
     seed = _pick(args, config, "seed", 0)
@@ -247,7 +237,6 @@ def cmd_train(args) -> None:
 
     save_model(outcome.model, args.out_model)
     save_trace(args.out_trace, outcome.trace)
-    distinct_clean, distinct_variant = _distinct_fragments(outcome.row_index, len(clean))
     _write_resolved(args.out_model, {
         "command": "train",
         "mode": args.mode,
@@ -261,9 +250,10 @@ def cmd_train(args) -> None:
         "clean_fragments": len(clean),
         # the fragments the model trained on: no variant's in original mode
         "variant_fragments": len(varied),
-        # of these, how many distinct rows the model's encoding gives
-        "distinct_clean_fragments": distinct_clean,
-        "distinct_variant_fragments": distinct_variant,
+        # of these, how many distinct rows the model's encoding gives: as
+        # many as distinct kept tokens, since its vocabulary holds every one
+        "distinct_clean_fragments": len({f.tokens[:length] for f in clean}),
+        "distinct_variant_fragments": len({f.tokens[:length] for f in varied}),
         "truncated_clean_fragments": count_truncated(clean, length),
         "truncated_variant_fragments": count_truncated(varied, length),
         "rounds_run": outcome.rounds_run,

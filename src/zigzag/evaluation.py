@@ -1,13 +1,13 @@
 """Detector evaluation: exact-rational metrics and per-transform rows.
 
-encode_corpus cuts and encodes a corpus once per bucket (untransformed
-programs, then each transform kind) and finds each bucket's distinct
-rows once; EncodedCorpus.score scores it under a model's current
+encode_corpus cuts, encodes and prepares (nn.model.prepare_ids) a corpus
+for a model once per bucket (untransformed programs, then each transform
+kind); EncodedCorpus.score scores it under the model's current
 parameters, one forward pass per bucket over its distinct rows, as eval
-does once and training does after every epoch.  Counts are per function: a
-function is predicted positive when any of its fragments (its one
-function fragment, or any of its slices) is, and functions without
-slices are predicted negative.  Total sums the transformed rows
+does once and training does after every epoch.  Counts are per
+function: a function is predicted positive when any of its fragments
+(its one function fragment, or any of its slices) is, and functions
+without slices are predicted negative.  Total sums the transformed rows
 (total_row), and load_report holds a saved report to that rule and to
 the metrics its counts render.  Metrics are Fractions, so reports are
 exact; a metric whose denominator is zero is undefined and rendered
@@ -29,7 +29,7 @@ from .corpus import CorpusProgram, field_types, read_json_lines, typed_record, w
 from .encoding import UNK_ID, count_truncated, encode_fragments
 from .fragments import GRANULARITIES, Fragment, extract_fragments
 from .lang.nodes import Program
-from .nn.model import DetectorModel, DistinctRows, distinct_rows, model_fingerprint
+from .nn.model import DetectorModel, PreparedIds, model_fingerprint, prepare_ids
 
 ORIGINAL_ROW = "n/a"
 TOTAL_ROW = "Total"
@@ -215,17 +215,19 @@ def load_report(path) -> EvalReport:
 
 @dataclass(slots=True)
 class EncodedCorpus:
-    """A corpus as encode_corpus cuts and encodes it, to be scored under
-    any parameters that read its vocabulary and length."""
+    """A corpus as encode_corpus cuts, encodes and prepares it, to be
+    scored under any parameters of the model it was encoded for, or of one
+    with the same vocabulary, length, embedding rows and encoder; under
+    other embedding rows or another encoder, scoring raises ModelError."""
 
     digest: str
     # per bucket: fragments, fragments longer than the length, and unknown
     # tokens in what was kept
     counters: dict[str, dict[str, int]]
-    # per bucket, untransformed first: its name, its encoded fragments as
-    # their distinct rows, found once here rather than at every scoring,
-    # and, per program, the function labels and each fragment's function
-    buckets: list[tuple[str, DistinctRows, list[tuple[dict[str, int], tuple[str, ...]]]]]
+    # per bucket, untransformed first: its name, its encoded fragments,
+    # prepared once here rather than at every scoring, and, per program,
+    # the function labels and each fragment's function
+    buckets: list[tuple[str, PreparedIds, list[tuple[dict[str, int], tuple[str, ...]]]]]
 
     @property
     def transformed(self) -> int:
@@ -235,7 +237,10 @@ class EncodedCorpus:
     def score(self, model: DetectorModel) -> list[EvalRow]:
         """The n/a row, one row per kind and the Total row under `model`:
         one forward pass per bucket, over its distinct rows, then counts
-        per function."""
+        per function.  A fragment's probability is that of its bucket's
+        pass: the heads' last layer has one output column, which BLAS runs
+        through its matrix-vector kernel, so its last bits can depend on
+        the other rows of the bucket."""
         rows = []
         for name, X, programs in self.buckets:
             preds = iter(model.predict(X))
@@ -258,12 +263,12 @@ def corpus_digest(originals: Sequence[CorpusProgram], targets: dict[str, Sequenc
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def encode_corpus(
-    pairs: Iterable[tuple[CorpusProgram, Program]], granularity: str, vocab: dict[str, int], length: int
-) -> EncodedCorpus:
+def encode_corpus(pairs: Iterable[tuple[CorpusProgram, Program]], model: DetectorModel) -> EncodedCorpus:
     """`pairs`, each program with its parse as `read_corpus` yields them,
-    cut at `granularity` and encoded to `length` by `vocab`, one array
-    per bucket; a parse is dropped once its fragments are cut."""
+    cut at the model's granularity, encoded to its length by its
+    vocabulary and prepared for its parameters, one set per bucket; a
+    parse is dropped once its fragments are cut."""
+    granularity, length = model.config["granularity"], model.config["length"]
     cut: dict[Optional[str], list[tuple[CorpusProgram, list[Fragment]]]] = {None: []}
     for item, program in pairs:
         cut.setdefault(item.kind, []).append((item, extract_fragments(item, granularity, program)))
@@ -273,14 +278,14 @@ def encode_corpus(
     counters, buckets = {}, []
     for name, bucket in [(ORIGINAL_ROW, originals), *sorted(cut.items())]:
         fragments = [frag for _, frags in bucket for frag in frags]
-        X, _ = encode_fragments(fragments, vocab, length)
+        X, _ = encode_fragments(fragments, model.vocab, length)
         counters[name] = {
             "fragments": len(fragments),
             "truncated": count_truncated(fragments, length),
             "unk_tokens": int(np.count_nonzero(X == UNK_ID)),
         }
         programs = [(item.labels, tuple(frag.function for frag in frags)) for item, frags in bucket]
-        buckets.append((name, distinct_rows(X), programs))
+        buckets.append((name, prepare_ids(model.params, model.config, X), programs))
     return EncodedCorpus(digest, counters, buckets)
 
 
@@ -291,10 +296,10 @@ def evaluate_detector(
     and the union of all transformed buckets; `pairs` as encode_corpus
     takes them.  Pairs without an untransformed program raise
     EvaluationError naming `source`, before any forward pass."""
-    granularity = model.config["granularity"]
-    corpus = encode_corpus(pairs, granularity, model.vocab, model.config["length"])
+    corpus = encode_corpus(pairs, model)
     if not corpus.buckets[0][2]:
         raise EvaluationError(f"{source} holds no untransformed programs")
+    granularity = model.config["granularity"]
     return EvalReport(granularity, corpus.score(model), corpus.digest, model_fingerprint(model), corpus.counters)
 
 

@@ -6,12 +6,14 @@ tanh affine layer.  The mean is a matmul with the batch's token-count
 matrix C, (C @ emb) / n, and its embedding gradient is C.T @ (denc / n);
 only the RNN scatters per-token gradients into the embedding.  The
 recurrence runs to the batch's last column that holds a token; the
-all-padding columns after it would leave h as it is.  prepare_ids
-readies a set of id rows once: it finds the set's distinct rows
-(distinct_rows), checks their ids against the embedding's rows and, for
-the mean encoder, builds their C and n.  A training set is prepared once
-per run and its batches are gathers through its row index; an id array
-given to features or features_forward is prepared there, on every call.
+all-padding columns after it would leave h as it is.  PreparedIds is
+the one form of a set of id rows that reaches the kernels: prepare_ids
+finds the set's distinct rows and each row's index into them, checks
+their ids against the embedding's rows and, for the mean encoder, builds
+their C and n.  A training set, and each bucket of an evaluation corpus
+(evaluation.encode_corpus), is prepared once, and its batches are
+gathers through its row index; an id array given to features or
+features_forward is prepared there, on every call.
 The feature stack has two entry points.  features(params, config, X)
 returns F alone, for passes that take no gradient (trace measurement,
 mining, DetectorModel.predict_proba): it forwards each distinct row
@@ -188,80 +190,62 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, slots=True)
-class DistinctRows:
-    """(N, L) token ids as their distinct rows, in the order of first
-    appearance, and each row's index into them: row i is
-    distinct[index[i]].  Indexing gathers the index alone, so a batch or
-    subset copies no row."""
+class PreparedIds:
+    """(N, L) token ids as prepare_ids readies them: their distinct rows,
+    in the order of first appearance, and each row's index into them (row
+    i is distinct[index[i]]), checked against an embedding of emb_rows
+    rows and, for the mean encoder, the count matrix C and per-row token
+    counts denom of the distinct rows (None for the RNN).  Indexing
+    gathers the index alone and shares distinct, C and denom, so a batch
+    or subset needs no new count and copies no row.  Each distinct row is
+    kept once, by the premise features states."""
 
     distinct: np.ndarray
     index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, rows) -> "DistinctRows":
-        return DistinctRows(self.distinct, self.index[rows])
-
-
-def distinct_rows(X: np.ndarray) -> DistinctRows:
-    """X's distinct rows, found by one dict over the rows' bytes.  Neither
-    this nor features sorts: numpy's first sort in a process maps its
-    sort kernels' code, about half a megabyte of resident memory."""
-    ids: dict[bytes, int] = {}  # a row's bytes -> its distinct row
-    first: list[int] = []  # where each distinct row first appears
-    index = []
-    for i, row in enumerate(X):
-        j = ids.setdefault(row.tobytes(), len(first))
-        if j == len(first):
-            first.append(i)
-        index.append(j)
-    return DistinctRows(X[np.array(first, dtype=np.intp)], np.array(index, dtype=np.intp))
-
-
-@dataclass(frozen=True, slots=True)
-class PreparedIds:
-    """Token ids as prepare_ids readies them: their DistinctRows, checked
-    against an embedding of emb_rows rows and, for the mean encoder, the
-    count matrix C and per-row token counts denom of the distinct rows
-    (None for the RNN).  Indexing gathers the index alone, so a batch or
-    subset needs no new count and copies no row.  Each distinct row is
-    kept once, by the premise features states."""
-
-    rows: DistinctRows
     emb_rows: int
     C: np.ndarray | None = None
     denom: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.index)
 
     def __getitem__(self, rows) -> "PreparedIds":
-        return PreparedIds(self.rows[rows], self.emb_rows, self.C, self.denom)
+        return PreparedIds(self.distinct, self.index[rows], self.emb_rows, self.C, self.denom)
 
 
-def prepare_ids(params: dict, config: dict, X: np.ndarray | DistinctRows) -> PreparedIds:
+def prepare_ids(params: dict, config: dict, X: np.ndarray) -> PreparedIds:
     """X ready for features and features_forward under any parameters with
-    the same embedding rows and encoder.  An array's distinct rows are
-    found here (distinct_rows).  This is the one place ids are checked
-    and counted, once per distinct row: an id outside [0, emb rows)
-    raises ModelError before any kernel reads one (the count matrix
-    would count an id >= emb rows in the next row's columns), and the
-    mean encoder's count matrix C and token counts denom follow."""
-    rows = X if isinstance(X, DistinctRows) else distinct_rows(X)
-    emb_rows, ids = params["emb"].shape[0], rows.distinct
-    if ids.size:
-        lo, hi = int(ids.min()), int(ids.max())
+    the same embedding rows and encoder.  Its distinct rows are found by
+    one dict over the rows' bytes; neither this nor features sorts:
+    numpy's first sort in a process maps its sort kernels' code, about
+    half a megabyte of resident memory.  This is the one place ids are
+    checked and counted, once per distinct row: an id outside
+    [0, emb rows) raises ModelError before any kernel reads one (the
+    count matrix would count an id >= emb rows in the next row's
+    columns), and the mean encoder's count matrix C and token counts
+    denom follow."""
+    seen: dict[bytes, int] = {}  # a row's bytes -> its distinct row
+    first: list[int] = []  # where each distinct row first appears
+    index = []
+    for i, row in enumerate(X):
+        j = seen.setdefault(row.tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+        index.append(j)
+    emb_rows, distinct = params["emb"].shape[0], X[np.array(first, dtype=np.intp)]
+    if distinct.size:
+        lo, hi = int(distinct.min()), int(distinct.max())
         if lo < 0:
             raise ModelError(f"token id {lo} is negative; ids must lie in [0, {emb_rows})")
         if hi >= emb_rows:
             raise ModelError(f"token id {hi} is out of range for an embedding of {emb_rows} rows")
-    return PreparedIds(rows, emb_rows, *(token_counts(ids, emb_rows) if config["encoder"] == "mean" else ()))
+    counts = token_counts(distinct, emb_rows) if config["encoder"] == "mean" else ()
+    return PreparedIds(distinct, np.array(index, dtype=np.intp), emb_rows, *counts)
 
 
-def _ready(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedIds) -> PreparedIds:
-    """X prepared for params and config: an array or DistinctRows is
-    prepared here, a prepared set is checked to fit them."""
+def _ready(params: dict, config: dict, X: np.ndarray | PreparedIds) -> PreparedIds:
+    """X prepared for params and config: an array is prepared here, a
+    prepared set is checked to fit them."""
     ids = X if isinstance(X, PreparedIds) else prepare_ids(params, config, X)
     if ids.emb_rows != params["emb"].shape[0] or (ids.C is None) != (config["encoder"] == "rnn"):
         raise ModelError(
@@ -283,10 +267,10 @@ def _feature_layer(params: dict, enc: np.ndarray) -> np.ndarray:
     return np.tanh(enc @ params["f_w"] + params["f_b"])
 
 
-def features(params: dict, config: dict, X: np.ndarray | DistinctRows | PreparedIds) -> np.ndarray:
+def features(params: dict, config: dict, X: np.ndarray | PreparedIds) -> np.ndarray:
     """Feature vectors F (N, feature_dim), with no cache: the entry point
     of passes that take no gradient (trace measurement, mining and
-    prediction).  X is as for features_forward, or a DistinctRows.
+    prediction).  X is as for features_forward.
 
     Every distinct row of X's set is forwarded once, and F is gathered
     back to every row through X's index.  This rests on a premise: a
@@ -308,16 +292,15 @@ def features(params: dict, config: dict, X: np.ndarray | DistinctRows | Prepared
     state (kernels.rnn_last_state), where features_forward keeps every
     step's state and token vectors for the backward pass."""
     ids = _ready(params, config, X)
-    rows = ids.rows
     # numpy hands a one-row product to BLAS's matrix-vector kernel, whose
     # bytes differ from a row of a matrix product
-    used = [0, 0] if len(rows.distinct) == 1 < len(rows) else slice(None)
+    used = [0, 0] if len(ids.distinct) == 1 < len(ids) else slice(None)
     if config["encoder"] == "mean":
         enc = embed_mean_forward(params["emb"], ids.C[used], ids.denom[used])
     else:
-        X = _filled(rows.distinct[used])
+        X = _filled(ids.distinct[used])
         enc = rnn_last_state(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"])
-    return _feature_layer(params, enc)[rows.index]
+    return _feature_layer(params, enc)[ids.index]
 
 
 def features_forward(
@@ -339,17 +322,16 @@ def features_forward(
     no buffers.
     """
     ids = _ready(params, config, X)
-    rows = ids.rows.index
+    rows = ids.index
     if config["encoder"] == "mean":
         C, denom = ids.C[rows], ids.denom[rows]
         enc = embed_mean_forward(params["emb"], C, denom)
         cache: dict = {"C": C, "denom": denom}
     else:
         alloc = buffers or fresh
-        distinct = ids.rows.distinct
-        X = alloc("ids", (len(rows), distinct.shape[1]), distinct.dtype)
+        X = alloc("ids", (len(rows), ids.distinct.shape[1]), ids.distinct.dtype)
         # rows index distinct by construction; "clip" lets take write into X directly
-        np.take(distinct, rows, axis=0, out=X, mode="clip")
+        np.take(ids.distinct, rows, axis=0, out=X, mode="clip")
         X = _filled(X)
         hs, E = rnn_forward(params["emb"], X, params["r_wx"], params["r_wh"], params["r_b"], alloc)
         enc = hs[:, -1, :]
@@ -475,17 +457,17 @@ class DetectorModel:
     def vocab_size(self) -> int:
         return embedding_rows(self.vocab)
 
-    def predict_proba(self, X: np.ndarray | DistinctRows) -> tuple[np.ndarray, np.ndarray]:
+    def predict_proba(self, X: np.ndarray | PreparedIds) -> tuple[np.ndarray, np.ndarray]:
         p1, p2 = heads_forward(self.params, features(self.params, self.config, X))[0]
         return p1, p2
 
-    def fused_proba(self, X: np.ndarray | DistinctRows) -> np.ndarray:
+    def fused_proba(self, X: np.ndarray | PreparedIds) -> np.ndarray:
         p1, p2 = self.predict_proba(X)
         if self.config["fusion"] == "mean":
             return (p1 + p2) / 2.0
         return p1
 
-    def predict(self, X: np.ndarray | DistinctRows) -> np.ndarray:
+    def predict(self, X: np.ndarray | PreparedIds) -> np.ndarray:
         return binary_prediction(self.fused_proba(X), self.config["delta"])
 
 

@@ -55,13 +55,16 @@ without it or where that F1 is undefined.  Its passes:
 X'' is a mask over the rows of X', so its features are the rows
 F_var[mask] of the record's pass over X', not a pass of their own, by
 the premise nn.model.features states.  A zigzag run so makes
-2 * e1 + 2 * e3 * rounds passes that take no gradient.
+2 * e1 + 2 * e3 * rounds passes over X and X' that take no gradient.
+With train --val-data, every record also makes one forward pass per
+validation bucket (evaluation.EncodedCorpus.score).
 
-X and X' are prepared once per run, right after the parameters are
-initialized (nn.model.prepare_ids: one search for the set's distinct
-rows, one id range check per set and, for the mean encoder, one
-token-count matrix per set, each over the distinct rows); every batch
-gathers rows of them through their row index and counts no token again.
+X and X', then the validation buckets, are prepared once per run, right
+after the parameters are initialized (nn.model.prepare_ids: one search
+for the set's distinct rows, one id range check per set and, for the
+mean encoder, one token-count matrix per set, each over the distinct
+rows); every batch gathers rows of X and X' through their row index,
+and no pass counts a token again.
 The passes above take no gradient and run through nn.model.features,
 which keeps no cache and forwards each distinct row of a set once.  The
 joint and feature steps run features_forward, which forwards every row
@@ -158,9 +161,6 @@ class TrainOutcome:
     trace: list[TrainRecord]
     rounds_run: int
     stopped_early: bool
-    # each row of X, then of X', as an index into its set's distinct
-    # encoded rows (nn.model.DistinctRows.index)
-    row_index: tuple[np.ndarray, np.ndarray]
 
 
 def save_trace(path: str | Path, trace: Sequence[TrainRecord]) -> None:
@@ -232,8 +232,8 @@ def hard_mask(p1: np.ndarray, p2: np.ndarray, y: np.ndarray, delta: float) -> np
 
 
 class _Trainer:
-    """One run: the prepared sets X and X', the validation corpus as eval
-    encodes it, the parameters, one Adam and the Buffers of its joint and
+    """One run: the model, the prepared sets X and X', the validation
+    corpus as eval encodes it, one Adam and the Buffers of its joint and
     feature steps. On the first step the Adam moves the parameters into
     one flat buffer, features first and then the heads, so a joint,
     classifier or feature step updates one slice of it. Its moment
@@ -267,18 +267,20 @@ class _Trainer:
                 )
         self.tc = tc
         self.mc = make_config(**model_config, fusion=fusion, delta=tc.delta)
-        self.vocab = vocab = build_vocab([*clean_fragments, *variant_fragments])
+        vocab = build_vocab([*clean_fragments, *variant_fragments])
         length = self.mc["length"]
         Xc, self.yc = encode_fragments(clean_fragments, vocab, length)
         Xv, self.yv = encode_fragments(variant_fragments, vocab, length)
-        self.val = None
-        if val_programs is not None:
-            self.val = encode_corpus(val_programs, self.mc["granularity"], vocab, length)
-            if not self.val.transformed:
-                raise TrainingError(f"{val_source} holds no transformed programs: its Total row is empty")
         self.params = init_params(self.mc, embedding_rows(vocab), tc.seed)
+        # Adam updates the parameters in place: this is always the current model
+        self.model = DetectorModel(self.mc, vocab, self.params)
         self.Xc = prepare_ids(self.params, self.mc, Xc)
         self.Xv = prepare_ids(self.params, self.mc, Xv)
+        self.val = None
+        if val_programs is not None:
+            self.val = encode_corpus(val_programs, self.model)
+            if not self.val.transformed:
+                raise TrainingError(f"{val_source} holds no transformed programs: its Total row is empty")
         self.opt = Adam(tc.lr)
         self.buffers = Buffers()
         self.trace: list[TrainRecord] = []
@@ -310,7 +312,7 @@ class _Trainer:
     def val_f1(self) -> Optional[float]:
         if self.val is None:
             return None
-        f1 = self.val.score(DetectorModel(self.mc, self.vocab, self.params))[-1].confusion.f1  # the Total row's
+        f1 = self.val.score(self.model)[-1].confusion.f1  # the Total row's
         return None if f1 is None else float(f1)
 
     def record(self, rnd: int, phase: str, epoch: int, L_c: float, L_h: float, disc: float, gamma: float) -> None:
@@ -418,11 +420,7 @@ class _Trainer:
             # a saturated model (tanh at +-1 on huge weights) keeps its
             # losses and gradients finite; the overflow on the way is the sign
             raise TrainingDiverged(str(exc)) from None
-        model = DetectorModel(config=self.mc, vocab=self.vocab, params=self.params)
-        return TrainOutcome(
-            model=model, trace=self.trace, rounds_run=rounds_run, stopped_early=stopped_early,
-            row_index=(self.Xc.rows.index, self.Xv.rows.index),
-        )
+        return TrainOutcome(model=self.model, trace=self.trace, rounds_run=rounds_run, stopped_early=stopped_early)
 
     def zigzag_rounds(self, rounds: int) -> tuple[int, bool]:
         """Rounds run and whether the stop rule ended them before `rounds`."""

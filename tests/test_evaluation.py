@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zigzag.nn.model
 from zigzag.corpus import augment_corpus, generate_synthetic
 from zigzag.evaluation import (
     Confusion,
@@ -20,6 +21,7 @@ from zigzag.evaluation import (
     compare_reports,
     confusion_from,
     corpus_digest,
+    encode_corpus,
     evaluate_detector,
     format_metric,
     load_report,
@@ -27,7 +29,8 @@ from zigzag.evaluation import (
 )
 from zigzag.encoding import build_vocab, embedding_rows, encode_fragments
 from zigzag.fragments import GRANULARITIES, extract_fragments
-from zigzag.nn.model import DetectorModel, init_params, make_config
+from zigzag.nn.kernels import token_counts
+from zigzag.nn.model import DetectorModel, ModelError, init_params, make_config
 
 KINDS = ("ct2", "ct3")
 
@@ -169,6 +172,54 @@ def test_one_forward_pass_per_bucket_matches_per_program_prediction(granularity,
     assert report.rows[:-1] == expected
     positives = sum(r.confusion.tp + r.confusion.fp for r in expected)
     assert 0 < positives < sum(r.functions for r in expected)
+
+
+def test_a_mean_encoder_evaluation_counts_the_tokens_of_each_bucket_once(eval_pairs, monkeypatch):
+    counted = []  # rows of each token-count matrix built
+
+    def counting(X, vocab_size):
+        counted.append(len(X))
+        return token_counts(X, vocab_size)
+
+    monkeypatch.setattr(zigzag.nn.model, "token_counts", counting)
+    model = stub_model()
+    report = evaluate_detector(model, eval_pairs)
+    # the distinct rows of n/a, then of each kind, when encode_corpus
+    # prepares them; the forward passes count no token
+    expected = []
+    for kind in (None, *sorted(KINDS)):
+        fragments = [f for item, program in eval_pairs if item.kind == kind
+                     for f in extract_fragments(item, "function", program)]
+        X, _ = encode_fragments(fragments, model.vocab, model.config["length"])
+        expected.append(len({row.tobytes() for row in X}))
+    assert counted == expected and len(report.rows) == len(expected) + 1
+    # a prepared corpus scores as often as asked and counts no token again
+    corpus = encode_corpus(eval_pairs, model)
+    counted.clear()
+    assert corpus.score(model) == corpus.score(model) == report.rows
+    assert counted == []
+
+
+@pytest.mark.parametrize("other", ["emb-rows", "encoder"])
+def test_a_corpus_encoded_for_one_model_is_not_scored_under_another(other, eval_pairs, monkeypatch):
+    """Each bucket is prepared for the model encode_corpus was given; a
+    model of other embedding rows or another encoder is refused before
+    any kernel reads a bucket."""
+    corpus = encode_corpus(eval_pairs, stub_model())
+    if other == "emb-rows":
+        config, vocab = stub_model().config, {"func": 2, "var": 3}
+    else:
+        config, vocab = make_config(encoder="rnn", emb_dim=4, feature_dim=6, head_hidden=5), {"func": 2}
+    foreign = DetectorModel(config, vocab, init_params(config, max(vocab.values()) + 1, 0))
+
+    def kernel(*args):
+        raise AssertionError("a kernel read a bucket prepared for another model")
+
+    for name in ("token_counts", "embed_mean_forward", "rnn_last_state"):
+        monkeypatch.setattr(zigzag.nn.model, name, kernel)
+    with pytest.raises(ModelError, match="prepared for 3 embedding rows and the mean encoder do not fit") as info:
+        corpus.score(foreign)
+    assert info.traceback[-1].name == "_ready"
 
 
 # ---- report construction ------------------------------------------------------

@@ -19,7 +19,6 @@ from zigzag.nn.model import (
     DetectorModel,
     ModelConfig,
     ModelError,
-    distinct_rows,
     features,
     features_backward,
     features_forward,
@@ -514,13 +513,22 @@ def test_features_byte_equal_features_forward(batch):
 
 
 def test_distinct_rows_are_in_first_appearance_order_and_index_every_row():
+    config, params, _, _ = tiny_setup("mean")
     X = np.array([[3, 0], [2, 2], [3, 0], [0, 0], [2, 2], [3, 1]], dtype=np.int32)
-    rows = distinct_rows(X)
-    assert rows.distinct.tolist() == [[3, 0], [2, 2], [0, 0], [3, 1]]
-    assert rows.index.tolist() == [0, 1, 0, 2, 1, 3]
-    assert len(rows) == 6 and len(rows[[1, 4]]) == 2 and rows[[1, 4]].distinct is rows.distinct
-    empty = distinct_rows(X[:0])
-    assert empty.distinct.shape == (0, 2) and len(empty) == 0
+    prepared = prepare_ids(params, config, X)
+    assert prepared.distinct.tolist() == [[3, 0], [2, 2], [0, 0], [3, 1]]
+    assert prepared.index.tolist() == [0, 1, 0, 2, 1, 3]
+    assert prepared.C.shape == (4, VOCAB) and prepared.denom.tolist() == [1, 2, 1, 2]  # distinct rows only
+    batch = prepared[[1, 4]]
+    assert len(prepared) == 6 and len(batch) == 2 and batch.index.tolist() == [1, 1]
+    # indexing gathers the index alone: a batch shares its set's arrays
+    assert batch.distinct is prepared.distinct and batch.C is prepared.C and batch.denom is prepared.denom
+    empty = prepare_ids(params, config, X[:0])
+    assert empty.distinct.shape == (0, 2) and len(empty) == 0 and empty.C.shape == (0, VOCAB)
+    rnn_config, rnn_params, _, _ = tiny_setup("rnn")
+    rnn = prepare_ids(rnn_params, rnn_config, X)
+    assert rnn.distinct.tolist() == prepared.distinct.tolist() and rnn.C is None and rnn.denom is None
+    assert rnn[1:].distinct is rnn.distinct
 
 
 def _repeated_rows(source: np.ndarray, n: int, seed: int) -> np.ndarray:
@@ -556,7 +564,7 @@ def test_features_of_distinct_rows_byte_equal_a_pass_over_every_row(encoder, n):
     F_all = every_row(X)
     prepared = prepare_ids(params, config, X)
     if n > 1:
-        assert len(prepared.rows.distinct) < n
+        assert len(prepared.distinct) < n
     for ids in (X, prepared):
         assert features(params, config, ids).tobytes() == F_all.tobytes()
     # n copies of one row: a one-row pass would take other bytes

@@ -175,7 +175,7 @@ def test_hard_features_are_the_hard_rows_of_the_x_prime_pass(pools, monkeypatch)
     of the X' pass, whatever the size of X''; from two rows on they are
     also those that a pass over X'' alone gives."""
     trainer = make_trainer(pools, e2=1)
-    Xv = trainer.Xv.rows.distinct[trainer.Xv.rows.index]
+    Xv = trainer.Xv.distinct[trainer.Xv.index]
     rng = derive_rng(3, "hard-features")
     seen = []  # the F_hard of each classifier epoch
     monkeypatch.setattr(_Trainer, "classifier_epoch", lambda self, F_clean, F_hard, rnd, epoch: seen.append(F_hard))
@@ -376,16 +376,15 @@ def test_zigzag_counts_the_tokens_of_x_and_x_prime_once(pools, with_val, monkeyp
     tc = quick_config(e1=2, beta=2, e2=2, e3=2, tau_disc=0.0, tau_loss=0.0)
     out = train_zigzag(clean, varied, train_config=tc, val_programs=val if with_val else None)
     assert out.rounds_run == 2 and len(out.trace) == 2 + 2 * (2 + 2)
-    # the distinct rows of X, then of X': once per run, not per pass; the
-    # validation buckets' distinct rows are counted where each record
-    # scores them
+    # the distinct rows of X, then of X', then of each validation bucket:
+    # once per run, not per pass or per record
     expected = [_distinct(clean, out.model), _distinct(varied, out.model)]
     assert expected[0] < len(clean) and expected[1] < len(varied)
     if with_val:
         buckets = {kind: [] for kind in (None, "ct2", "ct7")}
         for item, program in val:
             buckets[item.kind].extend(extract_fragments(item, "function", program))
-        expected += [_distinct(fragments, out.model) for fragments in buckets.values()] * len(out.trace)
+        expected += [_distinct(fragments, out.model) for fragments in buckets.values()]
     assert counted == expected
 
 
